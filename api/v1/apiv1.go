@@ -194,11 +194,18 @@ type Alerts struct {
 
 // IngestRequest is one xvolt-fleet → xvolt-hub push (POST
 // /api/hub/ingest): the source's name, its snapshot generation and
-// virtual clock at push time, the pushed event/transition tails, and the
-// source's health counters (so the hub's gap detection can tell
-// retention loss from dedup). Events may overlap earlier pushes — the
-// hub upserts by (source, seq), so resending a merged event's updated
-// multiplicity is how dedup propagates.
+// virtual clock at push time, the pushed boards and event/transition
+// tails, and the source's health counters (so the hub's gap detection
+// can tell retention loss from dedup). Events may overlap earlier
+// pushes — the hub upserts by (source, seq), so resending a merged
+// event's updated multiplicity is how dedup propagates.
+//
+// BoardsSince is the source generation the pushed boards are a delta
+// against: Boards holds only the boards whose status committed after
+// it. 0 means Boards is the full table. A hub that never ingested
+// generation BoardsSince from the source (it restarted, or never heard
+// of the source) refuses the push with 409 Conflict without applying
+// any of it; the pusher then resends its full state.
 type IngestRequest struct {
 	Source      string         `json:"source"`
 	Generation  uint64         `json:"generation"`
@@ -207,6 +214,7 @@ type IngestRequest struct {
 	Events      []Event        `json:"events,omitempty"`
 	Transitions []Transition   `json:"transitions,omitempty"`
 	Health      *HealthSummary `json:"health,omitempty"`
+	BoardsSince uint64         `json:"boards_since,omitempty"`
 }
 
 // IngestResponse reports what one push changed in the hub's view.

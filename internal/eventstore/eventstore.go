@@ -91,14 +91,24 @@ type dedupKey struct {
 // backends wrap it in their own locking. Both backends run the exact
 // same ring code, which is what makes their retained state identical
 // under identical Append sequences.
+//
+// Positions are absolute: the record at events[i] sits at position
+// off+i for as long as it is retained, and lastByBoard holds positions,
+// not indices. Eviction only advances head, so it touches neither the
+// records nor the board index; evict reclaims the evicted prefix
+// events[:head] once it is at least as long as the retained tail, which
+// keeps the cost amortized O(1) per append and the backing array within
+// twice the retained count.
 type ring struct {
-	events      []Record
+	events      []Record // events[head:] are retained, oldest first
+	head        int
+	off         uint64 // absolute position of events[0]
 	seq         uint64
 	cap         int
 	window      time.Duration // dedup window (0 disables)
 	maxAge      time.Duration // age retention (0 disables)
 	stats       Stats
-	lastByBoard map[string]int
+	lastByBoard map[string]uint64 // board → position of its latest record; stale once evicted
 }
 
 // defaultCapacity bounds a ring constructed with capacity ≤ 0.
@@ -115,16 +125,59 @@ func newRing(capacity int, window, maxAge time.Duration) ring {
 		maxAge = 0
 	}
 	return ring{cap: capacity, window: window, maxAge: maxAge,
-		lastByBoard: map[string]int{}}
+		lastByBoard: map[string]uint64{}}
+}
+
+// retained returns the retained records in order, aliasing the ring.
+func (r *ring) retained() []Record { return r.events[r.head:] }
+
+// latest returns the board's latest retained record.
+func (r *ring) latest(board string) (*Record, bool) {
+	pos, ok := r.lastByBoard[board]
+	if !ok || pos < r.off+uint64(r.head) {
+		return nil, false
+	}
+	return &r.events[pos-r.off], true
+}
+
+// push appends a sequenced record and indexes it as its board's latest.
+// The board index keeps stale entries for boards whose records were all
+// evicted; push sweeps them once the index reaches twice the capacity,
+// so the index stays bounded however many distinct boards pass through.
+func (r *ring) push(rec Record) {
+	if _, known := r.lastByBoard[rec.Board]; !known && len(r.lastByBoard) >= 2*r.cap {
+		base := r.off + uint64(r.head)
+		for board, pos := range r.lastByBoard {
+			if pos < base {
+				delete(r.lastByBoard, board)
+			}
+		}
+	}
+	r.lastByBoard[rec.Board] = r.off + uint64(len(r.events))
+	r.events = append(r.events, rec)
+}
+
+// evict drops the n oldest retained records (n ≤ retained count),
+// sliding the retained tail down to the front of the backing array when
+// the dropped prefix has grown as long as the tail.
+func (r *ring) evict(n int) {
+	r.head += n
+	r.stats.Evicted += uint64(n)
+	if r.head > 0 && r.head >= len(r.events)-r.head {
+		kept := copy(r.events, r.events[r.head:])
+		clear(r.events[kept:])
+		r.events = r.events[:kept]
+		r.off += uint64(r.head)
+		r.head = 0
+	}
 }
 
 // append folds one stamped record in: merge into the board's latest
 // entry when inside the dedup window, otherwise assign the next seq,
 // append, and apply retention.
 func (r *ring) append(rec Record) AppendResult {
-	key := dedupKey{board: rec.Board, kind: rec.Kind, state: rec.State, mv: rec.MV, msg: rec.Msg}
-	if idx, ok := r.lastByBoard[rec.Board]; ok && r.window > 0 && idx < len(r.events) {
-		last := &r.events[idx]
+	if last, ok := r.latest(rec.Board); ok && r.window > 0 {
+		key := dedupKey{board: rec.Board, kind: rec.Kind, state: rec.State, mv: rec.MV, msg: rec.Msg}
 		lastKey := dedupKey{board: last.Board, kind: last.Kind, state: last.State, mv: last.MV, msg: last.Msg}
 		ref := last.LastAt
 		if ref == 0 {
@@ -141,8 +194,7 @@ func (r *ring) append(rec Record) AppendResult {
 	rec.Seq = r.seq
 	rec.Count = 1
 	rec.LastAt = 0
-	r.events = append(r.events, rec)
-	r.lastByBoard[rec.Board] = len(r.events) - 1
+	r.push(rec)
 	r.stats.Appends++
 	evicted := r.retain(rec.At)
 	return AppendResult{Seq: rec.Seq, Count: 1, Evicted: evicted}
@@ -151,39 +203,31 @@ func (r *ring) append(rec Record) AppendResult {
 // retain applies capacity and age retention after an append, returning
 // how many records it dropped.
 func (r *ring) retain(newest time.Duration) int {
+	live := r.retained()
 	drop := 0
 	if r.maxAge > 0 {
-		for drop < len(r.events)-1 && r.events[drop].At < newest-r.maxAge {
+		for drop < len(live)-1 && live[drop].At < newest-r.maxAge {
 			drop++
 		}
 	}
-	if over := len(r.events) - drop - r.cap; over > 0 {
+	if over := len(live) - drop - r.cap; over > 0 {
 		drop += over
 	}
-	if drop == 0 {
-		return 0
-	}
-	r.stats.Evicted += uint64(drop)
-	r.events = append(r.events[:0], r.events[drop:]...)
-	for board, idx := range r.lastByBoard {
-		if idx < drop {
-			delete(r.lastByBoard, board)
-		} else {
-			r.lastByBoard[board] = idx - drop
-		}
+	if drop > 0 {
+		r.evict(drop)
 	}
 	return drop
 }
 
 // records returns a copy of the retained records.
 func (r *ring) records() []Record {
-	return append([]Record(nil), r.events...)
+	return append([]Record(nil), r.retained()...)
 }
 
 // recordsFor filters one board's records, keeping the n most recent.
 func (r *ring) recordsFor(board string, n int) []Record {
 	var out []Record
-	for _, e := range r.events {
+	for _, e := range r.retained() {
 		if e.Board == board {
 			out = append(out, e)
 		}
@@ -200,10 +244,12 @@ func (r *ring) recordsFor(board string, n int) []Record {
 func (r *ring) restore(seq uint64, stats Stats, events []Record) {
 	r.seq = seq
 	r.stats = stats
+	clear(r.events)
 	r.events = append(r.events[:0], events...)
-	r.lastByBoard = make(map[string]int, len(events))
+	r.head, r.off = 0, 0
+	r.lastByBoard = make(map[string]uint64, len(events))
 	for i, e := range r.events {
-		r.lastByBoard[e.Board] = i
+		r.lastByBoard[e.Board] = uint64(i)
 	}
 }
 
@@ -212,14 +258,15 @@ func (r *ring) restore(seq uint64, stats Stats, events []Record) {
 // merge was journaled — replay of a later eviction op removes it too,
 // but compaction snapshots may legitimately re-order our view).
 func (r *ring) applyMerge(seq uint64, count int, lastAt time.Duration) {
-	for i := len(r.events) - 1; i >= 0; i-- {
-		if r.events[i].Seq == seq {
-			r.events[i].Count = count
-			r.events[i].LastAt = lastAt
+	live := r.retained()
+	for i := len(live) - 1; i >= 0; i-- {
+		if live[i].Seq == seq {
+			live[i].Count = count
+			live[i].LastAt = lastAt
 			r.stats.Merges++
 			return
 		}
-		if r.events[i].Seq < seq {
+		if live[i].Seq < seq {
 			return
 		}
 	}
@@ -228,11 +275,10 @@ func (r *ring) applyMerge(seq uint64, count int, lastAt time.Duration) {
 // applyAppend replays a journaled append: the record arrives with its
 // live-run seq already assigned.
 func (r *ring) applyAppend(rec Record) {
-	r.events = append(r.events, rec)
+	r.push(rec)
 	if rec.Seq > r.seq {
 		r.seq = rec.Seq
 	}
-	r.lastByBoard[rec.Board] = len(r.events) - 1
 	r.stats.Appends++
 }
 
@@ -241,16 +287,8 @@ func (r *ring) applyEvict(n int) {
 	if n <= 0 {
 		return
 	}
-	if n > len(r.events) {
-		n = len(r.events)
+	if live := len(r.events) - r.head; n > live {
+		n = live
 	}
-	r.stats.Evicted += uint64(n)
-	r.events = append(r.events[:0], r.events[n:]...)
-	for board, idx := range r.lastByBoard {
-		if idx < n {
-			delete(r.lastByBoard, board)
-		} else {
-			r.lastByBoard[board] = idx - n
-		}
-	}
+	r.evict(n)
 }

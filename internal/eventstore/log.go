@@ -442,12 +442,13 @@ func (l *Log) compactLocked() error {
 	l.pbuf = binary.AppendUvarint(l.pbuf, l.r.stats.Appends)
 	l.pbuf = binary.AppendUvarint(l.pbuf, l.r.stats.Merges)
 	l.pbuf = binary.AppendUvarint(l.pbuf, l.r.stats.Evicted)
-	l.pbuf = binary.AppendUvarint(l.pbuf, uint64(len(l.r.events)))
+	live := l.r.retained()
+	l.pbuf = binary.AppendUvarint(l.pbuf, uint64(len(live)))
 	l.buf = appendFrame(l.buf, l.pbuf)
-	for i := range l.r.events {
+	for i := range live {
 		l.pbuf = l.pbuf[:0]
 		l.pbuf = append(l.pbuf, opState)
-		l.pbuf = appendRecord(l.pbuf, &l.r.events[i])
+		l.pbuf = appendRecord(l.pbuf, &live[i])
 		l.buf = appendFrame(l.buf, l.pbuf)
 	}
 	if err := l.writeLocked(l.buf); err != nil {
@@ -527,7 +528,7 @@ func (l *Log) RecordsFor(board string, n int) []Record {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.r.events)
+	return len(l.r.retained())
 }
 
 // Stats returns the lifetime counters (restored across reopen).

@@ -52,7 +52,7 @@ func (m *Memory) RecordsFor(board string, n int) []Record {
 func (m *Memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.r.events)
+	return len(m.r.retained())
 }
 
 // Stats returns the lifetime counters.

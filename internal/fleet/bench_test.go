@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"testing"
+
+	"xvolt/internal/obs"
+	"xvolt/internal/trace"
 )
 
 // BenchmarkFleetPoll measures steady-state poll throughput of a default-
@@ -56,5 +59,28 @@ func BenchmarkFleetSnapshotDelta(b *testing.B) {
 		if _, _, err := m.BoardsJSON(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFleetRunChunk measures the daemon's commit loop at its
+// steady state: a 2,000-board fleet at the daemon defaults, wired as
+// xvolt-fleet wires it (metrics registry, a tracer keeping every
+// trace), warmed until the tracer's span ring is full. One op is one
+// Run(32), the daemon's default chunk.
+func BenchmarkFleetRunChunk(b *testing.B) {
+	m, err := New(Config{Boards: 2000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetMetrics(obs.NewRegistry())
+	tr := trace.NewTracer(0, 1)
+	m.SetTracer(tr)
+	for tr.Evicted() == 0 {
+		m.Run(32)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Run(32)
 	}
 }

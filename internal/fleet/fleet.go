@@ -398,6 +398,7 @@ type Fleet interface {
 	Board(id string) (BoardStatus, bool)
 	BoardsJSON() (uint64, []byte, error)
 	BoardsDeltaJSON(since uint64) (uint64, []byte, error)
+	BoardsSince(since uint64) (uint64, []BoardStatus)
 	Health() HealthSummary
 	Store() *Store
 	Transitions() []Transition

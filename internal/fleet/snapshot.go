@@ -120,6 +120,28 @@ func (st *fleetState) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
 	return gen, st.enc.appendDelta(gen, since, delta), nil
 }
 
+// BoardsSince returns the fleet generation and the statuses of the
+// boards that committed after generation since, in board order — the
+// typed counterpart of BoardsDeltaJSON, which the hub pusher ships. It
+// resolves the boards through the dirty log, so the cost follows the
+// boards that changed. since 0, or a since older than the dirty log,
+// returns every board; since at or past the generation returns none.
+func (st *fleetState) BoardsSince(since uint64) (uint64, []BoardStatus) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	gen := st.gen.Load()
+	if since > 0 {
+		if idx, ok := st.dirtySinceLocked(since, gen); ok {
+			out := make([]BoardStatus, len(idx))
+			for k, i := range idx {
+				out[k] = st.status[i]
+			}
+			return gen, out
+		}
+	}
+	return gen, append([]BoardStatus(nil), st.status...)
+}
+
 // refreshSegments brings the segment arena up to the current generation,
 // re-marshaling only boards dirtied since the arena's generation, and
 // returns the generation the arena now reflects. Callers hold enc.mu.

@@ -49,39 +49,38 @@ func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 	return false
 }
 
-// boardsView snapshots (generation, global boards) consistently: the
-// generation only advances under the hub lock Boards takes, so re-read
-// until it is stable around the copy.
-func (h *Hub) boardsView() (uint64, []apiv1.BoardStatus) {
-	for {
-		gen := h.Generation()
-		boards := h.Boards()
-		if h.Generation() == gen {
-			return gen, boards
-		}
-	}
-}
-
+// handleBoards serves /api/fleet. Both 304 answers — an ETag match, and
+// ?since= at or past the current generation — are decided from the
+// generation alone, before any board is copied.
 func (h *Hub) handleBoards(w http.ResponseWriter, r *http.Request) {
-	gen, boards := h.boardsView()
-	etag := fmt.Sprintf("\"hub-%d\"", gen)
+	gen := h.Generation()
 	w.Header().Set(apiv1.GenerationHeader, strconv.FormatUint(gen, 10))
-	if notModified(w, r, etag) {
+	if notModified(w, r, fmt.Sprintf("\"hub-%d\"", gen)) {
 		return
 	}
-	// ?since=<generation> follows the fleet delta protocol. The hub does
-	// not keep a per-generation dirty log, so the delta it serves is
-	// maximal (every board) — correct under the protocol, which only
-	// promises the delta contains at least the boards changed since S.
-	if sinceStr := r.URL.Query().Get("since"); sinceStr != "" {
-		since, err := strconv.ParseUint(sinceStr, 10, 64)
-		if err != nil {
+	// ?since=<generation> follows the fleet delta protocol: only the
+	// boards whose status changed after that hub generation.
+	var since uint64
+	sinceStr := r.URL.Query().Get("since")
+	if sinceStr != "" {
+		var err error
+		if since, err = strconv.ParseUint(sinceStr, 10, 64); err != nil {
 			http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		if since >= gen {
 			w.WriteHeader(http.StatusNotModified)
 			return
+		}
+	}
+	// An ingest may have landed since the pre-check; re-stamp the headers
+	// so they always match the body served.
+	gen, boards := h.BoardsSince(since)
+	w.Header().Set("ETag", fmt.Sprintf("\"hub-%d\"", gen))
+	w.Header().Set(apiv1.GenerationHeader, strconv.FormatUint(gen, 10))
+	if sinceStr != "" {
+		if boards == nil {
+			boards = []apiv1.BoardStatus{} // an empty delta renders "boards": [], as the fleet's does
 		}
 		writeJSON(w, apiv1.BoardsDelta{Generation: gen, Since: since, Boards: boards})
 		return
@@ -96,6 +95,8 @@ func (h *Hub) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, h.Health())
 }
 
+// handleBoardEvents serves one source's board event tail; an ETag match
+// answers 304 before the events are scanned.
 func (h *Hub) handleBoardEvents(w http.ResponseWriter, r *http.Request) {
 	n := 100
 	if q := r.URL.Query().Get("n"); q != "" {
@@ -106,14 +107,15 @@ func (h *Hub) handleBoardEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	doc, ok := h.BoardEvents(r.PathValue("source"), r.PathValue("board"), n)
-	if !ok {
+	sourceName, board := r.PathValue("source"), r.PathValue("board")
+	if !h.hasBoard(sourceName, board) {
 		http.Error(w, "no such source/board", http.StatusNotFound)
 		return
 	}
 	if notModified(w, r, fmt.Sprintf("\"hub-ev-%d\"", h.Generation())) {
 		return
 	}
+	doc, _ := h.BoardEvents(sourceName, board, n) // known: the hub never drops a board
 	writeJSON(w, doc)
 }
 
@@ -139,6 +141,10 @@ func (h *Hub) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := h.Ingest(req)
+	if errors.Is(err, ErrUnknownBaseline) {
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

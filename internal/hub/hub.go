@@ -17,6 +17,15 @@
 // against it and flags only the unexplained remainder as gaps. Dedup
 // merges never consume a seq, so they can never masquerade as loss.
 //
+// Delta pushes: a push's boards may be only those that changed since
+// the source generation named by its BoardsSince field. The hub accepts
+// such a delta only against a generation it has itself ingested from
+// that source; otherwise (a restarted hub, or a source it never heard
+// of) it refuses the push with ErrUnknownBaseline before touching any
+// state, and the pusher resends its full retained state. The hub stamps
+// every board with the hub generation at which its status last changed,
+// so /api/fleet?since=S answers with exactly the boards changed after S.
+//
 // Determinism: the hub's per-source state is a pure function of the
 // ingested request sequence. Rendering a source's dump replays the
 // exact text the source's own store would print — byte-identical when
@@ -45,8 +54,8 @@ type source struct {
 	vnow   time.Duration
 	pushes uint64
 
-	boards   map[string]apiv1.BoardStatus
-	boardIDs []string // sorted board ids (map iteration never reaches output)
+	boards map[string]*board
+	sorted []*board // boards by id (map iteration never reaches output)
 
 	events   map[uint64]apiv1.Event
 	eventSeq []uint64 // ascending seqs
@@ -56,6 +65,13 @@ type source struct {
 	transSeq    []uint64 // ascending seqs
 
 	health *apiv1.HealthSummary
+}
+
+// board is one replicated board status and the hub generation at which
+// it last changed.
+type board struct {
+	status  apiv1.BoardStatus
+	changed uint64
 }
 
 // gaps is the unexplained missing-seq count: seqs in [1, maxSeq] the
@@ -101,9 +117,15 @@ func (h *Hub) Generation() uint64 { return h.gen.Load() }
 // ErrBadSource rejects ingests with an unusable source name.
 var ErrBadSource = errors.New("hub: source name must be non-empty and must not contain '/'")
 
+// ErrUnknownBaseline refuses a delta push whose BoardsSince names a
+// source generation this hub never ingested — the source must resend
+// its full state (the HTTP layer answers 409 Conflict).
+var ErrUnknownBaseline = errors.New("hub: boards_since is newer than any generation ingested from this source; push the full state")
+
 // Ingest folds one push into the hub's view, returning what changed.
 // Idempotent: replaying a push yields all-duplicates and no state
-// change.
+// change. A delta push against an unknown baseline is refused with
+// ErrUnknownBaseline and changes nothing.
 func (h *Hub) Ingest(req apiv1.IngestRequest) (apiv1.IngestResponse, error) {
 	if req.Source == "" || strings.Contains(req.Source, "/") {
 		return apiv1.IngestResponse{}, ErrBadSource
@@ -112,10 +134,14 @@ func (h *Hub) Ingest(req apiv1.IngestRequest) (apiv1.IngestResponse, error) {
 	defer h.mu.Unlock()
 
 	s, ok := h.sources[req.Source]
+	if req.BoardsSince > 0 && (!ok || req.BoardsSince > s.gen) {
+		h.m.resyncs.Inc()
+		return apiv1.IngestResponse{}, ErrUnknownBaseline
+	}
 	if !ok {
 		s = &source{
 			name:        req.Source,
-			boards:      map[string]apiv1.BoardStatus{},
+			boards:      map[string]*board{},
 			events:      map[uint64]apiv1.Event{},
 			transitions: map[uint64]apiv1.Transition{},
 		}
@@ -137,17 +163,23 @@ func (h *Hub) Ingest(req apiv1.IngestRequest) (apiv1.IngestResponse, error) {
 		changed = true
 	}
 
+	// Boards that change are stamped with the generation this ingest
+	// commits; gen only advances under h.mu, so it is the next one.
+	next := h.gen.Load() + 1
 	resp := apiv1.IngestResponse{Source: req.Source}
-	for _, b := range req.Boards {
-		old, seen := s.boards[b.ID]
+	for _, st := range req.Boards {
+		b, seen := s.boards[st.ID]
 		if !seen {
-			i := sort.SearchStrings(s.boardIDs, b.ID)
-			s.boardIDs = append(s.boardIDs, "")
-			copy(s.boardIDs[i+1:], s.boardIDs[i:])
-			s.boardIDs[i] = b.ID
+			b = &board{}
+			s.boards[st.ID] = b
+			i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i].status.ID >= st.ID })
+			s.sorted = append(s.sorted, nil)
+			copy(s.sorted[i+1:], s.sorted[i:])
+			s.sorted[i] = b
 		}
-		if !seen || old != b {
-			s.boards[b.ID] = b
+		if !seen || b.status != st {
+			b.status = st
+			b.changed = next
 			changed = true
 		}
 	}
@@ -196,9 +228,9 @@ func (h *Hub) Ingest(req apiv1.IngestRequest) (apiv1.IngestResponse, error) {
 	resp.Gaps = s.gaps()
 	resp.NextSeq = s.nextSeq()
 	if changed {
-		h.gen.Add(1)
+		h.gen.Store(next)
 	}
-	h.noteIngestLocked(resp)
+	h.noteIngestLocked(resp, len(req.Boards))
 	return resp, nil
 }
 
@@ -245,21 +277,38 @@ func (h *Hub) Sources() []apiv1.HubSource {
 	return out
 }
 
-// Boards returns the global board view: every source's boards with ids
-// namespaced "source/board", sources and boards each in sorted order.
-func (h *Hub) Boards() []apiv1.BoardStatus {
+// BoardsSince returns the hub generation and the global board view of
+// the boards that changed after generation since (0 returns every
+// board): ids namespaced "source/board", sources and boards each in
+// sorted order. Only the returned boards are copied; the rest cost one
+// generation compare each.
+func (h *Hub) BoardsSince(since uint64) (uint64, []apiv1.BoardStatus) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var out []apiv1.BoardStatus
 	for _, name := range h.names {
 		s := h.sources[name]
-		for _, id := range s.boardIDs {
-			b := s.boards[id]
-			b.ID = s.name + "/" + id
-			out = append(out, b)
+		for _, b := range s.sorted {
+			if b.changed > since {
+				st := b.status
+				st.ID = s.name + "/" + st.ID
+				out = append(out, st)
+			}
 		}
 	}
-	return out
+	return h.gen.Load(), out
+}
+
+// hasBoard reports whether the hub holds the source's board.
+func (h *Hub) hasBoard(sourceName, board string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s, ok := h.sources[sourceName]
+	if !ok {
+		return false
+	}
+	_, ok = s.boards[board]
+	return ok
 }
 
 // BoardEvents returns up to n most recent replicated events of one

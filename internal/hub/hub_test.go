@@ -310,3 +310,41 @@ func BenchmarkHubIngest(b *testing.B) {
 		}
 	}
 }
+
+// countingTransport tallies the request body bytes it sends.
+type countingTransport struct{ sent int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.sent += r.ContentLength
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// BenchmarkPusherPush measures steady-state replication: one op is the
+// daemon's Run(32) chunk on a 2,000-board fleet followed by one Push to
+// an in-process hub over loopback HTTP. push-B/op is the request body
+// the push sent — the boards, events and transitions of one chunk.
+func BenchmarkPusherPush(b *testing.B) {
+	m, err := fleet.New(fleet.Config{Boards: 2000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(New().Handler(nil))
+	defer ts.Close()
+	ct := &countingTransport{}
+	p := NewPusher(clientv1.New(ts.URL, clientv1.WithHTTPClient(&http.Client{Transport: ct})), "bench", m)
+	ctx := context.Background()
+	m.Run(32)
+	if _, err := p.Push(ctx); err != nil {
+		b.Fatal(err) // the first push carries the whole fleet
+	}
+	ct.sent = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Run(32)
+		if _, err := p.Push(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ct.sent)/float64(b.N), "push-B/op")
+}

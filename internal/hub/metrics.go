@@ -13,6 +13,8 @@ type hubMetrics struct {
 	eventsUpd   *obs.Counter
 	eventsDup   *obs.Counter
 	transitions *obs.Counter
+	boards      *obs.Counter
+	resyncs     *obs.Counter
 	sources     *obs.Gauge
 	events      *obs.Gauge
 	gaps        *obs.Gauge
@@ -38,6 +40,10 @@ func (h *Hub) SetMetrics(r *obs.Registry) {
 			"Pushed events identical to the hub's copy (idempotent resends)."),
 		transitions: r.Counter("xvolt_hub_transitions_new_total",
 			"Pushed health transitions new to the hub."),
+		boards: r.Counter("xvolt_hub_ingest_boards_total",
+			"Board statuses carried by accepted pushes (a delta push carries only the boards changed since its baseline)."),
+		resyncs: r.Counter("xvolt_hub_resyncs_total",
+			"Delta pushes refused with 409 because the hub never ingested their baseline generation; each makes the source resend its full state."),
 		sources: r.Gauge("xvolt_hub_sources",
 			"Fleet daemons that have pushed to this hub."),
 		events: r.Gauge("xvolt_hub_events",
@@ -47,10 +53,11 @@ func (h *Hub) SetMetrics(r *obs.Registry) {
 	}
 }
 
-// noteIngestLocked folds one ingest's outcome into the instruments.
-// Caller holds h.mu.
-func (h *Hub) noteIngestLocked(resp apiv1.IngestResponse) {
+// noteIngestLocked folds one accepted ingest's outcome, and the number
+// of boards it carried, into the instruments. Caller holds h.mu.
+func (h *Hub) noteIngestLocked(resp apiv1.IngestResponse, boards int) {
 	h.m.ingests.Inc()
+	h.m.boards.Add(float64(boards))
 	h.m.eventsNew.Add(float64(resp.NewEvents))
 	h.m.eventsUpd.Add(float64(resp.UpdatedEvents))
 	h.m.eventsDup.Add(float64(resp.DuplicateEvents))

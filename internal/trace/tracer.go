@@ -83,7 +83,8 @@ type Tracer struct {
 	every     int // keep 1 of every `every` traces
 	nextTrace uint64
 	nextSpan  uint64
-	spans     []Span // ring of the most recent finished spans
+	spans     []Span // ring of the most recent finished spans, oldest at head once full
+	head      int    // index of the oldest span once len(spans) == max
 	evicted   uint64
 	sampled   uint64 // traces kept
 	discarded uint64 // traces sampled out
@@ -199,17 +200,20 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	return ContextWith(ctx, a), a
 }
 
-// finish commits a finished span to the ring and the sink.
+// finish commits a finished span to the ring and the sink. Once the
+// ring is full the newest span overwrites the oldest in place — live
+// inspection wants the tail, not the head — so a finish is O(1)
+// however many spans are retained.
 func (t *Tracer) finish(s Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) >= t.max {
-		// Ring semantics: live inspection wants the tail, not the head.
-		drop := len(t.spans) - t.max + 1
-		t.spans = append(t.spans[:0], t.spans[drop:]...)
-		t.evicted += uint64(drop)
+	if len(t.spans) < t.max {
+		t.spans = append(t.spans, s)
+	} else {
+		t.spans[t.head] = s
+		t.head = (t.head + 1) % t.max
+		t.evicted++
 	}
-	t.spans = append(t.spans, s)
 	if t.sink != nil {
 		t.sinkSeq++
 		sp := s
@@ -227,7 +231,8 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	out := append([]Span(nil), t.spans[t.head:]...)
+	return append(out, t.spans[:t.head]...)
 }
 
 // TraceSpans returns the retained spans of one trace, oldest first.

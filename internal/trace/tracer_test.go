@@ -90,21 +90,33 @@ func TestTracerSampling(t *testing.T) {
 }
 
 func TestTracerRingBound(t *testing.T) {
-	tr := NewTracer(4, 1)
-	for i := 0; i < 10; i++ {
-		_, s := tr.StartSpan(context.Background(), "s")
-		s.End()
-	}
-	spans := tr.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("retained %d, want 4", len(spans))
-	}
-	// The tail survives, not the head.
-	if spans[0].Trace != 7 || spans[3].Trace != 10 {
-		t.Errorf("ring kept traces %d..%d, want 7..10", spans[0].Trace, spans[3].Trace)
-	}
-	if tr.Evicted() != 6 {
-		t.Errorf("evicted = %d, want 6", tr.Evicted())
+	const max = 4
+	for _, n := range []int{3, max, 10, 4*max + 1} {
+		tr := NewTracer(max, 1)
+		for i := 0; i < n; i++ {
+			_, s := tr.StartSpan(context.Background(), "s")
+			s.End()
+		}
+		kept := n
+		if kept > max {
+			kept = max
+		}
+		spans := tr.Spans()
+		if len(spans) != kept {
+			t.Fatalf("n=%d: retained %d, want %d", n, len(spans), kept)
+		}
+		// The tail survives, not the head, oldest first.
+		for i, s := range spans {
+			if want := uint64(n - kept + 1 + i); s.Trace != want {
+				t.Errorf("n=%d: spans[%d].Trace = %d, want %d", n, i, s.Trace, want)
+			}
+		}
+		if got := tr.TraceSpans(uint64(n)); len(got) != 1 || got[0].Trace != uint64(n) {
+			t.Errorf("n=%d: TraceSpans(newest) = %+v", n, got)
+		}
+		if got, want := tr.Evicted(), uint64(n-kept); got != want {
+			t.Errorf("n=%d: evicted = %d, want %d", n, got, want)
+		}
 	}
 }
 
