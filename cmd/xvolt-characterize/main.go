@@ -46,19 +46,15 @@ func main() {
 	traceOut := flag.String("trace-out", "", "stream every trace event to this JSONL file ('-' = stderr)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /healthz on this address while the campaign runs")
 	parallelism := flag.Int("parallelism", 0, "campaign-engine workers: 0 = GOMAXPROCS, 1 = sequential (results are identical at any setting)")
-	engine := flag.String("engine", "batch", "campaign engine: batch (pooled voltage-ladder engine) or grid (per-campaign workers); results are identical")
 	flag.Parse()
 
-	if err := run(*chipName, *benchList, *coreList, *freq, *runs, *start, *stop, *seed, *outPath, *rawPath, *model, *ckptPath, *fast, *traceOut, *metricsAddr, *parallelism, *engine); err != nil {
+	if err := run(*chipName, *benchList, *coreList, *freq, *runs, *start, *stop, *seed, *outPath, *rawPath, *model, *ckptPath, *fast, *traceOut, *metricsAddr, *parallelism); err != nil {
 		fmt.Fprintln(os.Stderr, "xvolt-characterize:", err)
 		os.Exit(1)
 	}
 }
 
-func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed int64, outPath, rawPath, modelName, ckptPath string, fast bool, traceOut, metricsAddr string, parallelism int, engine string) error {
-	if engine != "batch" && engine != "grid" {
-		return fmt.Errorf("unknown engine %q (want batch or grid)", engine)
-	}
+func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed int64, outPath, rawPath, modelName, ckptPath string, fast bool, traceOut, metricsAddr string, parallelism int) error {
 	corner, err := silicon.ParseCorner(chipName)
 	if err != nil {
 		return err
@@ -130,22 +126,12 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 		// Campaign engine: each worker drives a clone of the configured
 		// board. Checkpointed studies stay on the sequential resumable
 		// path; results are identical either way.
-		switch engine {
-		case "batch":
-			runner := core.NewLadderRunner(machine.Clone)
-			runner.SetParallelism(parallelism)
-			runner.SetMetrics(reg)
-			runner.SetTrace(fw.Trace())
-			records, err = runner.Execute(cfg)
-			recoveries = runner.Recoveries
-		default:
-			runner := core.NewRunner(machine.Clone)
-			runner.SetParallelism(parallelism)
-			runner.SetMetrics(reg)
-			runner.SetTrace(fw.Trace())
-			records, err = runner.Execute(cfg)
-			recoveries = runner.Recoveries
-		}
+		runner := core.NewLadderRunner(machine.Clone)
+		runner.SetParallelism(parallelism)
+		runner.SetMetrics(reg)
+		runner.SetTrace(fw.Trace())
+		records, err = runner.Execute(cfg)
+		recoveries = runner.Recoveries
 	} else {
 		records, err = execute(fw, cfg, ckptPath)
 	}

@@ -52,7 +52,7 @@ func TestRunEndToEnd(t *testing.T) {
 	ckpt := filepath.Join(dir, "ckpt.json")
 	jsonl := filepath.Join(dir, "trace.jsonl")
 
-	if err := run("TFF", "mcf", "4", 2400, 3, 980, 800, 1, out, raw, "xgene", ckpt, false, jsonl, "", 1, "batch"); err != nil {
+	if err := run("TFF", "mcf", "4", 2400, 3, 980, 800, 1, out, raw, "xgene", ckpt, false, jsonl, "", 1); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(out)
@@ -94,7 +94,7 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 
 	// Resume: adds a benchmark without redoing mcf.
-	if err := run("TFF", "mcf,gromacs", "4", 2400, 3, 980, 800, 1, out, "", "xgene", ckpt, false, "", "", 1, "batch"); err != nil {
+	if err := run("TFF", "mcf,gromacs", "4", 2400, 3, 980, 800, 1, out, "", "xgene", ckpt, false, "", "", 1); err != nil {
 		t.Fatal(err)
 	}
 	blob, err = os.ReadFile(out)
@@ -106,42 +106,40 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 
 	// Validation errors surface.
-	if err := run("XXX", "mcf", "4", 2400, 3, 980, 800, 1, "-", "", "xgene", "", false, "", "", 1, "grid"); err == nil {
+	if err := run("XXX", "mcf", "4", 2400, 3, 980, 800, 1, "-", "", "xgene", "", false, "", "", 1); err == nil {
 		t.Error("bad corner accepted")
 	}
-	if err := run("TTT", "mcf", "4", 2400, 3, 980, 800, 1, "-", "", "warp", "", false, "", "", 1, "grid"); err == nil {
+	if err := run("TTT", "mcf", "4", 2400, 3, 980, 800, 1, "-", "", "warp", "", false, "", "", 1); err == nil {
 		t.Error("bad model accepted")
 	}
-	if err := run("TTT", "mcf", "4", 2400, 3, 980, 800, 1, "-", "", "xgene", "", false, filepath.Join(dir, "no-such-dir", "t.jsonl"), "", 1, "grid"); err == nil {
+	if err := run("TTT", "mcf", "4", 2400, 3, 980, 800, 1, "-", "", "xgene", "", false, filepath.Join(dir, "no-such-dir", "t.jsonl"), "", 1); err == nil {
 		t.Error("unwritable trace-out accepted")
-	}
-	if err := run("TTT", "mcf", "4", 2400, 3, 980, 800, 1, "-", "", "xgene", "", false, "", "", 1, "warp"); err == nil {
-		t.Error("bad engine accepted")
 	}
 }
 
-// The batch engine behind the default -engine writes the same CSV the
-// single-worker grid engine does, at any -parallelism.
+// The campaign engine writes the same CSV at -parallelism 1 and 4 as
+// the -checkpoint path, which runs the sequential Framework.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	dir := t.TempDir()
 	seq := filepath.Join(dir, "seq.csv")
-	par := filepath.Join(dir, "par.csv")
-
-	if err := run("TTT", "mcf,gromacs", "0,4", 2400, 3, 980, 800, 1, seq, "", "xgene", "", false, "", "", 1, "grid"); err != nil {
+	if err := run("TTT", "mcf,gromacs", "0,4", 2400, 3, 980, 800, 1, seq, "", "xgene", filepath.Join(dir, "ckpt.json"), false, "", "", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("TTT", "mcf,gromacs", "0,4", 2400, 3, 980, 800, 1, par, "", "xgene", "", false, "", "", 4, "batch"); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(seq)
+	want, err := os.ReadFile(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Error("-parallelism 4 CSV differs from sequential output")
+	for _, parallelism := range []int{1, 4} {
+		par := filepath.Join(dir, "par.csv")
+		if err := run("TTT", "mcf,gromacs", "0,4", 2400, 3, 980, 800, 1, par, "", "xgene", "", false, "", "", parallelism); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("-parallelism %d CSV differs from the sequential -checkpoint output", parallelism)
+		}
 	}
 }

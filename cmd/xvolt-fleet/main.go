@@ -62,7 +62,7 @@ func main() {
 	flag.IntVar(&opts.boards, "boards", 16, "fleet size")
 	flag.Int64Var(&opts.seed, "seed", 1, "master fleet seed")
 	flag.IntVar(&opts.workers, "workers", 4, "poller worker pool size per shard (does not affect results)")
-	flag.IntVar(&opts.shards, "shards", 1, "shard managers the fleet is split across (does not affect results)")
+	flag.IntVar(&opts.shards, "shards", 1, "shards the fleet's boards are split across, each with its own schedule and worker pool (does not affect results)")
 	flag.IntVar(&opts.runsPerPoll, "runs-per-poll", 2, "benchmark runs sampled per health poll")
 	flag.DurationVar(&opts.interval, "interval", time.Second, "mean poll interval on the virtual clock")
 	flag.IntVar(&opts.polls, "polls", 0, "with -dump: total polls to run before dumping; daemon mode: exit after this many polls (0 = run forever)")
@@ -92,16 +92,6 @@ func (o options) fleetConfig() fleet.Config {
 	}
 }
 
-// newFleet builds the configured fleet: the single manager for one
-// shard, the sharded manager otherwise. Both are byte-identical in
-// every observable artifact.
-func newFleet(cfg fleet.Config) (fleet.Fleet, error) {
-	if cfg.Shards > 1 {
-		return fleet.NewSharded(cfg)
-	}
-	return fleet.New(cfg)
-}
-
 func run(ctx context.Context, opts options, out io.Writer) error {
 	if opts.dump {
 		if opts.polls <= 0 {
@@ -110,7 +100,7 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 		return dumpFleet(opts.fleetConfig(), opts.polls, out)
 	}
 
-	m, err := newFleet(opts.fleetConfig())
+	m, err := fleet.New(opts.fleetConfig())
 	if err != nil {
 		return err
 	}
@@ -234,7 +224,7 @@ func pollLoop(ctx context.Context, m fleet.Fleet, engine *obs.AlertEngine, pushe
 // Tracing and alerting are attached exactly as in daemon mode — the dump
 // is the proof that neither perturbs the poll outcomes.
 func dumpFleet(cfg fleet.Config, polls int, w io.Writer) error {
-	m, err := newFleet(cfg)
+	m, err := fleet.New(cfg)
 	if err != nil {
 		return err
 	}

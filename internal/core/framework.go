@@ -245,8 +245,8 @@ func newCampaignRand(seed int64) *rand.Rand {
 // campaignRand builds the RNG stream of one (benchmark, core) campaign:
 // the seed is derived from the campaign's identity (CampaignSeed), not
 // from a position in a shared stream, so outcomes are identical whether
-// the campaign runs sequentially, in a Runner worker, in isolation, or
-// after a checkpoint resume.
+// the campaign runs sequentially, in a LadderRunner worker, in
+// isolation, or after a checkpoint resume.
 func (f *Framework) campaignRand(spec *workload.Spec, core int, cfg *Config) *rand.Rand {
 	return newCampaignRand(CampaignSeed(cfg.Seed, f.machine.Chip().Name, spec.Name, spec.Input, core))
 }
@@ -254,7 +254,7 @@ func (f *Framework) campaignRand(spec *workload.Spec, core int, cfg *Config) *ra
 // Execute runs the execution phase for the whole configuration and returns
 // the raw per-run records. Records are also retained on the framework for
 // the parsing phase. Every campaign draws from its own CampaignSeed-derived
-// RNG stream, so the output matches a parallel Runner over the same Config
+// RNG stream, so the output matches a LadderRunner over the same Config
 // exactly.
 func (f *Framework) Execute(cfg Config) ([]RunRecord, error) {
 	if err := cfg.Validate(); err != nil {

@@ -15,12 +15,34 @@ import (
 	"xvolt/internal/xgene"
 )
 
-// LadderRunner is the batch campaign engine: instead of one fully locked
-// machine call per (benchmark, core, voltage, run) grid cell, each worker
-// takes a single state snapshot of its pooled board per campaign and
-// samples the whole voltage ladder from it (xgene.SampleCell), writing
-// records into pooled arenas. Three properties make the output
-// byte-identical to the sequential Framework and the parallel Runner:
+// Campaign is one (benchmark, core) cell of a characterization grid.
+type Campaign struct {
+	Spec *workload.Spec
+	Core int
+}
+
+// Grid expands the configuration's (benchmark, core) cross product in the
+// canonical order — benchmarks outer, cores inner — which is both the
+// order Framework.Execute walks and the order LadderRunner's output
+// preserves, so sequential and parallel raw logs are identical.
+func (c *Config) Grid() []Campaign {
+	out := make([]Campaign, 0, len(c.Benchmarks)*len(c.Cores))
+	for _, spec := range c.Benchmarks {
+		for _, core := range c.Cores {
+			out = append(out, Campaign{Spec: spec, Core: core})
+		}
+	}
+	return out
+}
+
+// LadderRunner is the parallel campaign engine: it shards a
+// configuration's (benchmark, core) grid across a pool of workers, each
+// with a pooled board of its own. Instead of one fully locked machine
+// call per (benchmark, core, voltage, run) grid cell, each worker takes a
+// single state snapshot of its board per campaign and samples the whole
+// voltage ladder from it (xgene.SampleCell), writing records into pooled
+// arenas. Three properties make the output byte-identical to the
+// sequential Framework at any worker count:
 //
 //   - every campaign draws from its own CampaignSeed-derived stream, and a
 //     sampled cell consumes that stream in exactly RunOnCore's draw order;
@@ -32,10 +54,15 @@ import (
 //     steps) is evaluated on the same per-step crash counts the
 //     sequential sweep sees.
 //
-// The engine's determinism domain matches the Runner's: machine factories
-// whose boards start with clean LadderState (nominal SoC rail, refresh at
-// or below the leak threshold). Outside that domain board state is not
-// partition-stable across workers under any engine.
+// The engine's determinism domain: machine factories whose boards start
+// with clean LadderState (nominal SoC rail, refresh at or below the leak
+// threshold). Outside that domain board state is not partition-stable
+// across workers under any engine.
+//
+// A LadderRunner is safe for concurrent Execute calls; each call spins up
+// its own workers over pooled boards (recycled between calls rather than
+// re-fabricated — a Recycle is a power cycle, which lands on the same
+// power-on state a fresh factory board boots into).
 type LadderRunner struct {
 	pool        *xgene.Pool
 	parallelism int
@@ -49,10 +76,24 @@ type LadderRunner struct {
 	recoveries int
 }
 
-// NewLadderRunner builds a batch engine over a machine factory. Boards
-// are drawn from a pool and recycled across Execute calls rather than
-// refabricated per worker.
+// runnerMetrics are the worker pool's exported instruments; all fields
+// are nil (inert) until SetMetrics attaches a registry.
+type runnerMetrics struct {
+	workers *obs.Gauge        // current pool size
+	busy    *obs.Gauge        // workers running a campaign right now
+	queued  *obs.Gauge        // campaigns accepted but not yet started
+	done    *obs.Counter      // campaigns completed by the engine
+	latency *obs.HistogramVec // campaign wall time, by worker index
+}
+
+// NewLadderRunner builds the engine over a machine factory (use
+// xgene.Machine.Clone to replicate a configured prototype). Boards are
+// drawn from a pool and recycled across Execute calls rather than
+// refabricated per worker. A nil factory makes every Execute fail.
 func NewLadderRunner(newMachine func() *xgene.Machine) *LadderRunner {
+	if newMachine == nil {
+		return &LadderRunner{}
+	}
 	return &LadderRunner{pool: xgene.NewPool(newMachine)}
 }
 
@@ -77,9 +118,9 @@ func (r *LadderRunner) workerCount(n int) int {
 	return w
 }
 
-// SetMetrics registers the engine's worker-pool telemetry on reg. The
-// instrument families are shared with the Runner's (get-or-create), so a
-// process running both engines folds into one exposition.
+// SetMetrics registers the engine's worker-pool telemetry on reg — pool
+// size, busy workers, queued campaigns, completed campaigns and the
+// per-worker campaign latency histogram.
 func (r *LadderRunner) SetMetrics(reg *obs.Registry) {
 	r.reg = reg
 	r.metrics = runnerMetrics{
@@ -97,9 +138,9 @@ func (r *LadderRunner) SetMetrics(reg *obs.Registry) {
 }
 
 // SetTrace attaches a shared structured event log. With a log attached
-// the batch engine emits the Framework's full event schema — campaign,
-// step, run, crash and recovery — so downstream JSONL consumers see one
-// stream shape regardless of engine; with none attached the hot loop
+// the engine emits the Framework's full event schema — campaign, step,
+// run, crash and recovery — so downstream JSONL consumers see the
+// sequential engine's stream shape; with none attached the hot loop
 // pays nothing for tracing.
 func (r *LadderRunner) SetTrace(l *trace.Log) { r.log = l }
 
@@ -169,7 +210,7 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([]RunRecord, er
 		return nil, nil
 	}
 	if r.pool == nil {
-		return nil, errors.New("core: ladder runner has no machine pool")
+		return nil, errors.New("core: runner has no machine factory")
 	}
 	if r.reg != nil && r.log != nil {
 		r.log.SetMetrics(r.reg)

@@ -29,9 +29,9 @@ func ladderVariant(t *testing.T, factory func() *xgene.Machine, cfg core.Config,
 }
 
 // The batch engine's load-bearing guarantee, as a table over seeds and
-// worker counts: sequential Framework.Execute, the grid Runner and the
-// batch LadderRunner — cold, memo-cold and memo-warm — produce identical
-// raw streams and byte-identical parsed CSV.
+// worker counts: sequential Framework.Execute and the batch LadderRunner
+// — cold, memo-cold and memo-warm — produce identical raw streams and
+// byte-identical parsed CSV.
 func TestLadderMatchesSequentialAndParallel(t *testing.T) {
 	core.FlushCampaignCache()
 	for _, seed := range []int64{1, 7, 42} {
@@ -46,14 +46,7 @@ func TestLadderMatchesSequentialAndParallel(t *testing.T) {
 		seqCSV := campaignsCSV(t, core.Parse(seqRaw))
 
 		for _, workers := range []int{1, 4, 8} {
-			gr := core.NewRunner(ttFactory)
-			gr.SetParallelism(workers)
-			gridRaw, err := gr.Execute(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			variants := map[string][]core.RunRecord{
-				"grid":       gridRaw,
 				"batch-cold": ladderVariant(t, ttFactory, cfg, workers, false),
 				"batch-memo": ladderVariant(t, ttFactory, cfg, workers, true),
 				// Second memoized run replays stored streams.
@@ -179,7 +172,8 @@ func TestLadderDirtyStateSingleCampaign(t *testing.T) {
 }
 
 // Explicit campaign lists (Figure 9 shape), including a repeated cell,
-// must come back in list order and match the grid engine.
+// must come back in list order, each cell's stream equal to a sequential
+// Framework.Execute of that cell alone.
 func TestLadderExecuteCampaigns(t *testing.T) {
 	core.FlushCampaignCache()
 	bwaves, err := workload.Lookup("bwaves/ref")
@@ -197,11 +191,16 @@ func TestLadderExecuteCampaigns(t *testing.T) {
 		{Spec: mcf, Core: 6},
 		{Spec: bwaves, Core: 1}, // repeated cell: identical stream twice
 	}
-	gr := core.NewRunner(ttFactory)
-	gr.SetParallelism(2)
-	want, err := gr.ExecuteCampaigns(cfg, grid)
-	if err != nil {
-		t.Fatal(err)
+	var want []core.RunRecord
+	for _, c := range grid {
+		cell := cfg
+		cell.Benchmarks = []*workload.Spec{c.Spec}
+		cell.Cores = []int{c.Core}
+		recs, err := core.New(ttFactory()).Execute(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, recs...)
 	}
 	lr := core.NewLadderRunner(ttFactory)
 	lr.SetParallelism(2)
@@ -210,31 +209,17 @@ func TestLadderExecuteCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("batch ExecuteCampaigns diverges from grid engine")
-	}
-
-	// Validation parity with the grid engine.
-	if _, err := lr.ExecuteCampaigns(cfg, []core.Campaign{{Spec: nil, Core: 0}}); err == nil {
-		t.Error("nil spec accepted")
-	}
-	if _, err := lr.ExecuteCampaigns(cfg, []core.Campaign{{Spec: bwaves, Core: silicon.NumCores}}); err == nil {
-		t.Error("out-of-range core accepted")
-	}
-	bad := cfg
-	bad.Runs = 0
-	if _, err := lr.Execute(bad); err == nil {
-		t.Error("invalid config accepted")
+		t.Fatal("batch ExecuteCampaigns diverges from per-cell sequential execution")
 	}
 }
 
-// Recoveries must agree with the grid engine: the watchdog performs
-// exactly one power cycle per system-crash record.
+// Recoveries must agree with the sequential engine's watchdog, which
+// performs exactly one power cycle per system-crash record.
 func TestLadderRecoveries(t *testing.T) {
 	core.FlushCampaignCache()
 	cfg := testConfig(t)
-	gr := core.NewRunner(ttFactory)
-	gr.SetParallelism(2)
-	raw, err := gr.Execute(cfg)
+	fw := core.New(ttFactory())
+	raw, err := fw.Execute(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +229,10 @@ func TestLadderRecoveries(t *testing.T) {
 			crashes++
 		}
 	}
+	want := fw.Watchdog().Recoveries()
+	if want != crashes {
+		t.Fatalf("sequential watchdog recoveries = %d, crash records %d", want, crashes)
+	}
 	for _, memo := range []bool{false, true} {
 		lr := core.NewLadderRunner(ttFactory)
 		lr.SetParallelism(2)
@@ -251,8 +240,8 @@ func TestLadderRecoveries(t *testing.T) {
 		if _, err := lr.Execute(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if got := lr.Recoveries(); got != crashes || got != gr.Recoveries() {
-			t.Fatalf("memo=%v: recoveries = %d, want %d (grid %d)", memo, got, crashes, gr.Recoveries())
+		if got := lr.Recoveries(); got != want {
+			t.Fatalf("memo=%v: recoveries = %d, want %d", memo, got, want)
 		}
 	}
 }

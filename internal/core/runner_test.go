@@ -45,58 +45,20 @@ func campaignsCSV(t *testing.T, results []*core.CampaignResult) []byte {
 	return buf.Bytes()
 }
 
-// The engine's load-bearing guarantee: sequential Framework.Execute,
-// a one-worker Runner and a many-worker Runner produce identical raw
-// streams and byte-identical parsed output for the same Config.
-func TestRunnerMatchesSequential(t *testing.T) {
-	cfg := testConfig(t)
-
-	fw := core.New(ttFactory())
-	seqRaw, err := fw.Execute(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var raws [][]core.RunRecord
-	for _, workers := range []int{1, 4} {
-		r := core.NewRunner(ttFactory)
-		r.SetParallelism(workers)
-		raw, err := r.Execute(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws = append(raws, raw)
-	}
-
-	for i, raw := range raws {
-		if !reflect.DeepEqual(seqRaw, raw) {
-			t.Fatalf("raw records of variant %d diverge from sequential", i)
-		}
-	}
-	seqCSV := campaignsCSV(t, core.Parse(seqRaw))
-	for i, raw := range raws {
-		if got := campaignsCSV(t, core.Parse(raw)); !bytes.Equal(seqCSV, got) {
-			t.Errorf("parsed CSV of variant %d diverges from sequential", i)
-		}
-	}
-}
-
 // Campaign outcomes must not depend on where a campaign sits in the grid:
 // running a sub-grid alone reproduces the same records the full grid
 // produced for those cells.
 func TestRunnerSubGridStable(t *testing.T) {
+	core.FlushCampaignCache()
 	cfg := testConfig(t)
-	r := core.NewRunner(ttFactory)
-	r.SetParallelism(2)
-	full, err := r.Execute(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := ladderVariant(t, ttFactory, cfg, 2, false)
 
 	sub := cfg
 	sub.Benchmarks = cfg.Benchmarks[1:2]
 	sub.Cores = []int{7}
-	got, err := core.NewRunner(ttFactory).ExecuteCampaigns(sub, sub.Grid())
+	r := core.NewLadderRunner(ttFactory)
+	r.SetCampaignMemo(false)
+	got, err := r.ExecuteCampaigns(sub, sub.Grid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +74,13 @@ func TestRunnerSubGridStable(t *testing.T) {
 	}
 }
 
-// A Runner must survive concurrent Execute calls (run under -race in CI):
-// each call gets private machines; shared state is only metrics, trace and
-// the recovery counter.
+// A LadderRunner must survive concurrent Execute calls (run under -race
+// in CI): each call gets private machines; shared state is only the
+// board pool, the campaign memo, metrics, trace and the recovery counter.
 func TestRunnerConcurrentExecutes(t *testing.T) {
+	core.FlushCampaignCache()
 	cfg := testConfig(t)
-	r := core.NewRunner(ttFactory)
+	r := core.NewLadderRunner(ttFactory)
 	r.SetParallelism(3)
 	r.SetMetrics(obs.NewRegistry())
 	r.SetTrace(trace.New(64))
@@ -143,17 +106,23 @@ func TestRunnerConcurrentExecutes(t *testing.T) {
 			t.Fatalf("concurrent call %d produced different records", i)
 		}
 	}
-	if r.Recoveries() < 0 {
-		t.Error("negative recovery count")
+	crashes := 0
+	for _, rec := range outs[0] {
+		if rec.SystemCrashed {
+			crashes++
+		}
+	}
+	if got := r.Recoveries(); got != calls*crashes {
+		t.Errorf("recoveries = %d, want %d (one per crash record per call)", got, calls*crashes)
 	}
 }
 
 func TestRunnerValidation(t *testing.T) {
 	cfg := testConfig(t)
-	if _, err := core.NewRunner(nil).Execute(cfg); err == nil {
+	if _, err := core.NewLadderRunner(nil).Execute(cfg); err == nil {
 		t.Error("nil machine factory accepted")
 	}
-	r := core.NewRunner(ttFactory)
+	r := core.NewLadderRunner(ttFactory)
 	if _, err := r.ExecuteCampaigns(cfg, []core.Campaign{{Spec: nil, Core: 0}}); err == nil {
 		t.Error("nil campaign spec accepted")
 	}
@@ -183,7 +152,7 @@ func TestRunnerMetricsAndGrid(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	r := core.NewRunner(ttFactory)
+	r := core.NewLadderRunner(ttFactory)
 	r.SetParallelism(2)
 	r.SetMetrics(reg)
 	if _, err := r.Execute(cfg); err != nil {

@@ -21,22 +21,6 @@ import (
 	"xvolt/internal/xgene"
 )
 
-// Engine selects the campaign engine experiments run on. Results are
-// byte-identical across engines (the sequential ≡ parallel ≡ batched
-// invariant pinned by core's equivalence tests); the choice only trades
-// wall clock and trace granularity.
-type Engine int
-
-const (
-	// EngineBatch (the default) is core.LadderRunner: whole voltage
-	// ladders sampled per pooled board snapshot, clean regions
-	// synthesized.
-	EngineBatch Engine = iota
-	// EngineGrid is core.Runner: one machine call per grid cell. Kept as
-	// the reference engine for equivalence tests and per-run tracing.
-	EngineGrid
-)
-
 // Options tune experiment cost. The paper's protocol is 10 runs per
 // voltage step; Quick cuts repetitions for smoke tests and benchmarks.
 type Options struct {
@@ -49,8 +33,6 @@ type Options struct {
 	// any setting — every campaign draws from its own seed-derived RNG
 	// stream (core.CampaignSeed) — so this only trades wall clock.
 	Parallelism int
-	// Engine selects the campaign engine (batch by default).
-	Engine Engine
 }
 
 // Paper returns the paper-fidelity options.
@@ -66,21 +48,9 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// campaignEngine is what the experiment drivers need from either engine.
-type campaignEngine interface {
-	Execute(core.Config) ([]core.RunRecord, error)
-	ExecuteCampaigns(core.Config, []core.Campaign) ([]core.RunRecord, error)
-	Characterize(core.Config) ([]*core.CampaignResult, error)
-}
-
-// runner builds a campaign engine whose workers each get a private board
-// from the factory, at the options' parallelism and engine choice.
-func (o Options) runner(newMachine func() *xgene.Machine) campaignEngine {
-	if o.Engine == EngineGrid {
-		r := core.NewRunner(newMachine)
-		r.SetParallelism(o.Parallelism)
-		return r
-	}
+// runner builds the campaign engine whose workers each get a private
+// board from the factory, at the options' parallelism.
+func (o Options) runner(newMachine func() *xgene.Machine) *core.LadderRunner {
 	r := core.NewLadderRunner(newMachine)
 	r.SetParallelism(o.Parallelism)
 	return r

@@ -24,11 +24,12 @@ func BenchmarkFleetPoll(b *testing.B) {
 }
 
 // BenchmarkFleetPollSharded measures the same committed-poll throughput
-// through the sharded path: heap-merged schedule draw, per-shard worker
-// pools, and the global-order merge commit. One op is one committed poll.
+// at four shards: heap-merged schedule draw across shard heads,
+// per-shard worker pools, and the global-order merge commit. One op is
+// one committed poll.
 func BenchmarkFleetPollSharded(b *testing.B) {
 	cfg := Config{Seed: 1, StoreCap: 1 << 16, Shards: 4}
-	m, err := NewSharded(cfg)
+	m, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

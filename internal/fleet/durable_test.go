@@ -15,65 +15,41 @@ func dumpStore(t *testing.T, s *Store) string {
 	return b.String()
 }
 
-// TestDurableStoreReplaysByteIdentical is the PR's acceptance invariant:
+// TestDurableStoreReplaysByteIdentical is the durable store's invariant:
 // a fleet run journaled to the segmented log, abandoned without Close
 // (modelling SIGKILL), reopened and replayed, yields the exact event
-// text an uninterrupted in-memory run produces — at several shard and
-// worker counts and segment layouts, including layouts small enough to
-// force rotation and snapshot compaction mid-run.
+// text the golden in-memory run holds — at several shard and worker
+// counts and segment layouts, including layouts small enough to force
+// rotation and snapshot compaction mid-run.
 func TestDurableStoreReplaysByteIdentical(t *testing.T) {
-	base := Config{
-		Boards:      6,
-		Seed:        7,
-		ConfirmRuns: 1,
-		StoreCap:    32, // small: forces retention eviction during the run
-	}
-	const polls = 600
-
-	ref, err := New(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Run(polls)
-	want := dumpStore(t, ref.Store())
-	if want == "" {
-		t.Fatal("reference run produced no events")
-	}
-	wantDropped := ref.Store().Dropped()
-	if wantDropped == 0 {
-		t.Fatal("reference run evicted nothing; raise polls or shrink StoreCap")
-	}
+	g := evictGolden
+	want := readGolden(t, g, "events.txt")
 
 	variants := []struct {
 		name string
 		mut  func(*Config)
-		make func(Config) (Fleet, error)
 	}{
-		{"single", func(c *Config) {}, func(c Config) (Fleet, error) { return New(c) }},
-		{"sharded-2x2", func(c *Config) { c.Shards = 2; c.Workers = 2 },
-			func(c Config) (Fleet, error) { return NewSharded(c) }},
+		{"single", func(c *Config) {}},
+		{"sharded-2x2", func(c *Config) { c.Shards = 2; c.Workers = 2 }},
 		{"sharded-3-tiny-segments", func(c *Config) {
 			c.Shards = 3
 			c.StoreSegmentBytes = 4096 // min size: rotation + compaction mid-run
 			c.StoreMaxSegments = 2
-		}, func(c Config) (Fleet, error) { return NewSharded(c) }},
+		}},
 	}
 
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			cfg := base
+			cfg := g.cfg
 			cfg.StoreDir = t.TempDir()
 			v.mut(&cfg)
-			m, err := v.make(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Run(polls)
+			m := newTestManager(t, cfg)
+			m.Run(g.polls)
 			if err := m.Store().Err(); err != nil {
 				t.Fatalf("journal error during run: %v", err)
 			}
 			if got := dumpStore(t, m.Store()); got != want {
-				t.Fatal("live durable run diverges from in-memory reference")
+				t.Fatal("live durable run diverges from the golden")
 			}
 			// Abandon without Close — the journal on disk is all that's left.
 			reopened, err := OpenStore(cfg.StoreDir, cfg.StoreCap, cfg.DedupWindow,
@@ -83,10 +59,10 @@ func TestDurableStoreReplaysByteIdentical(t *testing.T) {
 			}
 			defer reopened.Close()
 			if got := dumpStore(t, reopened); got != want {
-				t.Fatal("replayed store diverges from in-memory reference")
+				t.Fatal("replayed store diverges from the golden")
 			}
-			if got := reopened.Dropped(); got != wantDropped {
-				t.Errorf("replayed Dropped = %d, want %d", got, wantDropped)
+			if got := reopened.Dropped(); got != g.dropped {
+				t.Errorf("replayed Dropped = %d, want %d", got, g.dropped)
 			}
 		})
 	}

@@ -13,7 +13,7 @@
 // poll schedule runs on a virtual clock, and poll results commit to the
 // event store in global schedule order regardless of how many workers
 // execute them. Two managers with the same Config produce byte-identical
-// event stores and transition logs at any worker count.
+// event stores and transition logs at any shard and worker count.
 package fleet
 
 import (
@@ -44,13 +44,12 @@ type Config struct {
 	// Seed is the master seed; every per-board stream derives from it
 	// through core.CampaignSeed.
 	Seed int64
-	// Workers bounds the poller worker pool (default 4); a sharded
-	// manager runs Workers workers per shard. Results are independent
-	// of the worker count.
+	// Workers bounds each shard's poller worker pool (default 4).
+	// Results are independent of the worker count.
 	Workers int
-	// Shards partitions the fleet into disjoint board ranges for
-	// ShardedManager (default 1; clamped to Boards). The single Manager
-	// ignores it. Results are independent of the shard count.
+	// Shards partitions the fleet into disjoint contiguous board ranges,
+	// each with its own schedule heap and worker pool (default 1;
+	// clamped to Boards). Results are independent of the shard count.
 	Shards int
 	// RunsPerPoll is how many benchmark runs one poll samples (default 2).
 	RunsPerPoll int
@@ -387,10 +386,8 @@ func (b *board) poll(due time.Duration, cfg *Config) pollOutcome {
 }
 
 // Fleet is the surface a fleet manager exposes to the daemons and the
-// HTTP layer. Manager (the single-set executable spec) and
-// ShardedManager (the shard-per-worker fast path) both implement it and
-// are byte-identical in every observable artifact, which the
-// determinism tests pin.
+// HTTP layer. Manager implements it; the server and the hub pusher take
+// the interface so their tests can wrap a manager in a counting fake.
 type Fleet interface {
 	Run(polls int)
 	Generation() uint64
@@ -410,21 +407,21 @@ type Fleet interface {
 	Close() error
 }
 
-var (
-	_ Fleet = (*Manager)(nil)
-	_ Fleet = (*ShardedManager)(nil)
-)
+var _ Fleet = (*Manager)(nil)
 
-// fleetState is the committed, observable half of a fleet manager: the
-// boards, event store, status table, transition log, virtual clock,
-// generation counter and delta-snapshot encoder. Manager and
-// ShardedManager embed it; both mutate it only at commit time under mu,
-// in global schedule order, which is why their artifacts are
-// byte-identical.
-type fleetState struct {
-	cfg    Config
-	boards []*board
-	byID   map[string]int // board id → global index (ids are immutable)
+// Manager owns the fleet: the boards, split into Config.Shards shards
+// that draw the poll schedule and execute polls (sharded.go), and the
+// committed, observable state — event store, status table, transition
+// log, virtual clock, generation counter and delta-snapshot encoder.
+// Run drives polls; the HTTP layer reads snapshots. The committed state
+// changes only at commit time under mu, in global schedule order, which
+// is why every artifact is byte-identical at any shard and worker count.
+type Manager struct {
+	cfg     Config
+	boards  []*board
+	byID    map[string]int // board id → global index (ids are immutable)
+	shards  []*shard
+	shardOf []int // global board index → shard id
 
 	mu          sync.Mutex
 	store       *Store
@@ -468,14 +465,6 @@ type fleetState struct {
 	runMu sync.Mutex // serializes Run calls
 }
 
-// Manager owns the fleet as one in-process board set: boards, schedule,
-// event store, transition log and telemetry. Run drives polls; the HTTP
-// layer reads snapshots. It is the executable specification that
-// ShardedManager is pinned against.
-type Manager struct {
-	fleetState
-}
-
 // maxTransitions bounds the retained transition log.
 const maxTransitions = 8192
 
@@ -483,37 +472,36 @@ const maxTransitions = 8192
 // (dump lines and JSON snapshots key on it).
 func boardID(i int) string { return fmt.Sprintf("board-%02d", i) }
 
-// initState wires the store and clock hooks of a fresh fleet state. With
+// initState wires the store and clock hooks of a fresh manager. With
 // Config.StoreDir set the store journals to the durable segmented log;
 // opening that log can fail (bad directory, torn-beyond-repair disk).
-func (st *fleetState) initState(cfg Config) error {
-	st.cfg = cfg
+func (m *Manager) initState(cfg Config) error {
+	m.cfg = cfg
 	if cfg.StoreDir != "" {
 		s, err := OpenStore(cfg.StoreDir, cfg.StoreCap, cfg.DedupWindow, cfg.RetainAge,
 			cfg.StoreSegmentBytes, cfg.StoreMaxSegments)
 		if err != nil {
 			return err
 		}
-		st.store = s
+		m.store = s
 	} else {
-		st.store = NewStore(cfg.StoreCap, cfg.DedupWindow, cfg.RetainAge)
+		m.store = NewStore(cfg.StoreCap, cfg.DedupWindow, cfg.RetainAge)
 	}
-	st.store.SetClock(func() time.Duration { return st.clock })
-	st.dirtyGens = make([]uint64, dirtyLogGens)
-	st.dirtyIdx = make([][]int, dirtyLogGens)
+	m.store.SetClock(func() time.Duration { return m.clock })
+	m.dirtyGens = make([]uint64, dirtyLogGens)
+	m.dirtyIdx = make([][]int, dirtyLogGens)
 	return nil
 }
 
 // Close releases the fleet's event store, syncing a durable journal to
 // disk. The manager must not be used afterwards.
-func (st *fleetState) Close() error { return st.store.Close() }
+func (m *Manager) Close() error { return m.store.Close() }
 
 // buildBoard fabricates board i's die from a seed derived off the master
 // seed, characterizes its safe floor by bisection (the fast §2.2
 // protocol), and programs the initial guardband operating point. It
-// depends only on (cfg, i) — never on which manager or shard owns the
-// board — so a sharded fleet builds byte-identical boards to the single
-// manager.
+// depends only on (cfg, i) — never on which shard owns the board — so
+// the boards built are identical at any shard count.
 func buildBoard(cfg *Config, suite []*workload.Spec, i int) (*board, error) {
 	b := &board{
 		id:     boardID(i),
@@ -543,59 +531,40 @@ func buildBoard(cfg *Config, suite []*workload.Spec, i int) (*board, error) {
 // commitInitial indexes the built boards and commits their initial
 // operating points at virtual time zero, in board order — the store's
 // first Boards entries. Generation 1 is the snapshot readers' first key.
-func (st *fleetState) commitInitial() {
-	st.byID = make(map[string]int, len(st.boards))
-	for i, b := range st.boards {
-		st.byID[b.id] = i
+func (m *Manager) commitInitial() {
+	m.byID = make(map[string]int, len(m.boards))
+	for i, b := range m.boards {
+		m.byID[b.id] = i
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.clock = 0
-	st.status = make([]BoardStatus, 0, len(st.boards))
-	st.changed = make([]uint64, len(st.boards))
-	for i, b := range st.boards {
-		if n := st.store.Append(Event{
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.clock = 0
+	m.status = make([]BoardStatus, 0, len(m.boards))
+	m.changed = make([]uint64, len(m.boards))
+	for i, b := range m.boards {
+		if n := m.store.Append(Event{
 			Board: b.id, Kind: UndervoltApplied, MV: int(b.voltage()),
 			Msg: fmt.Sprintf("floor %v + margin %v", b.floor, b.gb.marginMV()),
 		}); n > 0 {
-			st.m.evicted.Add(float64(n))
+			m.m.evicted.Add(float64(n))
 		}
-		st.m.events.With(UndervoltApplied.String()).Inc()
+		m.m.events.With(UndervoltApplied.String()).Inc()
 		s := b.status(0)
-		st.status = append(st.status, s)
-		st.changed[i] = 1
-		st.logDirtyLocked(1, i)
+		m.status = append(m.status, s)
+		m.changed[i] = 1
+		m.logDirtyLocked(1, i)
 		if s.State >= 0 && s.State < numStates {
-			st.stateCounts[s.State]++
+			m.stateCounts[s.State]++
 		}
-		st.savingsSum += s.Savings
+		m.savingsSum += s.Savings
 	}
-	st.gen.Store(1)
-}
-
-// New builds the single-manager fleet.
-func New(cfg Config) (*Manager, error) {
-	cfg = cfg.withDefaults()
-	suite := workload.PrimarySuite()
-	m := &Manager{}
-	if err := m.initState(cfg); err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Boards; i++ {
-		b, err := buildBoard(&m.cfg, suite, i)
-		if err != nil {
-			return nil, err
-		}
-		m.boards = append(m.boards, b)
-	}
-	m.commitInitial()
-	return m, nil
+	m.gen.Store(1)
 }
 
 // Generation returns the fleet's snapshot generation. It changes exactly
 // when a Run commit changes the observable snapshots, so readers may
 // serve cached serializations while it is unchanged.
-func (st *fleetState) Generation() uint64 { return st.gen.Load() }
+func (m *Manager) Generation() uint64 { return m.gen.Load() }
 
 // characterize finds a board's safe floor with the fast bisection
 // protocol on its own derived seed.
@@ -612,90 +581,10 @@ func characterize(cfg *Config, b *board) error {
 	return nil
 }
 
-// takeSlots draws the next n polls off the virtual schedule, in global
-// (due time, board index) order. The schedule depends only on the seeded
-// interval streams, never on poll results, so it is identical across
-// runs and worker counts.
-func (m *Manager) takeSlots(n int) []pollSlot {
-	out := make([]pollSlot, 0, n)
-	for len(out) < n {
-		min := -1
-		for i, b := range m.boards {
-			if min < 0 || b.nextDue < m.boards[min].nextDue {
-				min = i
-			}
-		}
-		b := m.boards[min]
-		out = append(out, pollSlot{board: min, due: b.nextDue})
-		b.nextDue += b.nextInterval(&m.cfg)
-	}
-	return out
-}
-
 // pollSlot is one scheduled poll.
 type pollSlot struct {
 	board int
 	due   time.Duration
-}
-
-// Run executes the next `polls` scheduled polls on the worker pool and
-// commits their outcomes to the event store in schedule order. Chunking
-// is immaterial: Run(100) twice commits exactly what Run(200) would.
-// Run calls are serialized; snapshot readers may run concurrently.
-func (m *Manager) Run(polls int) {
-	if polls <= 0 {
-		return
-	}
-	m.runMu.Lock()
-	defer m.runMu.Unlock()
-
-	slots := m.takeSlots(polls)
-	m.traceSchedule(slots)
-	jobs := make([][]int, len(m.boards))
-	for si, s := range slots {
-		jobs[s.board] = append(jobs[s.board], si)
-	}
-	outcomes := make([]pollOutcome, len(slots))
-
-	// The poll-latency instrument is read by workers without the lock;
-	// capture it once here (SetMetrics may race Run otherwise).
-	m.mu.Lock()
-	pollSeconds := m.m.pollSeconds
-	m.mu.Unlock()
-
-	workCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < m.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bi := range workCh {
-				b := m.boards[bi]
-				for _, si := range jobs[bi] {
-					span := obs.StartSpan(pollSeconds)
-					outcomes[si] = b.poll(slots[si].due, &m.cfg)
-					span.End()
-				}
-			}
-		}()
-	}
-	for bi := range m.boards {
-		if len(jobs[bi]) > 0 {
-			workCh <- bi
-		}
-	}
-	close(workCh)
-	wg.Wait()
-
-	gen := m.gen.Load() + 1
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for si := range outcomes {
-		m.commitLocked(&outcomes[si], gen)
-		m.traceOutcomeLocked(&outcomes[si])
-	}
-	m.publishGaugesLocked()
-	m.gen.Store(gen)
 }
 
 // commitLocked folds one poll outcome into the store, transition log,
@@ -703,90 +592,90 @@ func (m *Manager) Run(polls int) {
 // due time (which stamps the appended events). gen is the generation
 // the enclosing Run is committing; it marks the board dirty for the
 // delta-snapshot encoder.
-func (st *fleetState) commitLocked(o *pollOutcome, gen uint64) {
-	st.clock = o.due
-	st.vclock.Store(int64(o.due))
+func (m *Manager) commitLocked(o *pollOutcome, gen uint64) {
+	m.clock = o.due
+	m.vclock.Store(int64(o.due))
 	for _, e := range o.events {
-		if n := st.store.Append(e); n > 0 {
-			st.m.evicted.Add(float64(n))
+		if n := m.store.Append(e); n > 0 {
+			m.m.evicted.Add(float64(n))
 		}
-		st.m.events.With(e.Kind.String()).Inc()
+		m.m.events.With(e.Kind.String()).Inc()
 	}
 	if t := o.transition; t != nil {
-		st.tseq++
-		t.Seq = st.tseq
+		m.tseq++
+		t.Seq = m.tseq
 		t.At = o.due
-		st.transitions = append(st.transitions, *t)
-		if len(st.transitions) > maxTransitions {
-			st.transitions = st.transitions[len(st.transitions)-maxTransitions:]
+		m.transitions = append(m.transitions, *t)
+		if len(m.transitions) > maxTransitions {
+			m.transitions = m.transitions[len(m.transitions)-maxTransitions:]
 		}
-		st.m.transitions.With(t.To.String()).Inc()
+		m.m.transitions.With(t.To.String()).Inc()
 	}
-	if old := &st.status[o.board]; old.State >= 0 && old.State < numStates {
-		st.stateCounts[old.State]--
+	if old := &m.status[o.board]; old.State >= 0 && old.State < numStates {
+		m.stateCounts[old.State]--
 	}
-	st.savingsSum -= st.status[o.board].Savings
-	st.status[o.board] = o.status
+	m.savingsSum -= m.status[o.board].Savings
+	m.status[o.board] = o.status
 	if o.status.State >= 0 && o.status.State < numStates {
-		st.stateCounts[o.status.State]++
+		m.stateCounts[o.status.State]++
 	}
-	st.savingsSum += o.status.Savings
-	st.changed[o.board] = gen
-	st.logDirtyLocked(gen, o.board)
-	st.polled++
-	st.m.polls.Inc()
-	st.m.runs.Add(float64(o.runs))
+	m.savingsSum += o.status.Savings
+	m.changed[o.board] = gen
+	m.logDirtyLocked(gen, o.board)
+	m.polled++
+	m.m.polls.Inc()
+	m.m.runs.Add(float64(o.runs))
 	if o.rebooted {
-		st.m.reboots.Inc()
+		m.m.reboots.Inc()
 	}
 }
 
 // Store returns the fleet event store.
-func (st *fleetState) Store() *Store { return st.store }
+func (m *Manager) Store() *Store { return m.store }
 
 // Boards returns a snapshot of every board's latest committed status.
-func (st *fleetState) Boards() []BoardStatus {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return append([]BoardStatus(nil), st.status...)
+func (m *Manager) Boards() []BoardStatus {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]BoardStatus(nil), m.status...)
 }
 
 // Board returns one board's latest committed status by id.
-func (st *fleetState) Board(id string) (BoardStatus, bool) {
-	i, ok := st.byID[id]
+func (m *Manager) Board(id string) (BoardStatus, bool) {
+	i, ok := m.byID[id]
 	if !ok {
 		return BoardStatus{}, false
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.status[i], true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.status[i], true
 }
 
 // Transitions returns a copy of the retained health-transition log.
-func (st *fleetState) Transitions() []Transition {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return append([]Transition(nil), st.transitions...)
+func (m *Manager) Transitions() []Transition {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]Transition(nil), m.transitions...)
 }
 
 // WriteTransitions dumps the transition log one per line — the second
 // byte-comparable artifact of the determinism contract.
-func (st *fleetState) WriteTransitions(w io.Writer) error {
-	return writeTransitions(w, st.Transitions())
+func (m *Manager) WriteTransitions(w io.Writer) error {
+	return writeTransitions(w, m.Transitions())
 }
 
 // Polled reports the total committed poll count.
-func (st *fleetState) Polled() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.polled
+func (m *Manager) Polled() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.polled
 }
 
 // Now returns the fleet's committed virtual time.
-func (st *fleetState) Now() time.Duration {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.clock
+func (m *Manager) Now() time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.clock
 }
 
 // StateCount is one health state's board population.
@@ -816,19 +705,19 @@ type HealthSummary struct {
 
 // Health aggregates the fleet's current state from the incrementally
 // maintained commit-time tallies — O(states), not O(fleet).
-func (st *fleetState) Health() HealthSummary {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	counts := st.stateCounts
-	savings := st.savingsSum
+func (m *Manager) Health() HealthSummary {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	counts := m.stateCounts
+	savings := m.savingsSum
 	h := HealthSummary{
-		Boards:        len(st.status),
-		Polls:         st.polled,
-		Events:        st.store.Len(),
-		DroppedEvents: st.store.Dropped(),
-		DedupedEvents: st.store.Deduped(),
-		Transitions:   len(st.transitions),
-		VirtualNow:    st.clock,
+		Boards:        len(m.status),
+		Polls:         m.polled,
+		Events:        m.store.Len(),
+		DroppedEvents: m.store.Dropped(),
+		DedupedEvents: m.store.Deduped(),
+		Transitions:   len(m.transitions),
+		VirtualNow:    m.clock,
 	}
 	for _, state := range States {
 		h.States = append(h.States, StateCount{State: state, Boards: counts[state]})
@@ -841,8 +730,8 @@ func (st *fleetState) Health() HealthSummary {
 	default:
 		h.Status = "ok"
 	}
-	if len(st.status) > 0 {
-		h.MeanSavings = savings / float64(len(st.status))
+	if len(m.status) > 0 {
+		h.MeanSavings = savings / float64(len(m.status))
 	}
 	return h
 }

@@ -5,6 +5,8 @@
 package fleet
 
 import (
+	"strconv"
+
 	"xvolt/internal/obs"
 )
 
@@ -35,10 +37,11 @@ type fleetMetrics struct {
 	shardBoards *obs.GaugeVec   // shard → boards owned
 }
 
-// SetMetrics registers the fleet's telemetry on r. The per-state gauges
-// are pre-seeded for every health state so a scrape always exposes the
-// full (bounded) label space. Nil registry leaves the fleet unmetered.
-func (st *fleetState) SetMetrics(r *obs.Registry) {
+// SetMetrics registers the fleet's telemetry on r and seeds every gauge,
+// the per-shard ones included. The per-state gauges are pre-seeded for
+// every health state so a scrape always exposes the full (bounded)
+// label space. Nil registry leaves the fleet unmetered.
+func (m *Manager) SetMetrics(r *obs.Registry) {
 	fm := fleetMetrics{
 		polls: r.Counter("xvolt_fleet_polls_total",
 			"Board polls executed across the fleet."),
@@ -76,30 +79,37 @@ func (st *fleetState) SetMetrics(r *obs.Registry) {
 	for _, state := range States {
 		fm.stateBoards.With(state.String())
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.m = fm
-	st.publishGaugesLocked()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.m = fm
+	m.publishGaugesLocked()
 }
 
 // publishGaugesLocked refreshes every gauge from the commit-time
-// aggregates (stateCounts/savingsSum), so it costs O(states) per
-// generation, not O(fleet) — at 100k boards the old walk burned the
-// CPU four times a second under mu. Per-board gauges still walk the
-// fleet, but only at or below perBoardGaugeLimit boards, which keeps
-// both the walk and the scrape cardinality bounded.
-func (st *fleetState) publishGaugesLocked() {
-	if len(st.boards) <= perBoardGaugeLimit {
-		for _, b := range st.boards {
-			st.m.boardMV.With(b.id).Set(float64(b.voltage()))
-			st.m.boardMargin.With(b.id).Set(float64(b.gb.marginMV()))
+// aggregates (stateCounts/savingsSum) and the shard stats, so it costs
+// O(states + shards) per generation, not O(fleet) — at 100k boards the
+// old walk burned the CPU four times a second under mu. Per-board
+// gauges still walk the fleet, but only at or below perBoardGaugeLimit
+// boards, which keeps both the walk and the scrape cardinality bounded;
+// the shard-labeled gauges are bounded by the shard count.
+func (m *Manager) publishGaugesLocked() {
+	if len(m.boards) <= perBoardGaugeLimit {
+		for _, b := range m.boards {
+			m.m.boardMV.With(b.id).Set(float64(b.voltage()))
+			m.m.boardMargin.With(b.id).Set(float64(b.gb.marginMV()))
 		}
 	}
 	for _, state := range States {
-		st.m.stateBoards.With(state.String()).Set(float64(st.stateCounts[state]))
+		m.m.stateBoards.With(state.String()).Set(float64(m.stateCounts[state]))
 	}
-	st.m.boardCount.Set(float64(len(st.boards)))
-	if len(st.boards) > 0 {
-		st.m.savingsMean.Set(st.savingsSum / float64(len(st.boards)))
+	m.m.boardCount.Set(float64(len(m.boards)))
+	if len(m.boards) > 0 {
+		m.m.savingsMean.Set(m.savingsSum / float64(len(m.boards)))
+	}
+	for _, sh := range m.shards {
+		id := strconv.Itoa(sh.id)
+		m.m.shardClock.With(id).Set(sh.clock.Seconds())
+		m.m.shardPolls.With(id).Set(float64(sh.polls))
+		m.m.shardBoards.With(id).Set(float64(sh.hi - sh.lo))
 	}
 }

@@ -1,7 +1,7 @@
-// ShardedManager: the fleet split into N shard managers, each owning a
+// Sharding: the manager splits the fleet into N shards, each owning a
 // disjoint contiguous board range with its own schedule heap and virtual
 // clock, polled concurrently on per-shard worker pools and merged back
-// into the single-manager order at every commit boundary.
+// into one global order at every commit boundary.
 //
 // The determinism argument, layer by layer:
 //
@@ -10,20 +10,20 @@
 //     the global board id — so shard ownership cannot alter a board.
 //   - The schedule is drawn in global (due, board index) order: each
 //     shard keeps a binary min-heap keyed the same way, and takeSlots
-//     merges shard heads with the identical strict-less tie-break the
-//     single manager's linear scan applies. Same slot sequence, O(log n)
-//     per draw instead of O(n).
+//     merges shard heads with a strict-less tie-break on the board
+//     index. O(log n) per draw; sharded_test.go pins the draw sequence
+//     against a linear-scan oracle.
 //   - Polls execute concurrently (outcome slots are disjoint), then
 //     commit under one lock in global slot order — so the event store,
-//     transition log and status table receive byte-identical writes.
+//     transition log and status table receive the same writes at any
+//     shard and worker count.
 //
-// sharded_test.go pins all three against Manager at multiple shard and
-// worker counts.
+// sharded_test.go pins all three against goldens in testdata/ at
+// multiple shard and worker counts.
 
 package fleet
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
@@ -45,23 +45,14 @@ type shard struct {
 	polls uint64        // committed polls of this shard
 }
 
-// ShardedManager is the sharded fleet. It embeds the same committed
-// state as Manager and is observably byte-identical to it; only the
-// schedule drawing and poll execution are parallelized per shard.
-type ShardedManager struct {
-	fleetState
-	shards  []*shard
-	shardOf []int // global board index → shard id
-}
-
-// NewSharded builds the fleet partitioned into cfg.Shards shard
-// managers. Board construction fans out per shard; the boards built are
-// byte-identical to New's because construction depends only on the
-// global index.
-func NewSharded(cfg Config) (*ShardedManager, error) {
+// New builds the fleet partitioned into cfg.Shards shards. Board
+// construction fans out per shard; the boards built do not depend on
+// the shard count because construction depends only on the global
+// index.
+func New(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	suite := workload.PrimarySuite()
-	m := &ShardedManager{}
+	m := &Manager{}
 	if err := m.initState(cfg); err != nil {
 		return nil, err
 	}
@@ -119,8 +110,7 @@ func NewSharded(cfg Config) (*ShardedManager, error) {
 }
 
 // slotBefore is the global schedule order: earlier due first, lower
-// board index on ties — exactly the single manager's linear-scan
-// tie-break.
+// board index on ties.
 func slotBefore(a, b pollSlot) bool {
 	return a.due < b.due || (a.due == b.due && a.board < b.board)
 }
@@ -162,7 +152,7 @@ func (sh *shard) advanceHead(next time.Duration) {
 
 // takeSlots draws the next n polls in global schedule order by merging
 // the shard heap heads. Runs under runMu.
-func (m *ShardedManager) takeSlots(n int) []pollSlot {
+func (m *Manager) takeSlots(n int) []pollSlot {
 	out := make([]pollSlot, 0, n)
 	for len(out) < n {
 		var best *shard
@@ -187,8 +177,9 @@ func (m *ShardedManager) takeSlots(n int) []pollSlot {
 // own boards concurrently on a Workers-wide pool — then merges the
 // outcomes by committing them in global slot order under one lock.
 // Chunking and shard/worker counts are immaterial to the committed
-// artifacts.
-func (m *ShardedManager) Run(polls int) {
+// artifacts: Run(100) twice commits exactly what Run(200) would. Run
+// calls are serialized; snapshot readers may run concurrently.
+func (m *Manager) Run(polls int) {
 	if polls <= 0 {
 		return
 	}
@@ -222,7 +213,7 @@ func (m *ShardedManager) Run(polls int) {
 	wg.Wait()
 
 	// Merge phase: commit in global slot order — the snapshot boundary
-	// where the shard streams interleave back into single-manager order.
+	// where the shard streams interleave back into one global order.
 	gen := m.gen.Load() + 1
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -238,13 +229,12 @@ func (m *ShardedManager) Run(polls int) {
 		}
 	}
 	m.publishGaugesLocked()
-	m.publishShardGaugesLocked()
 	m.gen.Store(gen)
 }
 
 // execute runs this shard's share of the batch on its own worker pool.
 // Boards are handed out whole (a board's polls are strictly sequential).
-func (sh *shard) execute(m *ShardedManager, jobs [][]int, slots []pollSlot, outcomes []pollOutcome, pollSeconds *obs.HDR) {
+func (sh *shard) execute(m *Manager, jobs [][]int, slots []pollSlot, outcomes []pollOutcome, pollSeconds *obs.HDR) {
 	workCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < m.cfg.Workers; w++ {
@@ -279,7 +269,7 @@ type ShardStats struct {
 }
 
 // Shards reports the per-shard committed stats.
-func (m *ShardedManager) Shards() []ShardStats {
+func (m *Manager) Shards() []ShardStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]ShardStats, len(m.shards))
@@ -287,23 +277,4 @@ func (m *ShardedManager) Shards() []ShardStats {
 		out[i] = ShardStats{Shard: sh.id, Boards: sh.hi - sh.lo, Polls: sh.polls, Clock: sh.clock}
 	}
 	return out
-}
-
-// SetMetrics attaches telemetry and seeds the per-shard gauges.
-func (m *ShardedManager) SetMetrics(r *obs.Registry) {
-	m.fleetState.SetMetrics(r)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.publishShardGaugesLocked()
-}
-
-// publishShardGaugesLocked refreshes the shard-labeled gauges. The label
-// space is bounded by the shard count, not the fleet size.
-func (m *ShardedManager) publishShardGaugesLocked() {
-	for _, sh := range m.shards {
-		id := strconv.Itoa(sh.id)
-		m.m.shardClock.With(id).Set(sh.clock.Seconds())
-		m.m.shardPolls.With(id).Set(float64(sh.polls))
-		m.m.shardBoards.With(id).Set(float64(sh.hi - sh.lo))
-	}
 }

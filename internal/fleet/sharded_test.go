@@ -1,83 +1,124 @@
 package fleet
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 
 	"xvolt/internal/obs"
 )
 
-// dumpFleet renders the two byte-comparable artifacts of any fleet.
-func dumpFleet(t *testing.T, f Fleet) (events, transitions string) {
-	t.Helper()
-	var ev, tr strings.Builder
-	if err := f.Store().WriteText(&ev); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.WriteTransitions(&tr); err != nil {
-		t.Fatal(err)
-	}
-	return ev.String(), tr.String()
+// golden is a fleet run whose artifacts testdata/<dir> holds: the event
+// store text, the transition log, the /api/fleet body and the delta
+// body since the generation before the last four polls. They were
+// captured from the single-set manager this package shipped before the
+// sharded manager became the only one, and pin every shard and worker
+// count to its output.
+type golden struct {
+	dir     string
+	cfg     Config
+	polls   int
+	dropped uint64 // events evicted by store retention
 }
 
-func newTestSharded(t *testing.T, cfg Config) *ShardedManager {
+var (
+	// evictGolden's small StoreCap forces retention eviction during the
+	// run; TestDurableStoreReplaysByteIdentical replays it from disk.
+	evictGolden = golden{"evict-seed7-polls600", Config{Boards: 6, Seed: 7, ConfirmRuns: 1, StoreCap: 32}, 600, 152}
+	goldens     = []golden{{"seed11-polls120", testConfig(11), 120, 0}, evictGolden}
+)
+
+// readGolden returns one artifact of a golden.
+func readGolden(t *testing.T, g golden, name string) string {
 	t.Helper()
-	m, err := NewSharded(cfg)
+	b, err := os.ReadFile(filepath.Join("testdata", g.dir, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return string(b)
 }
 
-// TestShardedMatchesManager pins the tentpole invariant: the sharded
-// fleet is byte-identical to the single manager — event store bytes,
-// transition log, status table and serialized snapshot — at every shard
-// and worker count.
+// TestShardedMatchesManager pins the fleet to the goldens — event store
+// bytes, transition log, retention loss, serialized snapshot and delta
+// snapshot — at every shard and worker count.
 func TestShardedMatchesManager(t *testing.T) {
-	const polls = 120
-	base := newTestManager(t, testConfig(11))
-	base.Run(polls)
-	wantEv, wantTr := dump(t, base)
-	wantGen, wantBody, err := base.BoardsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sinceMid := wantGen / 2
-	_, wantDelta, err := base.BoardsDeltaJSON(sinceMid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, g := range goldens {
+		wantEv, wantTr := readGolden(t, g, "events.txt"), readGolden(t, g, "transitions.txt")
+		wantBody, wantDelta := readGolden(t, g, "boards.json"), readGolden(t, g, "delta.json")
+		for _, shards := range []int{1, 3, 8} {
+			for _, workers := range []int{1, 4} {
+				cfg := g.cfg
+				cfg.Shards = shards
+				cfg.Workers = workers
+				m := newTestManager(t, cfg)
+				m.Run(g.polls - 4)
+				mid := m.Generation()
+				m.Run(4)
 
-	for _, shards := range []int{1, 3, 8} {
-		for _, workers := range []int{1, 4} {
-			cfg := testConfig(11)
+				ev, tr := dump(t, m)
+				if ev != wantEv {
+					t.Errorf("%s shards=%d workers=%d: event store differs from golden", g.dir, shards, workers)
+				}
+				if tr != wantTr {
+					t.Errorf("%s shards=%d workers=%d: transition log differs from golden", g.dir, shards, workers)
+				}
+				if got := m.Store().Dropped(); got != g.dropped {
+					t.Errorf("%s shards=%d workers=%d: dropped %d events, golden %d", g.dir, shards, workers, got, g.dropped)
+				}
+				if _, body, err := m.BoardsJSON(); err != nil {
+					t.Fatal(err)
+				} else if string(body) != wantBody {
+					t.Errorf("%s shards=%d workers=%d: snapshot body differs from golden", g.dir, shards, workers)
+				}
+				// The delta body carries the generation and since.
+				if _, delta, err := m.BoardsDeltaJSON(mid); err != nil {
+					t.Fatal(err)
+				} else if string(delta) != wantDelta {
+					t.Errorf("%s shards=%d workers=%d: delta snapshot differs from golden", g.dir, shards, workers)
+				}
+			}
+		}
+	}
+}
+
+// linearSlots is the schedule oracle: an O(boards) scan for the board
+// due first, lower index on ties, advancing its interval stream exactly
+// as takeSlots does.
+func linearSlots(m *Manager, n int) []pollSlot {
+	out := make([]pollSlot, 0, n)
+	for len(out) < n {
+		next := 0
+		for i, b := range m.boards {
+			if b.nextDue < m.boards[next].nextDue {
+				next = i
+			}
+		}
+		b := m.boards[next]
+		out = append(out, pollSlot{board: next, due: b.nextDue})
+		b.nextDue += b.nextInterval(&m.cfg)
+	}
+	return out
+}
+
+// TestScheduleMatchesLinearScan pins the heap-merged schedule to the
+// linear-scan oracle draw by draw, at several shard counts. Without
+// jitter every board ties in every round, so the board-index tie-break
+// across shard heads decides every draw.
+func TestScheduleMatchesLinearScan(t *testing.T) {
+	const draws = 10000
+	for _, jitter := range []float64{0.25, -1} {
+		for _, shards := range []int{1, 2, 3, 8} {
+			cfg := testConfig(13)
+			cfg.Boards = 11
+			cfg.JitterFrac = jitter
 			cfg.Shards = shards
-			cfg.Workers = workers
-			m := newTestSharded(t, cfg)
-			m.Run(polls)
-
-			ev, tr := dumpFleet(t, m)
-			if ev != wantEv {
-				t.Errorf("shards=%d workers=%d: event store differs from single manager", shards, workers)
-			}
-			if tr != wantTr {
-				t.Errorf("shards=%d workers=%d: transition log differs from single manager", shards, workers)
-			}
-			gen, body, err := m.BoardsJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gen != wantGen {
-				t.Errorf("shards=%d workers=%d: generation %d, single manager %d", shards, workers, gen, wantGen)
-			}
-			if string(body) != string(wantBody) {
-				t.Errorf("shards=%d workers=%d: snapshot body differs from single manager", shards, workers)
-			}
-			if _, delta, err := m.BoardsDeltaJSON(sinceMid); err != nil {
-				t.Fatal(err)
-			} else if string(delta) != string(wantDelta) {
-				t.Errorf("shards=%d workers=%d: delta snapshot differs from single manager", shards, workers)
+			want := linearSlots(newTestManager(t, cfg), draws)
+			got := newTestManager(t, cfg).takeSlots(draws)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("jitter=%v shards=%d: draw %d = %+v, oracle %+v", jitter, shards, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -86,16 +127,16 @@ func TestShardedMatchesManager(t *testing.T) {
 func TestShardedChunkingInvariance(t *testing.T) {
 	cfg := testConfig(7)
 	cfg.Shards = 3
-	mWhole := newTestSharded(t, cfg)
+	mWhole := newTestManager(t, cfg)
 	mWhole.Run(90)
 
-	mChunked := newTestSharded(t, cfg)
+	mChunked := newTestManager(t, cfg)
 	mChunked.Run(17)
 	mChunked.Run(40)
 	mChunked.Run(33)
 
-	ev1, tr1 := dumpFleet(t, mWhole)
-	ev2, tr2 := dumpFleet(t, mChunked)
+	ev1, tr1 := dump(t, mWhole)
+	ev2, tr2 := dump(t, mChunked)
 	if ev1 != ev2 {
 		t.Error("sharded Run(90) and Run(17)+Run(40)+Run(33) diverge")
 	}
@@ -114,7 +155,7 @@ func TestShardedChunkingInvariance(t *testing.T) {
 func TestShardedStoreReplayPerShard(t *testing.T) {
 	cfg := testConfig(11)
 	cfg.Shards = 3
-	m := newTestSharded(t, cfg)
+	m := newTestManager(t, cfg)
 	m.Run(120)
 
 	// Replay: all boards start healthy; each health-changed event moves
@@ -165,7 +206,7 @@ func TestShardedStoreReplayPerShard(t *testing.T) {
 func TestShardedMetrics(t *testing.T) {
 	cfg := testConfig(9)
 	cfg.Shards = 3
-	m := newTestSharded(t, cfg)
+	m := newTestManager(t, cfg)
 	r := obs.NewRegistry()
 	m.SetMetrics(r)
 	m.Run(60)
@@ -190,7 +231,7 @@ func TestShardPartition(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.Boards = 7
 	cfg.Shards = 3
-	m := newTestSharded(t, cfg)
+	m := newTestManager(t, cfg)
 	stats := m.Shards()
 	sizes := []int{stats[0].Boards, stats[1].Boards, stats[2].Boards}
 	if sizes[0] != 3 || sizes[1] != 2 || sizes[2] != 2 {
@@ -201,7 +242,7 @@ func TestShardPartition(t *testing.T) {
 	cfg2 := testConfig(1)
 	cfg2.Boards = 2
 	cfg2.Shards = 8
-	m2 := newTestSharded(t, cfg2)
+	m2 := newTestManager(t, cfg2)
 	if got := len(m2.Shards()); got != 2 {
 		t.Errorf("shards clamped to %d, want 2", got)
 	}

@@ -52,7 +52,7 @@ const dirtyLogGens = 256
 // generations; bodies are freshly allocated because in-flight HTTP
 // responses may still reference the previous one.
 //
-// Lock order: enc.mu is taken strictly before fleetState.mu, never the
+// Lock order: enc.mu is taken strictly before Manager.mu, never the
 // reverse.
 type snapshotEncoder struct {
 	mu      sync.Mutex
@@ -67,24 +67,24 @@ type snapshotEncoder struct {
 // document for it, serving from cache when the generation is unchanged
 // and re-encoding only dirty boards otherwise. The returned slice is
 // shared and must not be mutated.
-func (st *fleetState) BoardsJSON() (uint64, []byte, error) {
-	st.enc.mu.Lock()
-	defer st.enc.mu.Unlock()
+func (m *Manager) BoardsJSON() (uint64, []byte, error) {
+	m.enc.mu.Lock()
+	defer m.enc.mu.Unlock()
 
-	st.mu.Lock()
-	gen := st.gen.Load()
-	if st.enc.bodyGen == gen && st.enc.body != nil {
-		st.mu.Unlock()
-		return gen, st.enc.body, nil
+	m.mu.Lock()
+	gen := m.gen.Load()
+	if m.enc.bodyGen == gen && m.enc.body != nil {
+		m.mu.Unlock()
+		return gen, m.enc.body, nil
 	}
-	st.mu.Unlock()
+	m.mu.Unlock()
 
-	gen, err := st.refreshSegments()
+	gen, err := m.refreshSegments()
 	if err != nil {
 		return gen, nil, err
 	}
-	st.enc.stitch(gen)
-	return gen, st.enc.body, nil
+	m.enc.stitch(gen)
+	return gen, m.enc.body, nil
 }
 
 // BoardsDeltaJSON returns the fleet generation and a delta document
@@ -93,31 +93,31 @@ func (st *fleetState) BoardsJSON() (uint64, []byte, error) {
 // means the client is already current (HTTP layers answer 304). Readers
 // further behind than the dirty log receive every board, which is still
 // a correct (if maximal) delta. The returned buffer is caller-owned.
-func (st *fleetState) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
-	st.enc.mu.Lock()
-	defer st.enc.mu.Unlock()
+func (m *Manager) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
+	m.enc.mu.Lock()
+	defer m.enc.mu.Unlock()
 
-	st.mu.Lock()
-	gen := st.gen.Load()
-	st.mu.Unlock()
+	m.mu.Lock()
+	gen := m.gen.Load()
+	m.mu.Unlock()
 	if gen <= since {
 		return gen, nil, nil
 	}
 
-	gen, err := st.refreshSegments()
+	gen, err := m.refreshSegments()
 	if err != nil {
 		return gen, nil, err
 	}
-	st.mu.Lock()
-	delta, ok := st.dirtySinceLocked(since, gen)
+	m.mu.Lock()
+	delta, ok := m.dirtySinceLocked(since, gen)
 	if !ok {
-		delta = make([]int, len(st.status))
+		delta = make([]int, len(m.status))
 		for i := range delta {
 			delta[i] = i
 		}
 	}
-	st.mu.Unlock()
-	return gen, st.enc.appendDelta(gen, since, delta), nil
+	m.mu.Unlock()
+	return gen, m.enc.appendDelta(gen, since, delta), nil
 }
 
 // BoardsSince returns the fleet generation and the statuses of the
@@ -126,51 +126,51 @@ func (st *fleetState) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
 // resolves the boards through the dirty log, so the cost follows the
 // boards that changed. since 0, or a since older than the dirty log,
 // returns every board; since at or past the generation returns none.
-func (st *fleetState) BoardsSince(since uint64) (uint64, []BoardStatus) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	gen := st.gen.Load()
+func (m *Manager) BoardsSince(since uint64) (uint64, []BoardStatus) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	gen := m.gen.Load()
 	if since > 0 {
-		if idx, ok := st.dirtySinceLocked(since, gen); ok {
+		if idx, ok := m.dirtySinceLocked(since, gen); ok {
 			out := make([]BoardStatus, len(idx))
 			for k, i := range idx {
-				out[k] = st.status[i]
+				out[k] = m.status[i]
 			}
 			return gen, out
 		}
 	}
-	return gen, append([]BoardStatus(nil), st.status...)
+	return gen, append([]BoardStatus(nil), m.status...)
 }
 
 // refreshSegments brings the segment arena up to the current generation,
 // re-marshaling only boards dirtied since the arena's generation, and
 // returns the generation the arena now reflects. Callers hold enc.mu.
-func (st *fleetState) refreshSegments() (uint64, error) {
-	st.mu.Lock()
-	gen := st.gen.Load()
-	if st.enc.segs != nil && st.enc.segGen == gen {
-		st.mu.Unlock()
+func (m *Manager) refreshSegments() (uint64, error) {
+	m.mu.Lock()
+	gen := m.gen.Load()
+	if m.enc.segs != nil && m.enc.segGen == gen {
+		m.mu.Unlock()
 		return gen, nil
 	}
-	if st.enc.segs == nil {
-		st.enc.segs = make([][]byte, len(st.status))
+	if m.enc.segs == nil {
+		m.enc.segs = make([][]byte, len(m.status))
 	}
-	dirty, ok := st.dirtySinceLocked(st.enc.segGen, gen)
+	dirty, ok := m.dirtySinceLocked(m.enc.segGen, gen)
 	if !ok {
-		dirty = make([]int, len(st.status))
+		dirty = make([]int, len(m.status))
 		for i := range dirty {
 			dirty[i] = i
 		}
 	}
-	// Copy dirty statuses out so marshaling runs outside st.mu.
+	// Copy dirty statuses out so marshaling runs outside m.mu.
 	statuses := make([]BoardStatus, len(dirty))
 	for k, i := range dirty {
-		statuses[k] = st.status[i]
+		statuses[k] = m.status[i]
 	}
-	dirtyGauge := st.m.dirtyBoards
-	st.mu.Unlock()
+	dirtyGauge := m.m.dirtyBoards
+	m.mu.Unlock()
 
-	if err := st.enc.encode(gen, dirty, statuses); err != nil {
+	if err := m.enc.encode(gen, dirty, statuses); err != nil {
 		return gen, err
 	}
 	dirtyGauge.Set(float64(len(dirty)))
@@ -182,8 +182,8 @@ func (st *fleetState) refreshSegments() (uint64, error) {
 // index lists for (since, gen], sorted and deduplicated. The second
 // return is false when the log no longer covers the span (reader too far
 // behind); callers fall back to every board. Cost is O(committed polls
-// in the span), never O(fleet). Callers hold st.mu.
-func (st *fleetState) dirtySinceLocked(since, gen uint64) ([]int, bool) {
+// in the span), never O(fleet). Callers hold m.mu.
+func (m *Manager) dirtySinceLocked(since, gen uint64) ([]int, bool) {
 	if gen <= since {
 		return nil, true
 	}
@@ -193,14 +193,14 @@ func (st *fleetState) dirtySinceLocked(since, gen uint64) ([]int, bool) {
 	n := 0
 	for g := since + 1; g <= gen; g++ {
 		slot := g % dirtyLogGens
-		if st.dirtyGens[slot] != g {
+		if m.dirtyGens[slot] != g {
 			return nil, false // evicted under the reader
 		}
-		n += len(st.dirtyIdx[slot])
+		n += len(m.dirtyIdx[slot])
 	}
 	out := make([]int, 0, n)
 	for g := since + 1; g <= gen; g++ {
-		out = append(out, st.dirtyIdx[g%dirtyLogGens]...)
+		out = append(out, m.dirtyIdx[g%dirtyLogGens]...)
 	}
 	sort.Ints(out)
 	k := 0
@@ -215,14 +215,14 @@ func (st *fleetState) dirtySinceLocked(since, gen uint64) ([]int, bool) {
 
 // logDirtyLocked records board i as dirtied by generation gen in the
 // dirty log ring, truncating (and reusing) the slot's slice on first
-// touch per generation. Callers hold st.mu.
-func (st *fleetState) logDirtyLocked(gen uint64, i int) {
+// touch per generation. Callers hold m.mu.
+func (m *Manager) logDirtyLocked(gen uint64, i int) {
 	slot := gen % dirtyLogGens
-	if st.dirtyGens[slot] != gen {
-		st.dirtyGens[slot] = gen
-		st.dirtyIdx[slot] = st.dirtyIdx[slot][:0]
+	if m.dirtyGens[slot] != gen {
+		m.dirtyGens[slot] = gen
+		m.dirtyIdx[slot] = m.dirtyIdx[slot][:0]
 	}
-	st.dirtyIdx[slot] = append(st.dirtyIdx[slot], i)
+	m.dirtyIdx[slot] = append(m.dirtyIdx[slot], i)
 }
 
 // encode re-marshals the dirty segments into the arena. Callers hold

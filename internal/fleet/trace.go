@@ -2,9 +2,13 @@
 // becomes one trace — a root fleet.poll span with board.runs,
 // health.transition and guardband.decision children — and each Run batch
 // emits a fleet.schedule span. Spans are built at commit time, in global
-// schedule order under the manager lock, and timestamped from the
-// fleet's virtual clock, so the trace stream inherits the determinism
-// contract: byte-identical across seeds, worker counts and chunking.
+// schedule order under the manager lock, from the poll outcome alone
+// (never the board's live state, which later polls of the same batch
+// have already moved), and timestamped from the fleet's virtual clock,
+// so the trace stream inherits the determinism contract: byte-identical
+// across seeds, shard and worker counts. Across chunking only the
+// per-batch fleet.schedule spans (and so the trace and span ids)
+// differ; every poll's span tree carries the same attributes.
 
 package fleet
 
@@ -19,20 +23,20 @@ import (
 // SetTracer attaches (or, with nil, detaches) a tracer and points its
 // clock at the fleet's committed virtual time. Safe to call while the
 // fleet is running.
-func (st *fleetState) SetTracer(t *trace.Tracer) {
-	t.SetClock(func() time.Duration { return time.Duration(st.vclock.Load()) })
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.tracer = t
+func (m *Manager) SetTracer(t *trace.Tracer) {
+	t.SetClock(func() time.Duration { return time.Duration(m.vclock.Load()) })
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tracer = t
 }
 
 // traceSchedule emits one span per Run batch describing the slots drawn
 // off the virtual schedule. Called between takeSlots and the worker
 // pool, so the span order is deterministic.
-func (st *fleetState) traceSchedule(slots []pollSlot) {
-	st.mu.Lock()
-	t := st.tracer
-	st.mu.Unlock()
+func (m *Manager) traceSchedule(slots []pollSlot) {
+	m.mu.Lock()
+	t := m.tracer
+	m.mu.Unlock()
 	if t == nil || len(slots) == 0 {
 		return
 	}
@@ -47,14 +51,13 @@ func (st *fleetState) traceSchedule(slots []pollSlot) {
 // Runs under the manager lock right after commitLocked, so the virtual
 // clock already reads the poll's due time and trace/span ids are
 // allocated in global commit order.
-func (st *fleetState) traceOutcomeLocked(o *pollOutcome) {
-	t := st.tracer
+func (m *Manager) traceOutcomeLocked(o *pollOutcome) {
+	t := m.tracer
 	if t == nil {
 		return
 	}
-	b := st.boards[o.board]
 	ctx, root := t.StartSpan(context.Background(), "fleet.poll")
-	root.SetAttr("board", b.id)
+	root.SetAttr("board", o.status.ID)
 	root.SetAttr("due", formatAt(o.due))
 
 	_, runs := t.StartSpan(ctx, "board.runs")
@@ -84,7 +87,7 @@ func (st *fleetState) traceOutcomeLocked(o *pollOutcome) {
 		_, gs := t.StartSpan(ctx, "guardband.decision")
 		gs.SetAttr("kind", e.Kind.String())
 		gs.SetAttr("margin_mv", strconv.Itoa(e.MV))
-		gs.SetAttr("voltage_mv", strconv.Itoa(int(b.voltage())))
+		gs.SetAttr("voltage_mv", strconv.Itoa(o.status.VoltageMV))
 		gs.End()
 	}
 

@@ -9,9 +9,10 @@ import (
 	"xvolt/internal/trace"
 )
 
-// tracedRun runs a fleet with tracing + metrics + alerting attached and
-// returns the rendered span stream alongside the dump artifacts.
-func tracedRun(t *testing.T, cfg Config, polls int) (spans []trace.Span, events, transitions string) {
+// tracedRun runs a fleet with tracing + metrics + alerting attached, in
+// Run calls of chunk polls, and returns the rendered span stream
+// alongside the dump artifacts.
+func tracedRun(t *testing.T, cfg Config, polls, chunk int) (spans []trace.Span, events, transitions string) {
 	t.Helper()
 	m := newTestManager(t, cfg)
 	reg := obs.NewRegistry()
@@ -22,7 +23,9 @@ func tracedRun(t *testing.T, cfg Config, polls int) (spans []trace.Span, events,
 	if err := engine.Add(AlertRules()...); err != nil {
 		t.Fatal(err)
 	}
-	m.Run(polls)
+	for done := 0; done < polls; done += chunk {
+		m.Run(chunk)
+	}
 	engine.Eval()
 	ev, trs := dump(t, m)
 	return tr.Spans(), ev, trs
@@ -37,9 +40,26 @@ func renderSpans(spans []trace.Span) string {
 	return b.String()
 }
 
+// guardbandAttrs renders the attributes of every guardband.decision span.
+func guardbandAttrs(spans []trace.Span) string {
+	var b strings.Builder
+	for _, s := range spans {
+		if s.Name != "guardband.decision" {
+			continue
+		}
+		for _, a := range s.Attrs {
+			b.WriteString(a.Key + "=" + a.Value + " ")
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // The acceptance criterion: with tracing and alerting enabled, both the
 // dump artifacts AND the span stream are byte-identical across worker
-// counts.
+// counts. Across chunking, each guardband.decision span must carry the
+// voltage its own decision set, even when the batch polls the board
+// again afterwards.
 func TestFleetTraceDeterministicAcrossWorkers(t *testing.T) {
 	const polls = 120
 	cfg1 := testConfig(23)
@@ -47,8 +67,16 @@ func TestFleetTraceDeterministicAcrossWorkers(t *testing.T) {
 	cfg8 := testConfig(23)
 	cfg8.Workers = 8
 
-	s1, ev1, tr1 := tracedRun(t, cfg1, polls)
-	s8, ev8, tr8 := tracedRun(t, cfg8, polls)
+	s1, ev1, tr1 := tracedRun(t, cfg1, polls, polls)
+	s8, ev8, tr8 := tracedRun(t, cfg8, polls, polls)
+	sc, evc, trc := tracedRun(t, cfg8, polls, 1)
+
+	if evc != ev1 || trc != tr1 {
+		t.Error("dumps differ between Run(1) chunks and one Run with tracing enabled")
+	}
+	if got, want := guardbandAttrs(sc), guardbandAttrs(s1); got != want || want == "" {
+		t.Errorf("guardband.decision attributes depend on Run chunking:\nRun(1) chunks:\n%sone Run:\n%s", got, want)
+	}
 
 	if ev1 != ev8 {
 		t.Error("event dumps differ across worker counts with tracing enabled")
@@ -74,7 +102,7 @@ func TestFleetTraceDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestFleetSpanTree(t *testing.T) {
-	spans, _, _ := tracedRun(t, testConfig(5), 200)
+	spans, _, _ := tracedRun(t, testConfig(5), 200, 200)
 
 	byName := map[string][]trace.Span{}
 	byID := map[uint64]trace.Span{}

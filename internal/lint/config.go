@@ -109,15 +109,12 @@ func DefaultConfig() Config {
 		// hooks (`var now = …`), which static resolution cannot see — the
 		// approved seam.
 		DetflowEntries: []string{
-			"(*xvolt/internal/core.Runner).Execute",
-			"(*xvolt/internal/core.Runner).ExecuteCampaigns",
 			"(*xvolt/internal/core.LadderRunner).Execute",
 			"(*xvolt/internal/core.LadderRunner).ExecuteCampaigns",
 			"(*xvolt/internal/core.Framework).Execute",
 			"(*xvolt/internal/fleet.Manager).Run",
-			"(*xvolt/internal/fleet.ShardedManager).Run",
-			"(*xvolt/internal/fleet.fleetState).BoardsJSON",
-			"(*xvolt/internal/fleet.fleetState).BoardsDeltaJSON",
+			"(*xvolt/internal/fleet.Manager).BoardsJSON",
+			"(*xvolt/internal/fleet.Manager).BoardsDeltaJSON",
 			"(*xvolt/internal/fleet.Store).Append",
 			"(*xvolt/internal/eventstore.Memory).Append",
 			"(*xvolt/internal/eventstore.Log).Append",

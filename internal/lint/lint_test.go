@@ -406,3 +406,16 @@ func TestRepoClean(t *testing.T) {
 		t.Errorf("repository carries stale pragmas:\n%s", render(fs))
 	}
 }
+
+// TestDefaultConfigNamesResolve: detflow and hotalloc skip a configured
+// name they cannot find, so a renamed or deleted entry point would drop
+// out of enforcement silently. Every name must resolve in the program.
+func TestDefaultConfigNamesResolve(t *testing.T) {
+	cfg := DefaultConfig()
+	g := sharedProg(t).Graph()
+	for _, name := range append(cfg.DetflowEntries, cfg.HotpathRequired...) {
+		if g.byName[name] == nil {
+			t.Errorf("configured function %s does not exist in the program", name)
+		}
+	}
+}

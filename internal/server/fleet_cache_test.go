@@ -33,7 +33,7 @@ func (c *countingFleet) Store() *fleet.Store {
 
 func cachedFleetServer(t *testing.T) (*httptest.Server, *countingFleet, fleet.Fleet) {
 	t.Helper()
-	m, err := fleet.NewSharded(fleet.Config{Boards: 4, Seed: 3, ConfirmRuns: 1, Shards: 2})
+	m, err := fleet.New(fleet.Config{Boards: 4, Seed: 3, ConfirmRuns: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +214,10 @@ func TestFleetDeltaServing(t *testing.T) {
 	}
 }
 
-// TestFleetInterfaceAttachment: both manager flavors (and wrappers) serve
-// through the same interface-typed attachment point.
+// TestFleetInterfaceAttachment: a multi-shard manager serves through the
+// interface-typed attachment point.
 func TestFleetInterfaceAttachment(t *testing.T) {
-	m, err := fleet.NewSharded(fleet.Config{Boards: 3, Seed: 5, ConfirmRuns: 1, Shards: 3})
+	m, err := fleet.New(fleet.Config{Boards: 3, Seed: 5, ConfirmRuns: 1, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +228,12 @@ func TestFleetInterfaceAttachment(t *testing.T) {
 	defer ts.Close()
 
 	if code, body := get(t, ts, "/api/fleet"); code != 200 || len(body) == 0 {
-		t.Fatalf("/api/fleet via ShardedManager = %d", code)
+		t.Fatalf("/api/fleet via a 3-shard Manager = %d", code)
 	}
 	if code, _ := get(t, ts, "/api/fleet/health"); code != 200 {
-		t.Fatal("/api/fleet/health via ShardedManager failed")
+		t.Fatal("/api/fleet/health via a 3-shard Manager failed")
 	}
 	if code, _ := get(t, ts, "/api/fleet/board-02/events"); code != 200 {
-		t.Fatal("/api/fleet/{board}/events via ShardedManager failed")
+		t.Fatal("/api/fleet/{board}/events via a 3-shard Manager failed")
 	}
 }

@@ -30,10 +30,9 @@ type Server struct {
 	results []*core.CampaignResult
 	weights core.Weights
 
-	// fleetMu guards the attached fleet (an interface — Manager or
-	// ShardedManager — so an atomic pointer doesn't fit). Handlers take
-	// it only long enough to copy the interface out; it never nests
-	// inside another lock.
+	// fleetMu guards the attached fleet (an interface value, so an
+	// atomic pointer doesn't fit). Handlers take it only long enough to
+	// copy the interface out; it never nests inside another lock.
 	fleetMu sync.RWMutex
 	fleetM  fleet.Fleet
 
@@ -101,9 +100,8 @@ func New(fw *core.Framework) *Server {
 	return &Server{fw: fw, weights: core.PaperWeights}
 }
 
-// SetFleet attaches (or, with nil, detaches) a fleet — a Manager or a
-// ShardedManager; the /api/fleet endpoints serve from it. Safe to call
-// while serving.
+// SetFleet attaches (or, with nil, detaches) a fleet; the /api/fleet
+// endpoints serve from it. Safe to call while serving.
 func (s *Server) SetFleet(m fleet.Fleet) {
 	s.fleetMu.Lock()
 	s.fleetM = m

@@ -1,9 +1,10 @@
-// Batch-engine hooks: everything the campaign engines need to simulate
-// whole voltage ladders against a board *snapshot* instead of one fully
-// locked machine call per grid cell. The contract throughout this file is
-// byte-identical replay — a batch-sampled cell consumes the campaign RNG
-// stream in exactly the order RunOnCore would, so the raw RunRecord logs
-// of the sequential, parallel and batch engines are interchangeable.
+// Batch-engine hooks: everything the batch campaign engine needs to
+// simulate whole voltage ladders against a board *snapshot* instead of
+// one fully locked machine call per grid cell. The contract throughout
+// this file is byte-identical replay — a batch-sampled cell consumes the
+// campaign RNG stream in exactly the order RunOnCore would, so the raw
+// RunRecord logs of the sequential and batch engines are
+// interchangeable.
 
 package xgene
 
@@ -166,7 +167,7 @@ func (m *Machine) Recycle() {
 // Pool recycles booted boards across campaign executions. Workers Get a
 // board, run any number of campaigns on it, and Put it back; a Get
 // prefers recycling an idle board (Recycle) over fabricating a new one
-// (the factory). The engines' determinism domain — factories producing
+// (the factory). The engine's determinism domain — factories producing
 // boards whose LadderState is Clean — is exactly the domain on which a
 // recycled board is indistinguishable from a fresh factory board.
 type Pool struct {
