@@ -20,7 +20,23 @@
 // import it without pulling in the simulator.
 package apiv1
 
-import "time"
+import (
+	"bytes"
+	"encoding/json"
+	"time"
+)
+
+// Marshal renders v in the canonical encoding servers write: the
+// json.Encoder SetIndent("", " ") form, trailing newline included.
+func Marshal(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 // GenerationHeader is the response header carrying the fleet snapshot
 // generation. Clients echo it as ?since= to receive wire deltas and use

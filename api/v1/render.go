@@ -1,9 +1,8 @@
-// Canonical text renderers. These replicate, character for character,
-// the fleet's own dump formats (internal/fleet events.go / health.go):
-// a hub rendering a source's replicated events must produce the same
-// bytes as `xvolt-fleet -dump` on the source itself — that is how the CI
-// hub smoke step verifies end-to-end replication. Any format change must
-// land in both places (pinned by internal/hub tests).
+// Canonical text renderers: the one implementation of the fleet's dump
+// formats. internal/fleet's Event.String and Transition.String convert
+// to these types and render here, so a hub rendering a source's
+// replicated events produces the same bytes as `xvolt-fleet -dump` on
+// the source itself — which the CI hub smoke step diffs end to end.
 
 package apiv1
 

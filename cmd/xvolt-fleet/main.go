@@ -184,7 +184,7 @@ func traceWriter(path string) (io.Writer, func(), error) {
 // implicitly — the next push resends the unacknowledged tail).
 // budget > 0 bounds the total polls; after the final chunk is pushed,
 // done is called so the daemon drains and exits.
-func pollLoop(ctx context.Context, m fleet.Fleet, engine *obs.AlertEngine, pusher *hub.Pusher,
+func pollLoop(ctx context.Context, m *fleet.Manager, engine *obs.AlertEngine, pusher *hub.Pusher,
 	chunk int, tick time.Duration, budget int, done context.CancelFunc) {
 	if chunk <= 0 {
 		chunk = 32

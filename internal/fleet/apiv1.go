@@ -85,3 +85,17 @@ func (h HealthSummary) APIv1() apiv1.HealthSummary {
 	}
 	return out
 }
+
+// HealthAPIv1 returns the fleet's health summary in wire form.
+func (m *Manager) HealthAPIv1() apiv1.HealthSummary { return m.Health().APIv1() }
+
+// EventsAPIv1 returns up to n of the board's most recent retained
+// events in wire form, oldest first (n ≤ 0 means all).
+func (m *Manager) EventsAPIv1(id string, n int) []apiv1.Event {
+	events := m.store.EventsFor(id, n)
+	out := make([]apiv1.Event, len(events))
+	for i, e := range events {
+		out[i] = e.APIv1()
+	}
+	return out
+}

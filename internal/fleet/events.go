@@ -22,8 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -103,33 +101,11 @@ type Event struct {
 	Msg    string        `json:"msg"`
 }
 
-// String renders one line of the text dump. The format is part of the
-// determinism contract (two same-seed runs must dump byte-identical text),
-// so it includes every field that distinguishes events.
-func (e Event) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%06d %12s %-9s %-18s", e.Seq, formatAt(e.At), e.Board, e.Kind)
-	if e.Kind == HealthChanged {
-		fmt.Fprintf(&b, " state=%s", e.State)
-	}
-	if e.MV != 0 {
-		fmt.Fprintf(&b, " mv=%d", e.MV)
-	}
-	if e.Count > 1 {
-		fmt.Fprintf(&b, " x%d(last %s)", e.Count, formatAt(e.LastAt))
-	}
-	if e.Msg != "" {
-		b.WriteString(" ")
-		b.WriteString(e.Msg)
-	}
-	return b.String()
-}
-
-// formatAt renders a virtual timestamp with fixed millisecond precision so
-// dumps align and compare byte-for-byte.
-func formatAt(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'f', 3, 64) + "s"
-}
+// String renders one line of the text dump, in the api/v1 rendering the
+// hub also uses. The format is part of the determinism contract (two
+// same-seed runs must dump byte-identical text), so it includes every
+// field that distinguishes events.
+func (e Event) String() string { return e.APIv1().String() }
 
 // recordOf converts an un-stamped fleet event into a store record; the
 // backend ignores Seq/Count/LastAt and assigns them itself.

@@ -17,7 +17,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -26,9 +25,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	apiv1 "xvolt/api/v1"
 	"xvolt/internal/core"
 	"xvolt/internal/energy"
-	"xvolt/internal/obs"
 	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
 	"xvolt/internal/units"
@@ -385,26 +384,24 @@ func (b *board) poll(due time.Duration, cfg *Config) pollOutcome {
 	return o
 }
 
-// Fleet is the surface a fleet manager exposes to the daemons and the
-// HTTP layer. Manager implements it; the server and the hub pusher take
-// the interface so their tests can wrap a manager in a counting fake.
+// Fleet is what the serving and replication layers read from a running
+// fleet: the api/v1 fleet routes (server.FleetReader) and hub.Pusher.
+// Manager is its one implementation; the daemon's poll loop and the dump
+// path hold the *Manager itself.
 type Fleet interface {
-	Run(polls int)
+	// Read by the /api/fleet routes.
 	Generation() uint64
-	Boards() []BoardStatus
-	Board(id string) (BoardStatus, bool)
 	BoardsJSON() (uint64, []byte, error)
 	BoardsDeltaJSON(since uint64) (uint64, []byte, error)
+	HasBoard(id string) bool
+	HealthAPIv1() apiv1.HealthSummary
+	EventsAPIv1(id string, n int) []apiv1.Event
+
+	// Read by hub.Pusher.
+	Now() time.Duration
 	BoardsSince(since uint64) (uint64, []BoardStatus)
-	Health() HealthSummary
 	Store() *Store
 	Transitions() []Transition
-	WriteTransitions(w io.Writer) error
-	Polled() uint64
-	Now() time.Duration
-	SetMetrics(r *obs.Registry)
-	SetTracer(t *trace.Tracer)
-	Close() error
 }
 
 var _ Fleet = (*Manager)(nil)
@@ -640,6 +637,12 @@ func (m *Manager) Boards() []BoardStatus {
 	return append([]BoardStatus(nil), m.status...)
 }
 
+// HasBoard reports whether id names one of the fleet's boards.
+func (m *Manager) HasBoard(id string) bool {
+	_, ok := m.byID[id] // ids are immutable: no lock
+	return ok
+}
+
 // Board returns one board's latest committed status by id.
 func (m *Manager) Board(id string) (BoardStatus, bool) {
 	i, ok := m.byID[id]
@@ -744,6 +747,3 @@ func signedSteps(delta int) string {
 	}
 	return strconv.Itoa(delta)
 }
-
-// ErrNoBoard is returned by API layers for unknown board ids.
-var ErrNoBoard = errors.New("fleet: no such board")

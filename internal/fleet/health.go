@@ -123,12 +123,10 @@ func (t Transition) MarshalJSON() ([]byte, error) {
 	}{t.Seq, t.At, t.Board, t.From.String(), t.To.String(), t.Reason})
 }
 
-// String renders one line of the transitions dump (byte-compared by the
-// determinism tests, like the event store's text form).
-func (t Transition) String() string {
-	return fmt.Sprintf("%06d %12s %-9s %s -> %s (%s)",
-		t.Seq, formatAt(t.At), t.Board, t.From, t.To, t.Reason)
-}
+// String renders one line of the transitions dump in the api/v1
+// rendering (byte-compared by the determinism tests, like the event
+// store's text form).
+func (t Transition) String() string { return t.APIv1().String() }
 
 // healthMachine tracks one board's state and clean streak.
 type healthMachine struct {

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"time"
 
+	apiv1 "xvolt/api/v1"
 	"xvolt/internal/trace"
 )
 
@@ -42,8 +43,8 @@ func (m *Manager) traceSchedule(slots []pollSlot) {
 	}
 	_, span := t.StartSpan(context.Background(), "fleet.schedule")
 	span.SetAttr("polls", strconv.Itoa(len(slots)))
-	span.SetAttr("first_due", formatAt(slots[0].due))
-	span.SetAttr("last_due", formatAt(slots[len(slots)-1].due))
+	span.SetAttr("first_due", apiv1.FormatAt(slots[0].due))
+	span.SetAttr("last_due", apiv1.FormatAt(slots[len(slots)-1].due))
 	span.End()
 }
 
@@ -58,7 +59,7 @@ func (m *Manager) traceOutcomeLocked(o *pollOutcome) {
 	}
 	ctx, root := t.StartSpan(context.Background(), "fleet.poll")
 	root.SetAttr("board", o.status.ID)
-	root.SetAttr("due", formatAt(o.due))
+	root.SetAttr("due", apiv1.FormatAt(o.due))
 
 	_, runs := t.StartSpan(ctx, "board.runs")
 	runs.SetAttr("runs", strconv.Itoa(o.runs))

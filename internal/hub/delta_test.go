@@ -126,7 +126,7 @@ func polledSince(before, after []fleet.BoardStatus) []string {
 
 // wantTable is the hub's expected board table for one source: the
 // fleet's statuses in wire form, namespaced and sorted by id.
-func wantTable(source string, m fleet.Fleet) []apiv1.BoardStatus {
+func wantTable(source string, m *fleet.Manager) []apiv1.BoardStatus {
 	var out []apiv1.BoardStatus
 	for _, b := range m.Boards() {
 		w := b.APIv1()
@@ -234,7 +234,7 @@ func TestHubDeltaFoldsToFullTable(t *testing.T) {
 	ctx := context.Background()
 
 	type src struct {
-		m fleet.Fleet
+		m *fleet.Manager
 		p *Pusher
 	}
 	var sources []src

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -281,11 +282,12 @@ func (h *Hub) Sources() []apiv1.HubSource {
 // the boards that changed after generation since (0 returns every
 // board): ids namespaced "source/board", sources and boards each in
 // sorted order. Only the returned boards are copied; the rest cost one
-// generation compare each.
+// generation compare each. The view is never nil, so an empty one
+// renders "boards": [], as the fleet's does.
 func (h *Hub) BoardsSince(since uint64) (uint64, []apiv1.BoardStatus) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []apiv1.BoardStatus
+	out := []apiv1.BoardStatus{}
 	for _, name := range h.names {
 		s := h.sources[name]
 		for _, b := range s.sorted {
@@ -299,51 +301,74 @@ func (h *Hub) BoardsSince(since uint64) (uint64, []apiv1.BoardStatus) {
 	return h.gen.Load(), out
 }
 
-// hasBoard reports whether the hub holds the source's board.
-func (h *Hub) hasBoard(sourceName, board string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s, ok := h.sources[sourceName]
+// BoardsJSON returns the hub generation and the /api/fleet document:
+// every source's boards, ids namespaced "source/board".
+func (h *Hub) BoardsJSON() (uint64, []byte, error) {
+	gen, boards := h.BoardsSince(0)
+	body, err := apiv1.Marshal(apiv1.Boards{Boards: boards})
+	return gen, body, err
+}
+
+// BoardsDeltaJSON returns the hub generation and the /api/fleet?since=
+// document: the boards whose status changed after hub generation since.
+// A since at or past the generation returns a nil body before any board
+// is copied.
+func (h *Hub) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
+	if gen := h.Generation(); since >= gen {
+		return gen, nil, nil
+	}
+	gen, boards := h.BoardsSince(since)
+	body, err := apiv1.Marshal(apiv1.BoardsDelta{Generation: gen, Since: since, Boards: boards})
+	return gen, body, err
+}
+
+// boardLocked resolves a namespaced "source/board" id. Caller holds h.mu.
+func (h *Hub) boardLocked(id string) (*source, string, bool) {
+	name, board, _ := strings.Cut(id, "/")
+	s, ok := h.sources[name]
 	if !ok {
-		return false
+		return nil, "", false
 	}
 	_, ok = s.boards[board]
+	return s, board, ok
+}
+
+// HasBoard reports whether the hub holds the namespaced board id
+// ("source/board").
+func (h *Hub) HasBoard(id string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_, _, ok := h.boardLocked(id)
 	return ok
 }
 
-// BoardEvents returns up to n most recent replicated events of one
-// source's board, oldest first (n ≤ 0 means all). ok is false when the
-// source or board is unknown.
-func (h *Hub) BoardEvents(sourceName, board string, n int) (apiv1.BoardEvents, bool) {
+// EventsAPIv1 returns up to n of the most recent replicated events of a
+// namespaced board ("source/board"), oldest first (n ≤ 0 means all).
+func (h *Hub) EventsAPIv1(id string, n int) []apiv1.Event {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s, okSrc := h.sources[sourceName]
-	if !okSrc {
-		return apiv1.BoardEvents{}, false
+	s, board, ok := h.boardLocked(id)
+	if !ok {
+		return nil
 	}
-	if _, okBoard := s.boards[board]; !okBoard {
-		return apiv1.BoardEvents{}, false
-	}
-	doc := apiv1.BoardEvents{Board: sourceName + "/" + board}
-	for _, seq := range s.eventSeq {
-		if e := s.events[seq]; e.Board == board {
-			doc.Events = append(doc.Events, e)
+	var out []apiv1.Event
+	for i := len(s.eventSeq) - 1; i >= 0 && (n <= 0 || len(out) < n); i-- {
+		if e := s.events[s.eventSeq[i]]; e.Board == board {
+			out = append(out, e)
 		}
 	}
-	if n > 0 && len(doc.Events) > n {
-		doc.Events = doc.Events[len(doc.Events)-n:]
-	}
-	return doc, true
+	slices.Reverse(out)
+	return out
 }
 
 // stateOrder is the canonical health-state ordering of the merged
 // summary (the same escalation order a fleet serves).
 var stateOrder = []string{"healthy", "degraded", "unhealthy", "recovering"}
 
-// Health merges every source's health summary into the global one.
+// HealthAPIv1 merges every source's health summary into the global one.
 // VirtualNow is the laggiest source's clock — the horizon up to which
 // the aggregate view is complete.
-func (h *Hub) Health() apiv1.HealthSummary {
+func (h *Hub) HealthAPIv1() apiv1.HealthSummary {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := apiv1.HealthSummary{Status: "ok"}

@@ -21,7 +21,7 @@ import (
 // localDump renders a fleet's own dump body (the `xvolt-fleet -dump`
 // output minus its header line) — the oracle the hub's per-source dump
 // must match byte for byte.
-func localDump(t *testing.T, m fleet.Fleet) string {
+func localDump(t *testing.T, m *fleet.Manager) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Store().WriteText(&buf); err != nil {
@@ -61,7 +61,7 @@ func TestHubDumpParity(t *testing.T) {
 
 	type src struct {
 		name string
-		m    fleet.Fleet
+		m    *fleet.Manager
 		p    *Pusher
 	}
 	mkFleet := func(name string, cfg fleet.Config) src {

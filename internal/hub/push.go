@@ -86,7 +86,7 @@ func (p *Pusher) push(ctx context.Context) (apiv1.IngestResponse, error) {
 	for i, b := range boards {
 		wire[i] = b.APIv1()
 	}
-	health := p.f.Health().APIv1()
+	health := p.f.HealthAPIv1()
 	req := apiv1.IngestRequest{
 		Source:      p.source,
 		Generation:  gen,

@@ -9,36 +9,37 @@ import (
 	"sync/atomic"
 	"testing"
 
+	apiv1 "xvolt/api/v1"
 	"xvolt/internal/fleet"
 )
 
-// countingFleet wraps a fleet and counts the aggregate-walking calls, so
-// the cache tests can assert that a generation-cache hit serves without
-// touching fleet state.
+// countingFleet wraps a fleet and counts the health and event-tail
+// reads, so the cache tests can assert that a generation-cache hit
+// serves without touching fleet state.
 type countingFleet struct {
-	fleet.Fleet
+	FleetReader
 	healthCalls atomic.Int64
-	storeCalls  atomic.Int64
+	eventsCalls atomic.Int64
 }
 
-func (c *countingFleet) Health() fleet.HealthSummary {
+func (c *countingFleet) HealthAPIv1() apiv1.HealthSummary {
 	c.healthCalls.Add(1)
-	return c.Fleet.Health()
+	return c.FleetReader.HealthAPIv1()
 }
 
-func (c *countingFleet) Store() *fleet.Store {
-	c.storeCalls.Add(1)
-	return c.Fleet.Store()
+func (c *countingFleet) EventsAPIv1(id string, n int) []apiv1.Event {
+	c.eventsCalls.Add(1)
+	return c.FleetReader.EventsAPIv1(id, n)
 }
 
-func cachedFleetServer(t *testing.T) (*httptest.Server, *countingFleet, fleet.Fleet) {
+func cachedFleetServer(t *testing.T) (*httptest.Server, *countingFleet, *fleet.Manager) {
 	t.Helper()
 	m, err := fleet.New(fleet.Config{Boards: 4, Seed: 3, ConfirmRuns: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Run(60)
-	cf := &countingFleet{Fleet: m}
+	cf := &countingFleet{FleetReader: m}
 	s := New(nil)
 	s.SetFleet(cf)
 	ts := httptest.NewServer(s.Handler())
@@ -87,13 +88,13 @@ func TestFleetHealthCaching(t *testing.T) {
 		t.Fatal("first GET never aggregated health")
 	}
 
-	// Cache hit: identical bytes, no further Health() aggregation.
+	// Cache hit: identical bytes, no further HealthAPIv1() aggregation.
 	resp2, body2 := condGet(t, ts, "/api/fleet/health", "")
 	if resp2.StatusCode != 200 || body2 != body1 {
 		t.Fatalf("repeat GET diverged: %d, equal=%v", resp2.StatusCode, body2 == body1)
 	}
 	if got := cf.healthCalls.Load(); got != walks {
-		t.Fatalf("cache hit re-walked boards: Health() calls %d → %d", walks, got)
+		t.Fatalf("cache hit re-walked boards: HealthAPIv1() calls %d → %d", walks, got)
 	}
 
 	// Conditional GET: 304, empty body, still no aggregation.
@@ -102,7 +103,7 @@ func TestFleetHealthCaching(t *testing.T) {
 		t.Fatalf("conditional GET = %d with %d body bytes, want 304 empty", resp3.StatusCode, len(body3))
 	}
 	if got := cf.healthCalls.Load(); got != walks {
-		t.Fatalf("304 re-walked boards: Health() calls %d → %d", walks, got)
+		t.Fatalf("304 re-walked boards: HealthAPIv1() calls %d → %d", walks, got)
 	}
 
 	// A commit bumps the generation: the stale tag revalidates to fresh
@@ -131,13 +132,13 @@ func TestFleetEventsCaching(t *testing.T) {
 		t.Fatalf("ETag = %q, want %q", etag, want)
 	}
 
-	walks := cf.storeCalls.Load()
+	walks := cf.eventsCalls.Load()
 	resp2, body2 := condGet(t, ts, "/api/fleet/board-01/events?n=5", "")
 	if resp2.StatusCode != 200 || body2 != body1 {
 		t.Fatalf("repeat GET diverged: %d, equal=%v", resp2.StatusCode, body2 == body1)
 	}
-	if got := cf.storeCalls.Load(); got != walks {
-		t.Fatalf("cache hit re-walked the store: Store() calls %d → %d", walks, got)
+	if got := cf.eventsCalls.Load(); got != walks {
+		t.Fatalf("cache hit re-walked the store: EventsAPIv1() calls %d → %d", walks, got)
 	}
 
 	// A different n is a different resource: fresh body, same tag space.

@@ -6,8 +6,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -18,7 +16,6 @@ import (
 	apiv1 "xvolt/api/v1"
 	"xvolt/internal/core"
 	"xvolt/internal/csvutil"
-	"xvolt/internal/fleet"
 	"xvolt/internal/obs"
 	"xvolt/internal/trace"
 )
@@ -30,46 +27,13 @@ type Server struct {
 	results []*core.CampaignResult
 	weights core.Weights
 
-	// fleetMu guards the attached fleet (an interface value, so an
-	// atomic pointer doesn't fit). Handlers take it only long enough to
-	// copy the interface out; it never nests inside another lock.
-	fleetMu sync.RWMutex
-	fleetM  fleet.Fleet
+	// fleetAPI serves the /api/fleet routes from the attached fleet;
+	// nil while none is attached.
+	fleetAPI atomic.Pointer[FleetAPI]
 
 	metrics atomic.Pointer[httpMetrics]
 	tracer  atomic.Pointer[trace.Tracer]
 	alerts  atomic.Pointer[obs.AlertEngine]
-
-	// fleetCache holds the serialized /api/fleet/health body and a small
-	// ring of /api/fleet/{board}/events bodies, each keyed by (fleet,
-	// generation[, board, n]). Fleet state only changes at poll commits,
-	// which bump the fleet's generation, so between commits every request
-	// is served from these buffers — and clients that echo the
-	// generation-keyed ETag get a 304 with no body at all. (/api/fleet
-	// itself is cached inside the fleet: BoardsJSON re-encodes only dirty
-	// boards per generation.)
-	fleetCache struct {
-		mu         sync.Mutex
-		f          fleet.Fleet
-		healthGen  uint64
-		healthBody []byte
-		events     [eventsCacheSlots]eventsCacheEntry
-		evNext     int
-	}
-}
-
-// eventsCacheSlots bounds the per-board events response cache; a small
-// ring is enough because loadgen-style traffic concentrates on a few hot
-// boards per generation.
-const eventsCacheSlots = 8
-
-// eventsCacheEntry is one cached /api/fleet/{board}/events body.
-type eventsCacheEntry struct {
-	f     fleet.Fleet
-	gen   uint64
-	board string
-	n     int
-	body  []byte
 }
 
 // httpMetrics are the per-endpoint request instruments plus the registry
@@ -101,23 +65,14 @@ func New(fw *core.Framework) *Server {
 }
 
 // SetFleet attaches (or, with nil, detaches) a fleet; the /api/fleet
-// endpoints serve from it. Safe to call while serving.
-func (s *Server) SetFleet(m fleet.Fleet) {
-	s.fleetMu.Lock()
-	s.fleetM = m
-	s.fleetMu.Unlock()
-	s.fleetCache.mu.Lock()
-	s.fleetCache.f = nil
-	s.fleetCache.healthBody = nil
-	s.fleetCache.events = [eventsCacheSlots]eventsCacheEntry{}
-	s.fleetCache.mu.Unlock()
-}
-
-// fleet returns the attached fleet, or nil.
-func (s *Server) fleet() fleet.Fleet {
-	s.fleetMu.RLock()
-	defer s.fleetMu.RUnlock()
-	return s.fleetM
+// endpoints serve from it under the ETag prefix "fleet". Safe to call
+// while serving.
+func (s *Server) SetFleet(f FleetReader) {
+	if f == nil {
+		s.fleetAPI.Store(nil)
+		return
+	}
+	s.fleetAPI.Store(NewFleetAPI("fleet", f))
 }
 
 // SetMetrics attaches a registry: every endpoint gains request counting
@@ -234,202 +189,32 @@ func (s *Server) Handler() http.Handler {
 	s.route(mux, "/api/trace", s.handleTrace)
 	s.route(mux, "/api/traces", s.handleTraces)
 	s.route(mux, "/api/alerts", s.handleAlerts)
-	s.route(mux, "/api/fleet", s.handleFleet)
-	s.route(mux, "/api/fleet/health", s.handleFleetHealth)
-	s.route(mux, "/api/fleet/{board}/events", s.handleFleetEvents)
+	s.route(mux, "/api/fleet", func(w http.ResponseWriter, r *http.Request) {
+		if a := s.fleetOr404(w); a != nil {
+			a.ServeBoards(w, r)
+		}
+	})
+	s.route(mux, "/api/fleet/health", func(w http.ResponseWriter, r *http.Request) {
+		if a := s.fleetOr404(w); a != nil {
+			a.ServeHealth(w, r)
+		}
+	})
+	s.route(mux, "/api/fleet/{board}/events", func(w http.ResponseWriter, r *http.Request) {
+		if a := s.fleetOr404(w); a != nil {
+			a.ServeEvents(w, r, r.PathValue("board"))
+		}
+	})
 	s.route(mux, "/", s.handleIndex)
 	return mux
 }
 
-// fleetOr404 resolves the attached fleet or fails the request.
-func (s *Server) fleetOr404(w http.ResponseWriter) fleet.Fleet {
-	m := s.fleet()
-	if m == nil {
+// fleetOr404 resolves the attached fleet's API or fails the request.
+func (s *Server) fleetOr404(w http.ResponseWriter) *FleetAPI {
+	a := s.fleetAPI.Load()
+	if a == nil {
 		http.Error(w, "no fleet attached", http.StatusNotFound)
 	}
-	return m
-}
-
-// notModified writes the generation-keyed ETag and, when the client
-// already holds the generation, answers 304 before any fleet state is
-// touched — the steady-state fast path for every fleet endpoint.
-func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
-		w.WriteHeader(http.StatusNotModified)
-		return true
-	}
-	return false
-}
-
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	m := s.fleetOr404(w)
-	if m == nil {
-		return
-	}
-	if notModified(w, r, fmt.Sprintf("\"fleet-%d\"", m.Generation())) {
-		return
-	}
-	// ?since=<generation> asks for a delta: only the boards that
-	// committed after that generation, resolved through the fleet's
-	// dirty log — O(dirty) to serve and to transfer, which is what
-	// keeps this endpoint flat in fleet size. Clients learn the
-	// generation to resume from via X-Fleet-Generation (set on full
-	// responses too, so the first poll bootstraps the loop).
-	if sinceStr := r.URL.Query().Get("since"); sinceStr != "" {
-		since, err := strconv.ParseUint(sinceStr, 10, 64)
-		if err != nil {
-			http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		gen, body, err := m.BoardsDeltaJSON(since)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("ETag", fmt.Sprintf("\"fleet-%d\"", gen))
-		w.Header().Set(apiv1.GenerationHeader, strconv.FormatUint(gen, 10))
-		if body == nil {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_, _ = w.Write(body)
-		return
-	}
-	gen, body, err := m.BoardsJSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	// BoardsJSON may have observed a newer commit than the pre-check;
-	// re-stamp the ETag so it always matches the body served.
-	w.Header().Set("ETag", fmt.Sprintf("\"fleet-%d\"", gen))
-	w.Header().Set(apiv1.GenerationHeader, strconv.FormatUint(gen, 10))
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_, _ = w.Write(body)
-}
-
-func (s *Server) handleFleetHealth(w http.ResponseWriter, r *http.Request) {
-	m := s.fleetOr404(w)
-	if m == nil {
-		return
-	}
-	if notModified(w, r, fmt.Sprintf("\"fleet-health-%d\"", m.Generation())) {
-		return
-	}
-	gen, body, err := s.healthBody(m)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("ETag", fmt.Sprintf("\"fleet-health-%d\"", gen))
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_, _ = w.Write(body)
-}
-
-// healthBody returns the serialized health summary for the fleet's
-// current generation, serving from the cache when the fleet and
-// generation both match — a cache hit re-walks no boards. The bytes are
-// identical to what writeJSON would stream for the same summary.
-func (s *Server) healthBody(m fleet.Fleet) (uint64, []byte, error) {
-	s.fleetCache.mu.Lock()
-	defer s.fleetCache.mu.Unlock()
-	gen := m.Generation()
-	if s.fleetCache.f == m && s.fleetCache.healthGen == gen && s.fleetCache.healthBody != nil {
-		return gen, s.fleetCache.healthBody, nil
-	}
-	// Re-read the generation after aggregating so the cache key always
-	// matches the snapshot it labels (a Run may commit in between).
-	var h fleet.HealthSummary
-	for {
-		h = m.Health()
-		if g := m.Generation(); g == gen {
-			break
-		} else {
-			gen = g
-		}
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(h.APIv1()); err != nil {
-		return gen, nil, err
-	}
-	s.fleetCache.f = m
-	s.fleetCache.healthGen = gen
-	s.fleetCache.healthBody = buf.Bytes()
-	return gen, s.fleetCache.healthBody, nil
-}
-
-func (s *Server) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
-	m := s.fleetOr404(w)
-	if m == nil {
-		return
-	}
-	id := r.PathValue("board")
-	if _, ok := m.Board(id); !ok {
-		http.Error(w, fleet.ErrNoBoard.Error(), http.StatusNotFound)
-		return
-	}
-	n := 100
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	if notModified(w, r, fmt.Sprintf("\"fleet-ev-%d\"", m.Generation())) {
-		return
-	}
-	gen, body, err := s.eventsBody(m, id, n)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("ETag", fmt.Sprintf("\"fleet-ev-%d\"", gen))
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_, _ = w.Write(body)
-}
-
-// eventsBody returns the serialized event tail for one board, serving
-// from a small (fleet, generation, board, n)-keyed ring so repeated
-// queries against hot boards don't re-walk the store between commits.
-func (s *Server) eventsBody(m fleet.Fleet, id string, n int) (uint64, []byte, error) {
-	s.fleetCache.mu.Lock()
-	defer s.fleetCache.mu.Unlock()
-	gen := m.Generation()
-	for i := range s.fleetCache.events {
-		e := &s.fleetCache.events[i]
-		if e.f == m && e.gen == gen && e.board == id && e.n == n && e.body != nil {
-			return gen, e.body, nil
-		}
-	}
-	var events []fleet.Event
-	for {
-		events = m.Store().EventsFor(id, n)
-		if g := m.Generation(); g == gen {
-			break
-		} else {
-			gen = g
-		}
-	}
-	doc := apiv1.BoardEvents{Board: id, Events: make([]apiv1.Event, len(events))}
-	for i, e := range events {
-		doc.Events[i] = e.APIv1()
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(doc); err != nil {
-		return gen, nil, err
-	}
-	slot := &s.fleetCache.events[s.fleetCache.evNext]
-	s.fleetCache.evNext = (s.fleetCache.evNext + 1) % eventsCacheSlots
-	*slot = eventsCacheEntry{f: m, gen: gen, board: id, n: n, body: buf.Bytes()}
-	return gen, slot.body, nil
+	return a
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -465,7 +250,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	for pmd := 0; pmd < 4; pmd++ {
 		dto.Frequencies[pmd] = int(m.PMDFrequency(pmd))
 	}
-	writeJSON(w, dto)
+	WriteJSON(w, dto)
 }
 
 func (s *Server) handleResultsJSON(w http.ResponseWriter, r *http.Request) {
@@ -493,7 +278,7 @@ func (s *Server) handleResultsJSON(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, dto)
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (s *Server) handleResultsCSV(w http.ResponseWriter, r *http.Request) {
@@ -561,7 +346,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	kept, discarded := t.SampleStats()
-	writeJSON(w, struct {
+	WriteJSON(w, struct {
 		Spans     []trace.Span `json:"spans"`
 		Evicted   uint64       `json:"evicted"`
 		Sampled   uint64       `json:"sampled"`
@@ -577,7 +362,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no alerts attached", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, alertsDoc(e))
+	WriteJSON(w, alertsDoc(e))
 }
 
 // alertsDoc converts the engine's state into the api/v1 alerts document.
@@ -639,7 +424,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 <li><a href="/api/alerts">alerts</a></li>
 <li><a href="/metrics">metrics (Prometheus)</a></li>
 </ul>`, chip, len(s.snapshot()))
-	if s.fleet() != nil {
+	if s.fleetAPI.Load() != nil {
 		fmt.Fprint(w, `
 <h2>fleet</h2>
 <ul>
@@ -649,11 +434,14 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
+// WriteJSON writes v as a JSON response in the canonical api/v1
+// encoding.
+func WriteJSON(w http.ResponseWriter, v any) {
+	body, err := apiv1.Marshal(v)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	_, _ = w.Write(body)
 }
