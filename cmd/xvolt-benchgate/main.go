@@ -13,8 +13,10 @@
 //
 // A benchmark fails the gate when measured > baseline*factor + slack;
 // the absolute slack term keeps sub-millisecond benchmarks from failing
-// on scheduler noise alone. Benchmarks present on only one side are
-// reported but never fail the gate (-update refreshes the set).
+// on scheduler noise alone. A baseline benchmark missing from the run
+// fails the gate too, so a deleted, renamed or silently skipped benchmark
+// cannot drop out unnoticed; a benchmark the baseline lacks is reported
+// and passes (-update refreshes the set).
 package main
 
 import (
@@ -197,11 +199,12 @@ func gate(base *baselineFile, measured []benchEntry, factor float64, slack time.
 	}
 	for _, b := range base.Benchmarks {
 		if !seen[b.Name] {
-			fmt.Fprintf(os.Stderr, "  missing  %-40s (in baseline, not in run)\n", b.Name)
+			fmt.Fprintf(os.Stderr, "  MISSING  %-40s (in baseline, not in run)\n", b.Name)
+			failures = append(failures, fmt.Sprintf("%s: in the baseline but missing from the run", b.Name))
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("%d benchmark regression(s):\n  %s",
+		return fmt.Errorf("%d benchmark failure(s):\n  %s",
 			len(failures), strings.Join(failures, "\n  "))
 	}
 	fmt.Fprintf(os.Stderr, "benchgate: %d benchmarks within tolerance\n", len(measured))

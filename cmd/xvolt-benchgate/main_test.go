@@ -46,7 +46,6 @@ func TestGate(t *testing.T) {
 	base := &baselineFile{Benchmarks: []benchEntry{
 		{Name: "BenchmarkA", NsPerOp: 100_000_000},
 		{Name: "BenchmarkB", NsPerOp: 1000},
-		{Name: "BenchmarkGone", NsPerOp: 1},
 	}}
 	// Within factor, plus a sub-slack blip on a tiny benchmark, plus a
 	// benchmark the baseline has never seen: all pass.
@@ -59,10 +58,26 @@ func TestGate(t *testing.T) {
 		t.Fatalf("tolerant run failed: %v", err)
 	}
 	// Past factor and slack: the gate must fail and name the benchmark.
-	bad := []benchEntry{{Name: "BenchmarkA", NsPerOp: 160_000_000}}
+	bad := []benchEntry{
+		{Name: "BenchmarkA", NsPerOp: 160_000_000},
+		{Name: "BenchmarkB", NsPerOp: 1000},
+	}
 	err := gate(base, bad, 1.5, 5*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "BenchmarkA") {
 		t.Fatalf("regression not caught: %v", err)
+	}
+}
+
+// A baseline benchmark absent from the run fails the gate by name, even
+// when everything that did run is within tolerance.
+func TestGateFailsOnMissing(t *testing.T) {
+	base := &baselineFile{Benchmarks: []benchEntry{
+		{Name: "BenchmarkA", NsPerOp: 1000},
+		{Name: "BenchmarkGone", NsPerOp: 1000},
+	}}
+	err := gate(base, []benchEntry{{Name: "BenchmarkA", NsPerOp: 1000}}, 1.5, 5*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkGone") || strings.Contains(err.Error(), "BenchmarkA:") {
+		t.Fatalf("missing benchmark not caught by name: %v", err)
 	}
 }
 

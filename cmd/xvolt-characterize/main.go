@@ -80,11 +80,9 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 
 	seedByCorner := map[silicon.Corner]int64{silicon.TTT: 1, silicon.TFF: 2, silicon.TSS: 3}
 	machine := xgene.NewWithModel(silicon.NewChip(corner, seedByCorner[corner]), model)
-	fw := core.New(machine)
 
 	reg := obs.NewRegistry()
-	fw.SetMetrics(reg)
-	fw.SetTrace(trace.New(0))
+	tlog := trace.New(0)
 	var sink *trace.JSONLSink
 	if traceOut != "" {
 		var closeSink func()
@@ -93,7 +91,7 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 			return err
 		}
 		defer closeSink()
-		fw.Trace().SetSink(sink)
+		tlog.SetSink(sink)
 	}
 	if metricsAddr != "" {
 		mux := http.NewServeMux()
@@ -117,24 +115,18 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 	cfg.Seed = seed
 
 	if fast {
+		fw := core.New(machine)
+		fw.SetMetrics(reg)
+		fw.SetTrace(tlog)
 		return runFast(fw, cfg, benchmarks, cores)
 	}
 
-	var records []core.RunRecord
-	recoveries := func() int { return fw.Watchdog().Recoveries() }
-	if ckptPath == "" {
-		// Campaign engine: each worker drives a clone of the configured
-		// board. Checkpointed studies stay on the sequential resumable
-		// path; results are identical either way.
-		runner := core.NewLadderRunner(machine.Clone)
-		runner.SetParallelism(parallelism)
-		runner.SetMetrics(reg)
-		runner.SetTrace(fw.Trace())
-		records, err = runner.Execute(cfg)
-		recoveries = runner.Recoveries
-	} else {
-		records, err = execute(fw, cfg, ckptPath)
-	}
+	// Campaign engine: each worker drives a clone of the configured board.
+	runner := core.NewLadderRunner(machine.Clone)
+	runner.SetParallelism(parallelism)
+	runner.SetMetrics(reg)
+	runner.SetTrace(tlog)
+	records, err := execute(runner, cfg, ckptPath)
 	if err != nil {
 		return err
 	}
@@ -160,7 +152,7 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 		}
 	}
 	fmt.Fprintf(os.Stderr, "characterized %d campaigns (%d runs, %d watchdog recoveries)\n",
-		len(results), len(records), recoveries())
+		len(results), len(records), runner.Recoveries())
 	if sink != nil {
 		if err := sink.Err(); err != nil {
 			return err
@@ -205,10 +197,11 @@ func openTraceSink(path string) (*trace.JSONLSink, func(), error) {
 }
 
 // execute runs the sweep, optionally resuming from / persisting to a
-// checkpoint file.
-func execute(fw *core.Framework, cfg core.Config, ckptPath string) ([]core.RunRecord, error) {
+// checkpoint file. The checkpoint is written once, after the whole study
+// has run.
+func execute(runner *core.LadderRunner, cfg core.Config, ckptPath string) ([]core.RunRecord, error) {
 	if ckptPath == "" {
-		return fw.Execute(cfg)
+		return runner.Execute(cfg)
 	}
 	ckpt := core.NewCheckpoint()
 	if f, err := os.Open(ckptPath); err == nil {
@@ -220,7 +213,7 @@ func execute(fw *core.Framework, cfg core.Config, ckptPath string) ([]core.RunRe
 		ckpt = loaded
 		fmt.Fprintf(os.Stderr, "resuming: %d sweeps already complete\n", len(ckpt.Done))
 	}
-	records, err := fw.ExecuteResumable(cfg, ckpt)
+	records, err := runner.ExecuteResumable(cfg, ckpt)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"xvolt/internal/core"
+	"xvolt/internal/csvutil"
+	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
+	"xvolt/internal/xgene"
 )
 
 func TestResolveBenchmarks(t *testing.T) {
@@ -93,8 +98,9 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Errorf("trace-out kinds = %v", kinds)
 	}
 
-	// Resume: adds a benchmark without redoing mcf.
-	if err := run("TFF", "mcf,gromacs", "4", 2400, 3, 980, 800, 1, out, "", "xgene", ckpt, false, "", "", 1); err != nil {
+	// Resume: adds a benchmark without redoing mcf, and writes the CSV of
+	// the uninterrupted study.
+	if err := run("TFF", "mcf,gromacs", "4", 2400, 3, 980, 800, 1, out, "", "xgene", ckpt, false, "", "", 2); err != nil {
 		t.Fatal(err)
 	}
 	blob, err = os.ReadFile(out)
@@ -103,6 +109,18 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(blob), "gromacs") {
 		t.Error("resumed run missing the new benchmark")
+	}
+	whole := filepath.Join(dir, "whole.csv")
+	if err := run("TFF", "mcf,gromacs", "4", 2400, 3, 980, 800, 1, whole, "", "xgene", "", false, "", "", 2); err != nil {
+		t.Fatal(err)
+	}
+	if want, err := os.ReadFile(whole); err != nil || !bytes.Equal(blob, want) {
+		t.Errorf("resumed study's CSV differs from the uninterrupted run's (%v)", err)
+	}
+
+	// Fast mode bisects on the sequential Framework and writes no CSV.
+	if err := run("TFF", "mcf", "4", 2400, 3, 980, 800, 1, "-", "", "xgene", "", true, "", "", 1); err != nil {
+		t.Fatal(err)
 	}
 
 	// Validation errors surface.
@@ -117,29 +135,52 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// The campaign engine writes the same CSV at -parallelism 1 and 4 as
-// the -checkpoint path, which runs the sequential Framework.
+// The sequential oracle: on the CI smoke's 248-line grid, the CSV the
+// command writes at -parallelism 1 and 4, and on the -checkpoint path,
+// must equal the one the sequential Framework's Execute yields for the
+// same board and configuration.
 func TestRunParallelMatchesSequential(t *testing.T) {
-	dir := t.TempDir()
-	seq := filepath.Join(dir, "seq.csv")
-	if err := run("TTT", "mcf,gromacs", "0,4", 2400, 3, 980, 800, 1, seq, "", "xgene", filepath.Join(dir, "ckpt.json"), false, "", "", 1); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(seq)
+	specs, err := resolveBenchmarks("mcf,gromacs,bwaves")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallelism := range []int{1, 4} {
-		par := filepath.Join(dir, "par.csv")
-		if err := run("TTT", "mcf,gromacs", "0,4", 2400, 3, 980, 800, 1, par, "", "xgene", "", false, "", "", parallelism); err != nil {
+	cfg := core.DefaultConfig(specs, []int{0, 3, 4})
+	cfg.Runs = 3
+	// The command fabricates TSS from seed 3.
+	recs, err := core.New(xgene.New(silicon.NewChip(silicon.TSS, 3))).Execute(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := csvutil.WriteCampaigns(&want, core.Parse(recs), core.PaperWeights); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(want.String(), "\n"); n != 248 {
+		t.Fatalf("oracle CSV has %d lines, want the smoke grid's 248", n)
+	}
+
+	dir := t.TempDir()
+	variants := []struct {
+		name        string
+		ckpt        string
+		parallelism int
+	}{
+		{"parallelism-1", "", 1},
+		{"parallelism-4", "", 4},
+		{"checkpoint", filepath.Join(dir, "ckpt.json"), 0},
+	}
+	for _, v := range variants {
+		core.FlushCampaignCache()
+		out := filepath.Join(dir, v.name+".csv")
+		if err := run("TSS", "mcf,gromacs,bwaves", "0,3,4", 2400, 3, 980, 800, 1, out, "", "xgene", v.ckpt, false, "", "", v.parallelism); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(par)
+		got, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Errorf("-parallelism %d CSV differs from the sequential -checkpoint output", parallelism)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s CSV differs from the sequential Framework's", v.name)
 		}
 	}
 }

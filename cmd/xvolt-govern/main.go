@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -37,17 +38,19 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	saveModels := flag.String("save-models", "", "write the trained model bank to this JSON file")
 	loadModels := flag.String("models", "", "load a model bank instead of training")
-	parallelism := flag.Int("parallelism", 0, "worker count for per-core model training (0 = all CPUs)")
+	parallelism := flag.Int("parallelism", 0, "worker count for the training sweep and per-core model fits (0 = all CPUs)")
 	flag.Parse()
 
-	if err := run(*epochs, *tolerance, *margin, *runs, *seed, *parallelism, *saveModels, *loadModels); err != nil {
+	if err := run(os.Stdout, *epochs, *tolerance, *margin, *runs, *seed, *parallelism, *saveModels, *loadModels); err != nil {
 		fmt.Fprintln(os.Stderr, "xvolt-govern:", err)
 		os.Exit(1)
 	}
 }
 
 // obtainBank trains a fresh model bank or loads a previously saved one.
-func obtainBank(machine *xgene.Machine, runs int, seed int64, parallelism int, savePath, loadPath string) (*predict.ModelBank, error) {
+// Training characterizes the chip on the campaign engine's own boards, so
+// the online phase starts on a freshly booted board either way.
+func obtainBank(w io.Writer, chip *silicon.Chip, runs int, seed int64, parallelism int, savePath, loadPath string) (*predict.ModelBank, error) {
 	if loadPath != "" {
 		f, err := os.Open(loadPath)
 		if err != nil {
@@ -58,16 +61,17 @@ func obtainBank(machine *xgene.Machine, runs int, seed int64, parallelism int, s
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("loaded model bank for chip %s (%d cores)\n", bank.Chip, len(bank.Cores()))
+		fmt.Fprintf(w, "loaded model bank for chip %s (%d cores)\n", bank.Chip, len(bank.Cores()))
 		return bank, nil
 	}
-	fmt.Println("training severity models from offline characterization...")
-	fw := core.New(machine)
+	fmt.Fprintln(w, "training severity models from offline characterization...")
+	r := core.NewLadderRunner(func() *xgene.Machine { return xgene.New(chip) })
+	r.SetParallelism(parallelism)
 	trainSet := workload.PredictionSuite()[:20]
 	cfg := core.DefaultConfig(trainSet, []int{0, 4})
 	cfg.Runs = runs
 	cfg.Seed = seed
-	results, err := fw.Characterize(cfg)
+	results, err := r.Characterize(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +84,7 @@ func obtainBank(machine *xgene.Machine, runs int, seed int64, parallelism int, s
 	}
 	for _, coreID := range bank.Cores() {
 		e := bank.ByCore[coreID]
-		fmt.Printf("  core %d model: R2=%.2f RMSE=%.2f\n", coreID, e.R2, e.RMSE)
+		fmt.Fprintf(w, "  core %d model: R2=%.2f RMSE=%.2f\n", coreID, e.R2, e.RMSE)
 	}
 	if savePath != "" {
 		f, err := os.Create(savePath)
@@ -95,17 +99,17 @@ func obtainBank(machine *xgene.Machine, runs int, seed int64, parallelism int, s
 		if serr != nil {
 			return nil, serr
 		}
-		fmt.Printf("saved model bank to %s\n", savePath)
+		fmt.Fprintf(w, "saved model bank to %s\n", savePath)
 	}
 	return bank, nil
 }
 
-func run(epochs int, tolerance float64, margin, runs int, seed int64, parallelism int, savePath, loadPath string) error {
+func run(w io.Writer, epochs int, tolerance float64, margin, runs int, seed int64, parallelism int, savePath, loadPath string) error {
 	chip := silicon.NewChip(silicon.TTT, 1)
 	machine := xgene.New(chip)
 	rng := rand.New(rand.NewSource(seed))
 
-	bank, err := obtainBank(machine, runs, seed, parallelism, savePath, loadPath)
+	bank, err := obtainBank(w, chip, runs, seed, parallelism, savePath, loadPath)
 	if err != nil {
 		return err
 	}
@@ -199,11 +203,11 @@ func run(epochs int, tolerance float64, margin, runs int, seed int64, parallelis
 		energyGoverned += choice.RelativeSquared()
 	}
 
-	fmt.Printf("\nsimulated %d epochs at tolerance %.1f (margin %d steps)\n", epochs, tolerance, margin)
-	fmt.Printf("  energy vs guardbanded baseline: %.1f%% saved\n",
+	fmt.Fprintf(w, "\nsimulated %d epochs at tolerance %.1f (margin %d steps)\n", epochs, tolerance, margin)
+	fmt.Fprintf(w, "  energy vs guardbanded baseline: %.1f%% saved\n",
 		(1-energyGoverned/energyNominal)*100)
-	fmt.Printf("  rollbacks: %d, safe-voltage escalations: %d, system crashes: %d\n",
+	fmt.Fprintf(w, "  rollbacks: %d, safe-voltage escalations: %d, system crashes: %d\n",
 		retries, escalations, crashes)
-	fmt.Printf("  all delivered outputs validated against golden results\n")
+	fmt.Fprintf(w, "  all delivered outputs validated against golden results\n")
 	return nil
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"xvolt/internal/analysis"
@@ -32,7 +33,7 @@ func main() {
 
 	opt := experiments.Options{Runs: *runs, Seed: *seed, Parallelism: *parallelism}
 	drawCharts = *charts
-	if err := run(*only, opt); err != nil {
+	if err := run(os.Stdout, *only, opt); err != nil {
 		fmt.Fprintln(os.Stderr, "xvolt-report:", err)
 		os.Exit(1)
 	}
@@ -41,8 +42,7 @@ func main() {
 // drawCharts adds the ASCII-chart renditions after each figure.
 var drawCharts bool
 
-func run(only string, opt experiments.Options) error {
-	out := os.Stdout
+func run(out io.Writer, only string, opt experiments.Options) error {
 	want := func(name string) bool { return only == "" || only == name }
 
 	if want("table1") {

@@ -1,43 +1,25 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"xvolt/internal/core"
 	"xvolt/internal/experiments"
 )
 
-// capture redirects stdout around fn and returns what it printed.
-func capture(t *testing.T, fn func() error) string {
+// render runs the command body into a buffer and returns what it printed.
+func render(t *testing.T, only string, opt experiments.Options) string {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	if err := run(&buf, only, opt); err != nil {
+		t.Fatalf("run failed: %v\noutput:\n%s", err, buf.String())
 	}
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		buf := make([]byte, 0, 1<<20)
-		tmp := make([]byte, 4096)
-		for {
-			n, err := r.Read(tmp)
-			buf = append(buf, tmp[:n]...)
-			if err != nil {
-				break
-			}
-		}
-		done <- string(buf)
-	}()
-	ferr := fn()
-	w.Close()
-	os.Stdout = old
-	out := <-done
-	if ferr != nil {
-		t.Fatalf("run failed: %v\noutput:\n%s", ferr, out)
-	}
-	return out
+	return buf.String()
 }
 
 // Every artifact branch must execute and print something recognizable.
@@ -69,7 +51,7 @@ func TestRunAllArtifacts(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.only, func(t *testing.T) {
-			out := capture(t, func() error { return run(tc.only, opt) })
+			out := render(t, tc.only, opt)
 			if !strings.Contains(out, tc.want) {
 				t.Errorf("-only %s output missing %q:\n%.400s", tc.only, tc.want, out)
 			}
@@ -81,7 +63,7 @@ func TestRunAllArtifacts(t *testing.T) {
 func TestRunWithCharts(t *testing.T) {
 	drawCharts = true
 	defer func() { drawCharts = false }()
-	out := capture(t, func() error { return run("fig9", experiments.Options{Runs: 2, Seed: 1}) })
+	out := render(t, "fig9", experiments.Options{Runs: 2, Seed: 1})
 	if !strings.Contains(out, "Figure 9 (chart)") {
 		t.Errorf("charts missing:\n%.400s", out)
 	}
@@ -92,8 +74,52 @@ func TestRunPrediction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("prediction artifact is expensive")
 	}
-	out := capture(t, func() error { return run("prediction", experiments.Options{Runs: 3, Seed: 1}) })
+	out := render(t, "prediction", experiments.Options{Runs: 3, Seed: 1})
 	if !strings.Contains(out, "case 1") || !strings.Contains(out, "case 3") {
 		t.Errorf("prediction output incomplete:\n%.600s", out)
 	}
+}
+
+// The whole report is pinned byte for byte: testdata holds
+// `xvolt-report -seed 1` and `xvolt-report -seed 7 -runs 3`, and the
+// command must reproduce both at one campaign worker and at four. (The
+// Fig. 4 set is memoized per seed and runs, so only the first render of
+// each golden sweeps it.)
+func TestRunMatchesGolden(t *testing.T) {
+	goldens := []struct {
+		file string
+		opt  experiments.Options
+	}{
+		{"seed1.txt", experiments.Options{Runs: 10, Seed: 1}},
+		{"seed7-runs3.txt", experiments.Options{Runs: 3, Seed: 7}},
+	}
+	for _, g := range goldens {
+		want, err := os.ReadFile(filepath.Join("testdata", g.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			opt := g.opt
+			opt.Parallelism = workers
+			t.Run(fmt.Sprintf("%s/parallelism-%d", g.file, workers), func(t *testing.T) {
+				// Sweep every campaign afresh rather than replay the
+				// previous render's memo entries.
+				core.FlushCampaignCache()
+				if got := render(t, "", opt); got != string(want) {
+					t.Errorf("report differs from testdata/%s:\n%s", g.file, firstDiff(got, string(want)))
+				}
+			})
+		}
+	}
+}
+
+// firstDiff names the first line where got and want part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got  %q\n want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("line counts differ: got %d, want %d", len(g), len(w))
 }

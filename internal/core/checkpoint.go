@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -73,39 +74,42 @@ func (c *Checkpoint) mark(key string, recs []RunRecord) {
 }
 
 // ExecuteResumable runs the execution phase like Execute, but skips every
-// (benchmark, core) sweep already present in ckpt and folds new sweeps
-// into it as they complete. The returned records are the checkpoint's full
-// set (old + new), so Parse over them reconstructs the whole study. The
-// caller persists ckpt (Save) whenever convenient — after the call, or
-// from another goroutine between calls.
-func (f *Framework) ExecuteResumable(cfg Config, ckpt *Checkpoint) ([]RunRecord, error) {
+// (benchmark, core) sweep already present in ckpt, runs the rest on the
+// worker pool, and folds each new sweep into ckpt in grid order. The
+// returned records are the checkpoint's full set (old + new), so Parse
+// over them reconstructs the whole study. Per-campaign seeding makes a
+// resumed study identical to an uninterrupted one: skipping completed
+// sweeps never shifts the RNG stream of the remaining campaigns. The
+// caller persists ckpt (Save) after the call.
+func (r *LadderRunner) ExecuteResumable(cfg Config, ckpt *Checkpoint) ([]RunRecord, error) {
 	if ckpt == nil {
-		return nil, fmt.Errorf("core: nil checkpoint")
+		return nil, errors.New("core: nil checkpoint")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f.ensureAlive()
-	f.machine.StabilizeTemperature(cfg.TargetTemperature)
+	if r.pool == nil {
+		return nil, errors.New("core: runner has no machine factory")
+	}
+	// Campaign keys name the chip, which only a board knows.
+	wm := r.pool.Get()
+	chip := wm.Chip().Name
+	r.pool.Put(wm)
 
-	chip := f.machine.Chip().Name
-	for _, spec := range cfg.Benchmarks {
-		for _, core := range cfg.Cores {
-			key := campaignKey(chip, spec.Name, spec.Input, core, cfg.Frequency)
-			if ckpt.has(key) {
-				continue
-			}
-			// Per-campaign seeding makes the resumed study identical to an
-			// uninterrupted one: skipping completed sweeps no longer shifts
-			// the RNG stream of the remaining campaigns.
-			f.rng = f.campaignRand(spec, core, &cfg)
-			recs, err := f.runCampaign(spec, core, &cfg)
-			if err != nil {
-				return nil, err
-			}
-			ckpt.mark(key, recs)
+	var pending []Campaign
+	var keys []string
+	for _, c := range cfg.Grid() {
+		if key := campaignKey(chip, c.Spec.Name, c.Spec.Input, c.Core, cfg.Frequency); !ckpt.has(key) {
+			pending = append(pending, c)
+			keys = append(keys, key)
 		}
 	}
-	f.raw = append(f.raw, ckpt.Records...)
+	out, err := r.executeGrid(cfg, pending)
+	if err != nil {
+		return nil, err
+	}
+	for i, recs := range out {
+		ckpt.mark(keys[i], recs)
+	}
 	return append([]RunRecord(nil), ckpt.Records...), nil
 }

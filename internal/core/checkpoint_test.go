@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"xvolt/internal/silicon"
+	"xvolt/internal/trace"
+	"xvolt/internal/xgene"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -45,95 +50,97 @@ func TestMarkIdempotent(t *testing.T) {
 	}
 }
 
+// tttLadder is the batch engine over fresh TTT boards at a worker count.
+func tttLadder(workers int) *LadderRunner {
+	r := NewLadderRunner(func() *xgene.Machine { return xgene.New(silicon.NewChip(silicon.TTT, 1)) })
+	r.SetParallelism(workers)
+	return r
+}
+
 // The resume path: run half the study, "crash", resume from the saved
 // checkpoint, and require (a) the completed sweep is not re-run, (b) the
-// final records equal a straight-through run of the same configuration.
+// final records equal an uninterrupted sequential run of the same
+// configuration, record for record.
 func TestExecuteResumable(t *testing.T) {
-	benchSet := specs(t, "gromacs/ref", "mcf/ref")
-	mkCfg := func(benchmarks ...int) Config {
-		var bs = benchSet
-		if len(benchmarks) == 1 {
-			bs = benchSet[:benchmarks[0]]
-		}
-		cfg := DefaultConfig(bs, []int{4})
+	benchSet := specs(t, "gromacs/ref", "mcf/ref", "bwaves/ref")
+	mkCfg := func(benchmarks int) Config {
+		cfg := DefaultConfig(benchSet[:benchmarks], []int{0, 4})
 		cfg.Runs = 3
 		return cfg
 	}
-
-	// Phase 1: only the first benchmark, into a checkpoint.
-	fw1 := tttFramework()
-	ckpt := NewCheckpoint()
-	recs1, err := fw1.ExecuteResumable(mkCfg(1), ckpt)
+	want, err := tttFramework().Execute(mkCfg(len(benchSet)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ckpt.Done) != 1 {
-		t.Fatalf("checkpoint has %d sweeps, want 1", len(ckpt.Done))
-	}
-
-	// Persist + reload (the "crash").
-	var buf bytes.Buffer
-	if err := ckpt.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase 2: full configuration on a fresh machine, resuming.
-	fw2 := tttFramework()
-	recs2, err := fw2.ExecuteResumable(mkCfg(), resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed.Done) != 2 {
-		t.Fatalf("resumed checkpoint has %d sweeps, want 2", len(resumed.Done))
-	}
-	if len(recs2) <= len(recs1) {
-		t.Fatalf("resume added no records: %d vs %d", len(recs2), len(recs1))
-	}
-	// The first benchmark's records are the phase-1 ones, bit for bit.
-	for i, r := range recs1 {
-		if recs2[i] != r {
-			t.Fatalf("record %d changed across resume: %+v vs %+v", i, recs2[i], r)
+	for _, workers := range []int{1, 4} {
+		// Phase 1: only the first benchmark, into a checkpoint.
+		ckpt := NewCheckpoint()
+		recs1, err := tttLadder(workers).ExecuteResumable(mkCfg(1), ckpt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if len(ckpt.Done) != 2 {
+			t.Fatalf("workers %d: checkpoint has %d sweeps, want 2", workers, len(ckpt.Done))
+		}
 
-	// Straight-through reference run: identical parsed results.
-	fw3 := tttFramework()
-	ref, err := fw3.Execute(mkCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsedResumed := Parse(recs2)
-	parsedRef := Parse(ref)
-	if len(parsedResumed) != len(parsedRef) {
-		t.Fatalf("campaign counts differ: %d vs %d", len(parsedResumed), len(parsedRef))
-	}
-	// The mcf sweep in the resumed run used a fresh RNG stream, so raw
-	// tallies can differ in the unsafe region — but the safe Vmin (the
-	// deterministic part) must agree.
-	for i := range parsedRef {
-		a, okA := parsedResumed[i].SafeVmin()
-		b, okB := parsedRef[i].SafeVmin()
-		if okA != okB || a != b {
-			t.Errorf("campaign %d Vmin differs: %v/%v vs %v/%v",
-				i, a, okA, b, okB)
+		// Persist + reload (the "crash").
+		var buf bytes.Buffer
+		if err := ckpt.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := LoadCheckpoint(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Phase 2: the full configuration on a fresh engine, resuming.
+		// Only the four new sweeps may run.
+		r2 := tttLadder(workers)
+		l := trace.New(1 << 16)
+		r2.SetTrace(l)
+		recs2, err := r2.ExecuteResumable(mkCfg(len(benchSet)), resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resumed.Done) != 6 {
+			t.Fatalf("workers %d: resumed checkpoint has %d sweeps, want 6", workers, len(resumed.Done))
+		}
+		if got := l.CountKind(trace.CampaignStart); got != 4 {
+			t.Errorf("workers %d: resume ran %d campaigns, want 4", workers, got)
+		}
+		if !reflect.DeepEqual(recs2[:len(recs1)], recs1) {
+			t.Fatalf("workers %d: phase-1 records changed across resume", workers)
+		}
+		if !reflect.DeepEqual(recs2, want) {
+			t.Fatalf("workers %d: resumed study differs from the uninterrupted sequential run", workers)
+		}
+
+		// Phase 3: a completed checkpoint resumes to itself and runs
+		// nothing.
+		r3 := tttLadder(workers)
+		l = trace.New(1 << 16)
+		r3.SetTrace(l)
+		recs3, err := r3.ExecuteResumable(mkCfg(len(benchSet)), resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := l.CountKind(trace.CampaignStart); n != 0 || !reflect.DeepEqual(recs3, want) {
+			t.Fatalf("workers %d: completed study re-ran %d campaigns (records equal: %v)", workers, n, reflect.DeepEqual(recs3, want))
 		}
 	}
 }
 
 func TestExecuteResumableNilCheckpoint(t *testing.T) {
-	fw := tttFramework()
-	if _, err := fw.ExecuteResumable(DefaultConfig(specs(t, "mcf/ref"), []int{0}), nil); err == nil {
+	if _, err := tttLadder(1).ExecuteResumable(DefaultConfig(specs(t, "mcf/ref"), []int{0}), nil); err == nil {
 		t.Error("nil checkpoint accepted")
+	}
+	if _, err := NewLadderRunner(nil).ExecuteResumable(DefaultConfig(specs(t, "mcf/ref"), []int{0}), NewCheckpoint()); err == nil {
+		t.Error("runner without a machine factory accepted")
 	}
 }
 
 func TestExecuteResumableInvalidConfig(t *testing.T) {
-	fw := tttFramework()
-	if _, err := fw.ExecuteResumable(Config{}, NewCheckpoint()); err == nil {
+	if _, err := tttLadder(1).ExecuteResumable(Config{}, NewCheckpoint()); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

@@ -150,7 +150,12 @@ func (r RunRecord) Classify() Observation {
 	}
 }
 
-// Framework drives one machine through characterization campaigns.
+// Framework drives one machine through characterization campaigns, one
+// locked machine call per run. Production sweeps run on the batch
+// LadderRunner instead; Framework keeps three roles: the sequential
+// oracle the engine's equivalence tests compare against, the bisection
+// search behind FindVminFast (fleet bring-up, xvolt-characterize -fast),
+// and xvolt-serve's campaign, which serves the live machine and watchdog.
 type Framework struct {
 	machine *xgene.Machine
 	dog     *watchdog.Watchdog

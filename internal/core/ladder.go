@@ -162,7 +162,7 @@ func (r *LadderRunner) Execute(cfg Config) ([]RunRecord, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return r.executeGrid(cfg, cfg.Grid())
+	return r.executeFlat(cfg, cfg.Grid())
 }
 
 // ExecuteCampaigns runs an explicit campaign list (one benchmark pinned
@@ -179,7 +179,7 @@ func (r *LadderRunner) ExecuteCampaigns(cfg Config, grid []Campaign) ([]RunRecor
 			return nil, fmt.Errorf("core: campaign %d core %d out of range", i, c.Core)
 		}
 	}
-	return r.executeGrid(cfg, grid)
+	return r.executeFlat(cfg, grid)
 }
 
 // Characterize runs Execute and the parsing phase end to end.
@@ -202,10 +202,29 @@ var recordArenaPool = sync.Pool{
 	},
 }
 
+// executeFlat runs a grid and concatenates its campaigns' records in grid
+// order.
+func (r *LadderRunner) executeFlat(cfg Config, grid []Campaign) ([]RunRecord, error) {
+	out, err := r.executeGrid(cfg, grid)
+	if err != nil || len(out) == 0 {
+		return nil, err
+	}
+	n := 0
+	for _, recs := range out {
+		n += len(recs)
+	}
+	all := make([]RunRecord, 0, n)
+	for _, recs := range out {
+		all = append(all, recs...)
+	}
+	return all, nil
+}
+
 // executeGrid is the worker pool. Results land in a per-campaign slot
 // table indexed by grid position, so assembly order never depends on
-// which worker finished first.
-func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([]RunRecord, error) {
+// which worker finished first. Each slot is read-only: it may be shared
+// with the campaign memo.
+func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, error) {
 	if len(grid) == 0 {
 		return nil, nil
 	}
@@ -252,16 +271,7 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([]RunRecord, er
 	}
 	close(jobs)
 	wg.Wait()
-
-	n := 0
-	for _, recs := range out {
-		n += len(recs)
-	}
-	all := make([]RunRecord, 0, n)
-	for _, recs := range out {
-		all = append(all, recs...)
-	}
-	return all, nil
+	return out, nil
 }
 
 // oneCampaign resolves one grid cell: a memo hit replays the stored

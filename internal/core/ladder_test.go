@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xvolt/internal/core"
+	"xvolt/internal/selftest"
 	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
 	"xvolt/internal/units"
@@ -109,23 +110,53 @@ func TestLadderEarlyExitAndSynthesis(t *testing.T) {
 	}
 }
 
-// Protection knobs persist across crash reboots, so protected boards are
-// partition-stable: the full grid must match at every worker count.
+// Every board configuration a production sweep runs on the batch engine
+// must match the sequential Framework at every worker count, memo on and
+// off. Protection knobs and the failure model persist across crash
+// reboots, so these boards are partition-stable across the whole grid.
 func TestLadderProtectedEquivalence(t *testing.T) {
 	core.FlushCampaignCache()
-	factory := func() *xgene.Machine {
-		m := ttFactory()
-		m.SetProtection(silicon.Protection{ECC: silicon.DECTED, AdaptiveClocking: true})
-		return m
+	board := func(model silicon.Model, p silicon.Protection) func() *xgene.Machine {
+		return func() *xgene.Machine {
+			m := xgene.NewWithModel(silicon.NewChip(silicon.TTT, 1), model)
+			m.SetProtection(p)
+			return m
+		}
 	}
-	cfg := testConfig(t)
-	seqRaw, err := core.New(factory()).Execute(cfg)
-	if err != nil {
-		t.Fatal(err)
+	withRuns := func(n int) core.Config {
+		cfg := testConfig(t)
+		cfg.Runs = n
+		return cfg
 	}
-	for _, workers := range []int{1, 4, 8} {
-		if raw := ladderVariant(t, factory, cfg, workers, true); !reflect.DeepEqual(seqRaw, raw) {
-			t.Fatalf("workers %d: protected batch run diverges from sequential", workers)
+	// selftest.Localize's sweep: the §3.4 component tests on core 4, down
+	// to 760 mV.
+	selftests := core.DefaultConfig(selftest.Tests(), []int{4})
+	selftests.Runs = 3
+	selftests.StopVoltage = 760
+	cases := []struct {
+		name    string
+		factory func() *xgene.Machine
+		cfg     core.Config
+	}{
+		{"dected+adaptive", board(silicon.XGene, silicon.Protection{ECC: silicon.DECTED, AdaptiveClocking: true}), testConfig(t)},
+		{"dected", board(silicon.XGene, silicon.Protection{ECC: silicon.DECTED}), testConfig(t)},
+		{"adaptive", board(silicon.XGene, silicon.Protection{AdaptiveClocking: true}), testConfig(t)},
+		{"itanium", board(silicon.Itanium, silicon.Stock()), testConfig(t)},
+		{"selftests", ttFactory, selftests},
+		{"runs-1", ttFactory, withRuns(1)},
+		{"runs-3", ttFactory, withRuns(3)},
+	}
+	for _, tc := range cases {
+		seqRaw, err := core.New(tc.factory()).Execute(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4, 8} {
+			for _, memo := range []bool{false, true} {
+				if raw := ladderVariant(t, tc.factory, tc.cfg, workers, memo); !reflect.DeepEqual(seqRaw, raw) {
+					t.Errorf("%s: workers %d memo %v: batch run diverges from sequential", tc.name, workers, memo)
+				}
+			}
 		}
 	}
 }

@@ -42,9 +42,12 @@ type EnhancementsResult struct {
 
 // characterizeConfig sweeps bwaves on core 0 under one hardware config.
 func characterizeConfig(opt Options, name string, prot silicon.Protection, perfCost float64) (EnhancementRow, error) {
-	m := xgene.New(silicon.NewChip(silicon.TTT, 1))
-	m.SetProtection(prot)
-	fw := core.New(m)
+	chip := silicon.NewChip(silicon.TTT, 1)
+	r := opt.runner(func() *xgene.Machine {
+		m := xgene.New(chip)
+		m.SetProtection(prot)
+		return m
+	})
 	spec, err := workload.Lookup("bwaves/ref")
 	if err != nil {
 		return EnhancementRow{}, err
@@ -52,7 +55,7 @@ func characterizeConfig(opt Options, name string, prot silicon.Protection, perfC
 	cfg := core.DefaultConfig([]*workload.Spec{spec}, []int{0})
 	cfg.Runs = opt.Runs
 	cfg.Seed = opt.Seed
-	results, err := fw.Characterize(cfg)
+	results, err := r.Characterize(cfg)
 	if err != nil {
 		return EnhancementRow{}, err
 	}
@@ -149,9 +152,9 @@ type ComparisonRow struct {
 func ItaniumComparison(opt Options) ([2]ComparisonRow, error) {
 	opt = opt.normalize()
 	var out [2]ComparisonRow
+	chip := silicon.NewChip(silicon.TTT, 1)
 	for i, model := range []silicon.Model{silicon.XGene, silicon.Itanium} {
-		m := xgene.NewWithModel(silicon.NewChip(silicon.TTT, 1), model)
-		fw := core.New(m)
+		r := opt.runner(func() *xgene.Machine { return xgene.NewWithModel(chip, model) })
 		spec, err := workload.Lookup("bwaves/ref")
 		if err != nil {
 			return out, err
@@ -159,7 +162,7 @@ func ItaniumComparison(opt Options) ([2]ComparisonRow, error) {
 		cfg := core.DefaultConfig([]*workload.Spec{spec}, []int{0})
 		cfg.Runs = opt.Runs
 		cfg.Seed = opt.Seed
-		results, err := fw.Characterize(cfg)
+		results, err := r.Characterize(cfg)
 		if err != nil {
 			return out, err
 		}

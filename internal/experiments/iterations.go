@@ -41,15 +41,16 @@ func IterationStudy(campaigns int, seed int64) ([]IterationRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	chip := silicon.NewChip(silicon.TTT, 1)
+	r := core.NewLadderRunner(func() *xgene.Machine { return xgene.New(chip) })
 	var out []IterationRow
 	for _, runs := range []int{1, 3, 10} {
 		row := IterationRow{Runs: runs, Campaigns: campaigns}
 		for c := 0; c < campaigns; c++ {
-			fw := core.New(xgene.New(silicon.NewChip(silicon.TTT, 1)))
 			cfg := core.DefaultConfig([]*workload.Spec{spec}, []int{0})
 			cfg.Runs = runs
 			cfg.Seed = seed + int64(c) + int64(runs)*1000
-			results, err := fw.Characterize(cfg)
+			results, err := r.Characterize(cfg)
 			if err != nil {
 				return nil, err
 			}

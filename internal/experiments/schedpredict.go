@@ -44,12 +44,12 @@ func SchedulingWithPrediction(opt Options) (*SchedulingResult, error) {
 
 	// Learn per-core mean Vmin from a training subset (distinct from the
 	// scheduled mix's exact placement question).
-	fw := core.New(xgene.New(chip))
+	r := opt.runner(func() *xgene.Machine { return xgene.New(chip) })
 	train := workload.PredictionSuite()[:12]
 	cfg := core.DefaultConfig(train, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	cfg.Runs = opt.Runs
 	cfg.Seed = opt.Seed
-	results, err := fw.Characterize(cfg)
+	results, err := r.Characterize(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -111,6 +111,7 @@ func DefaultConfig() Config {
 		DetflowEntries: []string{
 			"(*xvolt/internal/core.LadderRunner).Execute",
 			"(*xvolt/internal/core.LadderRunner).ExecuteCampaigns",
+			"(*xvolt/internal/core.LadderRunner).ExecuteResumable",
 			"(*xvolt/internal/core.Framework).Execute",
 			"(*xvolt/internal/fleet.Manager).Run",
 			"(*xvolt/internal/fleet.Manager).BoardsJSON",

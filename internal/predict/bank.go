@@ -126,12 +126,13 @@ func (b *ModelBank) PredictSeverity(coreID int, sample counters.Sample, v units.
 	return PredictSeverity(CaseResult{Selected: entry.Selected, Model: entry.Model}, sample, v)
 }
 
-// Cores lists the cores the bank covers.
+// Cores lists the cores the bank covers, in ascending order.
 func (b *ModelBank) Cores() []int {
-	var out []int
+	out := make([]int, 0, len(b.ByCore))
 	for c := range b.ByCore {
 		out = append(out, c)
 	}
+	sort.Ints(out)
 	return out
 }
 

@@ -133,15 +133,15 @@ type Finding struct {
 }
 
 // Localize runs the three component tests through the characterization
-// framework on one core and reports the findings. The expected X-Gene
-// picture: ALU/FPU tests fail high with SDCs first; the cache test keeps
-// working far lower and fails through the ECC path.
+// campaign engine on one core and reports the findings. The engine's
+// workers sweep clones of m; m itself is left untouched. The expected
+// X-Gene picture: ALU/FPU tests fail high with SDCs first; the cache test
+// keeps working far lower and fails through the ECC path.
 func Localize(m *xgene.Machine, coreID int, runs int) ([]Finding, error) {
-	fw := core.New(m)
 	cfg := core.DefaultConfig(Tests(), []int{coreID})
 	cfg.Runs = runs
 	cfg.StopVoltage = 760 // the cache test survives far below the SPEC floor
-	results, err := fw.Characterize(cfg)
+	results, err := core.NewLadderRunner(m.Clone).Characterize(cfg)
 	if err != nil {
 		return nil, err
 	}
