@@ -66,8 +66,8 @@ func run(out io.Writer, only string, opt experiments.Options) error {
 	needFig4 := want("fig3") || want("fig4") || want("guardbands") || want("analysis")
 	if needFig4 {
 		var err error
-		// Memoized: fig3/fig4/guardbands/analysis all reduce one campaign set.
-		if fig4, err = experiments.Fig4(opt); err != nil {
+		// fig3/fig4/guardbands/analysis all reduce one campaign set.
+		if fig4, err = experiments.Figure4(opt); err != nil {
 			return err
 		}
 	}

@@ -82,9 +82,9 @@ func TestRunPrediction(t *testing.T) {
 
 // The whole report is pinned byte for byte: testdata holds
 // `xvolt-report -seed 1` and `xvolt-report -seed 7 -runs 3`, and the
-// command must reproduce both at one campaign worker and at four. (The
-// Fig. 4 set is memoized per seed and runs, so only the first render of
-// each golden sweeps it.)
+// command must reproduce both at one campaign worker and at four. Each
+// render flushes the campaign memo first, so every sweep in it, Fig. 4's
+// included, runs at that render's worker count.
 func TestRunMatchesGolden(t *testing.T) {
 	goldens := []struct {
 		file string

@@ -66,7 +66,6 @@ func (c *Config) Grid() []Campaign {
 type LadderRunner struct {
 	pool        *xgene.Pool
 	parallelism int
-	noMemo      bool
 
 	log     *trace.Log
 	reg     *obs.Registry
@@ -79,11 +78,11 @@ type LadderRunner struct {
 // runnerMetrics are the worker pool's exported instruments; all fields
 // are nil (inert) until SetMetrics attaches a registry.
 type runnerMetrics struct {
-	workers *obs.Gauge        // current pool size
-	busy    *obs.Gauge        // workers running a campaign right now
-	queued  *obs.Gauge        // campaigns accepted but not yet started
-	done    *obs.Counter      // campaigns completed by the engine
-	latency *obs.HistogramVec // campaign wall time, by worker index
+	workers *obs.Gauge   // current pool size
+	busy    *obs.Gauge   // workers running a campaign right now
+	queued  *obs.Gauge   // campaigns accepted but not yet started
+	done    *obs.Counter // campaigns completed by the engine
+	latency *obs.HDRVec  // campaign wall time, by worker index
 }
 
 // NewLadderRunner builds the engine over a machine factory (use
@@ -96,11 +95,6 @@ func NewLadderRunner(newMachine func() *xgene.Machine) *LadderRunner {
 	}
 	return &LadderRunner{pool: xgene.NewPool(newMachine)}
 }
-
-// SetCampaignMemo toggles the process-wide campaign memo (campcache.go)
-// for this engine. On by default; tests exercising the cold path turn it
-// off.
-func (r *LadderRunner) SetCampaignMemo(on bool) { r.noMemo = !on }
 
 // SetParallelism fixes the worker count. Zero or negative (the default)
 // means GOMAXPROCS; 1 degenerates to a sequential sweep with identical
@@ -120,7 +114,7 @@ func (r *LadderRunner) workerCount(n int) int {
 
 // SetMetrics registers the engine's worker-pool telemetry on reg — pool
 // size, busy workers, queued campaigns, completed campaigns and the
-// per-worker campaign latency histogram.
+// per-worker campaign latency summary.
 func (r *LadderRunner) SetMetrics(reg *obs.Registry) {
 	r.reg = reg
 	r.metrics = runnerMetrics{
@@ -132,8 +126,8 @@ func (r *LadderRunner) SetMetrics(reg *obs.Registry) {
 			"Campaigns accepted by the engine but not yet started."),
 		done: reg.Counter("xvolt_runner_campaigns_done_total",
 			"Campaigns the engine completed."),
-		latency: reg.HistogramVec("xvolt_runner_campaign_seconds",
-			"Campaign wall time per (benchmark, core) sweep, by worker index.", nil, "worker"),
+		latency: reg.HDRVec("xvolt_runner_campaign_seconds",
+			"Campaign wall time per (benchmark, core) sweep, by worker index.", obs.HDROpts{}, "worker"),
 	}
 }
 
@@ -278,13 +272,10 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, 
 // stream, a miss sweeps the ladder into a pooled arena and stores a
 // compact copy. Either way the returned slice is read-only shared state.
 func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, crashes *int) []RunRecord {
-	var key memoKey
-	if !r.noMemo {
-		key = newMemoKey(bs, spec, coreID, cfg)
-		if recs, ok := lookupCampaign(key); ok {
-			r.replayCampaign(recs, bs, spec, coreID, cfg, crashes)
-			return recs
-		}
+	key := newMemoKey(bs, spec, coreID, cfg)
+	if recs, ok := lookupCampaign(key); ok {
+		r.replayCampaign(recs, bs, spec, coreID, cfg, crashes)
+		return recs
 	}
 	bufp := recordArenaPool.Get().(*[]RunRecord)
 	buf := r.runLadder(wm, bs, spec, coreID, cfg, (*bufp)[:0], crashes)
@@ -292,9 +283,7 @@ func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec 
 	copy(recs, buf)
 	*bufp = buf
 	recordArenaPool.Put(bufp)
-	if !r.noMemo {
-		storeCampaign(key, recs)
-	}
+	storeCampaign(key, recs)
 	return recs
 }
 

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,13 +14,13 @@ import (
 	"xvolt/internal/xgene"
 )
 
-// ladderVariant runs the batch engine over cfg at a worker count, with or
-// without the campaign memo.
-func ladderVariant(t *testing.T, factory func() *xgene.Machine, cfg core.Config, workers int, memo bool) []core.RunRecord {
+// ladderVariant runs the batch engine over cfg at a worker count on a
+// fresh runner. Campaigns already in the process-wide memo replay from
+// it; call core.FlushCampaignCache first for a cold run.
+func ladderVariant(t *testing.T, factory func() *xgene.Machine, cfg core.Config, workers int) []core.RunRecord {
 	t.Helper()
 	r := core.NewLadderRunner(factory)
 	r.SetParallelism(workers)
-	r.SetCampaignMemo(memo)
 	raw, err := r.Execute(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -29,9 +28,19 @@ func ladderVariant(t *testing.T, factory func() *xgene.Machine, cfg core.Config,
 	return raw
 }
 
+// coldAndWarm runs cfg twice at a worker count: first with the memo
+// flushed, so every campaign sweeps its ladder, then again, so every
+// campaign replays the stream the cold run stored.
+func coldAndWarm(t *testing.T, factory func() *xgene.Machine, cfg core.Config, workers int) (cold, warm []core.RunRecord) {
+	t.Helper()
+	core.FlushCampaignCache()
+	cold = ladderVariant(t, factory, cfg, workers)
+	return cold, ladderVariant(t, factory, cfg, workers)
+}
+
 // The batch engine's load-bearing guarantee, as a table over seeds and
 // worker counts: sequential Framework.Execute and the batch LadderRunner
-// — cold, memo-cold and memo-warm — produce identical raw streams and
+// — cold and memo-warm — produce identical raw streams and
 // byte-identical parsed CSV.
 func TestLadderMatchesSequentialAndParallel(t *testing.T) {
 	core.FlushCampaignCache()
@@ -47,13 +56,8 @@ func TestLadderMatchesSequentialAndParallel(t *testing.T) {
 		seqCSV := campaignsCSV(t, core.Parse(seqRaw))
 
 		for _, workers := range []int{1, 4, 8} {
-			variants := map[string][]core.RunRecord{
-				"batch-cold": ladderVariant(t, ttFactory, cfg, workers, false),
-				"batch-memo": ladderVariant(t, ttFactory, cfg, workers, true),
-				// Second memoized run replays stored streams.
-				"batch-warm": ladderVariant(t, ttFactory, cfg, workers, true),
-			}
-			for name, raw := range variants {
+			cold, warm := coldAndWarm(t, ttFactory, cfg, workers)
+			for name, raw := range map[string][]core.RunRecord{"batch-cold": cold, "batch-warm": warm} {
 				if !reflect.DeepEqual(seqRaw, raw) {
 					t.Fatalf("seed %d workers %d: %s raw stream diverges from sequential", seed, workers, name)
 				}
@@ -79,17 +83,19 @@ func TestLadderEarlyExitAndSynthesis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batRaw := ladderVariant(t, ttFactory, cfg, 4, true)
+		batRaw := ladderVariant(t, ttFactory, cfg, 4)
 		if !reflect.DeepEqual(seqRaw, batRaw) {
 			t.Fatalf("StopAfterCrashSteps=%d: batch diverges from sequential", stop)
 		}
 	}
 
 	// Synthesized cells are clean by contract: every record at or above
-	// the campaign's safe floor must be effect-free.
+	// the campaign's safe floor must be effect-free. The run is cold, so
+	// these records come from synthesis, not from the memo.
 	cfg := testConfig(t)
 	chip := silicon.NewChip(silicon.TTT, 1)
-	raw := ladderVariant(t, ttFactory, cfg, 1, false)
+	core.FlushCampaignCache()
+	raw := ladderVariant(t, ttFactory, cfg, 1)
 	checked := 0
 	for _, rec := range raw {
 		spec, err := workload.Lookup(rec.Benchmark + "/" + rec.Input)
@@ -111,8 +117,8 @@ func TestLadderEarlyExitAndSynthesis(t *testing.T) {
 }
 
 // Every board configuration a production sweep runs on the batch engine
-// must match the sequential Framework at every worker count, memo on and
-// off. Protection knobs and the failure model persist across crash
+// must match the sequential Framework at every worker count, cold and
+// memo-warm. Protection knobs and the failure model persist across crash
 // reboots, so these boards are partition-stable across the whole grid.
 func TestLadderProtectedEquivalence(t *testing.T) {
 	core.FlushCampaignCache()
@@ -152,10 +158,12 @@ func TestLadderProtectedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4, 8} {
-			for _, memo := range []bool{false, true} {
-				if raw := ladderVariant(t, tc.factory, tc.cfg, workers, memo); !reflect.DeepEqual(seqRaw, raw) {
-					t.Errorf("%s: workers %d memo %v: batch run diverges from sequential", tc.name, workers, memo)
-				}
+			cold, warm := coldAndWarm(t, tc.factory, tc.cfg, workers)
+			if !reflect.DeepEqual(seqRaw, cold) {
+				t.Errorf("%s: workers %d cold: batch run diverges from sequential", tc.name, workers)
+			}
+			if !reflect.DeepEqual(seqRaw, warm) {
+				t.Errorf("%s: workers %d warm: batch run diverges from sequential", tc.name, workers)
 			}
 		}
 	}
@@ -195,7 +203,7 @@ func TestLadderDirtyStateSingleCampaign(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			if raw := ladderVariant(t, factory, cfg, workers, true); !reflect.DeepEqual(seqRaw, raw) {
+			if raw := ladderVariant(t, factory, cfg, workers); !reflect.DeepEqual(seqRaw, raw) {
 				t.Fatalf("%s workers %d: batch diverges from sequential", name, workers)
 			}
 		}
@@ -264,15 +272,17 @@ func TestLadderRecoveries(t *testing.T) {
 	if want != crashes {
 		t.Fatalf("sequential watchdog recoveries = %d, crash records %d", want, crashes)
 	}
-	for _, memo := range []bool{false, true} {
+	// A cold run, then a warm one replaying the memo: memo hits still
+	// count their crash records.
+	core.FlushCampaignCache()
+	for _, pass := range []string{"cold", "warm"} {
 		lr := core.NewLadderRunner(ttFactory)
 		lr.SetParallelism(2)
-		lr.SetCampaignMemo(memo)
 		if _, err := lr.Execute(cfg); err != nil {
 			t.Fatal(err)
 		}
 		if got := lr.Recoveries(); got != want {
-			t.Fatalf("memo=%v: recoveries = %d, want %d", memo, got, want)
+			t.Fatalf("%s: recoveries = %d, want %d", pass, got, want)
 		}
 	}
 }
@@ -308,29 +318,23 @@ func TestLadderTraceSchemaParity(t *testing.T) {
 		}
 	}
 
-	for _, memo := range []bool{false, true} {
-		// With the memo on, the second pass replays every campaign from
-		// the process-wide cache; its trace must not thin out. A fresh
-		// runner per pass keeps Recoveries (cumulative per runner)
-		// comparable to one pass's crash events.
-		passes := 1
-		if memo {
-			passes = 2
+	// The cold pass sweeps every campaign; the warm pass replays every
+	// campaign from the process-wide memo, and its trace must not thin
+	// out. A fresh runner per pass keeps Recoveries (cumulative per
+	// runner) comparable to one pass's crash events.
+	core.FlushCampaignCache()
+	for _, pass := range []string{"cold", "warm"} {
+		lr := core.NewLadderRunner(ttFactory)
+		lr.SetParallelism(4)
+		l := trace.New(1 << 20)
+		lr.SetTrace(l)
+		if _, err := lr.Execute(cfg); err != nil {
+			t.Fatal(err)
 		}
-		for pass := 0; pass < passes; pass++ {
-			lr := core.NewLadderRunner(ttFactory)
-			lr.SetParallelism(4)
-			lr.SetCampaignMemo(memo)
-			l := trace.New(1 << 20)
-			lr.SetTrace(l)
-			if _, err := lr.Execute(cfg); err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("memo=%v pass %d", memo, pass), l)
-			if crash, rec := l.CountKind(trace.SystemCrash), l.CountKind(trace.Recovery); crash != rec || crash != lr.Recoveries() {
-				t.Errorf("memo=%v pass %d: crash=%d recovery=%d reported=%d, want all equal",
-					memo, pass, crash, rec, lr.Recoveries())
-			}
+		check(pass, l)
+		if crash, rec := l.CountKind(trace.SystemCrash), l.CountKind(trace.Recovery); crash != rec || crash != lr.Recoveries() {
+			t.Errorf("%s: crash=%d recovery=%d reported=%d, want all equal",
+				pass, crash, rec, lr.Recoveries())
 		}
 	}
 }

@@ -11,7 +11,7 @@ type fwMetrics struct {
 	runs            *obs.CounterVec // by Table 3 outcome class
 	steps           *obs.Counter
 	campaigns       *obs.Counter
-	campaignSeconds *obs.Histogram
+	campaignSeconds *obs.HDR
 	railMV          *obs.Gauge
 }
 
@@ -29,8 +29,8 @@ func (f *Framework) SetMetrics(r *obs.Registry) {
 			"Voltage steps executed across all campaigns."),
 		campaigns: r.Counter("xvolt_campaigns_total",
 			"(benchmark, core) campaigns completed."),
-		campaignSeconds: r.Histogram("xvolt_campaign_seconds",
-			"Campaign wall time per (benchmark, core) sweep.", nil),
+		campaignSeconds: r.HDR("xvolt_campaign_seconds",
+			"Campaign wall time per (benchmark, core) sweep.", obs.HDROpts{}),
 		railMV: r.Gauge("xvolt_rail_millivolts",
 			"PMD rail voltage most recently applied by the framework."),
 	}

@@ -70,7 +70,13 @@ func TestFrameworkMetrics(t *testing.T) {
 	if err := reg.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"xvolt_runs_total{class=", "xvolt_watchdog_recoveries_total", "xvolt_campaign_seconds_bucket"} {
+	for _, name := range []string{
+		"xvolt_runs_total{class=",
+		"xvolt_watchdog_recoveries_total",
+		"# TYPE xvolt_campaign_seconds summary",
+		"xvolt_campaign_seconds_count 1",
+		"# TYPE xvolt_watchdog_recovery_seconds summary",
+	} {
 		if !strings.Contains(b.String(), name) {
 			t.Errorf("exposition missing %q", name)
 		}

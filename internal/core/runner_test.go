@@ -51,13 +51,14 @@ func campaignsCSV(t *testing.T, results []*core.CampaignResult) []byte {
 func TestRunnerSubGridStable(t *testing.T) {
 	core.FlushCampaignCache()
 	cfg := testConfig(t)
-	full := ladderVariant(t, ttFactory, cfg, 2, false)
+	full := ladderVariant(t, ttFactory, cfg, 2)
 
 	sub := cfg
 	sub.Benchmarks = cfg.Benchmarks[1:2]
 	sub.Cores = []int{7}
+	// Sweep the sub-grid cold rather than replay the full grid's memo.
+	core.FlushCampaignCache()
 	r := core.NewLadderRunner(ttFactory)
-	r.SetCampaignMemo(false)
 	got, err := r.ExecuteCampaigns(sub, sub.Grid())
 	if err != nil {
 		t.Fatal(err)
@@ -168,11 +169,18 @@ func TestRunnerMetricsAndGrid(t *testing.T) {
 		"xvolt_runner_workers 0",
 		"xvolt_runner_busy_workers 0",
 		"xvolt_runner_queued_campaigns 0",
-		"xvolt_runner_campaign_seconds",
+		"# TYPE xvolt_runner_campaign_seconds summary",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("exposition lacks %q:\n%s", want, text)
 		}
+	}
+	// Either worker may take any campaign; between them they time all 8.
+	snap := reg.Snapshot()
+	timed := snap[`xvolt_runner_campaign_seconds_count{worker="0"}`] +
+		snap[`xvolt_runner_campaign_seconds_count{worker="1"}`]
+	if timed != 8 {
+		t.Errorf("campaign latency samples = %v, want 8", timed)
 	}
 }
 

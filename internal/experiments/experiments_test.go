@@ -11,41 +11,23 @@ import (
 	"xvolt/internal/units"
 )
 
-// figure4 goes through the Fig4 memo: the full characterization is the
-// expensive common input, computed once per (Runs, Seed) for every test.
+// The paper-protocol Fig. 4 characterization is the expensive common
+// input of many tests here, so it is computed once per test binary.
+var (
+	fig4Once sync.Once
+	fig4Res  *Fig4Result
+	fig4Err  error
+)
+
+// figure4 returns the shared Paper() Fig. 4 result; callers must treat it
+// as read-only.
 func figure4(t *testing.T) *Fig4Result {
 	t.Helper()
-	res, err := Fig4(Paper())
-	if err != nil {
-		t.Fatal(err)
+	fig4Once.Do(func() { fig4Res, fig4Err = Figure4(Paper()) })
+	if fig4Err != nil {
+		t.Fatal(fig4Err)
 	}
-	return res
-}
-
-// The memo must return the same shared result for equal options —
-// including a different Parallelism, which cannot change outcomes — and
-// distinct results for distinct keys.
-func TestFig4Memo(t *testing.T) {
-	a := figure4(t)
-	b, err := Fig4(Options{Runs: 10, Seed: 1, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("memo recomputed for an equal (Runs, Seed) key")
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := Fig4(Paper())
-			if err != nil || c != a {
-				t.Errorf("concurrent memo lookup diverged: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
+	return fig4Res
 }
 
 func TestOptionsNormalize(t *testing.T) {

@@ -9,6 +9,12 @@
 // stdout (any call), or writes through an escaping conduit when the call
 // passes one, launders the randomized order just as surely — the helper
 // emits one ordered record per iteration.
+//
+// Map order also escapes through a returned slice: a function that
+// appends inside a map range onto a slice it returns, without sorting
+// that slice, hands the randomized order to every caller that prints it.
+// (predict.ModelBank.Cores did exactly this, and xvolt-govern's output
+// flipped between runs.)
 
 package lint
 
@@ -43,7 +49,7 @@ func NewMaporder(cfg Config) *Analyzer {
 				if !ok || fn.Body == nil {
 					continue
 				}
-				checkMaporder(pass, fn.Body, !cfg.NoCallGraph)
+				checkMaporder(pass, fn, !cfg.NoCallGraph)
 			}
 		}
 		return nil
@@ -51,11 +57,13 @@ func NewMaporder(cfg Config) *Analyzer {
 	return a
 }
 
-func checkMaporder(pass *Pass, body *ast.BlockStmt, interproc bool) {
-	// Flow-insensitive per-function context: which slices are sorted and
-	// which are joined anywhere in this function.
+func checkMaporder(pass *Pass, fn *ast.FuncDecl, interproc bool) {
+	body := fn.Body
+	// Flow-insensitive per-function context: which slices are sorted,
+	// which are joined and which are returned anywhere in this function.
 	sorted := map[types.Object]bool{}
 	joined := map[types.Object]bool{}
+	returned := returnedVars(pass.Info, fn)
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -97,7 +105,7 @@ func checkMaporder(pass *Pass, body *ast.BlockStmt, interproc bool) {
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		if why := orderedOutputIn(pass, rng.Body, sorted, joined, interproc); why != "" {
+		if why := orderedOutputIn(pass, rng.Body, sorted, joined, returned, interproc); why != "" {
 			pass.Reportf(rng.Pos(),
 				"iterates over a map in randomized order while %s; collect the keys, sort them, then range over the sorted slice",
 				why)
@@ -108,7 +116,7 @@ func checkMaporder(pass *Pass, body *ast.BlockStmt, interproc bool) {
 
 // orderedOutputIn scans a map-range body for writes to ordered
 // destinations; it returns a description of the first one, or "".
-func orderedOutputIn(pass *Pass, body *ast.BlockStmt, sorted, joined map[types.Object]bool, interproc bool) string {
+func orderedOutputIn(pass *Pass, body *ast.BlockStmt, sorted, joined, returned map[types.Object]bool, interproc bool) string {
 	var why string
 	ast.Inspect(body, func(n ast.Node) bool {
 		if why != "" {
@@ -118,11 +126,17 @@ func orderedOutputIn(pass *Pass, body *ast.BlockStmt, sorted, joined map[types.O
 		if !ok {
 			return true
 		}
-		// append(s, ...) where s is later strings.Join-ed and never
-		// sorted: the join bakes map order into the output.
+		// append(s, ...) where s is never sorted but is later
+		// strings.Join-ed (the join bakes map order into the output) or
+		// returned (every caller inherits map order).
 		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" && len(call.Args) > 0 {
-			if obj := identObj(pass.Info, call.Args[0]); obj != nil && joined[obj] && !sorted[obj] {
-				why = "appending to a slice that is joined into ordered output"
+			if obj := identObj(pass.Info, call.Args[0]); obj != nil && !sorted[obj] {
+				switch {
+				case joined[obj]:
+					why = "appending to a slice that is joined into ordered output"
+				case returned[obj]:
+					why = "appending to a slice the function returns unsorted"
+				}
 			}
 			return true
 		}
@@ -148,6 +162,36 @@ func orderedOutputIn(pass *Pass, body *ast.BlockStmt, sorted, joined map[types.O
 		return true
 	})
 	return why
+}
+
+// returnedVars collects the variables fn hands back to its caller: its
+// named results and the plain identifiers in its own return statements
+// (not those of nested function literals, which return elsewhere).
+func returnedVars(info *types.Info, fn *ast.FuncDecl) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	if fn.Type.Results != nil {
+		for _, field := range fn.Type.Results.List {
+			for _, name := range field.Names {
+				if obj := info.Defs[name]; obj != nil {
+					out[obj] = true
+				}
+			}
+		}
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				if obj := identObj(info, r); obj != nil {
+					out[obj] = true
+				}
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // launderedWrite reports an interprocedural ordered write behind a call

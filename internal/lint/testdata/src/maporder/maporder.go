@@ -58,3 +58,44 @@ func goodAccumulate(m map[string]int) int {
 	}
 	return total
 }
+
+// bank is a per-core model table keyed by core index.
+type bank struct{ byCore map[int]string }
+
+// badCores returns its keys in map order, so every caller that prints
+// them inherits the randomized order.
+func (b *bank) badCores() []int {
+	var out []int
+	for c := range b.byCore {
+		out = append(out, c)
+	}
+	return out
+}
+
+// badNamedCores leaks map order through a named result.
+func (b *bank) badNamedCores() (out []int) {
+	for c := range b.byCore {
+		out = append(out, c)
+	}
+	return
+}
+
+// goodCores sorts the keys before handing them back — the approved shape.
+func (b *bank) goodCores() []int {
+	out := make([]int, 0, len(b.byCore))
+	for c := range b.byCore {
+		out = append(out, c)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// goodLocal collects map values only to fold them; nothing ordered
+// leaves the function.
+func (b *bank) goodLocal() int {
+	var names []string
+	for _, n := range b.byCore {
+		names = append(names, n)
+	}
+	return len(names)
+}

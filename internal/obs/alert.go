@@ -20,7 +20,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -156,68 +155,28 @@ func (s AlertState) String() string {
 	}
 }
 
-// MarshalJSON encodes the state by name.
-func (s AlertState) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + s.String() + `"`), nil
-}
-
-// UnmarshalJSON decodes a state name, so API clients round-trip alerts.
-func (s *AlertState) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	for _, st := range []AlertState{AlertInactive, AlertPending, AlertFiring} {
-		if st.String() == name {
-			*s = st
-			return nil
-		}
-	}
-	return fmt.Errorf("obs: unknown alert state %q", name)
-}
-
-// NullableFloat is a float64 that JSON-encodes NaN as null — alert
-// values are NaN before a rate baseline or with a missing sample, and
-// encoding/json rejects raw NaN.
-type NullableFloat float64
-
-// MarshalJSON renders NaN as null.
-func (f NullableFloat) MarshalJSON() ([]byte, error) {
-	if math.IsNaN(float64(f)) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(float64(f))
-}
-
-// UnmarshalJSON reads null back as NaN.
-func (f *NullableFloat) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		*f = NullableFloat(math.NaN())
-		return nil
-	}
-	return json.Unmarshal(b, (*float64)(f))
-}
-
-// Alert is one rule's externally visible status.
+// Alert is one rule's externally visible status. Value is NaN while the
+// rule has no value: a rate rule before its baseline, or a missing
+// sample.
 type Alert struct {
-	Rule      string        `json:"rule"`
-	Severity  string        `json:"severity,omitempty"`
-	Kind      string        `json:"kind"`
-	State     AlertState    `json:"state"`
-	Value     NullableFloat `json:"value"`
-	Threshold float64       `json:"threshold"`
-	Since     time.Duration `json:"since"`     // start of the current state
-	LastEval  time.Duration `json:"last_eval"` // engine clock at last Eval
-	Help      string        `json:"help,omitempty"`
+	Rule      string
+	Severity  string
+	Kind      string
+	State     AlertState
+	Value     float64
+	Threshold float64
+	Since     time.Duration // start of the current state
+	LastEval  time.Duration // engine clock at last Eval
+	Help      string
 }
 
 // AlertTransition is one recorded firing or resolution.
 type AlertTransition struct {
-	Seq   uint64        `json:"seq"`
-	At    time.Duration `json:"at"`
-	Rule  string        `json:"rule"`
-	To    AlertState    `json:"to"` // AlertFiring or AlertInactive (resolved)
-	Value NullableFloat `json:"value"`
+	Seq   uint64
+	At    time.Duration
+	Rule  string
+	To    AlertState // AlertFiring or AlertInactive (resolved)
+	Value float64
 }
 
 // maxAlertTransitions bounds the retained transition log.
@@ -393,7 +352,7 @@ func (e *AlertEngine) evalRuleLocked(st *ruleState, snap map[string]float64, now
 func (e *AlertEngine) recordTransitionLocked(st *ruleState, now time.Duration) {
 	e.tseq++
 	e.transitions = append(e.transitions, AlertTransition{
-		Seq: e.tseq, At: now, Rule: st.rule.Name, To: st.state, Value: NullableFloat(st.value),
+		Seq: e.tseq, At: now, Rule: st.rule.Name, To: st.state, Value: st.value,
 	})
 	if len(e.transitions) > maxAlertTransitions {
 		e.transitions = e.transitions[len(e.transitions)-maxAlertTransitions:]
@@ -425,7 +384,7 @@ func (e *AlertEngine) alertsLocked() []Alert {
 			Severity:  st.rule.Severity,
 			Kind:      st.rule.Kind.String(),
 			State:     st.state,
-			Value:     NullableFloat(st.value),
+			Value:     st.value,
 			Threshold: st.rule.Threshold,
 			Since:     st.since,
 			LastEval:  e.lastEval,

@@ -1,8 +1,9 @@
 // HDR-style latency histograms: log-bucketed distributions with
 // configurable precision, lock-free recording, mergeable snapshots and
-// quantile estimation — the instrument behind every latency surface in
-// the framework (HTTP request durations, fleet poll times, loadgen
-// reports).
+// quantile estimation — the registry's only distribution instrument,
+// behind every latency surface in the framework (HTTP request
+// durations, fleet poll times, campaign and watchdog-recovery times,
+// loadgen reports).
 //
 // The bucket layout is logarithmic with SubBuckets buckets per octave
 // (factor-of-two range), so every bucket spans a fixed *relative* width
@@ -65,12 +66,6 @@ func (o HDROpts) RelativeError() float64 {
 func (o HDROpts) numBuckets() int {
 	octaves := math.Log2(o.Max / o.Min)
 	return int(math.Ceil(octaves*float64(o.SubBuckets))) + 1
-}
-
-// key encodes the layout as a float triple for the registry's shape
-// check (re-registering a name with a different layout must panic).
-func (o HDROpts) key() []float64 {
-	return []float64{o.Min, o.Max, float64(o.SubBuckets)}
 }
 
 // HDR is a log-bucketed high-dynamic-range histogram. Construct with
@@ -315,8 +310,7 @@ func (r *Registry) HDR(name, help string, opts HDROpts) *HDR {
 	if r == nil {
 		return nil
 	}
-	opts = opts.withDefaults()
-	return r.register(name, help, KindSummary, nil, opts.key()).single.(*HDR)
+	return r.register(name, help, KindSummary, nil, opts.withDefaults()).single.(*HDR)
 }
 
 // HDRVec is a labeled HDR family sharing one bucket layout.
@@ -330,8 +324,7 @@ func (r *Registry) HDRVec(name, help string, opts HDROpts, labels ...string) *HD
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: HDRVec %q needs at least one label", name))
 	}
-	opts = opts.withDefaults()
-	return &HDRVec{fam: r.register(name, help, KindSummary, labels, opts.key())}
+	return &HDRVec{fam: r.register(name, help, KindSummary, labels, opts.withDefaults())}
 }
 
 // With returns the child HDR for the label values. Nil-safe.
@@ -339,9 +332,5 @@ func (v *HDRVec) With(values ...string) *HDR {
 	if v == nil {
 		return nil
 	}
-	if len(values) != len(v.fam.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.fam.name, len(v.fam.labels), len(values)))
-	}
-	opts := HDROpts{Min: v.fam.buckets[0], Max: v.fam.buckets[1], SubBuckets: int(v.fam.buckets[2])}
-	return v.fam.child(values, func() any { return NewHDR(opts) }).(*HDR)
+	return v.fam.with(values).(*HDR)
 }

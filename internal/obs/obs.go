@@ -1,8 +1,10 @@
 // Package obs is the framework's telemetry layer: a dependency-free,
-// concurrency-safe metrics registry (counters, gauges, histograms with
-// fixed buckets, and labeled families), span/timer helpers for timing
-// regions, a Prometheus-text-format exposition (WriteProm) and a
-// Snapshot API for tests.
+// concurrency-safe metrics registry holding three instruments — counters,
+// gauges and HDR latency histograms (exposed as Prometheus summaries),
+// each single or as a labeled family — plus span helpers for timing
+// regions into an HDR, a Prometheus-text-format exposition (WriteProm),
+// a Snapshot map for tests and alert rules (both rendered from one
+// sample walk), and the alert-rule engine that evaluates over it.
 //
 // The paper's framework lives or dies by what it can observe about its
 // own runs (§2.2.1 "Safe Data Collection"): every subsystem exports
@@ -32,8 +34,6 @@ const (
 	KindCounter Kind = iota
 	// KindGauge is a value that can go up and down.
 	KindGauge
-	// KindHistogram is a bucketed distribution with fixed upper bounds.
-	KindHistogram
 	// KindSummary is a log-bucketed HDR histogram exposed as quantiles.
 	KindSummary
 )
@@ -45,8 +45,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	case KindSummary:
 		return "summary"
 	default:
@@ -126,136 +124,69 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a distribution over fixed, sorted bucket upper bounds
-// (cumulative "le" semantics at exposition time). Construct through a
-// Registry; nil is inert.
-type Histogram struct {
-	upper  []float64       // sorted upper bounds, +Inf implied
-	counts []atomic.Uint64 // len(upper)+1; last is the +Inf overflow
-	sum    atomic.Uint64   // float64 bits
-	count  atomic.Uint64
-}
-
-func newHistogram(buckets []float64) *Histogram {
-	upper := append([]float64(nil), buckets...)
-	sort.Float64s(upper)
-	// Drop duplicates and a trailing +Inf (implied).
-	dedup := upper[:0]
-	for _, b := range upper {
-		if math.IsInf(b, +1) {
-			continue
-		}
-		if len(dedup) == 0 || dedup[len(dedup)-1] != b {
-			dedup = append(dedup, b)
-		}
-	}
-	return &Histogram{upper: dedup, counts: make([]atomic.Uint64, len(dedup)+1)}
-}
-
-// Observe records one sample. Nil-safe.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	idx := sort.SearchFloat64s(h.upper, v) // first bucket with upper ≥ v (le is inclusive)
-	h.counts[idx].Add(1)
-	addFloat(&h.sum, v)
-	h.count.Add(1)
-}
-
-// Count returns the number of observations. Nil-safe (0).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations. Nil-safe (0).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// Buckets returns the upper bounds and their cumulative counts (the +Inf
-// bucket is the final entry, equal to Count). Nil-safe (nil, nil).
-func (h *Histogram) Buckets() (upper []float64, cumulative []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	upper = append(append([]float64(nil), h.upper...), math.Inf(+1))
-	cumulative = make([]uint64, len(h.counts))
-	var c uint64
-	for i := range h.counts {
-		c += h.counts[i].Load()
-		cumulative[i] = c
-	}
-	return upper, cumulative
-}
-
-// DefBuckets are general-purpose latency buckets in seconds. The low end
-// is dense because the simulated board runs far faster than real silicon.
-var DefBuckets = []float64{
-	1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 60,
-}
-
-// ExpBuckets returns n buckets starting at start, each factor× the last.
-// Invalid shapes (n < 1, start ≤ 0, factor ≤ 1) yield nil.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if n < 1 || start <= 0 || factor <= 1 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n buckets starting at start, spaced by width.
-// Invalid shapes (n < 1, width ≤ 0) yield nil.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 || width <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // family is one registered metric name: either a single instrument
 // (labels == nil) or a labeled family of children.
 type family struct {
-	name    string
-	help    string
-	kind    Kind
-	labels  []string
-	buckets []float64 // histograms only
+	name   string
+	help   string
+	kind   Kind
+	labels []string
+	opts   HDROpts // summaries only
 
-	single any // *Counter / *Gauge / *Histogram when labels == nil
+	single any // *Counter / *Gauge / *HDR when labels == nil
 
 	mu       sync.Mutex
-	children map[string]any      // joined label values -> instrument
-	values   map[string][]string // joined label values -> the values themselves
+	children map[string]*child // joined label values -> child
+	sorted   []*child          // by joined label values; replaced, never mutated
 }
 
-func (f *family) child(values []string, make func() any) any {
+// child is one labeled instrument, its label set rendered once at
+// creation for every later exposition.
+type child struct {
+	key    string // joined label values
+	labels string // `{k1="v1",k2="v2"}`
+	inst   any
+}
+
+// newInstrument builds one instrument of the family's kind.
+func (f *family) newInstrument() any {
+	switch f.kind {
+	case KindCounter:
+		return &Counter{}
+	case KindGauge:
+		return &Gauge{}
+	default:
+		return NewHDR(f.opts)
+	}
+}
+
+// with returns the child instrument for the label values, creating it on
+// first use. The value count must match the registered label names.
+func (f *family) with(values []string) any {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
+	}
 	key := labelKey(values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.children[key]; ok {
-		return c
+		return c.inst
 	}
-	c := make()
+	c := &child{key: key, labels: renderLabels(f.labels, values), inst: f.newInstrument()}
 	f.children[key] = c
-	f.values[key] = append([]string(nil), values...)
-	return c
+	f.sorted = insertSorted(f.sorted, c, func(o *child) bool { return o.key > key })
+	return c.inst
+}
+
+// insertSorted returns a new slice holding s with x inserted before the
+// first element for which after reports true. s itself is never
+// written, so a reader holding it keeps a consistent view.
+func insertSorted[T any](s []T, x T, after func(T) bool) []T {
+	i := sort.Search(len(s), func(i int) bool { return after(s[i]) })
+	out := make([]T, 0, len(s)+1)
+	out = append(out, s[:i]...)
+	out = append(out, x)
+	return append(out, s[i:]...)
 }
 
 // labelKey joins label values with an unprintable separator so distinct
@@ -266,8 +197,9 @@ func labelKey(values []string) string { return strings.Join(values, "\x1f") }
 // call NewRegistry. A nil *Registry is safe: every lookup returns a nil
 // instrument, which is itself inert.
 type Registry struct {
-	mu   sync.Mutex
-	fams map[string]*family
+	mu     sync.Mutex
+	fams   map[string]*family
+	sorted []*family // by name; replaced, never mutated
 }
 
 // NewRegistry returns an empty registry.
@@ -290,10 +222,10 @@ func validName(s string) bool {
 }
 
 // register returns the family for name, creating it on first use.
-// Re-registering a name with a different kind, label set or bucket layout
+// Re-registering a name with a different kind, label set or HDR layout
 // is a programming error and panics — silent divergence would corrupt the
 // exposition.
-func (r *Registry) register(name, help string, kind Kind, labels []string, buckets []float64) *family {
+func (r *Registry) register(name, help string, kind Kind, labels []string, opts HDROpts) *family {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -305,47 +237,25 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.fams[name]; ok {
-		if f.kind != kind || !sameStrings(f.labels, labels) || !sameFloats(f.buckets, buckets) {
+		if f.kind != kind || !sameStrings(f.labels, labels) || f.opts != opts {
 			panic(fmt.Sprintf("obs: metric %q re-registered with a different shape", name))
 		}
 		return f
 	}
 	f := &family{
-		name: name, help: help, kind: kind,
+		name: name, help: help, kind: kind, opts: opts,
 		labels:   append([]string(nil), labels...),
-		buckets:  append([]float64(nil), buckets...),
-		children: map[string]any{},
-		values:   map[string][]string{},
+		children: map[string]*child{},
 	}
 	if len(labels) == 0 {
-		switch kind {
-		case KindCounter:
-			f.single = &Counter{}
-		case KindGauge:
-			f.single = &Gauge{}
-		case KindHistogram:
-			f.single = newHistogram(buckets)
-		case KindSummary:
-			f.single = NewHDR(HDROpts{Min: buckets[0], Max: buckets[1], SubBuckets: int(buckets[2])})
-		}
+		f.single = f.newInstrument()
 	}
 	r.fams[name] = f
+	r.sorted = insertSorted(r.sorted, f, func(o *family) bool { return o.name > name })
 	return f
 }
 
 func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameFloats(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -363,7 +273,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, help, KindCounter, nil, nil).single.(*Counter)
+	return r.register(name, help, KindCounter, nil, HDROpts{}).single.(*Counter)
 }
 
 // Gauge returns the gauge registered under name. Nil-safe.
@@ -371,19 +281,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, help, KindGauge, nil, nil).single.(*Gauge)
-}
-
-// Histogram returns the histogram registered under name with the given
-// bucket upper bounds (nil/empty means DefBuckets). Nil-safe.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	return r.register(name, help, KindHistogram, nil, buckets).single.(*Histogram)
+	return r.register(name, help, KindGauge, nil, HDROpts{}).single.(*Gauge)
 }
 
 // CounterVec is a labeled counter family.
@@ -397,7 +295,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: CounterVec %q needs at least one label", name))
 	}
-	return &CounterVec{fam: r.register(name, help, KindCounter, labels, nil)}
+	return &CounterVec{fam: r.register(name, help, KindCounter, labels, HDROpts{})}
 }
 
 // With returns the child counter for the given label values (created on
@@ -407,10 +305,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	if len(values) != len(v.fam.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.fam.name, len(v.fam.labels), len(values)))
-	}
-	return v.fam.child(values, func() any { return &Counter{} }).(*Counter)
+	return v.fam.with(values).(*Counter)
 }
 
 // GaugeVec is a labeled gauge family.
@@ -424,7 +319,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: GaugeVec %q needs at least one label", name))
 	}
-	return &GaugeVec{fam: r.register(name, help, KindGauge, labels, nil)}
+	return &GaugeVec{fam: r.register(name, help, KindGauge, labels, HDROpts{})}
 }
 
 // With returns the child gauge for the label values. Nil-safe.
@@ -432,38 +327,5 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	if v == nil {
 		return nil
 	}
-	if len(values) != len(v.fam.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.fam.name, len(v.fam.labels), len(values)))
-	}
-	return v.fam.child(values, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// HistogramVec is a labeled histogram family sharing one bucket layout.
-type HistogramVec struct{ fam *family }
-
-// HistogramVec returns the labeled histogram family under name with the
-// given buckets (nil/empty means DefBuckets). Nil-safe.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("obs: HistogramVec %q needs at least one label", name))
-	}
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	return &HistogramVec{fam: r.register(name, help, KindHistogram, labels, buckets)}
-}
-
-// With returns the child histogram for the label values. Nil-safe.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	if len(values) != len(v.fam.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.fam.name, len(v.fam.labels), len(values)))
-	}
-	buckets := v.fam.buckets
-	return v.fam.child(values, func() any { return newHistogram(buckets) }).(*Histogram)
+	return v.fam.with(values).(*Gauge)
 }

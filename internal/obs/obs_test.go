@@ -60,53 +60,6 @@ func TestInvalidNamePanics(t *testing.T) {
 	r.Counter("bad name", "h")
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h_seconds", "h", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.1, 0.5, 5, 100} {
-		h.Observe(v)
-	}
-	upper, cum := h.Buckets()
-	if len(upper) != 4 || !math.IsInf(upper[3], +1) {
-		t.Fatalf("buckets = %v", upper)
-	}
-	// le is inclusive: 0.1 falls in the 0.1 bucket.
-	want := []uint64{2, 3, 4, 5}
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Errorf("cum[%d] = %d, want %d (buckets %v)", i, cum[i], want[i], cum)
-		}
-	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if got := h.Sum(); math.Abs(got-105.65) > 1e-9 {
-		t.Errorf("sum = %v", got)
-	}
-}
-
-func TestHistogramBucketNormalization(t *testing.T) {
-	r := NewRegistry()
-	// Unsorted, duplicated, with an explicit +Inf: all normalized away.
-	h := r.Histogram("n_seconds", "h", []float64{5, 1, 5, math.Inf(+1), 1})
-	upper, _ := h.Buckets()
-	if len(upper) != 3 || upper[0] != 1 || upper[1] != 5 || !math.IsInf(upper[2], +1) {
-		t.Errorf("normalized buckets = %v", upper)
-	}
-}
-
-func TestBucketHelpers(t *testing.T) {
-	if got := ExpBuckets(1, 2, 4); len(got) != 4 || got[3] != 8 {
-		t.Errorf("ExpBuckets = %v", got)
-	}
-	if got := LinearBuckets(0, 5, 3); len(got) != 3 || got[2] != 10 {
-		t.Errorf("LinearBuckets = %v", got)
-	}
-	if ExpBuckets(0, 2, 3) != nil || LinearBuckets(0, 0, 3) != nil {
-		t.Error("invalid bucket shapes not rejected")
-	}
-}
-
 // Everything is inert on nil receivers so unmetered components need no
 // conditionals at instrumentation sites.
 func TestNilSafety(t *testing.T) {
@@ -123,19 +76,19 @@ func TestNilSafety(t *testing.T) {
 	if g.Value() != 0 {
 		t.Error("nil gauge not inert")
 	}
-	h := r.Histogram("h_seconds", "h", nil)
+	h := r.HDR("h_seconds", "h", HDROpts{})
 	h.Observe(1)
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram not inert")
 	}
-	if up, cum := h.Buckets(); up != nil || cum != nil {
-		t.Error("nil histogram buckets not nil")
+	if s := h.Snapshot(); !s.Empty() || s.Counts != nil {
+		t.Error("nil histogram snapshot not empty")
 	}
 	cv := r.CounterVec("cv_total", "h", "l")
 	cv.With("x").Inc()
 	gv := r.GaugeVec("gv", "h", "l")
 	gv.With("x").Set(1)
-	hv := r.HistogramVec("hv_seconds", "h", nil, "l")
+	hv := r.HDRVec("hv_seconds", "h", HDROpts{}, "l")
 	hv.With("x").Observe(1)
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot not nil")
@@ -168,7 +121,7 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("par_total", "h")
 			vec := r.CounterVec("par_vec_total", "h", "who")
-			h := r.Histogram("par_seconds", "h", []float64{0.5, 1})
+			h := r.HDR("par_seconds", "h", HDROpts{})
 			gauge := r.Gauge("par_gauge", "h")
 			for i := 0; i < iters; i++ {
 				c.Inc()
@@ -197,10 +150,18 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got := snap["par_seconds_count"]; got != n {
 		t.Errorf("histogram count = %v, want %d", got, n)
 	}
-	if got := snap[`par_seconds_bucket{le="0.5"}`]; got != n/2 {
-		t.Errorf("le=0.5 bucket = %v, want %d", got, n/2)
+	if got := snap["par_seconds_sum"]; got != n*0.75 {
+		t.Errorf("histogram sum = %v, want %v", got, n*0.75)
 	}
-	if got := snap[`par_seconds_bucket{le="+Inf"}`]; got != n {
-		t.Errorf("+Inf bucket = %v, want %d", got, n)
+	// Half the samples are 0.25 and half 1.25: the median sits on the low
+	// value and p90 on the high one, each within the layout's error bound.
+	tol := HDROpts{}.RelativeError()
+	for key, want := range map[string]float64{
+		`par_seconds{quantile="0.5"}`: 0.25,
+		`par_seconds{quantile="0.9"}`: 1.25,
+	} {
+		if got := snap[key]; math.Abs(got-want) > want*tol {
+			t.Errorf("%s = %v, want %v ± %.2f%%", key, got, want, tol*100)
+		}
 	}
 }

@@ -1,4 +1,5 @@
-// Prometheus text exposition (version 0.0.4) and the Snapshot test API.
+// Prometheus text exposition (version 0.0.4) and the Snapshot map, both
+// rendered from one walk over each family's samples.
 // The output is fully deterministic: families sort by name, children by
 // label values, so it can be golden-tested and diffed between scrapes.
 package obs
@@ -7,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -15,7 +15,7 @@ import (
 // WriteProm renders every registered family in Prometheus text format.
 // Nil-safe: a nil registry writes nothing.
 func (r *Registry) WriteProm(w io.Writer) error {
-	for _, f := range r.sortedFamilies() {
+	for _, f := range r.families() {
 		if err := f.writeProm(w); err != nil {
 			return err
 		}
@@ -24,48 +24,62 @@ func (r *Registry) WriteProm(w io.Writer) error {
 }
 
 // Snapshot flattens every sample into a map keyed by its rendered sample
-// name — `name` or `name{k="v"}`, with histograms expanded into _bucket /
-// _sum / _count entries — for direct assertions in tests. Nil-safe (nil).
+// name — `name` or `name{k="v"}`, with summaries expanded into their
+// quantile, _sum and _count entries — exactly the sample lines WriteProm
+// prints, for tests and alert rules. Nil-safe (nil).
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
 	}
 	out := map[string]float64{}
-	for _, f := range r.sortedFamilies() {
-		f.snapshot(out)
+	for _, f := range r.families() {
+		f.eachSample(func(suffix, labels string, v float64, _ bool) {
+			out[f.name+suffix+labels] = v
+		})
 	}
 	return out
 }
 
-func (r *Registry) sortedFamilies() []*family {
+// families returns the registered families in name order.
+func (r *Registry) families() []*family {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
-	return fams
+	defer r.mu.Unlock()
+	return r.sorted
 }
 
-// sortedChildren returns the children in deterministic label-value order.
-func (f *family) sortedChildren() (keys []string, children map[string]any, values map[string][]string) {
+// eachSample is the one walk over a family's samples, in exposition
+// order: children by label values, and within a summary its quantiles,
+// then _sum, then _count. visit gets the name suffix, the rendered label
+// set and the value; count marks an integer sample (a summary's _count).
+func (f *family) eachSample(visit func(suffix, labels string, v float64, count bool)) {
+	emit := func(labels string, inst any) {
+		switch m := inst.(type) {
+		case *Counter:
+			visit("", labels, m.Value(), false)
+		case *Gauge:
+			visit("", labels, m.Value(), false)
+		case *HDR:
+			s := m.Snapshot()
+			for _, q := range summaryQuantiles {
+				visit("", withQuantile(labels, q), s.Quantile(q), false)
+			}
+			visit("_sum", labels, s.Sum, false)
+			visit("_count", labels, float64(s.Count), true)
+		}
+	}
+	if len(f.labels) == 0 {
+		emit("", f.single)
+		return
+	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	children = make(map[string]any, len(f.children))
-	values = make(map[string][]string, len(f.values))
-	for k, c := range f.children {
-		children[k] = c
-		keys = append(keys, k)
+	children := f.sorted
+	f.mu.Unlock()
+	for _, c := range children {
+		emit(c.labels, c.inst)
 	}
-	for k, v := range f.values {
-		values[k] = append([]string(nil), v...)
-	}
-	sort.Strings(keys)
-	return keys, children, values
 }
 
 func (f *family) writeProm(w io.Writer) error {
@@ -77,94 +91,18 @@ func (f *family) writeProm(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 		return err
 	}
-	write := func(inst any, labels string) error {
-		switch m := inst.(type) {
-		case *Counter:
-			_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(m.Value()))
-			return err
-		case *Gauge:
-			_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(m.Value()))
-			return err
-		case *Histogram:
-			upper, cum := m.Buckets()
-			for i, ub := range upper {
-				le := "+Inf"
-				if !math.IsInf(ub, +1) {
-					le = formatFloat(ub)
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-					f.name, mergeLabels(labels, "le", le), cum[i]); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labels, formatFloat(m.Sum())); err != nil {
-				return err
-			}
-			_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, labels, m.Count())
-			return err
-		case *HDR:
-			s := m.Snapshot()
-			for _, q := range summaryQuantiles {
-				if _, err := fmt.Fprintf(w, "%s%s %s\n",
-					f.name, mergeLabels(labels, "quantile", formatFloat(q)), formatFloat(s.Quantile(q))); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labels, formatFloat(s.Sum)); err != nil {
-				return err
-			}
-			_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, labels, s.Count)
-			return err
+	var err error
+	f.eachSample(func(suffix, labels string, v float64, count bool) {
+		if err != nil {
+			return
 		}
-		return nil
-	}
-	if len(f.labels) == 0 {
-		return write(f.single, "")
-	}
-	keys, children, values := f.sortedChildren()
-	for _, k := range keys {
-		if err := write(children[k], renderLabels(f.labels, values[k])); err != nil {
-			return err
+		text := formatFloat(v)
+		if count {
+			text = strconv.FormatUint(uint64(v), 10)
 		}
-	}
-	return nil
-}
-
-func (f *family) snapshot(out map[string]float64) {
-	snap := func(inst any, labels string) {
-		switch m := inst.(type) {
-		case *Counter:
-			out[f.name+labels] = m.Value()
-		case *Gauge:
-			out[f.name+labels] = m.Value()
-		case *Histogram:
-			upper, cum := m.Buckets()
-			for i, ub := range upper {
-				le := "+Inf"
-				if !math.IsInf(ub, +1) {
-					le = formatFloat(ub)
-				}
-				out[f.name+"_bucket"+mergeLabels(labels, "le", le)] = float64(cum[i])
-			}
-			out[f.name+"_sum"+labels] = m.Sum()
-			out[f.name+"_count"+labels] = float64(m.Count())
-		case *HDR:
-			s := m.Snapshot()
-			for _, q := range summaryQuantiles {
-				out[f.name+mergeLabels(labels, "quantile", formatFloat(q))] = s.Quantile(q)
-			}
-			out[f.name+"_sum"+labels] = s.Sum
-			out[f.name+"_count"+labels] = float64(s.Count)
-		}
-	}
-	if len(f.labels) == 0 {
-		snap(f.single, "")
-		return
-	}
-	keys, children, values := f.sortedChildren()
-	for _, k := range keys {
-		snap(children[k], renderLabels(f.labels, values[k]))
-	}
+		_, err = fmt.Fprintf(w, "%s%s%s %s\n", f.name, suffix, labels, text)
+	})
+	return err
 }
 
 // renderLabels renders `{k1="v1",k2="v2"}` in declared label order.
@@ -181,14 +119,14 @@ func renderLabels(names, values []string) string {
 	return b.String()
 }
 
-// mergeLabels appends one extra pair (e.g. le) to an existing rendered
-// label set, which may be empty.
-func mergeLabels(rendered, name, value string) string {
-	extra := fmt.Sprintf(`%s="%s"`, name, escapeLabel(value))
-	if rendered == "" {
-		return "{" + extra + "}"
+// withQuantile appends a summary's quantile label to a rendered label
+// set, which may be empty.
+func withQuantile(labels string, q float64) string {
+	pair := `quantile="` + formatFloat(q) + `"`
+	if labels == "" {
+		return "{" + pair + "}"
 	}
-	return rendered[:len(rendered)-1] + "," + extra + "}"
+	return labels[:len(labels)-1] + "," + pair + "}"
 }
 
 // escapeLabel escapes a label value per the text-format rules.

@@ -1,4 +1,4 @@
-// Span/timer helpers: time a region and fold the elapsed seconds into a
+// Span helpers: time a region and fold the elapsed seconds into an HDR
 // histogram with one line at each end of the region.
 package obs
 
@@ -14,58 +14,28 @@ import (
 // exact instead of sleep-based.
 var now = time.Now
 
-// Observer is anything that can record one float64 sample — both
-// *Histogram (fixed buckets) and *HDR (log buckets) satisfy it, so every
-// timing helper works against either instrument.
-type Observer interface {
-	Observe(float64)
-}
-
-// Span times one region. Obtain with StartSpan; call End (or EndTo) when
-// the region finishes. The zero Span is inert.
+// Span times one region. Obtain with StartSpan; call End when the
+// region finishes. The zero Span is inert.
 type Span struct {
-	hist  Observer
+	hist  *HDR
 	start time.Time
 }
 
-// StartSpan starts timing into o. A nil observer yields a span that
+// StartSpan starts timing into h. A nil histogram yields a span that
 // still measures (End returns the real duration) but records nothing.
-func StartSpan(o Observer) Span {
-	return Span{hist: o, start: now()}
+func StartSpan(h *HDR) Span {
+	return Span{hist: h, start: now()}
 }
 
 // End observes the elapsed seconds into the span's histogram and returns
-// the duration. Safe to call on the zero Span (returns 0 or wall time
-// since the zero time — callers always pair it with StartSpan).
+// the duration. The zero Span returns 0 and records nothing.
 func (s Span) End() time.Duration {
 	if s.start.IsZero() {
 		return 0
 	}
 	d := now().Sub(s.start)
-	if s.hist != nil {
-		s.hist.Observe(d.Seconds())
-	}
+	s.hist.Observe(d.Seconds())
 	return d
-}
-
-// EndTo observes into an alternate instrument — for regions whose
-// destination is only known at the end (e.g. success vs. failure).
-func (s Span) EndTo(o Observer) time.Duration {
-	if s.start.IsZero() {
-		return 0
-	}
-	d := now().Sub(s.start)
-	if o != nil {
-		o.Observe(d.Seconds())
-	}
-	return d
-}
-
-// Time runs f under a span observing into o and returns the duration.
-func Time(o Observer, f func()) time.Duration {
-	s := StartSpan(o)
-	f()
-	return s.End()
 }
 
 // Handler serves the registry's Prometheus exposition — mountable as

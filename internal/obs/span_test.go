@@ -20,7 +20,7 @@ func stubClock(t *testing.T) func(time.Duration) {
 func TestSpanObserves(t *testing.T) {
 	advance := stubClock(t)
 	r := NewRegistry()
-	h := r.Histogram("span_seconds", "h", nil)
+	h := r.HDR("span_seconds", "h", HDROpts{})
 	s := StartSpan(h)
 	advance(250 * time.Millisecond)
 	if d := s.End(); d != 250*time.Millisecond {
@@ -47,38 +47,5 @@ func TestZeroSpanInert(t *testing.T) {
 	var s Span
 	if s.End() != 0 {
 		t.Error("zero span not inert")
-	}
-	r := NewRegistry()
-	h := r.Histogram("zero_seconds", "h", nil)
-	if s.EndTo(h) != 0 || h.Count() != 0 {
-		t.Error("zero span EndTo recorded")
-	}
-}
-
-func TestEndTo(t *testing.T) {
-	advance := stubClock(t)
-	r := NewRegistry()
-	ok := r.Histogram("ok_seconds", "h", nil)
-	fail := r.Histogram("fail_seconds", "h", nil)
-	s := StartSpan(ok)
-	advance(100 * time.Millisecond)
-	if d := s.EndTo(fail); d != 100*time.Millisecond {
-		t.Errorf("EndTo duration = %v, want 100ms", d)
-	}
-	if ok.Count() != 0 || fail.Count() != 1 {
-		t.Errorf("EndTo routed wrong: ok=%d fail=%d", ok.Count(), fail.Count())
-	}
-	if fail.Sum() != 0.1 {
-		t.Errorf("EndTo sum = %v, want 0.1", fail.Sum())
-	}
-}
-
-func TestTime(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("time_seconds", "h", nil)
-	ran := false
-	Time(h, func() { ran = true })
-	if !ran || h.Count() != 1 {
-		t.Errorf("Time: ran=%v count=%d", ran, h.Count())
 	}
 }

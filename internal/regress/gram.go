@@ -26,7 +26,6 @@ package regress
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"xvolt/internal/matrix"
@@ -152,35 +151,6 @@ func solveGram(chol *matrix.Cholesky, sub *matrix.Matrix, csub, beta []float64, 
 		return err
 	}
 	return chol.SolveInto(beta, csub)
-}
-
-// FitGram trains the same standardized OLS model as Fit through the
-// normal equations: one O(n·w²) Gram accumulation and one Cholesky
-// solve instead of an O(n·w²) QR factorization with its larger
-// constants. Coefficients agree with Fit to numerical precision (the
-// equivalence suite pins 1e-8); Fit remains the reference estimator.
-func FitGram(d *Dataset) (*Model, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	n, w := d.Len(), d.NumFeatures()
-	if n < 2 {
-		return nil, fmt.Errorf("%w: %d samples for %d features", ErrTooFewRows, n, w)
-	}
-	gs := newGramSystem(d)
-	var chol matrix.Cholesky
-	beta := make([]float64, w+1)
-	if err := solveGram(&chol, gs.g, gs.c, beta, n >= w+1); err != nil {
-		return nil, err
-	}
-	return &Model{
-		Intercept:    beta[0],
-		Coef:         beta[1:],
-		FeatureNames: d.FeatureNames,
-		means:        gs.means,
-		stds:         gs.stds,
-		fitted:       true,
-	}, nil
 }
 
 // rfeGram is the Gram-matrix RFE driver: accumulate the normal

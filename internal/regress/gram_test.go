@@ -1,11 +1,43 @@
 package regress
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"xvolt/internal/matrix"
 )
+
+// FitGram trains the same standardized OLS model as Fit through the
+// normal equations: one O(n·w²) Gram accumulation and one Cholesky
+// solve, the single-fit form of RFE's Gram path. Coefficients agree with
+// Fit to numerical precision (the tests below pin 1e-8), which is what
+// lets rfeGram's eliminations match the QR reference.
+func FitGram(d *Dataset) (*Model, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	n, w := d.Len(), d.NumFeatures()
+	if n < 2 {
+		return nil, fmt.Errorf("%w: %d samples for %d features", ErrTooFewRows, n, w)
+	}
+	gs := newGramSystem(d)
+	var chol matrix.Cholesky
+	beta := make([]float64, w+1)
+	if err := solveGram(&chol, gs.g, gs.c, beta, n >= w+1); err != nil {
+		return nil, err
+	}
+	return &Model{
+		Intercept:    beta[0],
+		Coef:         beta[1:],
+		FeatureNames: d.FeatureNames,
+		means:        gs.means,
+		stds:         gs.stds,
+		fitted:       true,
+	}, nil
+}
 
 // coefsClose compares two models' parameters with a scaled tolerance.
 func coefsClose(t *testing.T, tag string, a, b *Model, tol float64) {

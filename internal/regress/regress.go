@@ -351,7 +351,7 @@ type RFEResult struct {
 //
 // Wide problems run on the Gram-matrix fast path (one normal-equations
 // accumulation, Cholesky sub-solves per step); narrow ones on the QR
-// reference loop, which RFEReference exposes directly. Both paths
+// reference loop, which the tests also drive at every width. Both paths
 // produce the same Kept sets and rankings — the equivalence suite pins
 // them against each other on the paper's severity dataset.
 func RFE(d *Dataset, keep int) (*RFEResult, error) {
@@ -364,21 +364,6 @@ func RFE(d *Dataset, keep int) (*RFEResult, error) {
 	}
 	if w >= gramMinFeatures {
 		return rfeGram(d, keep)
-	}
-	return rfeQR(d, keep)
-}
-
-// RFEReference is the O(n·w³) reference implementation of RFE: one full
-// QR re-fit per elimination. It exists to pin the Gram-matrix fast path
-// by test; production callers should use RFE, which selects the
-// appropriate path itself.
-func RFEReference(d *Dataset, keep int) (*RFEResult, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	w := d.NumFeatures()
-	if keep < 1 || keep > w {
-		return nil, fmt.Errorf("%w: keep=%d of %d", ErrBadKeep, keep, w)
 	}
 	return rfeQR(d, keep)
 }

@@ -3,15 +3,51 @@
 // the test that lets the prediction pipeline take the fast path without
 // moving any §4 golden — identical Kept sets and rankings here imply
 // identical selected features, models and reported R² downstream.
-package xvolt
+package regress_test
 
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"xvolt/internal/core"
+	"xvolt/internal/predict"
 	"xvolt/internal/regress"
+	"xvolt/internal/silicon"
+	"xvolt/internal/workload"
+	"xvolt/internal/xgene"
 )
+
+// The case-2 severity dataset: the prediction suite characterized on
+// core 0 of the TTT chip (3 runs per step, seed 1), joined with the
+// suite's counter profiles. Built once per test binary.
+var (
+	sevOnce sync.Once
+	sevData *regress.Dataset
+	sevErr  error
+)
+
+func severityDataset(t *testing.T) *regress.Dataset {
+	t.Helper()
+	sevOnce.Do(func() {
+		fw := core.New(xgene.New(silicon.NewChip(silicon.TTT, 1)))
+		cfg := core.DefaultConfig(workload.PredictionSuite(), []int{0})
+		cfg.Runs = 3
+		cfg.Seed = 1
+		results, err := fw.Characterize(cfg)
+		if err != nil {
+			sevErr = err
+			return
+		}
+		profiles := predict.CollectProfiles(workload.PredictionSuite(), 7)
+		sevData, sevErr = predict.BuildSeverityDataset(results, profiles, 0, core.PaperWeights, 100)
+	})
+	if sevErr != nil {
+		t.Fatal(sevErr)
+	}
+	return sevData
+}
 
 func TestRFEFastPathMatchesReferenceOnSeverity(t *testing.T) {
 	d := severityDataset(t)

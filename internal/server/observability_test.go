@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	apiv1 "xvolt/api/v1"
 	"xvolt/internal/obs"
 	"xvolt/internal/trace"
 )
@@ -107,9 +108,14 @@ func TestAlertsEndpoint(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	g := reg.Gauge("v", "h")
+	reg.Counter("c_total", "h")
 	engine := obs.NewAlertEngine(reg, nil)
 	if err := engine.Add(obs.Rule{
 		Name: "hot", Metric: "v", Op: obs.CmpGE, Threshold: 1, Severity: "critical",
+	}, obs.Rule{
+		// A rate rule's first evaluation only takes its baseline, so it
+		// has no value yet.
+		Name: "surge", Metric: "c_total", Kind: obs.RuleRate, Op: obs.CmpGE, Threshold: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -121,23 +127,86 @@ func TestAlertsEndpoint(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/api/alerts = %d", code)
 	}
-	var dto struct {
-		Alerts []obs.Alert           `json:"alerts"`
-		Firing int                   `json:"firing"`
-		Evals  uint64                `json:"evals"`
-		Trans  []obs.AlertTransition `json:"transitions"`
-	}
-	if err := json.Unmarshal([]byte(body), &dto); err != nil {
+	var doc apiv1.Alerts
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(dto.Alerts) != 1 || dto.Firing != 1 || dto.Evals != 1 || len(dto.Trans) != 1 {
-		t.Fatalf("dto = %+v", dto)
+	if len(doc.Alerts) != 2 || doc.Firing != 1 || doc.Evals != 1 || len(doc.Transitions) != 1 {
+		t.Fatalf("doc = %+v", doc)
 	}
 	if !strings.Contains(body, `"state": "firing"`) {
 		t.Errorf("state not rendered by name:\n%s", body)
 	}
-	if dto.Alerts[0].Severity != "critical" || dto.Alerts[0].Value != 2 {
-		t.Errorf("alert = %+v", dto.Alerts[0])
+	hot, surge := doc.Alerts[0], doc.Alerts[1]
+	if hot.Rule != "hot" || hot.Severity != "critical" || hot.Value == nil || *hot.Value != 2 {
+		t.Errorf("alert = %+v", hot)
+	}
+	// The engine's NaN (no baseline yet) goes out as null, not as a
+	// marshal error.
+	if surge.Rule != "surge" || surge.Value != nil || surge.State != "inactive" {
+		t.Errorf("no-baseline rate alert = %+v", surge)
+	}
+	if !strings.Contains(body, `"value": null`) {
+		t.Errorf("NaN value not rendered as null:\n%s", body)
+	}
+}
+
+// The engine reports "no value" as NaN: a rate rule before its baseline,
+// and a ratio rule that resolves because its denominator fell to zero.
+// Both must reach /api/alerts as null, on the alert and on the recorded
+// transition, and decode back as no value.
+func TestAlertNaNValueMarshalsAsNull(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("c_total", "h")
+	bad := reg.Gauge("bad", "h")
+	all := reg.Gauge("all", "h")
+	engine := obs.NewAlertEngine(reg, nil)
+	if err := engine.Add(obs.Rule{
+		Name: "r", Metric: "c_total", Kind: obs.RuleRate, Op: obs.CmpGE, Threshold: 1,
+	}, obs.Rule{
+		Name: "ratio", Metric: "bad", Denom: "all", Op: obs.CmpGE, Threshold: 0.25,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	bad.Set(4)
+	all.Set(16)
+	engine.Eval() // ratio fires at 4/16
+	all.Set(0)
+	engine.Eval() // ratio resolves with no value
+
+	s := New(nil)
+	s.SetAlerts(engine)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, body := get(t, ts, "/api/alerts")
+	if code != 200 {
+		t.Fatalf("/api/alerts = %d", code)
+	}
+	var doc apiv1.Alerts
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("decode with null values: %v\n%s", err, body)
+	}
+	if len(doc.Alerts) != 2 {
+		t.Fatalf("alerts = %+v", doc.Alerts)
+	}
+	for _, a := range doc.Alerts {
+		if a.Value != nil || a.State != "inactive" {
+			t.Errorf("alert with NaN value = %+v", a)
+		}
+	}
+	if n := len(doc.Transitions); n != 2 {
+		t.Fatalf("transitions = %+v, want fire+resolve", doc.Transitions)
+	}
+	fire, resolve := doc.Transitions[0], doc.Transitions[1]
+	if fire.To != "firing" || fire.Value == nil || *fire.Value != 0.25 {
+		t.Errorf("fire transition = %+v", fire)
+	}
+	if resolve.To != "inactive" || resolve.Value != nil {
+		t.Errorf("resolve transition with NaN value = %+v", resolve)
+	}
+	if got := strings.Count(body, `"value": null`); got != 3 {
+		t.Errorf(`"value": null appears %d times, want 3:\n%s`, got, body)
 	}
 }
 

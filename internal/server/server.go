@@ -374,7 +374,7 @@ func alertsDoc(e *obs.AlertEngine) apiv1.Alerts {
 			Severity:  a.Severity,
 			Kind:      a.Kind,
 			State:     a.State.String(),
-			Value:     nullable(float64(a.Value)),
+			Value:     nullable(a.Value),
 			Threshold: a.Threshold,
 			Since:     a.Since,
 			LastEval:  a.LastEval,
@@ -387,7 +387,7 @@ func alertsDoc(e *obs.AlertEngine) apiv1.Alerts {
 			At:    t.At,
 			Rule:  t.Rule,
 			To:    t.To.String(),
-			Value: nullable(float64(t.Value)),
+			Value: nullable(t.Value),
 		})
 	}
 	return doc

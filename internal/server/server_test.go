@@ -201,7 +201,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE xvolt_http_request_seconds summary",
 		`xvolt_http_request_seconds{route="/api/status",quantile="0.99"}`,
 		`xvolt_http_request_seconds_count{route="/api/status"} 2`,
-		"# TYPE xvolt_campaign_seconds histogram",
+		"# TYPE xvolt_campaign_seconds summary",
 		"xvolt_campaign_seconds_count 1",
 		`xvolt_http_requests_total{route="/api/status",code="200"} 2`,
 		`xvolt_http_requests_total{route="/api/trace",code="400"} 1`,

@@ -77,7 +77,7 @@ type wdMetrics struct {
 	stalls          *obs.Counter
 	timeouts        *obs.Counter
 	recoveries      *obs.Counter
-	recoverySeconds *obs.Histogram
+	recoverySeconds *obs.HDR
 }
 
 // New wires a watchdog to a target. threshold is how many consecutive
@@ -93,7 +93,7 @@ func New(target Target, threshold int) *Watchdog {
 
 // SetMetrics registers the watchdog's telemetry on r: heartbeat probes,
 // stalled probes, declared timeouts, recoveries, and the recovery (power
-// cycle) latency histogram. Nil registry leaves the watchdog unmetered.
+// cycle) latency summary. Nil registry leaves the watchdog unmetered.
 func (w *Watchdog) SetMetrics(r *obs.Registry) {
 	m := wdMetrics{
 		heartbeats: r.Counter("xvolt_watchdog_heartbeats_total",
@@ -104,8 +104,8 @@ func (w *Watchdog) SetMetrics(r *obs.Registry) {
 			"Hangs declared after the heartbeat stayed silent past the threshold."),
 		recoveries: r.Counter("xvolt_watchdog_recoveries_total",
 			"Power cycles the watchdog performed to recover the board."),
-		recoverySeconds: r.Histogram("xvolt_watchdog_recovery_seconds",
-			"Power-cycle latency per recovery.", nil),
+		recoverySeconds: r.HDR("xvolt_watchdog_recovery_seconds",
+			"Power-cycle latency per recovery.", obs.HDROpts{}),
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
