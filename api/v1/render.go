@@ -1,8 +1,9 @@
 // Canonical text renderers: the one implementation of the fleet's dump
-// formats. internal/fleet's Event.String and Transition.String convert
-// to these types and render here, so a hub rendering a source's
-// replicated events produces the same bytes as `xvolt-fleet -dump` on
-// the source itself — which the CI hub smoke step diffs end to end.
+// formats. internal/fleet renders its events (converted by Event.APIv1)
+// and its transitions (which are these types) here, so a hub rendering a
+// source's replicated events produces the same bytes as `xvolt-fleet
+// -dump` on the source itself — which the CI hub smoke step diffs end to
+// end.
 
 package apiv1
 

@@ -209,7 +209,8 @@ func (c *Client) noteGeneration(resp *http.Response) {
 }
 
 // Generation returns the newest fleet snapshot generation any response
-// has advertised — the value to resume FleetDelta from.
+// has advertised, or the generation of a restarted server's delta (see
+// FleetDelta) — the value to resume FleetDelta from.
 func (c *Client) Generation() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,8 +250,11 @@ func (c *Client) FleetBoards(ctx context.Context) (apiv1.Boards, error) {
 }
 
 // FleetDelta fetches the boards that committed after generation since.
-// A nil delta means the server is still at (or before) that generation
-// — the caller is current. Resume loops feed Generation() back in.
+// A nil delta means the server is at that generation — the caller is
+// current. A delta whose Generation is below since comes from a server
+// that restarted and numbers its generations afresh: it carries every
+// board, and Generation() drops to it. Resume loops feed Generation()
+// back in.
 func (c *Client) FleetDelta(ctx context.Context, since uint64) (*apiv1.BoardsDelta, error) {
 	path := "/api/fleet?since=" + strconv.FormatUint(since, 10)
 	status, body, err := c.do(ctx, path, nil, false)
@@ -264,6 +268,11 @@ func (c *Client) FleetDelta(ctx context.Context, since uint64) (*apiv1.BoardsDel
 		var out apiv1.BoardsDelta
 		if err := json.Unmarshal(body, &out); err != nil {
 			return nil, err
+		}
+		if out.Generation < since {
+			c.mu.Lock()
+			c.gen = out.Generation
+			c.mu.Unlock()
 		}
 		return &out, nil
 	default:

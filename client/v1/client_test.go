@@ -133,6 +133,67 @@ func TestDeltaResumption(t *testing.T) {
 	}
 }
 
+// TestDeltaAfterServerRestart: a restarted server numbers its
+// generations afresh. A client holding a later generation than the new
+// server has reached gets every board from it, not a 304, and resumes
+// from the new server's generation.
+func TestDeltaAfterServerRestart(t *testing.T) {
+	var handler atomic.Value // http.Handler of the server behind the URL
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	start := func() *fleet.Manager {
+		m, err := fleet.New(fleet.Config{Boards: 3, Seed: 5, ConfirmRuns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = m.Close() })
+		srv := server.New(nil)
+		srv.SetFleet(m)
+		handler.Store(srv.Handler())
+		return m
+	}
+	c := New(ts.URL)
+	ctx := context.Background()
+
+	before := start()
+	for i := 0; i < 10; i++ {
+		before.Run(1)
+	}
+	if _, err := c.FleetBoards(ctx); err != nil {
+		t.Fatal(err)
+	}
+	held := c.Generation()
+	if held != 11 {
+		t.Fatalf("client holds generation %d, want 11", held)
+	}
+
+	after := start()
+	after.Run(1)
+	delta, err := c.FleetDelta(ctx, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta == nil {
+		t.Fatalf("?since=%d at generation %d answered not modified", held, after.Generation())
+	}
+	if delta.Generation != 2 || delta.Since != held || len(delta.Boards) != 3 {
+		t.Errorf("restart delta: generation %d since %d with %d boards, want 2, %d with 3",
+			delta.Generation, delta.Since, len(delta.Boards), held)
+	}
+	if got := c.Generation(); got != 2 {
+		t.Errorf("Generation() after the restart delta = %d, want 2", got)
+	}
+	if d, err := c.FleetDelta(ctx, c.Generation()); err != nil || d != nil {
+		t.Errorf("probe at the restarted server's generation = (%+v, %v), want (nil, nil)", d, err)
+	}
+	after.Run(1)
+	if d, err := c.FleetDelta(ctx, c.Generation()); err != nil || d == nil || d.Since != 2 || d.Generation != 3 {
+		t.Errorf("resumed delta = (%+v, %v), want since 2 generation 3", d, err)
+	}
+}
+
 // TestETagRevalidation proves the second identical fetch travels as a
 // bodyless 304 on the wire while the client still returns the document.
 func TestETagRevalidation(t *testing.T) {

@@ -268,30 +268,32 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, 
 	return out, nil
 }
 
-// oneCampaign resolves one grid cell: a memo hit replays the stored
+// oneCampaign resolves one grid cell: a memo hit reuses the stored
 // stream, a miss sweeps the ladder into a pooled arena and stores a
-// compact copy. Either way the returned slice is read-only shared state.
+// compact copy. Either way the returned slice is read-only shared state,
+// and the campaign is accounted from it.
 func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, crashes *int) []RunRecord {
 	key := newMemoKey(bs, spec, coreID, cfg)
-	if recs, ok := lookupCampaign(key); ok {
-		r.replayCampaign(recs, bs, spec, coreID, cfg, crashes)
-		return recs
+	recs, hit := lookupCampaign(key)
+	if !hit {
+		bufp := recordArenaPool.Get().(*[]RunRecord)
+		buf := r.runLadder(wm, bs, spec, coreID, cfg, (*bufp)[:0])
+		recs = make([]RunRecord, len(buf))
+		copy(recs, buf)
+		*bufp = buf
+		recordArenaPool.Put(bufp)
+		storeCampaign(key, recs)
 	}
-	bufp := recordArenaPool.Get().(*[]RunRecord)
-	buf := r.runLadder(wm, bs, spec, coreID, cfg, (*bufp)[:0], crashes)
-	recs := make([]RunRecord, len(buf))
-	copy(recs, buf)
-	*bufp = buf
-	recordArenaPool.Put(bufp)
-	storeCampaign(key, recs)
+	r.accountCampaign(recs, bs, spec, coreID, cfg, hit, crashes)
 	return recs
 }
 
-// replayCampaign accounts a memoized campaign: crash records still count
-// as watchdog recoveries, and with a trace log attached the stored
-// record stream is replayed as the exact event sequence a live sweep
-// would emit, so memo hits never thin out the trace.
-func (r *LadderRunner) replayCampaign(recs []RunRecord, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, crashes *int) {
+// accountCampaign is the one place a campaign's crashes are counted as
+// watchdog recoveries and its trace is emitted: with a log attached,
+// the record stream becomes the event sequence of the sequential
+// sweep — campaign, step, run, crash and recovery — marked "(memo)"
+// when the records came from the memo.
+func (r *LadderRunner) accountCampaign(recs []RunRecord, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, memo bool, crashes *int) {
 	if r.log == nil {
 		for i := range recs {
 			if recs[i].SystemCrashed {
@@ -300,7 +302,11 @@ func (r *LadderRunner) replayCampaign(recs []RunRecord, bs xgene.BatchState, spe
 		}
 		return
 	}
-	r.log.Emit(trace.CampaignStart, "%s on %s core %d at %v (memo)", spec.ID(), bs.Chip.Name, coreID, cfg.Frequency)
+	mark := ""
+	if memo {
+		mark = " (memo)"
+	}
+	r.log.Emit(trace.CampaignStart, "%s on %s core %d at %v%s", spec.ID(), bs.Chip.Name, coreID, cfg.Frequency, mark)
 	for i := range recs {
 		rec := &recs[i]
 		if i == 0 || rec.Voltage != recs[i-1].Voltage {
@@ -320,11 +326,7 @@ func (r *LadderRunner) replayCampaign(recs []RunRecord, bs xgene.BatchState, spe
 // worker board's state snapshot, appending records to buf.
 //
 //xvolt:hotpath inner sweep loop; allocation profile pinned by BENCH_baseline.json
-func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, buf []RunRecord, crashes *int) []RunRecord {
-	if r.log != nil {
-		r.log.Emit(trace.CampaignStart, "%s on %s core %d at %v", spec.ID(), bs.Chip.Name, coreID, cfg.Frequency)
-		defer r.log.Emit(trace.CampaignEnd, "%s on core %d", spec.ID(), coreID)
-	}
+func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, buf []RunRecord) []RunRecord {
 	rng := newCampaignRand(CampaignSeed(cfg.Seed, bs.Chip.Name, spec.Name, spec.Input, coreID))
 	margins := wm.Assess(coreID, spec, units.RegimeOf(cfg.Frequency))
 	cleanAbove := silicon.EffectiveSafeVmin(margins, bs.Prot)
@@ -340,9 +342,6 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 	st := bs.State
 	consecutiveAllCrash := 0
 	for v := cfg.StartVoltage; v >= cfg.StopVoltage; v -= units.VoltageStep {
-		if r.log != nil {
-			r.log.Emit(trace.StepStart, "%s core %d step %v", spec.ID(), coreID, v)
-		}
 		if v >= cleanAbove && st.Clean(bs.Chip) {
 			// Clean region: the sampled path would return zero effects
 			// without consuming a single draw, so the step's records are
@@ -352,9 +351,6 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 				rec := proto
 				rec.Voltage = v
 				rec.RunIndex = run
-				if r.log != nil {
-					r.log.Emit(trace.RunDone, "%s core %d %v run %d -> %s", spec.ID(), coreID, v, run, rec.Classify())
-				}
 				buf = append(buf, rec)
 			}
 			consecutiveAllCrash = 0
@@ -376,18 +372,10 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 				rec.Recovered = true
 				st.ResetAfterCrash()
 				crashesThisStep++
-				*crashes++
-				if r.log != nil {
-					r.log.Emit(trace.SystemCrash, "%s core %d at %v: system hang", spec.ID(), coreID, v)
-					r.log.Emit(trace.Recovery, "watchdog power-cycled the board (recovery #%d)", *crashes)
-				}
 			case cell.Effects.AC:
 				rec.ExitCode = 134
 			case cell.Effects.SDC:
 				rec.OutputMismatch = spec.Run(workload.NewBitflip(rng, cell.Effects.SDCBits)) != golden
-			}
-			if r.log != nil {
-				r.log.Emit(trace.RunDone, "%s core %d %v run %d -> %s", spec.ID(), coreID, v, run, rec.Classify())
 			}
 			buf = append(buf, rec)
 		}

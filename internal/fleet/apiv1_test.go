@@ -1,82 +1,46 @@
 package fleet
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
-	"xvolt/internal/units"
+	apiv1 "xvolt/api/v1"
 )
 
-func mustJSON(t *testing.T, v any) string {
-	t.Helper()
-	b, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// TestAPIv1ByteParity pins the api/v1 mirrors against the internal
-// types: converting and encoding must produce the same bytes the
-// internal encoding produced (the compatibility contract the ETag
-// caches and the hub's dump parity rest on).
+// TestAPIv1ByteParity pins Event.APIv1, the fleet's one converter to the
+// wire schema: kinds and states travel by name, a healthy state is
+// omitted except on a health-changed event, and the text line is the
+// api/v1 rendering. api/v1's golden test pins the bytes each wire event
+// encodes to.
 func TestAPIv1ByteParity(t *testing.T) {
-	bs := BoardStatus{
-		ID: "board-03", Corner: "TFF", Workload: "mg.W", Core: 5,
-		State: Degraded, FloorMV: 900, MarginMV: 10, VoltageMV: 910,
-		Polls: 41, Runs: 82, SDCs: 2, CEs: 7, UEs: 1, ACs: 3,
-		Boots: 2, Recoveries: 1, Savings: 0.112233,
-		LastPoll:  41*time.Second + 137*time.Millisecond,
-		Frequency: units.MegaHertz(2400),
-	}
-	if got, want := mustJSON(t, bs.APIv1()), mustJSON(t, bs); got != want {
-		t.Errorf("BoardStatus parity:\n got %s\nwant %s", got, want)
-	}
-
-	tr := Transition{Seq: 9, At: 3 * time.Second, Board: "board-01",
-		From: Healthy, To: Degraded, Reason: "ce=1 sdc=false ac=false severity=0.50"}
-	if got, want := mustJSON(t, tr.APIv1()), mustJSON(t, tr); got != want {
-		t.Errorf("Transition parity:\n got %s\nwant %s", got, want)
-	}
-	if got, want := tr.APIv1().String(), tr.String(); got != want {
-		t.Errorf("Transition text parity:\n got %q\nwant %q", got, want)
-	}
-
-	h := HealthSummary{
-		Boards: 4, Polls: 100, Events: 30, DroppedEvents: 2, DedupedEvents: 5,
-		Transitions: 7, Status: "degraded", MeanSavings: 0.09,
-		VirtualNow: 100 * time.Second,
-		States:     []StateCount{{Healthy, 3}, {Degraded, 1}, {Unhealthy, 0}, {Recovering, 0}},
-	}
-	if got, want := mustJSON(t, h.APIv1()), mustJSON(t, h); got != want {
-		t.Errorf("HealthSummary parity:\n got %s\nwant %s", got, want)
-	}
-
-	events := []Event{
-		{Seq: 1, At: time.Second, Board: "board-00", Kind: UndervoltApplied, MV: 905, Count: 1, Msg: "floor 900mV + margin 5mV"},
-		{Seq: 2, At: 2 * time.Second, LastAt: 4 * time.Second, Board: "board-01", Kind: SDCObserved, MV: 900, Count: 3, Msg: "output mismatch at operating point"},
-		{Seq: 3, At: 5 * time.Second, Board: "board-01", Kind: HealthChanged, State: Degraded, Count: 1, Msg: "ce=1"},
-	}
-	for _, e := range events {
-		if got, want := mustJSON(t, e.APIv1()), mustJSON(t, e); got != want {
-			t.Errorf("Event parity (%s):\n got %s\nwant %s", e.Kind, got, want)
+	for _, c := range []struct {
+		e    Event
+		want apiv1.Event
+	}{
+		{
+			Event{Seq: 1, At: time.Second, Board: "board-00", Kind: UndervoltApplied, MV: 905, Count: 1, Msg: "floor 900mV + margin 5mV"},
+			apiv1.Event{Seq: 1, At: time.Second, Board: "board-00", Kind: "undervolt-applied", MV: 905, Count: 1, Msg: "floor 900mV + margin 5mV"},
+		},
+		{
+			Event{Seq: 2, At: 2 * time.Second, LastAt: 4 * time.Second, Board: "board-01", Kind: SDCObserved, MV: 900, Count: 3, Msg: "output mismatch at operating point"},
+			apiv1.Event{Seq: 2, At: 2 * time.Second, LastAt: 4 * time.Second, Board: "board-01", Kind: "sdc-observed", MV: 900, Count: 3, Msg: "output mismatch at operating point"},
+		},
+		{
+			Event{Seq: 3, At: 5 * time.Second, Board: "board-01", Kind: HealthChanged, State: Degraded, Count: 1, Msg: "ce=1"},
+			apiv1.Event{Seq: 3, At: 5 * time.Second, Board: "board-01", Kind: "health-changed", State: "degraded", Count: 1, Msg: "ce=1"},
+		},
+		// A health-changed event whose state is healthy carries it on the
+		// wire, so the hub's text rendering shows it.
+		{
+			Event{Seq: 4, At: 9 * time.Second, Board: "board-02", Kind: HealthChanged, State: Healthy, Count: 1, Msg: "3 clean polls"},
+			apiv1.Event{Seq: 4, At: 9 * time.Second, Board: "board-02", Kind: "health-changed", State: "healthy", Count: 1, Msg: "3 clean polls"},
+		},
+	} {
+		if got := c.e.APIv1(); got != c.want {
+			t.Errorf("%s event: wire form\n got %+v\nwant %+v", c.e.Kind, got, c.want)
 		}
-		if got, want := e.APIv1().String(), e.String(); got != want {
-			t.Errorf("Event text parity:\n got %q\nwant %q", got, want)
+		if got, want := c.e.String(), c.want.String(); got != want {
+			t.Errorf("%s event text:\n got %q\nwant %q", c.e.Kind, got, want)
 		}
-	}
-
-	// The one deliberate wire difference: a health-changed event whose
-	// state is healthy carries it on the wire (the internal int-omitempty
-	// hides it) so hub-side text rendering stays byte-identical.
-	clean := Event{Seq: 4, At: 9 * time.Second, Board: "board-02",
-		Kind: HealthChanged, State: Healthy, Count: 1, Msg: "3 clean polls"}
-	w := clean.APIv1()
-	if w.State != "healthy" {
-		t.Errorf("healthy health-changed event lost state on the wire: %+v", w)
-	}
-	if got, want := w.String(), clean.String(); got != want {
-		t.Errorf("healthy health-changed text parity:\n got %q\nwant %q", got, want)
 	}
 }

@@ -19,7 +19,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -82,23 +81,21 @@ func (k EventKind) String() string {
 	}
 }
 
-// MarshalJSON encodes the kind by name so the JSON schema survives enum
-// reordering.
-func (k EventKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
-
 // Event is one fleet occurrence. Count is the dedup multiplicity: how many
 // identical occurrences this entry stands for (≥ 1). At/LastAt bracket the
-// first and latest occurrence on the fleet's virtual clock.
+// first and latest occurrence on the fleet's virtual clock. Kind and State
+// stay typed because the store journals them as integers; the wire form
+// is APIv1's.
 type Event struct {
-	Seq    uint64        `json:"seq"`
-	At     time.Duration `json:"at"`
-	LastAt time.Duration `json:"last_at,omitempty"`
-	Board  string        `json:"board"`
-	Kind   EventKind     `json:"kind"`
-	State  State         `json:"state,omitempty"`
-	MV     int           `json:"mv,omitempty"`
-	Count  int           `json:"count"`
-	Msg    string        `json:"msg"`
+	Seq    uint64
+	At     time.Duration
+	LastAt time.Duration
+	Board  string
+	Kind   EventKind
+	State  State
+	MV     int
+	Count  int
+	Msg    string
 }
 
 // String renders one line of the text dump, in the api/v1 rendering the

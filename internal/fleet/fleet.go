@@ -184,28 +184,10 @@ type board struct {
 }
 
 // BoardStatus is a board's externally visible state, snapshotted at the
-// board's latest committed poll.
-type BoardStatus struct {
-	ID         string          `json:"id"`
-	Corner     string          `json:"corner"`
-	Workload   string          `json:"workload"`
-	Core       int             `json:"core"`
-	State      State           `json:"state"`
-	FloorMV    int             `json:"floor_mv"`
-	MarginMV   int             `json:"margin_mv"`
-	VoltageMV  int             `json:"voltage_mv"`
-	Polls      int             `json:"polls"`
-	Runs       int             `json:"runs"`
-	SDCs       int             `json:"sdc_runs"`
-	CEs        uint64          `json:"ce_events"`
-	UEs        uint64          `json:"ue_events"`
-	ACs        int             `json:"ac_runs"`
-	Boots      int             `json:"boots"`
-	Recoveries int             `json:"watchdog_recoveries"`
-	Savings    float64         `json:"power_savings"`
-	LastPoll   time.Duration   `json:"last_poll"`
-	Frequency  units.MegaHertz `json:"frequency_mhz"`
-}
+// board's latest committed poll. It is the api/v1 wire document itself:
+// the status table, Boards/BoardsSince, the snapshot encoder and the hub
+// pusher all carry it unconverted.
+type BoardStatus = apiv1.BoardStatus
 
 // voltage returns the board's current operating point.
 func (b *board) voltage() units.MilliVolts { return b.gb.voltage(b.floor) }
@@ -220,7 +202,7 @@ func (b *board) status(at time.Duration) BoardStatus {
 		Corner:     b.corner.String(),
 		Workload:   b.spec.ID(),
 		Core:       b.coreID,
-		State:      b.health.state,
+		State:      b.health.state.String(),
 		FloorMV:    int(b.floor),
 		MarginMV:   int(b.gb.marginMV()),
 		VoltageMV:  int(b.voltage()),
@@ -234,7 +216,7 @@ func (b *board) status(at time.Duration) BoardStatus {
 		Recoveries: b.dog.Recoveries(),
 		Savings:    b.savings(),
 		LastPoll:   at,
-		Frequency:  units.MaxFrequency,
+		Frequency:  int(units.MaxFrequency),
 	}
 }
 
@@ -282,8 +264,8 @@ type pollOutcome struct {
 	due        time.Duration
 	runs       int
 	rebooted   bool
-	events     []Event // Seq/At assigned by the store at commit
-	transition *Transition
+	events     []Event           // Seq/At assigned by the store at commit
+	transition *apiv1.Transition // Seq/At assigned at commit
 	status     BoardStatus
 }
 
@@ -359,7 +341,7 @@ func (b *board) poll(due time.Duration, cfg *Config) pollOutcome {
 	from := b.health.state
 	to, reason, changed := b.health.observe(sig, cfg.Health)
 	if changed {
-		o.transition = &Transition{Board: b.id, From: from, To: to, Reason: reason}
+		o.transition = &apiv1.Transition{Board: b.id, From: from.String(), To: to.String(), Reason: reason}
 		stage(Event{Kind: HealthChanged, State: to, Msg: reason})
 		if delta := b.gb.onTransition(to, cfg.Guardband); delta != 0 {
 			kind := GuardbandWidened
@@ -401,7 +383,7 @@ type Fleet interface {
 	Now() time.Duration
 	BoardsSince(since uint64) (uint64, []BoardStatus)
 	Store() *Store
-	Transitions() []Transition
+	Transitions() []apiv1.Transition
 }
 
 var _ Fleet = (*Manager)(nil)
@@ -424,8 +406,7 @@ type Manager struct {
 	store       *Store
 	clock       time.Duration // committed virtual time (store clock source)
 	status      []BoardStatus
-	changed     []uint64 // generation at which each board's status last committed
-	transitions []Transition
+	transitions []apiv1.Transition
 	tseq        uint64
 	polled      uint64
 	m           fleetMetrics
@@ -439,7 +420,7 @@ type Manager struct {
 	// gen counts committed snapshot generations: 1 after New, +1 per Run
 	// that committed at least one poll. Snapshot readers (the HTTP layer)
 	// key caches and ETags off it — equal generations imply identical
-	// Boards/Health/Transitions snapshots.
+	// Boards/HealthAPIv1/Transitions snapshots.
 	gen atomic.Uint64
 
 	// enc caches the serialized /api/fleet document per generation,
@@ -453,7 +434,7 @@ type Manager struct {
 	dirtyIdx  [][]int
 
 	// stateCounts/savingsSum are the fleet-wide aggregates, maintained
-	// incrementally at commit time so Health() and the gauges never walk
+	// incrementally at commit time so HealthAPIv1 and the gauges never walk
 	// the fleet — at 100k boards a per-generation walk under mu is the
 	// difference between flat and falling QPS.
 	stateCounts [numStates]int
@@ -537,7 +518,6 @@ func (m *Manager) commitInitial() {
 	defer m.mu.Unlock()
 	m.clock = 0
 	m.status = make([]BoardStatus, 0, len(m.boards))
-	m.changed = make([]uint64, len(m.boards))
 	for i, b := range m.boards {
 		if n := m.store.Append(Event{
 			Board: b.id, Kind: UndervoltApplied, MV: int(b.voltage()),
@@ -548,11 +528,8 @@ func (m *Manager) commitInitial() {
 		m.m.events.With(UndervoltApplied.String()).Inc()
 		s := b.status(0)
 		m.status = append(m.status, s)
-		m.changed[i] = 1
 		m.logDirtyLocked(1, i)
-		if s.State >= 0 && s.State < numStates {
-			m.stateCounts[s.State]++
-		}
+		m.countStateLocked(s.State, 1)
 		m.savingsSum += s.Savings
 	}
 	m.gen.Store(1)
@@ -606,18 +583,13 @@ func (m *Manager) commitLocked(o *pollOutcome, gen uint64) {
 		if len(m.transitions) > maxTransitions {
 			m.transitions = m.transitions[len(m.transitions)-maxTransitions:]
 		}
-		m.m.transitions.With(t.To.String()).Inc()
+		m.m.transitions.With(t.To).Inc()
 	}
-	if old := &m.status[o.board]; old.State >= 0 && old.State < numStates {
-		m.stateCounts[old.State]--
-	}
+	m.countStateLocked(m.status[o.board].State, -1)
 	m.savingsSum -= m.status[o.board].Savings
 	m.status[o.board] = o.status
-	if o.status.State >= 0 && o.status.State < numStates {
-		m.stateCounts[o.status.State]++
-	}
+	m.countStateLocked(o.status.State, 1)
 	m.savingsSum += o.status.Savings
-	m.changed[o.board] = gen
 	m.logDirtyLocked(gen, o.board)
 	m.polled++
 	m.m.polls.Inc()
@@ -655,10 +627,10 @@ func (m *Manager) Board(id string) (BoardStatus, bool) {
 }
 
 // Transitions returns a copy of the retained health-transition log.
-func (m *Manager) Transitions() []Transition {
+func (m *Manager) Transitions() []apiv1.Transition {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Transition(nil), m.transitions...)
+	return append([]apiv1.Transition(nil), m.transitions...)
 }
 
 // WriteTransitions dumps the transition log one per line — the second
@@ -681,39 +653,25 @@ func (m *Manager) Now() time.Duration {
 	return m.clock
 }
 
-// StateCount is one health state's board population.
-type StateCount struct {
-	State  State `json:"state"`
-	Boards int   `json:"boards"`
+// countStateLocked moves the commit-time tally of the state the status
+// table names by delta. Callers hold m.mu.
+func (m *Manager) countStateLocked(name string, delta int) {
+	for _, state := range States {
+		if state.String() == name {
+			m.stateCounts[state] += delta
+			return
+		}
+	}
 }
 
-// HealthSummary is the fleet-wide aggregation served by /api/fleet/health.
-type HealthSummary struct {
-	Boards int    `json:"boards"`
-	Polls  uint64 `json:"polls"`
-	Events int    `json:"events"`
-	// DroppedEvents counts events evicted by store retention — events
-	// genuinely absent from the store. The hub's gap detection treats
-	// these as explained loss; anything beyond them is a real gap.
-	DroppedEvents uint64 `json:"dropped_events"`
-	// DedupedEvents counts appends collapsed into an existing event's
-	// multiplicity — not loss; the hub must not flag them as gaps.
-	DedupedEvents uint64        `json:"deduped_events"`
-	Transitions   int           `json:"transitions"`
-	States        []StateCount  `json:"states"`
-	Status        string        `json:"status"`
-	MeanSavings   float64       `json:"mean_power_savings"`
-	VirtualNow    time.Duration `json:"virtual_now"`
-}
-
-// Health aggregates the fleet's current state from the incrementally
-// maintained commit-time tallies — O(states), not O(fleet).
-func (m *Manager) Health() HealthSummary {
+// HealthAPIv1 returns the /api/fleet/health document, aggregated from
+// the incrementally maintained commit-time tallies — O(states), not
+// O(fleet).
+func (m *Manager) HealthAPIv1() apiv1.HealthSummary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	counts := m.stateCounts
-	savings := m.savingsSum
-	h := HealthSummary{
+	h := apiv1.HealthSummary{
 		Boards:        len(m.status),
 		Polls:         m.polled,
 		Events:        m.store.Len(),
@@ -723,7 +681,7 @@ func (m *Manager) Health() HealthSummary {
 		VirtualNow:    m.clock,
 	}
 	for _, state := range States {
-		h.States = append(h.States, StateCount{State: state, Boards: counts[state]})
+		h.States = append(h.States, apiv1.StateCount{State: state.String(), Boards: counts[state]})
 	}
 	switch {
 	case counts[Unhealthy] > 0:
@@ -734,7 +692,7 @@ func (m *Manager) Health() HealthSummary {
 		h.Status = "ok"
 	}
 	if len(m.status) > 0 {
-		h.MeanSavings = savings / float64(len(m.status))
+		h.MeanSavings = m.savingsSum / float64(len(m.status))
 	}
 	return h
 }

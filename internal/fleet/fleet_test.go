@@ -73,7 +73,7 @@ func TestFleetDeterminism(t *testing.T) {
 
 	// The loop must actually exercise: events beyond the initial
 	// undervolts, and at least one health transition.
-	if m1.Store().Len() <= m1.Health().Boards {
+	if m1.Store().Len() <= m1.HealthAPIv1().Boards {
 		t.Errorf("store holds only the startup events (%d)", m1.Store().Len())
 	}
 	if len(m1.Transitions()) == 0 {
@@ -165,13 +165,13 @@ func TestFleetHealthSummaryConsistency(t *testing.T) {
 	m := newTestManager(t, testConfig(11))
 	m.Run(120)
 
-	h := m.Health()
+	h := m.HealthAPIv1()
 	boards := m.Boards()
 	if h.Boards != len(boards) {
 		t.Fatalf("summary boards = %d, want %d", h.Boards, len(boards))
 	}
 
-	var fromStatus [numStates]int
+	fromStatus := map[string]int{}
 	for _, s := range boards {
 		fromStatus[s.State]++
 	}
@@ -188,9 +188,9 @@ func TestFleetHealthSummaryConsistency(t *testing.T) {
 
 	wantStatus := "ok"
 	switch {
-	case fromStatus[Unhealthy] > 0:
+	case fromStatus["unhealthy"] > 0:
 		wantStatus = "unhealthy"
-	case fromStatus[Degraded] > 0 || fromStatus[Recovering] > 0:
+	case fromStatus["degraded"] > 0 || fromStatus["recovering"] > 0:
 		wantStatus = "degraded"
 	}
 	if h.Status != wantStatus {
@@ -248,7 +248,7 @@ func TestFleetMetricsAgreeWithStore(t *testing.T) {
 		}
 	}
 	key := fmt.Sprintf("xvolt_fleet_events_total{kind=%q}", UndervoltApplied)
-	if got, want := snap[key], float64(m.Store().CountKind(UndervoltApplied)-m.Health().Boards); got != want {
+	if got, want := snap[key], float64(m.Store().CountKind(UndervoltApplied)-m.HealthAPIv1().Boards); got != want {
 		t.Errorf("%s = %v, want %v (store minus startup events)", key, got, want)
 	}
 

@@ -13,10 +13,10 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"time"
+
+	apiv1 "xvolt/api/v1"
 )
 
 // State is a board's health state.
@@ -55,9 +55,6 @@ func (s State) String() string {
 		return fmt.Sprintf("state(%d)", int(s))
 	}
 }
-
-// MarshalJSON encodes the state by name.
-func (s State) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
 // HealthPolicy parameterizes the state machine's thresholds.
 type HealthPolicy struct {
@@ -101,32 +98,6 @@ type Signal struct {
 func (g Signal) clean() bool {
 	return g.CE == 0 && g.UE == 0 && !g.SDC && !g.AC && !g.Rebooted
 }
-
-// Transition is one recorded health-state change.
-type Transition struct {
-	Seq      uint64        `json:"seq"`
-	At       time.Duration `json:"at"`
-	Board    string        `json:"board"`
-	From, To State         `json:"-"`
-	Reason   string        `json:"reason"`
-}
-
-// MarshalJSON flattens From/To into names.
-func (t Transition) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Seq    uint64        `json:"seq"`
-		At     time.Duration `json:"at"`
-		Board  string        `json:"board"`
-		From   string        `json:"from"`
-		To     string        `json:"to"`
-		Reason string        `json:"reason"`
-	}{t.Seq, t.At, t.Board, t.From.String(), t.To.String(), t.Reason})
-}
-
-// String renders one line of the transitions dump in the api/v1
-// rendering (byte-compared by the determinism tests, like the event
-// store's text form).
-func (t Transition) String() string { return t.APIv1().String() }
 
 // healthMachine tracks one board's state and clean streak.
 type healthMachine struct {
@@ -175,8 +146,9 @@ func (h *healthMachine) observe(sig Signal, pol HealthPolicy) (to State, reason 
 	}
 }
 
-// writeTransitions dumps a transitions slice one per line.
-func writeTransitions(w io.Writer, ts []Transition) error {
+// writeTransitions dumps a transitions slice one per line, in the
+// api/v1 rendering the hub also uses.
+func writeTransitions(w io.Writer, ts []apiv1.Transition) error {
 	for _, t := range ts {
 		if _, err := fmt.Fprintln(w, t); err != nil {
 			return err

@@ -3,6 +3,8 @@ package fleet
 import (
 	"strings"
 	"testing"
+
+	apiv1 "xvolt/api/v1"
 )
 
 func TestHealthEscalation(t *testing.T) {
@@ -120,10 +122,16 @@ func TestSignalClean(t *testing.T) {
 	}
 }
 
+// TestTransitionString pins the transitions dump line: one api/v1
+// rendering per line, states by name.
 func TestTransitionString(t *testing.T) {
-	tr := Transition{Seq: 7, At: 0, Board: "board-01", From: Healthy, To: Degraded, Reason: "ce=1"}
-	s := tr.String()
-	for _, want := range []string{"000007", "board-01", "healthy -> degraded", "(ce=1)"} {
+	var b strings.Builder
+	tr := apiv1.Transition{Seq: 7, At: 0, Board: "board-01", From: Healthy.String(), To: Degraded.String(), Reason: "ce=1"}
+	if err := writeTransitions(&b, []apiv1.Transition{tr}); err != nil {
+		t.Fatal(err)
+	}
+	s := b.String()
+	for _, want := range []string{"000007", "board-01", "healthy -> degraded", "(ce=1)\n"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("transition line %q missing %q", s, want)
 		}

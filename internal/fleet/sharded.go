@@ -260,12 +260,12 @@ func (sh *shard) execute(m *Manager, jobs [][]int, slots []pollSlot, outcomes []
 	wg.Wait()
 }
 
-// ShardStats is one shard's committed view, served for observability.
+// ShardStats is one shard's committed view.
 type ShardStats struct {
-	Shard  int           `json:"shard"`
-	Boards int           `json:"boards"`
-	Polls  uint64        `json:"polls"`
-	Clock  time.Duration `json:"clock"`
+	Shard  int
+	Boards int
+	Polls  uint64
+	Clock  time.Duration
 }
 
 // Shards reports the per-shard committed stats.

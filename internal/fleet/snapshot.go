@@ -12,11 +12,9 @@
 // through the per-generation dirty log — no full-fleet scan, no full-
 // fleet transfer. This is what keeps /api/fleet flat in board count.
 //
-// The stitched bytes are pinned byte-identical to a json.Encoder with
-// SetIndent("", " ") writing struct{ Boards []BoardStatus } — the format
-// /api/fleet has served since PR 5 — by snapshot_test.go. The delta
-// document is pinned the same way against struct{ Generation, Since;
-// Boards }.
+// The stitched bytes are pinned byte-identical to apiv1.Marshal of the
+// apiv1.Boards document by snapshot_test.go, and the delta document the
+// same way against apiv1.BoardsDelta.
 
 package fleet
 
@@ -90,9 +88,11 @@ func (m *Manager) BoardsJSON() (uint64, []byte, error) {
 // BoardsDeltaJSON returns the fleet generation and a delta document
 // holding only the boards whose status committed after generation
 // `since` — the wire-level complement of the segment arena. A nil body
-// means the client is already current (HTTP layers answer 304). Readers
-// further behind than the dirty log receive every board, which is still
-// a correct (if maximal) delta. The returned buffer is caller-owned.
+// means since is the current generation: the client is current (HTTP
+// layers answer 304). Readers further behind than the dirty log, and
+// readers ahead of the generation (they counted another run's
+// generations), receive every board, which is still a correct (if
+// maximal) delta. The returned buffer is caller-owned.
 func (m *Manager) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
 	m.enc.mu.Lock()
 	defer m.enc.mu.Unlock()
@@ -100,7 +100,7 @@ func (m *Manager) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
 	m.mu.Lock()
 	gen := m.gen.Load()
 	m.mu.Unlock()
-	if gen <= since {
+	if gen == since {
 		return gen, nil, nil
 	}
 
@@ -124,8 +124,9 @@ func (m *Manager) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
 // boards that committed after generation since, in board order — the
 // typed counterpart of BoardsDeltaJSON, which the hub pusher ships. It
 // resolves the boards through the dirty log, so the cost follows the
-// boards that changed. since 0, or a since older than the dirty log,
-// returns every board; since at or past the generation returns none.
+// boards that changed. since 0, a since older than the dirty log, or
+// one past the generation returns every board; since at the generation
+// returns none.
 func (m *Manager) BoardsSince(since uint64) (uint64, []BoardStatus) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -180,14 +181,15 @@ func (m *Manager) refreshSegments() (uint64, error) {
 // dirtySinceLocked resolves "which boards committed after generation
 // since" through the per-generation dirty log: the union of the logged
 // index lists for (since, gen], sorted and deduplicated. The second
-// return is false when the log no longer covers the span (reader too far
-// behind); callers fall back to every board. Cost is O(committed polls
-// in the span), never O(fleet). Callers hold m.mu.
+// return is false when the log does not cover the span — the reader is
+// too far behind, or ahead of gen, so its since numbers another run's
+// generations; callers fall back to every board. Cost is O(committed
+// polls in the span), never O(fleet). Callers hold m.mu.
 func (m *Manager) dirtySinceLocked(since, gen uint64) ([]int, bool) {
-	if gen <= since {
+	if gen == since {
 		return nil, true
 	}
-	if gen-since >= dirtyLogGens {
+	if since > gen || gen-since >= dirtyLogGens {
 		return nil, false
 	}
 	n := 0

@@ -4,23 +4,34 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	apiv1 "xvolt/api/v1"
 )
 
-// referenceBoardsJSON is the pre-delta serialization the HTTP layer used
-// to produce per request: one json.Encoder with SetIndent("", " ") over
-// the whole board list. The delta encoder must reproduce it byte for
-// byte.
+// referenceBoardsJSON is the /api/fleet document as the canonical api/v1
+// encoder writes it over the whole board list. The delta encoder must
+// reproduce it byte for byte.
 func referenceBoardsJSON(t *testing.T, boards []BoardStatus) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(struct {
-		Boards []BoardStatus `json:"boards"`
-	}{boards}); err != nil {
+	body, err := apiv1.Marshal(apiv1.Boards{Boards: boards})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return body
+}
+
+// committedSince lists the statuses in after that differ from before,
+// the Boards() snapshot taken at an earlier generation: every poll
+// advances a board's Polls and LastPoll, so these are exactly the boards
+// committed in between.
+func committedSince(before, after []BoardStatus) []BoardStatus {
+	var out []BoardStatus
+	for i := range after {
+		if after[i] != before[i] {
+			out = append(out, after[i])
+		}
+	}
+	return out
 }
 
 // TestBoardsJSONMatchesReference pins the stitched delta document
@@ -58,14 +69,9 @@ func TestBoardsJSONDeltaReencodesOnlyDirty(t *testing.T) {
 	}
 
 	// One poll dirties exactly one board.
+	before := m.Boards()
 	m.Run(1)
-	dirty := 0
-	for _, g := range m.changed {
-		if g == m.Generation() {
-			dirty++
-		}
-	}
-	if dirty != 1 {
+	if dirty := len(committedSince(before, m.Boards())); dirty != 1 {
 		t.Fatalf("Run(1) dirtied %d boards, want 1", dirty)
 	}
 	if _, _, err := m.BoardsJSON(); err != nil {
@@ -89,30 +95,25 @@ func TestBoardsJSONDeltaReencodesOnlyDirty(t *testing.T) {
 	}
 }
 
-// referenceDeltaJSON is the delta document's executable spec: one
-// json.Encoder with SetIndent("", " ") over (generation, since, boards).
+// referenceDeltaJSON is the delta document's executable spec: the
+// canonical api/v1 encoding of (generation, since, boards).
 func referenceDeltaJSON(t *testing.T, gen, since uint64, boards []BoardStatus) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(struct {
-		Generation uint64        `json:"generation"`
-		Since      uint64        `json:"since"`
-		Boards     []BoardStatus `json:"boards"`
-	}{gen, since, boards}); err != nil {
+	body, err := apiv1.Marshal(apiv1.BoardsDelta{Generation: gen, Since: since, Boards: boards})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return body
 }
 
 // TestBoardsDeltaJSONMatchesReference pins the wire delta: the document
 // for ?since=S holds exactly the boards that committed after generation
-// S, framed byte-identically to the reference encoder.
+// S, framed byte-identically to the reference encoder. A since past the
+// generation counts another run's generations and gets every board.
 func TestBoardsDeltaJSONMatchesReference(t *testing.T) {
 	m := newTestManager(t, testConfig(11))
 	m.Run(40)
-	since := m.Generation()
+	since, before := m.Generation(), m.Boards()
 	m.Run(3) // a strict subset of the 6 boards commits after `since`
 
 	gen, body, err := m.BoardsDeltaJSON(since)
@@ -122,12 +123,7 @@ func TestBoardsDeltaJSONMatchesReference(t *testing.T) {
 	if gen != m.Generation() {
 		t.Fatalf("delta gen = %d, Generation() = %d", gen, m.Generation())
 	}
-	var want []BoardStatus
-	for i, s := range m.Boards() {
-		if m.changed[i] > since {
-			want = append(want, s)
-		}
-	}
+	want := committedSince(before, m.Boards())
 	if len(want) == 0 || len(want) == m.cfg.Boards {
 		t.Fatalf("degenerate delta: %d of %d boards dirty", len(want), m.cfg.Boards)
 	}
@@ -142,6 +138,14 @@ func TestBoardsDeltaJSONMatchesReference(t *testing.T) {
 	}
 	if none != nil || gen2 != gen {
 		t.Fatalf("delta at current generation = (%d, %d bytes), want (gen, nil)", gen2, len(none))
+	}
+
+	_, all, err := m.BoardsDeltaJSON(gen + 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := referenceDeltaJSON(t, gen, gen+5, m.Boards()); !bytes.Equal(all, ref) {
+		t.Fatalf("delta ahead of the generation diverges from every board:\n--- delta ---\n%s--- reference ---\n%s", all, ref)
 	}
 }
 

@@ -74,8 +74,8 @@ func (m *Manager) traceOutcomeLocked(o *pollOutcome) {
 
 	if tr := o.transition; tr != nil {
 		_, hs := t.StartSpan(ctx, "health.transition")
-		hs.SetAttr("from", tr.From.String())
-		hs.SetAttr("to", tr.To.String())
+		hs.SetAttr("from", tr.From)
+		hs.SetAttr("to", tr.To)
 		hs.SetAttr("reason", tr.Reason)
 		hs.End()
 	}

@@ -37,6 +37,7 @@ type conformanceStep struct {
 	save   string
 	status int
 	body   string // substring every tier's body must hold
+	boards int    // board documents every tier's body must hold (0: unchecked)
 }
 
 // conformanceHeaders normalizes the tier-specific parts of a response
@@ -110,6 +111,10 @@ func TestFleetHubConformance(t *testing.T) {
 		{name: "boards revalidated", path: "/api/fleet", inm: "boards", status: http.StatusNotModified},
 		{name: "delta at the current generation", path: "/api/fleet?since={gen}", status: http.StatusNotModified},
 		{name: "delta from zero", path: "/api/fleet?since=0", status: http.StatusOK, body: `"since": 0`},
+		// A since past the generation counts another run's generations (the
+		// server restarted under the client): every board, since echoed.
+		{name: "delta ahead of the generation", path: "/api/fleet?since=1000000", status: http.StatusOK,
+			body: `"since": 1000000`, boards: 6},
 		{name: "malformed since", path: "/api/fleet?since=x", status: http.StatusBadRequest},
 		{name: "health", path: "/api/fleet/health", save: "health", status: http.StatusOK},
 		{name: "health revalidated", path: "/api/fleet/health", inm: "health", status: http.StatusNotModified},
@@ -157,6 +162,9 @@ func TestFleetHubConformance(t *testing.T) {
 			}
 			if !strings.Contains(body, step.body) {
 				t.Errorf("%s: %s body lacks %q:\n%s", step.name, tier.name, step.body, body)
+			}
+			if n := strings.Count(body, `"id": `); step.boards > 0 && n != step.boards {
+				t.Errorf("%s: %s body holds %d boards, want %d", step.name, tier.name, n, step.boards)
 			}
 			if step.save != "" {
 				tier.tags[step.save] = resp.Header.Get("ETag")
@@ -242,7 +250,7 @@ func TestFleetAPIConcurrentReads(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	want := m.Health().Polls
+	want := m.HealthAPIv1().Polls
 	for _, url := range []string{fleetTS.URL, hubTS.URL} {
 		if sum, err := clientv1.New(url).FleetHealth(ctx); err != nil || sum.Polls != want {
 			t.Errorf("%s health after the last commit: polls %d (%v), want %d", url, sum.Polls, err, want)

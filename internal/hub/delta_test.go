@@ -129,9 +129,8 @@ func polledSince(before, after []fleet.BoardStatus) []string {
 func wantTable(source string, m *fleet.Manager) []apiv1.BoardStatus {
 	var out []apiv1.BoardStatus
 	for _, b := range m.Boards() {
-		w := b.APIv1()
-		w.ID = source + "/" + w.ID
-		out = append(out, w)
+		b.ID = source + "/" + b.ID
+		out = append(out, b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -304,9 +303,11 @@ func TestHubDeltaFoldsToFullTable(t *testing.T) {
 	}
 }
 
-// TestHubNotModifiedPaths: an ETag match and ?since= at or past the
-// generation answer 304 on /api/fleet, an ETag match answers 304 on a
-// board's events, and a delta with no changed boards renders "[]".
+// TestHubNotModifiedPaths: an ETag match and ?since= at the generation
+// answer 304 on /api/fleet, an ETag match answers 304 on a board's
+// events, and a delta with no changed boards renders "[]". A ?since=
+// past the generation counts another run's generations: it answers 200
+// with every board.
 func TestHubNotModifiedPaths(t *testing.T) {
 	h := New()
 	if _, err := h.Ingest(apiv1.IngestRequest{Source: "s", Generation: 1,
@@ -346,10 +347,17 @@ func TestHubNotModifiedPaths(t *testing.T) {
 	if code, _, _ := get("/api/fleet", etag); code != http.StatusNotModified {
 		t.Errorf("ETag match on /api/fleet: HTTP %d, want 304", code)
 	}
-	for _, since := range []string{"1", "7"} {
-		if code, _, _ := get("/api/fleet?since="+since, ""); code != http.StatusNotModified {
-			t.Errorf("?since=%s at generation 1: HTTP %d, want 304", since, code)
-		}
+	if code, _, _ := get("/api/fleet?since=1", ""); code != http.StatusNotModified {
+		t.Errorf("?since=1 at generation 1: HTTP %d, want 304", code)
+	}
+	code, _, body := get("/api/fleet?since=7", "")
+	var ahead apiv1.BoardsDelta
+	if err := json.Unmarshal([]byte(body), &ahead); err != nil {
+		t.Fatalf("?since=7 at generation 1: HTTP %d, %v", code, err)
+	}
+	if code != http.StatusOK || ahead.Generation != 1 || ahead.Since != 7 || len(ahead.Boards) != 2 {
+		t.Errorf("?since=7 at generation 1: HTTP %d, generation %d since %d with %d boards, want 200, 1, 7 with 2",
+			code, ahead.Generation, ahead.Since, len(ahead.Boards))
 	}
 	if code, _, _ := get("/api/fleet?since=x", ""); code != http.StatusBadRequest {
 		t.Errorf("?since=x: HTTP %d, want 400", code)
@@ -373,7 +381,7 @@ func TestHubNotModifiedPaths(t *testing.T) {
 		Events: mkEvents(3)}); err != nil {
 		t.Fatal(err)
 	}
-	code, _, body := get("/api/fleet?since=1", "")
+	code, _, body = get("/api/fleet?since=1", "")
 	var d apiv1.BoardsDelta
 	if err := json.Unmarshal([]byte(body), &d); err != nil {
 		t.Fatal(err)

@@ -279,14 +279,19 @@ func (h *Hub) Sources() []apiv1.HubSource {
 }
 
 // BoardsSince returns the hub generation and the global board view of
-// the boards that changed after generation since (0 returns every
-// board): ids namespaced "source/board", sources and boards each in
-// sorted order. Only the returned boards are copied; the rest cost one
-// generation compare each. The view is never nil, so an empty one
-// renders "boards": [], as the fleet's does.
+// the boards that changed after generation since: ids namespaced
+// "source/board", sources and boards each in sorted order. since 0, or
+// one past the generation (it numbers another run's generations),
+// returns every board. Only the returned boards are copied; the rest
+// cost one generation compare each. The view is never nil, so an empty
+// one renders "boards": [], as the fleet's does.
 func (h *Hub) BoardsSince(since uint64) (uint64, []apiv1.BoardStatus) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	gen := h.gen.Load()
+	if since > gen {
+		since = 0
+	}
 	out := []apiv1.BoardStatus{}
 	for _, name := range h.names {
 		s := h.sources[name]
@@ -298,7 +303,7 @@ func (h *Hub) BoardsSince(since uint64) (uint64, []apiv1.BoardStatus) {
 			}
 		}
 	}
-	return h.gen.Load(), out
+	return gen, out
 }
 
 // BoardsJSON returns the hub generation and the /api/fleet document:
@@ -310,11 +315,11 @@ func (h *Hub) BoardsJSON() (uint64, []byte, error) {
 }
 
 // BoardsDeltaJSON returns the hub generation and the /api/fleet?since=
-// document: the boards whose status changed after hub generation since.
-// A since at or past the generation returns a nil body before any board
-// is copied.
+// document: the boards whose status changed after hub generation since,
+// or every board when since is past the generation. A since at the
+// generation returns a nil body before any board is copied.
 func (h *Hub) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
-	if gen := h.Generation(); since >= gen {
+	if gen := h.Generation(); since == gen {
 		return gen, nil, nil
 	}
 	gen, boards := h.BoardsSince(since)

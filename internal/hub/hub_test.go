@@ -103,7 +103,7 @@ func TestHubDumpParity(t *testing.T) {
 		if got != want {
 			t.Errorf("%s dump diverges from source rendering:\nhub:\n%s\nsource:\n%s", s.name, got, want)
 		}
-		hSum := s.m.Health()
+		hSum := s.m.HealthAPIv1()
 		wantBoards += hSum.Boards
 		wantPolls += hSum.Polls
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"sort"
 	"time"
 
 	apiv1 "xvolt/api/v1"
@@ -71,27 +72,21 @@ func (p *Pusher) push(ctx context.Context) (apiv1.IngestResponse, error) {
 			events = append(events, e.APIv1())
 		}
 	}
-	var transitions []apiv1.Transition
+	// The transition log is in seq order: its unpushed tail follows the
+	// last pushed seq.
+	transitions := p.f.Transitions()
+	transitions = transitions[sort.Search(len(transitions), func(i int) bool { return transitions[i].Seq > p.lastT }):]
 	maxT := p.lastT
-	for _, t := range p.f.Transitions() {
-		if t.Seq > p.lastT {
-			transitions = append(transitions, t.APIv1())
-			if t.Seq > maxT {
-				maxT = t.Seq
-			}
-		}
+	if n := len(transitions); n > 0 {
+		maxT = transitions[n-1].Seq
 	}
 	gen, boards := p.f.BoardsSince(p.lastGen)
-	wire := make([]apiv1.BoardStatus, len(boards))
-	for i, b := range boards {
-		wire[i] = b.APIv1()
-	}
 	health := p.f.HealthAPIv1()
 	req := apiv1.IngestRequest{
 		Source:      p.source,
 		Generation:  gen,
 		VirtualNow:  now,
-		Boards:      wire,
+		Boards:      boards,
 		Events:      events,
 		Transitions: transitions,
 		Health:      &health,

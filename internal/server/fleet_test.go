@@ -82,7 +82,7 @@ func TestFleetEndpoints(t *testing.T) {
 	if total != 4 {
 		t.Errorf("state counts sum to %d, want 4", total)
 	}
-	if want := m.Health().Status; health.Status != want {
+	if want := m.HealthAPIv1().Status; health.Status != want {
 		t.Errorf("served status %q, manager says %q", health.Status, want)
 	}
 
@@ -172,9 +172,9 @@ func TestFleetMetricsExposition(t *testing.T) {
 	if !strings.Contains(body, "# TYPE xvolt_fleet_boards gauge") {
 		t.Error("missing xvolt_fleet_boards family")
 	}
-	h := m.Health()
+	h := m.HealthAPIv1()
 	for _, sc := range h.States {
-		line := `xvolt_fleet_boards{state="` + sc.State.String() + `"} ` + strconv.Itoa(sc.Boards)
+		line := `xvolt_fleet_boards{state="` + sc.State + `"} ` + strconv.Itoa(sc.Boards)
 		if !strings.Contains(body, line) {
 			t.Errorf("/metrics missing %q", line)
 		}

@@ -18,7 +18,9 @@ type FleetReader interface {
 	// BoardsJSON returns the generation and the /api/fleet document.
 	BoardsJSON() (uint64, []byte, error)
 	// BoardsDeltaJSON returns the generation and the /api/fleet?since=
-	// document; a nil body means the client is current (304).
+	// document; a nil body means since is the generation, so the client
+	// is current (304). A since past the generation numbers another
+	// run's generations and gets every board.
 	BoardsDeltaJSON(since uint64) (uint64, []byte, error)
 	// HasBoard reports whether id names a board. Every events request
 	// asks before its ETag check, so it must be cheap.
