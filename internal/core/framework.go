@@ -383,42 +383,47 @@ func (f *Framework) oneRun(spec *workload.Spec, core int, cfg *Config, v units.M
 // (chip, benchmark, input, core, frequency) campaign results with one
 // tally per voltage step, sorted for deterministic output.
 func Parse(records []RunRecord) []*CampaignResult {
+	return parseSlots([][]RunRecord{records})
+}
+
+// parseSlots parses the concatenation of slots without building it.
+// Tallies are order-free sums, so any split of a stream into slots
+// parses identically.
+func parseSlots(slots [][]RunRecord) []*CampaignResult {
 	type key struct {
 		chip, bench, input string
 		core               int
 		freq               units.MegaHertz
 	}
-	byKey := map[key]map[units.MilliVolts]*Tally{}
+	byKey := map[key]*stepTable{}
 	// Record streams arrive grouped by campaign and voltage step (the
 	// engines' canonical order), so the common case is "same key and step
-	// as the previous record" — track both and fall back to the maps only
-	// on transitions. Grouping is by value equality, so out-of-order
+	// as the previous record" — track both and fall back to the lookups
+	// only on transitions. Grouping is by value equality, so out-of-order
 	// streams still parse identically, just slower.
 	var (
 		curKey   key
-		curSteps map[units.MilliVolts]*Tally
+		curSteps *stepTable
 		curVolt  units.MilliVolts
 		curTally *Tally
 	)
-	for _, r := range records {
-		k := key{r.Chip, r.Benchmark, r.Input, r.Core, r.Frequency}
-		if curSteps == nil || k != curKey {
-			m, ok := byKey[k]
-			if !ok {
-				m = map[units.MilliVolts]*Tally{}
-				byKey[k] = m
+	for _, records := range slots {
+		for i := range records {
+			r := &records[i]
+			k := key{r.Chip, r.Benchmark, r.Input, r.Core, r.Frequency}
+			if curSteps == nil || k != curKey {
+				t, ok := byKey[k]
+				if !ok {
+					t = &stepTable{}
+					byKey[k] = t
+				}
+				curKey, curSteps, curTally = k, t, nil
 			}
-			curKey, curSteps, curTally = k, m, nil
-		}
-		if curTally == nil || r.Voltage != curVolt {
-			t, ok := curSteps[r.Voltage]
-			if !ok {
-				t = &Tally{}
-				curSteps[r.Voltage] = t
+			if curTally == nil || r.Voltage != curVolt {
+				curVolt, curTally = r.Voltage, curSteps.tally(r.Voltage)
 			}
-			curVolt, curTally = r.Voltage, t
+			curTally.Add(r.Classify())
 		}
-		curTally.Add(r.Classify())
 	}
 	var keys []key
 	for k := range byKey {
@@ -442,24 +447,51 @@ func Parse(records []RunRecord) []*CampaignResult {
 	})
 	var out []*CampaignResult
 	for _, k := range keys {
-		cr := &CampaignResult{
+		steps := byKey[k].steps
+		sort.Slice(steps, func(a, b int) bool { return steps[a].Voltage > steps[b].Voltage })
+		out = append(out, &CampaignResult{
 			Chip:      k.chip,
 			Benchmark: k.bench,
 			Input:     k.input,
 			Core:      k.core,
 			Frequency: k.freq,
-		}
-		var volts []units.MilliVolts
-		for v := range byKey[k] {
-			volts = append(volts, v)
-		}
-		sort.Slice(volts, func(a, b int) bool { return volts[a] > volts[b] })
-		for _, v := range volts {
-			cr.Steps = append(cr.Steps, StepResult{Voltage: v, Tally: *byKey[k][v]})
-		}
-		out = append(out, cr)
+			Steps:     steps,
+		})
 	}
 	return out
+}
+
+// stepTable collects one campaign's per-voltage tallies. While voltages
+// arrive strictly descending (a sweep's own order) a new voltage is
+// always a new step and no index is kept; the first voltage out of that
+// order builds the index. A map of tallies per campaign cost 4–6 % more
+// report CPU (EXPERIMENTS.md "SDC replay at kernel speed").
+type stepTable struct {
+	steps []StepResult
+	index map[units.MilliVolts]int // voltage → steps position, once out of order
+}
+
+// tally returns v's step tally, adding an empty step if needed. The
+// pointer is valid until the table's next call.
+func (t *stepTable) tally(v units.MilliVolts) *Tally {
+	n := len(t.steps)
+	if t.index == nil {
+		if n == 0 || v < t.steps[n-1].Voltage {
+			t.steps = append(t.steps, StepResult{Voltage: v})
+			return &t.steps[n].Tally
+		}
+		t.index = make(map[units.MilliVolts]int, n+1)
+		for i := range t.steps {
+			t.index[t.steps[i].Voltage] = i
+		}
+	}
+	i, ok := t.index[v]
+	if !ok {
+		i = n
+		t.index[v] = i
+		t.steps = append(t.steps, StepResult{Voltage: v})
+	}
+	return &t.steps[i].Tally
 }
 
 // Characterize runs all three phases end to end and returns the parsed

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"xvolt/internal/silicon"
@@ -314,6 +316,68 @@ func TestParseGrouping(t *testing.T) {
 	}
 	if ttt.Steps[0].Tally.N != 2 || ttt.Steps[0].Tally.SDC != 1 {
 		t.Errorf("tally = %+v", ttt.Steps[0].Tally)
+	}
+}
+
+// The slot parser behind LadderRunner.Characterize must parse any split
+// and any order of a stream exactly as Parse parses the flat stream, and
+// Characterize must equal Parse over Execute.
+func TestParseSlotsMatchesFlat(t *testing.T) {
+	cfg := DefaultConfig(specs(t, "bwaves/ref", "mcf/ref"), []int{0, 4})
+	cfg.Runs = 3
+	flat, err := tttFramework().Execute(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Parse(flat)
+
+	var slots [][]RunRecord
+	for start := 0; start < len(flat); {
+		end := start + 1 + (start*7)%97 // uneven splits, cutting steps and campaigns
+		slots = append(slots, flat[start:min(end, len(flat))])
+		start = end
+	}
+	if got := parseSlots(slots); !reflect.DeepEqual(got, want) {
+		t.Error("parseSlots over a split stream differs from Parse over the flat stream")
+	}
+	shuffled := append([]RunRecord(nil), flat...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	if got := Parse(shuffled); !reflect.DeepEqual(got, want) {
+		t.Error("Parse over a shuffled stream differs from the canonical stream")
+	}
+	// Campaigns dealt round-robin, one record at a time: each campaign's
+	// voltages still descend, but every record follows another
+	// campaign's, so each step is looked up again at its own voltage.
+	var camps [][]RunRecord
+	for start := 0; start < len(flat); {
+		end := start + 1
+		for end < len(flat) && flat[end].Benchmark == flat[start].Benchmark && flat[end].Core == flat[start].Core {
+			end++
+		}
+		camps = append(camps, flat[start:end])
+		start = end
+	}
+	var dealt []RunRecord
+	for i := 0; len(dealt) < len(flat); i++ {
+		for _, c := range camps {
+			if i < len(c) {
+				dealt = append(dealt, c[i])
+			}
+		}
+	}
+	if got := Parse(dealt); len(camps) < 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("Parse over %d campaigns dealt round-robin differs from the canonical stream", len(camps))
+	}
+
+	FlushCampaignCache()
+	got, err := NewLadderRunner(func() *xgene.Machine { return xgene.New(silicon.NewChip(silicon.TTT, 1)) }).Characterize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("LadderRunner.Characterize differs from Parse over the sequential stream")
 	}
 }
 

@@ -176,13 +176,18 @@ func (r *LadderRunner) ExecuteCampaigns(cfg Config, grid []Campaign) ([]RunRecor
 	return r.executeFlat(cfg, grid)
 }
 
-// Characterize runs Execute and the parsing phase end to end.
+// Characterize runs the execution and parsing phases end to end. It
+// parses the per-campaign slots in place: the flat stream Execute would
+// return is never assembled.
 func (r *LadderRunner) Characterize(cfg Config) ([]*CampaignResult, error) {
-	recs, err := r.Execute(cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	slots, err := r.executeGrid(cfg, cfg.Grid())
 	if err != nil {
 		return nil, err
 	}
-	return Parse(recs), nil
+	return parseSlots(slots), nil
 }
 
 // recordArenaPool recycles per-campaign record buffers across campaigns
@@ -217,7 +222,9 @@ func (r *LadderRunner) executeFlat(cfg Config, grid []Campaign) ([]RunRecord, er
 // executeGrid is the worker pool. Results land in a per-campaign slot
 // table indexed by grid position, so assembly order never depends on
 // which worker finished first. Each slot is read-only: it may be shared
-// with the campaign memo.
+// with the campaign memo. Campaigns are accounted in grid order
+// (gridAccounts), so the event stream and the recovery numbering do not
+// depend on the worker count either.
 func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, error) {
 	if len(grid) == 0 {
 		return nil, nil
@@ -235,6 +242,7 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, 
 
 	jobs := make(chan int)
 	out := make([][]RunRecord, len(grid))
+	acct := &gridAccounts{r: r, grid: grid, out: out, cfg: &cfg, slots: make([]finishedSlot, len(grid))}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -244,20 +252,18 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, 
 			defer r.pool.Put(wm)
 			bs := wm.BatchState()
 			label := strconv.Itoa(worker)
-			crashes := 0
 			for idx := range jobs {
 				r.metrics.queued.Dec()
 				camp := grid[idx]
 				r.metrics.busy.Inc()
 				span := obs.StartSpan(r.metrics.latency.With(label))
-				out[idx] = r.oneCampaign(wm, bs, camp.Spec, camp.Core, &cfg, &crashes)
+				recs, hit := r.oneCampaign(wm, bs, camp.Spec, camp.Core, &cfg)
+				out[idx] = recs
 				span.End()
 				r.metrics.busy.Dec()
 				r.metrics.done.Inc()
+				acct.finish(idx, bs.Chip.Name, hit)
 			}
-			r.mu.Lock()
-			r.recoveries += crashes
-			r.mu.Unlock()
 		}(w)
 	}
 	for i := range grid {
@@ -265,16 +271,68 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, 
 	}
 	close(jobs)
 	wg.Wait()
+	r.mu.Lock()
+	r.recoveries += acct.crashes
+	r.mu.Unlock()
 	return out, nil
+}
+
+// gridAccounts accounts a study's campaigns in grid order. A worker
+// parks each finished slot; when no other worker is draining, it drains
+// every ready slot in order, numbering watchdog recoveries across the
+// whole study. The event stream, seq included, is then the same at any
+// worker count.
+type gridAccounts struct {
+	r    *LadderRunner
+	grid []Campaign
+	out  [][]RunRecord
+	cfg  *Config
+
+	mu       sync.Mutex
+	slots    []finishedSlot
+	next     int  // lowest slot not yet accounted
+	draining bool // a worker is accounting; it rechecks slots before it stops
+	crashes  int  // owned by the draining worker
+}
+
+// finishedSlot is what a finished campaign leaves for accounting besides
+// its records.
+type finishedSlot struct {
+	ready bool
+	memo  bool
+	chip  string
+}
+
+// finish parks slot idx, whose records are already in out, and accounts
+// every campaign now ready in grid order unless another worker is doing
+// so. The lock is not held while a campaign is accounted.
+func (g *gridAccounts) finish(idx int, chip string, memo bool) {
+	g.mu.Lock()
+	g.slots[idx] = finishedSlot{ready: true, memo: memo, chip: chip}
+	if g.draining {
+		g.mu.Unlock()
+		return
+	}
+	g.draining = true
+	for g.next < len(g.slots) && g.slots[g.next].ready {
+		i := g.next
+		g.next++
+		s, c := g.slots[i], g.grid[i]
+		g.mu.Unlock()
+		g.r.accountCampaign(g.out[i], s.chip, c.Spec, c.Core, g.cfg, s.memo, &g.crashes)
+		g.mu.Lock()
+	}
+	g.draining = false
+	g.mu.Unlock()
 }
 
 // oneCampaign resolves one grid cell: a memo hit reuses the stored
 // stream, a miss sweeps the ladder into a pooled arena and stores a
-// compact copy. Either way the returned slice is read-only shared state,
-// and the campaign is accounted from it.
-func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, crashes *int) []RunRecord {
+// compact copy. Either way the returned slice is read-only shared state;
+// hit reports a memo hit.
+func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config) (recs []RunRecord, hit bool) {
 	key := newMemoKey(bs, spec, coreID, cfg)
-	recs, hit := lookupCampaign(key)
+	recs, hit = lookupCampaign(key)
 	if !hit {
 		bufp := recordArenaPool.Get().(*[]RunRecord)
 		buf := r.runLadder(wm, bs, spec, coreID, cfg, (*bufp)[:0])
@@ -284,8 +342,7 @@ func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec 
 		recordArenaPool.Put(bufp)
 		storeCampaign(key, recs)
 	}
-	r.accountCampaign(recs, bs, spec, coreID, cfg, hit, crashes)
-	return recs
+	return recs, hit
 }
 
 // accountCampaign is the one place a campaign's crashes are counted as
@@ -293,7 +350,7 @@ func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec 
 // the record stream becomes the event sequence of the sequential
 // sweep — campaign, step, run, crash and recovery — marked "(memo)"
 // when the records came from the memo.
-func (r *LadderRunner) accountCampaign(recs []RunRecord, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, memo bool, crashes *int) {
+func (r *LadderRunner) accountCampaign(recs []RunRecord, chip string, spec *workload.Spec, coreID int, cfg *Config, memo bool, crashes *int) {
 	if r.log == nil {
 		for i := range recs {
 			if recs[i].SystemCrashed {
@@ -306,7 +363,7 @@ func (r *LadderRunner) accountCampaign(recs []RunRecord, bs xgene.BatchState, sp
 	if memo {
 		mark = " (memo)"
 	}
-	r.log.Emit(trace.CampaignStart, "%s on %s core %d at %v%s", spec.ID(), bs.Chip.Name, coreID, cfg.Frequency, mark)
+	r.log.Emit(trace.CampaignStart, "%s on %s core %d at %v%s", spec.ID(), chip, coreID, cfg.Frequency, mark)
 	for i := range recs {
 		rec := &recs[i]
 		if i == 0 || rec.Voltage != recs[i-1].Voltage {
@@ -340,6 +397,7 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 		Frequency: cfg.Frequency,
 	}
 	st := bs.State
+	var inj workload.Bitflip // rescheduled for every SDC cell
 	consecutiveAllCrash := 0
 	for v := cfg.StartVoltage; v >= cfg.StopVoltage; v -= units.VoltageStep {
 		if v >= cleanAbove && st.Clean(bs.Chip) {
@@ -375,7 +433,8 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 			case cell.Effects.AC:
 				rec.ExitCode = 134
 			case cell.Effects.SDC:
-				rec.OutputMismatch = spec.Run(workload.NewBitflip(rng, cell.Effects.SDCBits)) != golden
+				inj.Reset(rng, cell.Effects.SDCBits)
+				rec.OutputMismatch = spec.Run(&inj) != golden
 			}
 			buf = append(buf, rec)
 		}

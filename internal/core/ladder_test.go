@@ -338,3 +338,40 @@ func TestLadderTraceSchemaParity(t *testing.T) {
 		}
 	}
 }
+
+// A traced study is accounted in grid order: at four workers the JSONL
+// stream, seq and `recovery #N` numbering included, equals the one-worker
+// stream byte for byte. Both runs sweep cold (memo flushed), so the
+// campaigns really run concurrently.
+func TestLadderTraceWorkerInvariant(t *testing.T) {
+	cfg := testConfig(t)
+	jsonl := func(workers int) []byte {
+		t.Helper()
+		core.FlushCampaignCache()
+		var buf bytes.Buffer
+		l := trace.New(1)
+		l.SetSink(trace.NewJSONLSink(&buf))
+		lr := core.NewLadderRunner(ttFactory)
+		lr.SetParallelism(workers)
+		lr.SetTrace(l)
+		if _, err := lr.Execute(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	one := jsonl(1)
+	four := jsonl(4)
+	if !bytes.Contains(one, []byte(`"kind":"recovery"`)) {
+		t.Fatal("the grid has no crashes; the recovery numbering goes untested")
+	}
+	if bytes.Equal(one, four) {
+		return
+	}
+	a, b := bytes.Split(one, []byte("\n")), bytes.Split(four, []byte("\n"))
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("JSONL at 4 workers differs from 1 worker at line %d:\n  1: %s\n  4: %s", i+1, a[i], b[i])
+		}
+	}
+	t.Fatalf("JSONL at 4 workers has %d lines, at 1 worker %d", len(b), len(a))
+}

@@ -126,6 +126,7 @@ func DefaultConfig() Config {
 		// annotation is present and the body stays allocation-disciplined.
 		HotpathRequired: []string{
 			"(*xvolt/internal/core.LadderRunner).runLadder",
+			"(*xvolt/internal/workload.Bitflip).Reset",
 			"xvolt/internal/xgene.SampleCell",
 			"(*xvolt/internal/fleet.board).poll",
 			"(*xvolt/internal/fleet.snapshotEncoder).encode",

@@ -6,6 +6,8 @@
 // to catch them at CI time:
 //
 //   - no calls into fmt (every verb is an interface box + parse);
+//   - no map construction, by make or by literal (an allocation per
+//     call, and a hash per access where an array index would do);
 //   - no map iteration (randomized order *and* hash-walk cost);
 //   - no defer inside a loop (defers accumulate until function return);
 //   - no growing a returned slice that was declared without capacity
@@ -92,6 +94,14 @@ func checkHotBody(pass *Pass, n *funcNode) {
 			ast.Inspect(stmt.Body, walk)
 			loopDepth--
 			return false
+		case *ast.CallExpr:
+			if id, ok := stmt.Fun.(*ast.Ident); ok && id.Name == "make" && isBuiltin(pass, id) && isMapExpr(pass, stmt) {
+				reportMapBuild(pass, stmt, name)
+			}
+		case *ast.CompositeLit:
+			if isMapExpr(pass, stmt) {
+				reportMapBuild(pass, stmt, name)
+			}
 		case *ast.DeferStmt:
 			if loopDepth > 0 {
 				pass.Reportf(stmt.Pos(),
@@ -104,6 +114,28 @@ func checkHotBody(pass *Pass, n *funcNode) {
 	ast.Inspect(n.decl.Body, walk)
 
 	checkEscapingGrowth(pass, n, name)
+}
+
+// isBuiltin reports whether id resolves to a predeclared builtin.
+func isBuiltin(pass *Pass, id *ast.Ident) bool {
+	_, ok := pass.Info.Uses[id].(*types.Builtin)
+	return ok
+}
+
+// isMapExpr reports whether e has a map type.
+func isMapExpr(pass *Pass, e ast.Expr) bool {
+	tv, ok := pass.Info.Types[e]
+	if !ok {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
+}
+
+func reportMapBuild(pass *Pass, at ast.Node, name string) {
+	pass.Reportf(at.Pos(),
+		"hot path %s builds a map: an allocation per call and a hash per access; keep hot state in arrays or slices",
+		name)
 }
 
 // checkEscapingGrowth flags `x = append(x, …)` on a slice that (a) is

@@ -356,10 +356,17 @@ func TestHotallocFixture(t *testing.T) {
 	cfg := Config{HotpathRequired: []string{"fixture/hotalloc.MustHot"}}
 	res := runOn(t, filepath.Join("testdata", "src", "hotalloc"), NewHotalloc(cfg))
 	checkGolden(t, "hotalloc", res.Findings)
+	mapBuilds := 0
 	for _, f := range res.Findings {
 		if strings.Contains(f.Message, "hotalloc.cool") || strings.Contains(f.Message, "hotalloc.free") {
 			t.Errorf("clean or unannotated function wrongly flagged: %s", f)
 		}
+		if strings.Contains(f.Message, "builds a map") {
+			mapBuilds++
+		}
+	}
+	if mapBuilds != 2 {
+		t.Errorf("want the map-scheduled newBitflip and the map literal flagged, got %d map findings:\n%s", mapBuilds, render(res.Findings))
 	}
 }
 

@@ -44,3 +44,32 @@ func free(m map[string]int) {
 		_ = k
 	}
 }
+
+// bitflip schedules faults in a map, rebuilt for every run.
+type bitflip struct {
+	flipAt map[int]uint
+	calls  int
+}
+
+// newBitflip is a map-scheduled injector's constructor on a hot path:
+// every call builds a map.
+//
+//xvolt:hotpath fixture map-building hot path
+func newBitflip(draw func(int) int, flips int) *bitflip {
+	b := &bitflip{flipAt: make(map[int]uint, flips)}
+	for len(b.flipAt) < flips {
+		idx := draw(64)
+		if _, dup := b.flipAt[idx]; dup {
+			continue
+		}
+		b.flipAt[idx] = uint(40 + draw(23))
+	}
+	return b
+}
+
+// weights builds a map from a literal on a hot path.
+//
+//xvolt:hotpath fixture map-literal hot path
+func weights(k string) int {
+	return map[string]int{"sdc": 4, "ce": 1}[k]
+}

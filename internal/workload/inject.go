@@ -34,48 +34,69 @@ const minHookCalls = 64
 // Flips target high mantissa/exponent bits so the corruption propagates to
 // the program output instead of vanishing in rounding — mirroring how
 // timing-path failures latch wrong values into architectural state.
+//
+// The schedule is a fixed array over the hook-call window, so a sweep can
+// hold one Bitflip and Reset it per replay without allocating.
 type Bitflip struct {
-	flipAt map[int]uint // call index → bit position
-	calls  int
+	sched [minHookCalls]uint8 // bit position + 1 at a fault site, 0 elsewhere
+	flips int
+	calls int
 }
 
 // NewBitflip schedules `flips` corruptions using rng. At least one flip is
 // scheduled when flips ≥ 1; zero flips yields a pass-through injector.
 func NewBitflip(rng *rand.Rand, flips int) *Bitflip {
-	b := &Bitflip{flipAt: make(map[int]uint, flips)}
-	for len(b.flipAt) < flips && len(b.flipAt) < minHookCalls {
+	b := new(Bitflip)
+	b.Reset(rng, flips)
+	return b
+}
+
+// Reset reschedules b in place for a fresh run, drawing from rng exactly
+// as NewBitflip does: per flip, a call index (Intn(64), redrawn when it
+// is already a fault site) and then a bit (Intn(23)).
+//
+//xvolt:hotpath once per SDC replay of every sweep
+func (b *Bitflip) Reset(rng *rand.Rand, flips int) {
+	b.sched = [minHookCalls]uint8{}
+	b.flips, b.calls = 0, 0
+	for b.flips < flips && b.flips < minHookCalls {
 		idx := rng.Intn(minHookCalls)
-		if _, dup := b.flipAt[idx]; dup {
+		if b.sched[idx] != 0 {
 			continue
 		}
 		// Bits 40–62 hit the high mantissa and exponent of a float64 and
 		// the high half of integer checksums: always observable.
-		b.flipAt[idx] = uint(40 + rng.Intn(23))
+		b.sched[idx] = uint8(40+rng.Intn(23)) + 1
+		b.flips++
 	}
-	return b
 }
 
 // Flips reports how many corruptions are scheduled.
-func (b *Bitflip) Flips() int { return len(b.flipAt) }
+func (b *Bitflip) Flips() int { return b.flips }
 
-func (b *Bitflip) step() (uint, bool) {
-	bit, ok := b.flipAt[b.calls]
+// step advances the hook-call counter and returns the scheduled bit + 1
+// for this call, or 0 when it is not a fault site.
+func (b *Bitflip) step() uint {
+	c := b.calls
 	b.calls++
-	return bit, ok
+	if uint(c) < minHookCalls {
+		return uint(b.sched[c])
+	}
+	return 0
 }
 
 // Word flips a scheduled bit of x, if this call is a fault site.
 func (b *Bitflip) Word(x uint64) uint64 {
-	if bit, ok := b.step(); ok {
-		return x ^ (1 << bit)
+	if s := b.step(); s != 0 {
+		return x ^ (1 << (s - 1))
 	}
 	return x
 }
 
 // F64 flips a scheduled bit of x's IEEE-754 representation.
 func (b *Bitflip) F64(x float64) float64 {
-	if bit, ok := b.step(); ok {
-		return flipF64Bit(x, bit)
+	if s := b.step(); s != 0 {
+		return flipF64Bit(x, s-1)
 	}
 	return x
 }

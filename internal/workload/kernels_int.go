@@ -2,9 +2,13 @@
 // programs). Like the floating-point kernels, each is a deterministic
 // miniature of the pattern its namesake exercises: pointer chasing,
 // compression, dynamic programming, game-tree search, event simulation…
+// Rewrites for speed follow the bit-identity rule in kernels_fp.go.
 package workload
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // kMcf models the min-cost-flow solver: Bellman-Ford-style relaxations
 // over a sparse network — pointer-chasing and branch-heavy, low IPC.
@@ -13,13 +17,13 @@ func kMcf(size int, inj Injector) uint64 {
 	const deg = 4
 	// Deterministic sparse graph.
 	rng := newXorshift(0x3cf)
-	head := make([]int, n*deg)
-	cost := make([]uint64, n*deg)
+	head := make([]int, n*deg, 63*deg) // n ≤ 63: on the stack
+	cost := make([]uint64, n*deg, 63*deg)
 	for i := range head {
 		head[i] = rng.intn(n)
 		cost[i] = uint64(rng.intn(100) + 1)
 	}
-	dist := make([]uint64, n)
+	dist := make([]uint64, n, 63)
 	for i := range dist {
 		dist[i] = 1 << 40
 	}
@@ -287,38 +291,53 @@ func kH264ref(size int, inj Injector) uint64 {
 		ref[i] = uint8(rng.intn(256))
 		curFrame[i] = uint8(int(ref[i]) + rng.intn(9) - 4)
 	}
+	offsets := [5][2]int{{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}}
 	h := uint64(0x18)
 	iters := 64 + size/4
 	for it := 0; it < iters; it++ {
 		bx := (it * 3) % (64 - mb)
 		by := (it * 5) % (64 - mb)
 		bestSAD := uint64(1 << 30)
-		for _, off := range [5][2]int{{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+		for _, off := range offsets {
 			rx, ry := bx+off[0], by+off[1]
 			if rx < 0 || ry < 0 || rx >= 64-mb || ry >= 64-mb {
 				continue
 			}
-			sad := uint64(0)
+			var lanes uint64
 			for y := 0; y < mb; y++ {
-				for x := 0; x < mb; x++ {
-					a := int(curFrame[(by+y)*64+bx+x])
-					b := int(ref[(ry+y)*64+rx+x])
-					if a > b {
-						sad += uint64(a - b)
-					} else {
-						sad += uint64(b - a)
-					}
-				}
+				a := binary.LittleEndian.Uint64(curFrame[(by+y)*64+bx:])
+				b := binary.LittleEndian.Uint64(ref[(ry+y)*64+rx:])
+				lanes += absDiff4(a&laneLo, b&laneLo) + absDiff4(a>>8&laneLo, b>>8&laneLo)
 			}
-			if sad < bestSAD {
-				bestSAD = sad
-			}
+			bestSAD = min(bestSAD, sumLanes(lanes))
 		}
 		v := inj.Word(bestSAD)
 		h = fold(h, v)
 	}
 	return h
 }
+
+// SAD arithmetic on four 16-bit lanes per uint64 (SWAR): a row of eight
+// pixels is split into its even and odd bytes, and |a−b| of all eight
+// pairs takes a handful of word operations and no data-dependent branch.
+// Every step is exact: a lane holds a byte difference biased into
+// [1, 511] and never borrows from or carries into its neighbour, and a
+// block's accumulated lanes sum to at most 8 rows × 8 × 255 < 2¹⁶.
+const (
+	laneLo   = 0x00ff00ff00ff00ff // the low byte of every lane
+	laneOne  = 0x0001000100010001 // 1 in every lane
+	laneBias = 0x0100010001000100 // 256 in every lane
+)
+
+// absDiff4 is |x−y| per lane for lanes holding bytes.
+func absDiff4(x, y uint64) uint64 {
+	d := (x | laneBias) - y          // x−y+256 ∈ [1, 511] per lane
+	lt := (^d >> 8) & laneOne        // 1 where x < y
+	return (d&laneLo ^ lt*0xff) + lt // x−y, or 256−(x−y+256) = y−x
+}
+
+// sumLanes adds the four lanes of v (their sum must stay below 2¹⁶).
+func sumLanes(v uint64) uint64 { return v * laneOne >> 48 }
 
 // kOmnetpp models the discrete-event simulator: a binary-heap event queue
 // with dependent event insertion — pointer/memory heavy.
@@ -388,45 +407,46 @@ func kOmnetpp(size int, inj Injector) uint64 {
 // kAstar models the path-finder: A* over a weighted grid with a Manhattan
 // heuristic, rebuilt for several start/goal pairs.
 func kAstar(size int, inj Injector) uint64 {
-	const n = 16
 	rng := newXorshift(0xa57a)
-	weight := make([]uint64, n*n)
+	var weight astarGrid
 	for i := range weight {
 		weight[i] = uint64(rng.intn(9) + 1)
+	}
+	var unreached, dist astarGrid
+	for i := range unreached {
+		unreached[i] = 1 << 40
 	}
 	h := uint64(0x1a)
 	iters := 64 + size/8
 	for it := 0; it < iters; it++ {
-		start := (it * 7) % (n * n)
-		goal := (it*13 + n) % (n * n)
-		gx, gy := goal/n, goal%n
-		dist := make([]uint64, n*n)
-		for i := range dist {
-			dist[i] = 1 << 40
-		}
+		start := (it * 7) % (astarN * astarN)
+		goal := (it*13 + astarN) % (astarN * astarN)
+		gx, gy := goal/astarN, goal%astarN
+		dist = unreached
 		dist[start] = 0
-		// Greedy best-first expansion, bounded steps.
+		// Greedy best-first expansion, bounded steps. Neighbours are
+		// relaxed in the order (+1,0), (−1,0), (0,+1), (0,−1); the first
+		// strictly lowest score wins.
 		curNode := start
 		for step := 0; step < 40 && curNode != goal; step++ {
-			x, y := curNode/n, curNode%n
-			bestScore := uint64(1 << 62)
-			bestNext := curNode
-			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				nx, ny := x+d[0], y+d[1]
-				if nx < 0 || ny < 0 || nx >= n || ny >= n {
-					continue
-				}
-				nn := nx*n + ny
-				g := dist[curNode] + weight[nn]
-				if g < dist[nn] {
-					dist[nn] = g
-				}
-				manh := uint64(abs(nx-gx) + abs(ny-gy))
-				if score := g + 2*manh; score < bestScore {
-					bestScore, bestNext = score, nn
-				}
+			// curNode ≥ 0, so the unsigned split is exact; no neighbour
+			// is curNode itself, so dc holds for all four.
+			x, y := int(uint(curNode)/astarN), int(uint(curNode)%astarN)
+			dc := dist[curNode]
+			best, next := uint64(1<<62), curNode
+			if x+1 < astarN {
+				best, next = astarRelax(&dist, &weight, dc, curNode+astarN, absInt(x+1-gx)+absInt(y-gy), best, next)
 			}
-			curNode = bestNext
+			if x-1 >= 0 {
+				best, next = astarRelax(&dist, &weight, dc, curNode-astarN, absInt(x-1-gx)+absInt(y-gy), best, next)
+			}
+			if y+1 < astarN {
+				best, next = astarRelax(&dist, &weight, dc, curNode+1, absInt(x-gx)+absInt(y+1-gy), best, next)
+			}
+			if y-1 >= 0 {
+				_, next = astarRelax(&dist, &weight, dc, curNode-1, absInt(x-gx)+absInt(y-1-gy), best, next)
+			}
+			curNode = next
 		}
 		v := inj.Word(dist[curNode] + uint64(curNode))
 		h = fold(h, v)
@@ -434,11 +454,35 @@ func kAstar(size int, inj Injector) uint64 {
 	return h
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
+// astarN is kAstar's grid side.
+const astarN = 16
+
+// astarGrid holds one value per kAstar grid node.
+type astarGrid [astarN * astarN]uint64
+
+// astarRelax relaxes the edge into node nn, at Manhattan distance manh
+// from the goal, from a node at distance dc, and folds nn's score into
+// the running best without a branch.
+func astarRelax(dist, weight *astarGrid, dc uint64, nn, manh int, best uint64, next int) (uint64, int) {
+	g := dc + weight[nn]
+	dist[nn] = min(dist[nn], g)
+	score := g + 2*uint64(manh)
+	return min(best, score), choose(score < best, nn, next)
+}
+
+// absInt is |x| without a data-dependent branch.
+func absInt(x int) int {
+	m := x >> 63
+	return (x ^ m) - m
+}
+
+// choose is c ? a : b, in a form the compiler lowers to a conditional
+// move instead of a branch.
+func choose(c bool, a, b int) int {
+	if c {
+		return a
 	}
-	return x
+	return b
 }
 
 // kXalancbmk models the XSLT processor: tree walking and string

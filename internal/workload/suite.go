@@ -24,8 +24,10 @@ var primaryNames = []string{
 	"mcf", "milc", "namd", "soplex", "zeusmp",
 }
 
-// Suite construction. Sizes are small: kernels complete in tens of
-// microseconds so full multi-chip campaigns stay tractable.
+// Suite construction. Sizes are small so full multi-chip campaigns stay
+// tractable: one SDC replay (a Reset injector plus a kernel run,
+// BenchmarkSDCReplay) measured 3–27 µs for most programs and 54–82 µs
+// for astar and h264ref on a 2-vCPU Xeon VM (Go 1.24).
 var allSpecs = []*Spec{
 	// --- the 10 primary (Fig. 3/4) programs, reference inputs ---
 	register(&Spec{Name: "bwaves", Input: "ref", Size: 400, Kernel: kBwaves,
