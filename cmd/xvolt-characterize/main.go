@@ -41,7 +41,7 @@ func main() {
 	outPath := flag.String("out", "-", "parsed results CSV path ('-' = stdout)")
 	rawPath := flag.String("raw", "", "optional raw per-run log CSV path")
 	model := flag.String("model", "xgene", "failure model: xgene or itanium")
-	ckptPath := flag.String("checkpoint", "", "resume from / persist campaign progress in this JSON file")
+	ckptPath := flag.String("checkpoint", "", "resume from / journal campaign progress to this JSON-lines file")
 	fast := flag.Bool("fast", false, "bisection Vmin search instead of a full sweep (prints a Vmin table, no CSV)")
 	traceOut := flag.String("trace-out", "", "stream every trace event to this JSONL file ('-' = stderr)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /healthz on this address while the campaign runs")
@@ -196,9 +196,11 @@ func openTraceSink(path string) (*trace.JSONLSink, func(), error) {
 	}, nil
 }
 
-// execute runs the sweep, optionally resuming from / persisting to a
-// checkpoint file. The checkpoint is written once, after the whole study
-// has run.
+// execute runs the sweep, optionally resuming from and journaling to a
+// checkpoint file. The file is first rewritten from what it held (a torn
+// final line dropped); then each campaign's line is appended and synced
+// as the study accounts for it, so a killed study resumes after its last
+// accounted campaign.
 func execute(runner *core.LadderRunner, cfg core.Config, ckptPath string) ([]core.RunRecord, error) {
 	if ckptPath == "" {
 		return runner.Execute(cfg)
@@ -213,16 +215,46 @@ func execute(runner *core.LadderRunner, cfg core.Config, ckptPath string) ([]cor
 		ckpt = loaded
 		fmt.Fprintf(os.Stderr, "resuming: %d sweeps already complete\n", len(ckpt.Done))
 	}
-	records, err := runner.ExecuteResumable(cfg, ckpt)
+	journal, err := rewriteCheckpoint(ckptPath, ckpt)
 	if err != nil {
 		return nil, err
 	}
-	// A checkpoint truncated by an unnoticed close failure would silently
-	// restart completed sweeps on the next resume.
-	if err := writeFile(ckptPath, ckpt.Save); err != nil {
+	ckpt.SetJournal(journal)
+	records, err := runner.ExecuteResumable(cfg, ckpt)
+	// A line lost to an unnoticed close failure would silently rerun its
+	// campaign on the next resume.
+	if cerr := journal.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return records, nil
+}
+
+// rewriteCheckpoint replaces the file at path with ckpt's lines through a
+// synced temporary file renamed over it, so a kill at any point leaves
+// the old file or the new one whole. It returns the new file, open for
+// appending.
+func rewriteCheckpoint(path string, ckpt *core.Checkpoint) (*os.File, error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return nil, err
+	}
+	err = ckpt.Save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = f.Close() // the write error is the one worth surfacing
+		_ = os.Remove(tmp)
+		return nil, err
+	}
+	return f, nil
 }
 
 // runFast bisects each (benchmark, core) Vmin and prints the table.

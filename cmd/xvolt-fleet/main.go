@@ -42,7 +42,6 @@ type options struct {
 	boards      int
 	seed        int64
 	workers     int
-	shards      int
 	runsPerPoll int
 	interval    time.Duration
 	polls       int
@@ -61,8 +60,7 @@ func main() {
 	flag.StringVar(&opts.source, "source", "fleet", "source name this fleet reports to the hub under")
 	flag.IntVar(&opts.boards, "boards", 16, "fleet size")
 	flag.Int64Var(&opts.seed, "seed", 1, "master fleet seed")
-	flag.IntVar(&opts.workers, "workers", 4, "poller worker pool size per shard (does not affect results)")
-	flag.IntVar(&opts.shards, "shards", 1, "shards the fleet's boards are split across, each with its own schedule and worker pool (does not affect results)")
+	flag.IntVar(&opts.workers, "workers", 4, "poller worker pool size (does not affect results)")
 	flag.IntVar(&opts.runsPerPoll, "runs-per-poll", 2, "benchmark runs sampled per health poll")
 	flag.DurationVar(&opts.interval, "interval", time.Second, "mean poll interval on the virtual clock")
 	flag.IntVar(&opts.polls, "polls", 0, "with -dump: total polls to run before dumping; daemon mode: exit after this many polls (0 = run forever)")
@@ -85,7 +83,6 @@ func (o options) fleetConfig() fleet.Config {
 		Boards:       o.boards,
 		Seed:         o.seed,
 		Workers:      o.workers,
-		Shards:       o.shards,
 		RunsPerPoll:  o.runsPerPoll,
 		BaseInterval: o.interval,
 		StoreDir:     o.storeDir,
@@ -153,8 +150,8 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 	defer loopDone()
 	go pollLoop(loopCtx, m, engine, pusher, opts.chunk, opts.tick, opts.polls, loopDone)
 
-	log.Printf("fleet of %d boards on %s (seed %d, %d shards × %d workers)",
-		opts.boards, opts.addr, opts.seed, opts.shards, opts.workers)
+	log.Printf("fleet of %d boards on %s (seed %d, %d workers)",
+		opts.boards, opts.addr, opts.seed, opts.workers)
 	err = server.ListenAndServe(loopCtx, opts.addr, srv.Handler(), server.DefaultDrainTimeout)
 	if cerr := m.Close(); err == nil {
 		err = cerr

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,11 +34,42 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestLoadCheckpointErrors(t *testing.T) {
-	if _, err := LoadCheckpoint(strings.NewReader("{garbage")); err == nil {
-		t.Error("corrupt checkpoint accepted")
+	for name, in := range map[string]string{
+		"garbage":           "{garbage\n",
+		"no version line":   `{"version":2}`,
+		"future version":    "{\"version\": 99}\n",
+		"keyless campaign":  "{\"version\":2}\n{\"records\":[]}\n",
+		"repeated campaign": "{\"version\":2}\n{\"key\":\"k\"}\n{\"key\":\"k\"}\n",
+		"torn middle line":  "{\"version\":2}\n{\"key\":\"k\",\"rec\n{\"key\":\"j\"}\n",
+		"trailing data":     "{\"version\":2}\n{\"key\":\"k\"} {}\n",
+	} {
+		if _, err := LoadCheckpoint(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: checkpoint accepted", name)
+		}
 	}
-	if _, err := LoadCheckpoint(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Error("future version accepted")
+	// A version-1 checkpoint (one indented document) gets its own error.
+	v1 := "{\n \"version\": 1,\n \"done\": [\"k\"],\n \"records\": []\n}\n"
+	if _, err := LoadCheckpoint(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 checkpoint: err = %v, want a version-1 error", err)
+	}
+}
+
+// TestLoadCheckpointDropsTornTail: bytes after the last newline are an
+// interrupted append, and the campaigns before them load.
+func TestLoadCheckpointDropsTornTail(t *testing.T) {
+	c := NewCheckpoint()
+	c.add("TTT/mcf/ref/0/2400", []RunRecord{{Benchmark: "mcf", Voltage: 900}})
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(`{"key":"TTT/mcf/ref/4/2400","records":[{"Chip":"T`)
+	got, err := LoadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Done, c.Done) || !reflect.DeepEqual(got.Records, c.Records) {
+		t.Errorf("loaded %v / %+v, want %v / %+v", got.Done, got.Records, c.Done, c.Records)
 	}
 }
 
@@ -126,6 +158,70 @@ func TestExecuteResumable(t *testing.T) {
 		}
 		if n := l.CountKind(trace.CampaignStart); n != 0 || !reflect.DeepEqual(recs3, want) {
 			t.Fatalf("workers %d: completed study re-ran %d campaigns (records equal: %v)", workers, n, reflect.DeepEqual(recs3, want))
+		}
+	}
+}
+
+// failingJournal takes the first n lines and tears the next one: it
+// writes half of it and fails, which is what a kill mid-append leaves.
+type failingJournal struct {
+	buf  bytes.Buffer
+	left int
+}
+
+func (j *failingJournal) Write(p []byte) (int, error) {
+	if j.left == 0 {
+		n, _ := j.buf.Write(p[:len(p)/2])
+		return n, errors.New("journal device gone")
+	}
+	j.left--
+	return j.buf.Write(p)
+}
+
+// TestExecuteResumableAfterKill: a study whose journal dies after k
+// campaigns keeps exactly those k on disk, and a fresh engine resumed
+// from the bytes written finishes the study with the records of an
+// uninterrupted sequential run, running only the other campaigns.
+func TestExecuteResumableAfterKill(t *testing.T) {
+	cfg := DefaultConfig(specs(t, "gromacs/ref", "mcf/ref", "bwaves/ref"), []int{0, 4})
+	cfg.Runs = 3
+	want, err := tttFramework().Execute(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const campaigns = 6
+	for _, workers := range []int{1, 4} {
+		for k := 0; k < campaigns; k++ {
+			j := &failingJournal{left: k}
+			ckpt := NewCheckpoint()
+			if err := ckpt.Save(&j.buf); err != nil {
+				t.Fatal(err)
+			}
+			ckpt.SetJournal(j)
+			if _, err := tttLadder(workers).ExecuteResumable(cfg, ckpt); err == nil {
+				t.Fatalf("workers %d k %d: journal failure not reported", workers, k)
+			}
+
+			resumed, err := LoadCheckpoint(bytes.NewReader(j.buf.Bytes()))
+			if err != nil {
+				t.Fatalf("workers %d k %d: %v", workers, k, err)
+			}
+			if len(resumed.Done) != k {
+				t.Fatalf("workers %d k %d: journal holds %d campaigns", workers, k, len(resumed.Done))
+			}
+			r := tttLadder(workers)
+			l := trace.New(1 << 16)
+			r.SetTrace(l)
+			got, err := r.ExecuteResumable(cfg, resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := l.CountKind(trace.CampaignStart); n != campaigns-k {
+				t.Errorf("workers %d k %d: resume ran %d campaigns, want %d", workers, k, n, campaigns-k)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers %d k %d: resumed study differs from the uninterrupted sequential run", workers, k)
+			}
 		}
 	}
 }

@@ -163,8 +163,6 @@ type Framework struct {
 	log     *trace.Log
 	metrics fwMetrics
 	reg     *obs.Registry
-
-	raw []RunRecord
 }
 
 // New wires a framework to a machine with its own external watchdog.
@@ -193,9 +191,6 @@ func (f *Framework) Machine() *xgene.Machine { return f.machine }
 
 // Watchdog returns the external monitor (for recovery statistics).
 func (f *Framework) Watchdog() *watchdog.Watchdog { return f.dog }
-
-// Raw returns the execution-phase log collected so far.
-func (f *Framework) Raw() []RunRecord { return append([]RunRecord(nil), f.raw...) }
 
 // ensureAlive recovers the machine if it is hung, via the watchdog only
 // (software cannot reach a crashed kernel).
@@ -257,8 +252,7 @@ func (f *Framework) campaignRand(spec *workload.Spec, core int, cfg *Config) *ra
 }
 
 // Execute runs the execution phase for the whole configuration and returns
-// the raw per-run records. Records are also retained on the framework for
-// the parsing phase. Every campaign draws from its own CampaignSeed-derived
+// the raw per-run records. Every campaign draws from its own CampaignSeed-derived
 // RNG stream, so the output matches a LadderRunner over the same Config
 // exactly.
 func (f *Framework) Execute(cfg Config) ([]RunRecord, error) {
@@ -279,7 +273,6 @@ func (f *Framework) Execute(cfg Config) ([]RunRecord, error) {
 			out = append(out, recs...)
 		}
 	}
-	f.raw = append(f.raw, out...)
 	return out, nil
 }
 

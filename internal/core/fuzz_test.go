@@ -20,6 +20,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add("{}")
 	f.Add(`{"version":1}`)
 	f.Add(`{"version":99,"done":["x"]}`)
+	f.Add(seed.String() + `{"key":"TTT/mcf/ref/4/2400","records":[{"Chip":"T`) // torn tail
 	f.Fuzz(func(t *testing.T, data string) {
 		c, err := LoadCheckpoint(strings.NewReader(data))
 		if err != nil {

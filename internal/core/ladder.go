@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"xvolt/internal/obs"
 	"xvolt/internal/silicon"
@@ -183,7 +184,7 @@ func (r *LadderRunner) Characterize(cfg Config) ([]*CampaignResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	slots, err := r.executeGrid(cfg, cfg.Grid())
+	slots, err := r.executeGrid(cfg, cfg.Grid(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +205,7 @@ var recordArenaPool = sync.Pool{
 // executeFlat runs a grid and concatenates its campaigns' records in grid
 // order.
 func (r *LadderRunner) executeFlat(cfg Config, grid []Campaign) ([]RunRecord, error) {
-	out, err := r.executeGrid(cfg, grid)
+	out, err := r.executeGrid(cfg, grid, nil)
 	if err != nil || len(out) == 0 {
 		return nil, err
 	}
@@ -224,8 +225,10 @@ func (r *LadderRunner) executeFlat(cfg Config, grid []Campaign) ([]RunRecord, er
 // which worker finished first. Each slot is read-only: it may be shared
 // with the campaign memo. Campaigns are accounted in grid order
 // (gridAccounts), so the event stream and the recovery numbering do not
-// depend on the worker count either.
-func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, error) {
+// depend on the worker count either. A non-nil done is called with each
+// campaign as it is accounted; its first error stops the grid — no
+// campaign starts after it — and is returned.
+func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx int, recs []RunRecord) error) ([][]RunRecord, error) {
 	if len(grid) == 0 {
 		return nil, nil
 	}
@@ -242,7 +245,7 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, 
 
 	jobs := make(chan int)
 	out := make([][]RunRecord, len(grid))
-	acct := &gridAccounts{r: r, grid: grid, out: out, cfg: &cfg, slots: make([]finishedSlot, len(grid))}
+	acct := &gridAccounts{r: r, grid: grid, out: out, cfg: &cfg, done: done, slots: make([]finishedSlot, len(grid))}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -267,6 +270,9 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, 
 		}(w)
 	}
 	for i := range grid {
+		if acct.stopped.Load() {
+			break
+		}
 		jobs <- i
 	}
 	close(jobs)
@@ -274,6 +280,9 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign) ([][]RunRecord, 
 	r.mu.Lock()
 	r.recoveries += acct.crashes
 	r.mu.Unlock()
+	if acct.err != nil {
+		return nil, acct.err
+	}
 	return out, nil
 }
 
@@ -287,12 +296,16 @@ type gridAccounts struct {
 	grid []Campaign
 	out  [][]RunRecord
 	cfg  *Config
+	done func(idx int, recs []RunRecord) error // nil: nothing to call
 
 	mu       sync.Mutex
 	slots    []finishedSlot
-	next     int  // lowest slot not yet accounted
-	draining bool // a worker is accounting; it rechecks slots before it stops
-	crashes  int  // owned by the draining worker
+	next     int   // lowest slot not yet accounted
+	draining bool  // a worker is accounting; it rechecks slots before it stops
+	crashes  int   // owned by the draining worker
+	err      error // done's first error; owned by the draining worker
+
+	stopped atomic.Bool // set with err: no further campaign starts
 }
 
 // finishedSlot is what a finished campaign leaves for accounting besides
@@ -320,6 +333,11 @@ func (g *gridAccounts) finish(idx int, chip string, memo bool) {
 		s, c := g.slots[i], g.grid[i]
 		g.mu.Unlock()
 		g.r.accountCampaign(g.out[i], s.chip, c.Spec, c.Core, g.cfg, s.memo, &g.crashes)
+		if g.done != nil && g.err == nil {
+			if g.err = g.done(i, g.out[i]); g.err != nil {
+				g.stopped.Store(true)
+			}
+		}
 		g.mu.Lock()
 	}
 	g.draining = false

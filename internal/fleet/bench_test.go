@@ -23,22 +23,6 @@ func BenchmarkFleetPoll(b *testing.B) {
 	m.Run(b.N)
 }
 
-// BenchmarkFleetPollSharded measures the same committed-poll throughput
-// at four shards: heap-merged schedule draw across shard heads,
-// per-shard worker pools, and the global-order merge commit. One op is
-// one committed poll.
-func BenchmarkFleetPollSharded(b *testing.B) {
-	cfg := Config{Seed: 1, StoreCap: 1 << 16, Shards: 4}
-	m, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.Run(64) // reach steady state before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.Run(b.N)
-}
-
 // BenchmarkFleetSnapshotDelta measures the delta snapshot encoder at
 // steady state: each op commits one poll (dirtying one board) and
 // re-encodes the /api/fleet document, so an op's encode cost is one

@@ -18,8 +18,8 @@ func dumpStore(t *testing.T, s *Store) string {
 // TestDurableStoreReplaysByteIdentical is the durable store's invariant:
 // a fleet run journaled to the segmented log, abandoned without Close
 // (modelling SIGKILL), reopened and replayed, yields the exact event
-// text the golden in-memory run holds — at several shard and worker
-// counts and segment layouts, including layouts small enough to force
+// text the golden in-memory run holds — at several worker counts and
+// segment layouts, including layouts small enough to force
 // rotation and snapshot compaction mid-run.
 func TestDurableStoreReplaysByteIdentical(t *testing.T) {
 	g := evictGolden
@@ -30,9 +30,9 @@ func TestDurableStoreReplaysByteIdentical(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"single", func(c *Config) {}},
-		{"sharded-2x2", func(c *Config) { c.Shards = 2; c.Workers = 2 }},
-		{"sharded-3-tiny-segments", func(c *Config) {
-			c.Shards = 3
+		{"workers-2", func(c *Config) { c.Workers = 2 }},
+		{"workers-8-tiny-segments", func(c *Config) {
+			c.Workers = 8
 			c.StoreSegmentBytes = 4096 // min size: rotation + compaction mid-run
 			c.StoreMaxSegments = 2
 		}},

@@ -13,7 +13,7 @@
 // poll schedule runs on a virtual clock, and poll results commit to the
 // event store in global schedule order regardless of how many workers
 // execute them. Two managers with the same Config produce byte-identical
-// event stores and transition logs at any shard and worker count.
+// event stores and transition logs at any worker count.
 package fleet
 
 import (
@@ -43,12 +43,11 @@ type Config struct {
 	// Seed is the master seed; every per-board stream derives from it
 	// through core.CampaignSeed.
 	Seed int64
-	// Workers bounds each shard's poller worker pool (default 4).
-	// Results are independent of the worker count.
+	// Workers sizes the worker pool that polls the boards in Run
+	// (default 4). Results are independent of the worker count.
 	Workers int
-	// Shards partitions the fleet into disjoint contiguous board ranges,
-	// each with its own schedule heap and worker pool (default 1;
-	// clamped to Boards). Results are independent of the shard count.
+	// Deprecated: ignored. The fleet has one schedule and one worker
+	// pool; the field remains only until its last user stops setting it.
 	Shards int
 	// RunsPerPoll is how many benchmark runs one poll samples (default 2).
 	RunsPerPoll int
@@ -100,12 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Shards > c.Boards {
-		c.Shards = c.Boards
 	}
 	if c.RunsPerPoll <= 0 {
 		c.RunsPerPoll = 2
@@ -388,19 +381,18 @@ type Fleet interface {
 
 var _ Fleet = (*Manager)(nil)
 
-// Manager owns the fleet: the boards, split into Config.Shards shards
-// that draw the poll schedule and execute polls (sharded.go), and the
-// committed, observable state — event store, status table, transition
-// log, virtual clock, generation counter and delta-snapshot encoder.
-// Run drives polls; the HTTP layer reads snapshots. The committed state
-// changes only at commit time under mu, in global schedule order, which
-// is why every artifact is byte-identical at any shard and worker count.
+// Manager owns the fleet: the boards and their poll schedule
+// (schedule.go), and the committed, observable state — event store,
+// status table, transition log, virtual clock, generation counter and
+// delta-snapshot encoder. Run drives polls; the HTTP layer reads
+// snapshots. The committed state changes only at commit time under mu,
+// in schedule order, which is why every artifact is byte-identical at
+// any worker count.
 type Manager struct {
-	cfg     Config
-	boards  []*board
-	byID    map[string]int // board id → global index (ids are immutable)
-	shards  []*shard
-	shardOf []int // global board index → shard id
+	cfg    Config
+	boards []*board
+	byID   map[string]int // board id → board index (ids are immutable)
+	sched  schedule       // next-due poll of every board; touched under runMu
 
 	mu          sync.Mutex
 	store       *Store
@@ -437,7 +429,7 @@ type Manager struct {
 	// incrementally at commit time so HealthAPIv1 and the gauges never walk
 	// the fleet — at 100k boards a per-generation walk under mu is the
 	// difference between flat and falling QPS.
-	stateCounts [numStates]int
+	stateCounts StateCounts
 	savingsSum  float64
 
 	runMu sync.Mutex // serializes Run calls
@@ -478,8 +470,7 @@ func (m *Manager) Close() error { return m.store.Close() }
 // buildBoard fabricates board i's die from a seed derived off the master
 // seed, characterizes its safe floor by bisection (the fast §2.2
 // protocol), and programs the initial guardband operating point. It
-// depends only on (cfg, i) — never on which shard owns the board — so
-// the boards built are identical at any shard count.
+// depends only on (cfg, i).
 func buildBoard(cfg *Config, suite []*workload.Spec, i int) (*board, error) {
 	b := &board{
 		id:     boardID(i),
@@ -529,7 +520,7 @@ func (m *Manager) commitInitial() {
 		s := b.status(0)
 		m.status = append(m.status, s)
 		m.logDirtyLocked(1, i)
-		m.countStateLocked(s.State, 1)
+		m.stateCounts.Add(s.State, 1)
 		m.savingsSum += s.Savings
 	}
 	m.gen.Store(1)
@@ -553,12 +544,6 @@ func characterize(cfg *Config, b *board) error {
 	}
 	b.floor = res.SafeVmin
 	return nil
-}
-
-// pollSlot is one scheduled poll.
-type pollSlot struct {
-	board int
-	due   time.Duration
 }
 
 // commitLocked folds one poll outcome into the store, transition log,
@@ -585,10 +570,10 @@ func (m *Manager) commitLocked(o *pollOutcome, gen uint64) {
 		}
 		m.m.transitions.With(t.To).Inc()
 	}
-	m.countStateLocked(m.status[o.board].State, -1)
+	m.stateCounts.Add(m.status[o.board].State, -1)
 	m.savingsSum -= m.status[o.board].Savings
 	m.status[o.board] = o.status
-	m.countStateLocked(o.status.State, 1)
+	m.stateCounts.Add(o.status.State, 1)
 	m.savingsSum += o.status.Savings
 	m.logDirtyLocked(gen, o.board)
 	m.polled++
@@ -613,17 +598,6 @@ func (m *Manager) Boards() []BoardStatus {
 func (m *Manager) HasBoard(id string) bool {
 	_, ok := m.byID[id] // ids are immutable: no lock
 	return ok
-}
-
-// Board returns one board's latest committed status by id.
-func (m *Manager) Board(id string) (BoardStatus, bool) {
-	i, ok := m.byID[id]
-	if !ok {
-		return BoardStatus{}, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.status[i], true
 }
 
 // Transitions returns a copy of the retained health-transition log.
@@ -653,24 +627,12 @@ func (m *Manager) Now() time.Duration {
 	return m.clock
 }
 
-// countStateLocked moves the commit-time tally of the state the status
-// table names by delta. Callers hold m.mu.
-func (m *Manager) countStateLocked(name string, delta int) {
-	for _, state := range States {
-		if state.String() == name {
-			m.stateCounts[state] += delta
-			return
-		}
-	}
-}
-
 // HealthAPIv1 returns the /api/fleet/health document, aggregated from
 // the incrementally maintained commit-time tallies — O(states), not
 // O(fleet).
 func (m *Manager) HealthAPIv1() apiv1.HealthSummary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	counts := m.stateCounts
 	h := apiv1.HealthSummary{
 		Boards:        len(m.status),
 		Polls:         m.polled,
@@ -680,17 +642,7 @@ func (m *Manager) HealthAPIv1() apiv1.HealthSummary {
 		Transitions:   len(m.transitions),
 		VirtualNow:    m.clock,
 	}
-	for _, state := range States {
-		h.States = append(h.States, apiv1.StateCount{State: state.String(), Boards: counts[state]})
-	}
-	switch {
-	case counts[Unhealthy] > 0:
-		h.Status = "unhealthy"
-	case counts[Degraded] > 0 || counts[Recovering] > 0:
-		h.Status = "degraded"
-	default:
-		h.Status = "ok"
-	}
+	m.stateCounts.Summarize(&h)
 	if len(m.status) > 0 {
 		h.MeanSavings = m.savingsSum / float64(len(m.status))
 	}

@@ -274,7 +274,7 @@ func TestFleetMetricsAgreeWithStore(t *testing.T) {
 	}
 	// The gauge is maintained incrementally at commit time (subtract old
 	// status, add new), so it can differ from a fresh sum by rounding —
-	// but only by ulps, and identically at every shard/worker count.
+	// but only by ulps, and identically at every worker count.
 	if got, want := snap["xvolt_fleet_power_savings_mean"], savings/float64(len(m.Boards())); math.Abs(got-want) > 1e-12 {
 		t.Errorf("savings gauge = %v, want %v", got, want)
 	}
@@ -283,15 +283,18 @@ func TestFleetMetricsAgreeWithStore(t *testing.T) {
 func TestFleetBoardLookup(t *testing.T) {
 	m := newTestManager(t, testConfig(5))
 	m.Run(20)
-	s, ok := m.Board("board-00")
-	if !ok || s.ID != "board-00" {
-		t.Fatalf("Board(board-00) = %+v, %v", s, ok)
+	if !m.HasBoard("board-00") {
+		t.Fatal("board-00 does not resolve")
+	}
+	if m.HasBoard("board-99") {
+		t.Error("unknown board must not resolve")
+	}
+	s := m.Boards()[0]
+	if s.ID != "board-00" {
+		t.Fatalf("first board = %s, want board-00", s.ID)
 	}
 	if s.FloorMV <= 0 || s.VoltageMV < s.FloorMV {
 		t.Errorf("implausible board status: floor=%d voltage=%d", s.FloorMV, s.VoltageMV)
-	}
-	if _, ok := m.Board("board-99"); ok {
-		t.Error("unknown board must not resolve")
 	}
 }
 

@@ -40,6 +40,41 @@ const (
 // States lists all health states in escalation order.
 var States = []State{Healthy, Degraded, Unhealthy, Recovering}
 
+// StateCounts tallies boards per health state, indexed by State.
+type StateCounts [numStates]int
+
+// Add moves the tally of the state named name by n; a name that is not
+// a State's is ignored.
+func (c *StateCounts) Add(name string, n int) {
+	for _, s := range States {
+		if s.String() == name {
+			c[s] += n
+			return
+		}
+	}
+}
+
+// Summarize writes the tally into h: one StateCount per state, in
+// States order, and the status by the fleet health rule — "unhealthy"
+// if any board is unhealthy, else "degraded" if any is degraded or
+// recovering, else "ok". A fleet applies it to its own boards and the
+// hub to the merged counts of its sources, so both tiers derive the
+// status from the counts they serve.
+func (c *StateCounts) Summarize(h *apiv1.HealthSummary) {
+	h.States = make([]apiv1.StateCount, len(States))
+	for i, s := range States {
+		h.States[i] = apiv1.StateCount{State: s.String(), Boards: c[s]}
+	}
+	switch {
+	case c[Unhealthy] > 0:
+		h.Status = "unhealthy"
+	case c[Degraded] > 0 || c[Recovering] > 0:
+		h.Status = "degraded"
+	default:
+		h.Status = "ok"
+	}
+}
+
 // String names the state.
 func (s State) String() string {
 	switch s {

@@ -4,16 +4,12 @@
 
 package fleet
 
-import (
-	"strconv"
-
-	"xvolt/internal/obs"
-)
+import "xvolt/internal/obs"
 
 // perBoardGaugeLimit caps the per-board gauge label space: above this
 // fleet size the board-labeled gauges are suppressed (a 100k-board fleet
-// would mint 200k series per scrape), leaving the aggregate and
-// per-shard instruments as the telemetry surface.
+// would mint 200k series per scrape), leaving the aggregate instruments
+// as the telemetry surface.
 const perBoardGaugeLimit = 128
 
 // fleetMetrics are the manager's instruments; all nil (inert) until
@@ -32,13 +28,10 @@ type fleetMetrics struct {
 	boardCount  *obs.Gauge      // fleet size (denominator for ratio alerts)
 	pollSeconds *obs.HDR        // wall time of one board poll (worker-side)
 	dirtyBoards *obs.Gauge      // boards re-encoded in the last snapshot generation
-	shardClock  *obs.GaugeVec   // shard → committed virtual clock (seconds)
-	shardPolls  *obs.GaugeVec   // shard → committed polls
-	shardBoards *obs.GaugeVec   // shard → boards owned
 }
 
-// SetMetrics registers the fleet's telemetry on r and seeds every gauge,
-// the per-shard ones included. The per-state gauges are pre-seeded for
+// SetMetrics registers the fleet's telemetry on r and seeds every gauge.
+// The per-state gauges are pre-seeded for
 // every health state so a scrape always exposes the full (bounded)
 // label space. Nil registry leaves the fleet unmetered.
 func (m *Manager) SetMetrics(r *obs.Registry) {
@@ -69,12 +62,6 @@ func (m *Manager) SetMetrics(r *obs.Registry) {
 			"Wall-clock duration of one board health poll.", obs.HDROpts{}),
 		dirtyBoards: r.Gauge("xvolt_fleet_snapshot_dirty_boards",
 			"Boards whose snapshot segment was re-encoded last generation."),
-		shardClock: r.GaugeVec("xvolt_fleet_shard_clock_seconds",
-			"Committed virtual clock per shard.", "shard"),
-		shardPolls: r.GaugeVec("xvolt_fleet_shard_polls",
-			"Committed polls per shard.", "shard"),
-		shardBoards: r.GaugeVec("xvolt_fleet_shard_boards",
-			"Boards owned by each shard.", "shard"),
 	}
 	for _, state := range States {
 		fm.stateBoards.With(state.String())
@@ -86,12 +73,11 @@ func (m *Manager) SetMetrics(r *obs.Registry) {
 }
 
 // publishGaugesLocked refreshes every gauge from the commit-time
-// aggregates (stateCounts/savingsSum) and the shard stats, so it costs
-// O(states + shards) per generation, not O(fleet) — at 100k boards the
-// old walk burned the CPU four times a second under mu. Per-board
-// gauges still walk the fleet, but only at or below perBoardGaugeLimit
-// boards, which keeps both the walk and the scrape cardinality bounded;
-// the shard-labeled gauges are bounded by the shard count.
+// aggregates (stateCounts/savingsSum), so it costs O(states) per
+// generation, not O(fleet) — at 100k boards the old walk burned the CPU
+// four times a second under mu. Per-board gauges still walk the fleet,
+// but only at or below perBoardGaugeLimit boards, which keeps both the
+// walk and the scrape cardinality bounded.
 func (m *Manager) publishGaugesLocked() {
 	if len(m.boards) <= perBoardGaugeLimit {
 		for _, b := range m.boards {
@@ -105,11 +91,5 @@ func (m *Manager) publishGaugesLocked() {
 	m.m.boardCount.Set(float64(len(m.boards)))
 	if len(m.boards) > 0 {
 		m.m.savingsMean.Set(m.savingsSum / float64(len(m.boards)))
-	}
-	for _, sh := range m.shards {
-		id := strconv.Itoa(sh.id)
-		m.m.shardClock.With(id).Set(sh.clock.Seconds())
-		m.m.shardPolls.With(id).Set(float64(sh.polls))
-		m.m.shardBoards.With(id).Set(float64(sh.hi - sh.lo))
 	}
 }

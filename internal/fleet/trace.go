@@ -6,7 +6,7 @@
 // (never the board's live state, which later polls of the same batch
 // have already moved), and timestamped from the fleet's virtual clock,
 // so the trace stream inherits the determinism contract: byte-identical
-// across seeds, shard and worker counts. Across chunking only the
+// across seeds and worker counts. Across chunking only the
 // per-batch fleet.schedule spans (and so the trace and span ids)
 // differ; every poll's span tree carries the same attributes.
 

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	apiv1 "xvolt/api/v1"
+	"xvolt/internal/fleet"
 )
 
 // source is one fleet daemon's replicated state.
@@ -366,18 +367,16 @@ func (h *Hub) EventsAPIv1(id string, n int) []apiv1.Event {
 	return out
 }
 
-// stateOrder is the canonical health-state ordering of the merged
-// summary (the same escalation order a fleet serves).
-var stateOrder = []string{"healthy", "degraded", "unhealthy", "recovering"}
-
 // HealthAPIv1 merges every source's health summary into the global one.
-// VirtualNow is the laggiest source's clock — the horizon up to which
-// the aggregate view is complete.
+// The status follows from the merged state counts by the fleet's own
+// rule (fleet.StateCounts.Summarize), not from the sources' pushed
+// statuses. VirtualNow is the laggiest source's clock — the horizon up
+// to which the aggregate view is complete.
 func (h *Hub) HealthAPIv1() apiv1.HealthSummary {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := apiv1.HealthSummary{Status: "ok"}
-	counts := map[string]int{}
+	var out apiv1.HealthSummary
+	var counts fleet.StateCounts
 	var savings float64
 	first := true
 	for _, name := range h.names {
@@ -390,37 +389,20 @@ func (h *Hub) HealthAPIv1() apiv1.HealthSummary {
 			out.DroppedEvents += s.health.DroppedEvents
 			out.DedupedEvents += s.health.DedupedEvents
 			for _, sc := range s.health.States {
-				counts[sc.State] += sc.Boards
+				counts.Add(sc.State, sc.Boards)
 			}
 			savings += s.health.MeanSavings * float64(s.health.Boards)
-			if statusRank(s.health.Status) > statusRank(out.Status) {
-				out.Status = s.health.Status
-			}
 		}
 		if first || s.vnow < out.VirtualNow {
 			out.VirtualNow = s.vnow
 		}
 		first = false
 	}
-	for _, state := range stateOrder {
-		out.States = append(out.States, apiv1.StateCount{State: state, Boards: counts[state]})
-	}
+	counts.Summarize(&out)
 	if out.Boards > 0 {
 		out.MeanSavings = savings / float64(out.Boards)
 	}
 	return out
-}
-
-// statusRank orders the merged status from best to worst.
-func statusRank(s string) int {
-	switch s {
-	case "degraded":
-		return 1
-	case "unhealthy":
-		return 2
-	default:
-		return 0
-	}
 }
 
 // ErrNoSource is returned for dump requests against unknown sources.

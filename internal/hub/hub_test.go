@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -279,6 +280,34 @@ func TestHubBadSource(t *testing.T) {
 		if _, err := h.Ingest(apiv1.IngestRequest{Source: name}); !errors.Is(err, ErrBadSource) {
 			t.Errorf("Ingest(%q) = %v, want ErrBadSource", name, err)
 		}
+	}
+}
+
+// TestHubStatusFromMergedCounts: the hub derives its status from the
+// merged state counts by the fleet's rule, so a pushed status that
+// contradicts its own counts does not decide it.
+func TestHubStatusFromMergedCounts(t *testing.T) {
+	h := New()
+	push := func(source, status string, states ...apiv1.StateCount) {
+		t.Helper()
+		if _, err := h.Ingest(apiv1.IngestRequest{Source: source,
+			Health: &apiv1.HealthSummary{Status: status, States: states}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push("a", "unhealthy", apiv1.StateCount{State: "healthy", Boards: 3})
+	if got := h.HealthAPIv1().Status; got != "ok" {
+		t.Errorf("status = %q with every board healthy, want ok", got)
+	}
+	push("b", "ok", apiv1.StateCount{State: "recovering", Boards: 1})
+	got := h.HealthAPIv1()
+	if got.Status != "degraded" {
+		t.Errorf("status = %q with a recovering board, want degraded", got.Status)
+	}
+	want := []apiv1.StateCount{{State: "healthy", Boards: 3}, {State: "degraded"},
+		{State: "unhealthy"}, {State: "recovering", Boards: 1}}
+	if !reflect.DeepEqual(got.States, want) {
+		t.Errorf("merged states = %+v, want %+v", got.States, want)
 	}
 }
 

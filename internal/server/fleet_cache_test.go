@@ -34,7 +34,7 @@ func (c *countingFleet) EventsAPIv1(id string, n int) []apiv1.Event {
 
 func cachedFleetServer(t *testing.T) (*httptest.Server, *countingFleet, *fleet.Manager) {
 	t.Helper()
-	m, err := fleet.New(fleet.Config{Boards: 4, Seed: 3, ConfirmRuns: 1, Shards: 2})
+	m, err := fleet.New(fleet.Config{Boards: 4, Seed: 3, ConfirmRuns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +215,10 @@ func TestFleetDeltaServing(t *testing.T) {
 	}
 }
 
-// TestFleetInterfaceAttachment: a multi-shard manager serves through the
+// TestFleetInterfaceAttachment: a manager serves through the
 // interface-typed attachment point.
 func TestFleetInterfaceAttachment(t *testing.T) {
-	m, err := fleet.New(fleet.Config{Boards: 3, Seed: 5, ConfirmRuns: 1, Shards: 3})
+	m, err := fleet.New(fleet.Config{Boards: 3, Seed: 5, ConfirmRuns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +229,12 @@ func TestFleetInterfaceAttachment(t *testing.T) {
 	defer ts.Close()
 
 	if code, body := get(t, ts, "/api/fleet"); code != 200 || len(body) == 0 {
-		t.Fatalf("/api/fleet via a 3-shard Manager = %d", code)
+		t.Fatalf("/api/fleet via a Manager = %d", code)
 	}
 	if code, _ := get(t, ts, "/api/fleet/health"); code != 200 {
-		t.Fatal("/api/fleet/health via a 3-shard Manager failed")
+		t.Fatal("/api/fleet/health via a Manager failed")
 	}
 	if code, _ := get(t, ts, "/api/fleet/board-02/events"); code != 200 {
-		t.Fatal("/api/fleet/{board}/events via a 3-shard Manager failed")
+		t.Fatal("/api/fleet/{board}/events via a Manager failed")
 	}
 }

@@ -2,9 +2,9 @@
 // simulate whole voltage ladders against a board *snapshot* instead of
 // one fully locked machine call per grid cell. The contract throughout
 // this file is byte-identical replay — a batch-sampled cell consumes the
-// campaign RNG stream in exactly the order RunOnCore would, so the raw
-// RunRecord logs of the sequential and batch engines are
-// interchangeable.
+// campaign RNG stream in exactly the order RunOnCore does (RunOnCore
+// samples through SampleCell), so the raw RunRecord logs of the
+// sequential and batch engines are interchangeable.
 
 package xgene
 
@@ -18,7 +18,7 @@ import (
 	"xvolt/internal/workload"
 )
 
-// DRAM-refresh leakage model shared by RunOnCore and SampleCell: relaxing
+// DRAM-refresh leakage model of SampleCell: relaxing
 // the refresh interval beyond the threshold leaks cells into the ECC path
 // at slope·(mult−threshold) probability per run.
 const (
@@ -118,15 +118,18 @@ type CellResult struct {
 	Delta   edac.Counts
 }
 
-// SampleCell draws one run's fate exactly as RunOnCore would — same
-// stream, same draw order — but against a snapshot instead of a live
-// board. st carries the ladder's mutable rail state; after a cell with
-// Effects.SC the caller must apply st.ResetAfterCrash() (the watchdog
-// reboot) before sampling the next cell.
+// SampleCell draws one run's fate: the one definition of a run's
+// draws, which RunOnCore makes against a snapshot of the live board and
+// the batch engine against a campaign's snapshot. st carries the
+// ladder's mutable rail state; after a cell with Effects.SC the caller
+// must apply st.ResetAfterCrash() (the watchdog reboot) before sampling
+// the next cell.
 //
 //xvolt:hotpath per-cell sampling kernel; one call per (benchmark, core, voltage, run)
 func SampleCell(rng *rand.Rand, bs BatchState, st LadderState, margins silicon.Margins, v units.MilliVolts) CellResult {
 	effects := silicon.SampleRunProtected(rng, margins, v, bs.Model, bs.Prot)
+	// The PCP/SoC domain contributes independently: an undervolted uncore
+	// can take the system down regardless of the PMD rail.
 	if soc := bs.Chip.SampleSoC(rng, st.SoC); !soc.Clean() {
 		effects.SC = effects.SC || soc.SC
 		if soc.CE {
@@ -134,6 +137,7 @@ func SampleCell(rng *rand.Rand, bs BatchState, st LadderState, margins silicon.M
 			effects.CECount += soc.CECount
 		}
 	}
+	// Over-relaxed DRAM refresh leaks cells into the ECC path.
 	if st.Refresh > RefreshLeakThreshold {
 		p := (st.Refresh - RefreshLeakThreshold) * refreshLeakSlope
 		if rng.Float64() < p {

@@ -500,13 +500,12 @@ func (m *Machine) runOnCore(core int, spec *workload.Spec, rng *rand.Rand, asses
 	pmd := silicon.PMDOf(core)
 	freq := m.pmdFrequency[pmd]
 	volt := m.pmdVoltages[pmd]
-	model := m.model
-	m.mu.Unlock()
-
-	m.mu.Lock()
-	prot := m.protection
-	socV := m.socVoltage
-	refresh := m.dramRefresh
+	bs := BatchState{
+		Chip:  m.chip,
+		Model: m.model,
+		Prot:  m.protection,
+		State: LadderState{SoC: m.socVoltage, Refresh: m.dramRefresh},
+	}
 	m.mu.Unlock()
 
 	var margins silicon.Margins
@@ -515,33 +514,22 @@ func (m *Machine) runOnCore(core int, spec *workload.Spec, rng *rand.Rand, asses
 	} else {
 		margins = m.Assess(core, spec, units.RegimeOf(freq))
 	}
-	effects := silicon.SampleRunProtected(rng, margins, volt, model, prot)
-	// The PCP/SoC domain contributes independently: an undervolted uncore
-	// can take the system down regardless of the PMD rail.
-	if soc := m.chip.SampleSoC(rng, socV); !soc.Clean() {
-		effects.SC = effects.SC || soc.SC
-		if soc.CE {
-			effects.CE = true
-			effects.CECount += soc.CECount
-		}
-	}
-	// Over-relaxed DRAM refresh leaks cells into the ECC path.
-	if refresh > RefreshLeakThreshold {
-		p := (refresh - RefreshLeakThreshold) * refreshLeakSlope
-		if rng.Float64() < p {
-			effects.CE = true
-			effects.CECount += 1 + rng.Intn(5)
-		}
-	}
-
+	// The run's draws are SampleCell's: the batch engine's contract holds
+	// by construction.
+	cell := SampleCell(rng, bs, bs.State, margins, volt)
+	effects := cell.Effects
 	res := RunResult{SystemUp: true, GroundTru: effects}
 
 	// Hardware error reporting happens regardless of program fate.
-	if effects.CE {
-		m.edac.ReportCE(sampleLoc(rng), core, effects.CECount)
+	for _, loc := range edac.Locations {
+		if n := cell.Delta.CE[loc]; n > 0 {
+			m.edac.ReportCE(loc, core, int(n))
+		}
 	}
-	if effects.UE {
-		m.edac.ReportUE(sampleLoc(rng), core, effects.UECount)
+	for _, loc := range edac.Locations {
+		if n := cell.Delta.UE[loc]; n > 0 {
+			m.edac.ReportUE(loc, core, int(n))
+		}
 	}
 
 	switch {
