@@ -8,8 +8,8 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchtime=1x -run '^$' ./... | xvolt-benchgate -baseline BENCH_baseline.json
-//	go test -bench=. -benchtime=1x -run '^$' ./... | xvolt-benchgate -baseline BENCH_baseline.json -update
+//	go test -p 1 -bench=. -benchtime=1x -run '^$' ./... | xvolt-benchgate -baseline BENCH_baseline.json
+//	go test -p 1 -bench=. -benchtime=1x -run '^$' ./... | xvolt-benchgate -baseline BENCH_baseline.json -update
 //
 // A benchmark fails the gate when measured > baseline*factor + slack;
 // the absolute slack term keeps sub-millisecond benchmarks from failing

@@ -1,14 +1,16 @@
 // Campaign memoization for the batch engine: a completed (benchmark,
 // core) ladder is a pure function of its identity — the campaign seed
 // inputs, the sweep parameters, and the board snapshot it was sampled
-// against — so re-characterizing an unchanged cell can replay the stored
-// record stream instead of sampling it again. This is the "characterize
-// once" half of the batch engine: fleets and guardband studies re-sweep
-// the same grid continuously, and a warm cell costs a map hit plus a
-// record copy.
+// against — so re-characterizing an unchanged cell can reuse the stored
+// sweep instead of sampling it again. This is the "characterize once"
+// half of the batch engine: fleets and guardband studies re-sweep the
+// same grid continuously, and a warm cell costs a map hit. The memo
+// keeps the sweep itself (step tallies, and run cells only where a step
+// had effects), shared read-only with every hit; Characterize reads its
+// tallies and the record paths rebuild records from it.
 //
 // Determinism: a hit returns exactly what recomputation would produce
-// (records are plain values keyed by every input that influences them),
+// (sweeps are plain values keyed by every input that influences them),
 // so cold and warm executions are byte-identical — pinned by the
 // equivalence tests, which run every engine twice.
 
@@ -74,38 +76,42 @@ func newMemoKey(bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Confi
 	}
 }
 
-// campaignCacheMaxRecords bounds the cache's record count (~30 MB at the
-// RunRecord size). When an insert would exceed it the cache is flushed
-// whole — an epoch reset, chosen over per-entry eviction so behavior
-// never depends on map iteration order.
+// campaignCacheMaxRecords bounds the cache by the runs its sweeps hold,
+// one record each once rebuilt. A run costs at most 78 bytes (a 72-byte
+// cell plus its share of a 56-byte step tally at 10 runs a step), so a
+// full cache is under 21 MB; runs of clean steps, most of a report's,
+// cost 6 bytes. When an insert would exceed the cap the cache is
+// flushed whole — an epoch reset, chosen over per-entry eviction so
+// behavior never depends on map iteration order.
 const campaignCacheMaxRecords = 1 << 18
 
 var campCache = struct {
 	mu      sync.Mutex
-	entries map[memoKey][]RunRecord
-	records int
-}{entries: map[memoKey][]RunRecord{}}
+	entries map[memoKey]*sweep
+	runs    int
+}{entries: map[memoKey]*sweep{}}
 
-// lookupCampaign returns the stored record stream for a key, if any. The
-// returned slice is shared and must be treated as read-only.
-func lookupCampaign(k memoKey) ([]RunRecord, bool) {
+// lookupCampaign returns the stored sweep for a key, if any. The
+// returned sweep is shared and must be treated as read-only.
+func lookupCampaign(k memoKey) (*sweep, bool) {
 	campCache.mu.Lock()
-	recs, ok := campCache.entries[k]
+	s, ok := campCache.entries[k]
 	campCache.mu.Unlock()
-	return recs, ok
+	return s, ok
 }
 
-// storeCampaign inserts a completed sweep. recs must not be mutated after
+// storeCampaign inserts a completed sweep. s must not be mutated after
 // the call.
-func storeCampaign(k memoKey, recs []RunRecord) {
+func storeCampaign(k memoKey, s *sweep) {
+	runs := s.runs()
 	campCache.mu.Lock()
-	if campCache.records+len(recs) > campaignCacheMaxRecords {
-		campCache.entries = map[memoKey][]RunRecord{}
-		campCache.records = 0
+	if campCache.runs+runs > campaignCacheMaxRecords {
+		campCache.entries = map[memoKey]*sweep{}
+		campCache.runs = 0
 	}
 	if _, dup := campCache.entries[k]; !dup {
-		campCache.entries[k] = recs
-		campCache.records += len(recs)
+		campCache.entries[k] = s
+		campCache.runs += runs
 	}
 	campCache.mu.Unlock()
 }
@@ -114,7 +120,7 @@ func storeCampaign(k memoKey, recs []RunRecord) {
 // and long-lived processes that want the memory back.
 func FlushCampaignCache() {
 	campCache.mu.Lock()
-	campCache.entries = map[memoKey][]RunRecord{}
-	campCache.records = 0
+	campCache.entries = map[memoKey]*sweep{}
+	campCache.runs = 0
 	campCache.mu.Unlock()
 }

@@ -202,8 +202,8 @@ func (r *LadderRunner) ExecuteResumable(cfg Config, ckpt *Checkpoint) ([]RunReco
 			keys = append(keys, key)
 		}
 	}
-	if _, err := r.executeGrid(cfg, pending, func(i int, recs []RunRecord) error {
-		return ckpt.mark(keys[i], recs)
+	if _, err := r.executeGrid(cfg, pending, func(i int, s *sweep) error {
+		return ckpt.mark(keys[i], s.appendRecords(nil))
 	}); err != nil {
 		return nil, err
 	}

@@ -137,16 +137,22 @@ func (r RunRecord) LocationSummary() string {
 
 // Classify derives the Table 3 observation from the record's observables.
 func (r RunRecord) Classify() Observation {
-	if r.SystemCrashed {
+	return classify(r.SystemCrashed, r.ExitCode, r.OutputMismatch, r.DeltaCE, r.DeltaUE)
+}
+
+// classify is the one Table 3 classification of a run's observables,
+// whether they sit in a RunRecord or in a sweep's run cell.
+func classify(crashed bool, exitCode int, mismatch bool, ce, ue uint64) Observation {
+	if crashed {
 		// A crashed run reports nothing else reliably; EDAC noise logged
 		// on the way down is still attributed (the parser keeps it).
-		return Observation{SC: true, CE: r.DeltaCE > 0, UE: r.DeltaUE > 0}
+		return Observation{SC: true, CE: ce > 0, UE: ue > 0}
 	}
 	return Observation{
-		SDC: r.ExitCode == 0 && r.OutputMismatch,
-		CE:  r.DeltaCE > 0,
-		UE:  r.DeltaUE > 0,
-		AC:  r.ExitCode != 0,
+		SDC: exitCode == 0 && mismatch,
+		CE:  ce > 0,
+		UE:  ue > 0,
+		AC:  exitCode != 0,
 	}
 }
 
@@ -376,54 +382,71 @@ func (f *Framework) oneRun(spec *workload.Spec, core int, cfg *Config, v units.M
 // (chip, benchmark, input, core, frequency) campaign results with one
 // tally per voltage step, sorted for deterministic output.
 func Parse(records []RunRecord) []*CampaignResult {
-	return parseSlots([][]RunRecord{records})
-}
-
-// parseSlots parses the concatenation of slots without building it.
-// Tallies are order-free sums, so any split of a stream into slots
-// parses identically.
-func parseSlots(slots [][]RunRecord) []*CampaignResult {
-	type key struct {
-		chip, bench, input string
-		core               int
-		freq               units.MegaHertz
-	}
-	byKey := map[key]*stepTable{}
+	p := newParser(0)
 	// Record streams arrive grouped by campaign and voltage step (the
-	// engines' canonical order), so the common case is "same key and step
-	// as the previous record" — track both and fall back to the lookups
-	// only on transitions. Grouping is by value equality, so out-of-order
-	// streams still parse identically, just slower.
+	// engines' canonical order), so the common case is "same campaign and
+	// step as the previous record" — track both and fall back to the
+	// lookups only on transitions. Grouping is by value equality, so
+	// out-of-order streams still parse identically, just slower.
 	var (
-		curKey   key
+		curID    campaignID
 		curSteps *stepTable
 		curVolt  units.MilliVolts
 		curTally *Tally
 	)
-	for _, records := range slots {
-		for i := range records {
-			r := &records[i]
-			k := key{r.Chip, r.Benchmark, r.Input, r.Core, r.Frequency}
-			if curSteps == nil || k != curKey {
-				t, ok := byKey[k]
-				if !ok {
-					t = &stepTable{}
-					byKey[k] = t
-				}
-				curKey, curSteps, curTally = k, t, nil
-			}
-			if curTally == nil || r.Voltage != curVolt {
-				curVolt, curTally = r.Voltage, curSteps.tally(r.Voltage)
-			}
-			curTally.Add(r.Classify())
+	for i := range records {
+		r := &records[i]
+		id := campaignID{r.Chip, r.Benchmark, r.Input, r.Core, r.Frequency}
+		if curSteps == nil || id != curID {
+			curID, curSteps, curTally = id, p.table(id), nil
 		}
+		if curTally == nil || r.Voltage != curVolt {
+			curVolt, curTally = r.Voltage, curSteps.tally(r.Voltage)
+		}
+		curTally.Add(r.Classify())
 	}
-	var keys []key
-	for k := range byKey {
-		keys = append(keys, k)
+	return p.results()
+}
+
+// campaignID names a campaign in its records and in its parsed result:
+// the parsing phase's grouping key.
+type campaignID struct {
+	chip, bench, input string
+	core               int
+	freq               units.MegaHertz
+}
+
+// parser collects per-campaign step tables, from records (Parse) or
+// from the batch engine's sweep tallies (LadderRunner.Characterize).
+type parser struct {
+	byID map[campaignID]*stepTable
+}
+
+// newParser returns an empty parser with room for n campaigns.
+func newParser(n int) parser { return parser{byID: make(map[campaignID]*stepTable, n)} }
+
+// table returns id's step table, adding an empty one if needed.
+func (p parser) table(id campaignID) *stepTable {
+	t, ok := p.byID[id]
+	if !ok {
+		t = &stepTable{}
+		p.byID[id] = t
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		ka, kb := keys[a], keys[b]
+	return t
+}
+
+// results renders the tables as campaign results: campaigns sorted by
+// (chip, benchmark, input, core, frequency), steps by descending voltage.
+func (p parser) results() []*CampaignResult {
+	if len(p.byID) == 0 {
+		return nil
+	}
+	ids := make([]campaignID, 0, len(p.byID))
+	for id := range p.byID {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		ka, kb := ids[a], ids[b]
 		if ka.chip != kb.chip {
 			return ka.chip < kb.chip
 		}
@@ -438,18 +461,23 @@ func parseSlots(slots [][]RunRecord) []*CampaignResult {
 		}
 		return ka.freq < kb.freq
 	})
-	var out []*CampaignResult
-	for _, k := range keys {
-		steps := byKey[k].steps
-		sort.Slice(steps, func(a, b int) bool { return steps[a].Voltage > steps[b].Voltage })
-		out = append(out, &CampaignResult{
-			Chip:      k.chip,
-			Benchmark: k.bench,
-			Input:     k.input,
-			Core:      k.core,
-			Frequency: k.freq,
+	out := make([]*CampaignResult, len(ids))
+	for i, id := range ids {
+		t := p.byID[id]
+		steps := t.steps
+		if t.index != nil {
+			// Only a table whose voltages arrived out of order needs
+			// sorting; without an index they already descend.
+			sort.Slice(steps, func(a, b int) bool { return steps[a].Voltage > steps[b].Voltage })
+		}
+		out[i] = &CampaignResult{
+			Chip:      id.chip,
+			Benchmark: id.bench,
+			Input:     id.input,
+			Core:      id.core,
+			Frequency: id.freq,
 			Steps:     steps,
-		})
+		}
 	}
 	return out
 }

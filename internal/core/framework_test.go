@@ -315,10 +315,10 @@ func TestParseGrouping(t *testing.T) {
 	}
 }
 
-// The slot parser behind LadderRunner.Characterize must parse any split
-// and any order of a stream exactly as Parse parses the flat stream, and
-// Characterize must equal Parse over Execute.
-func TestParseSlotsMatchesFlat(t *testing.T) {
+// Parse is order-free: any reordering of a stream — pieces of it cut
+// across steps and campaigns, a shuffle, campaigns dealt round-robin —
+// parses exactly as the canonical stream does.
+func TestParseOrderFree(t *testing.T) {
 	cfg := DefaultConfig(specs(t, "bwaves/ref", "mcf/ref"), []int{0, 4})
 	cfg.Runs = 3
 	flat, err := tttFramework().Execute(cfg)
@@ -327,14 +327,21 @@ func TestParseSlotsMatchesFlat(t *testing.T) {
 	}
 	want := Parse(flat)
 
-	var slots [][]RunRecord
+	// Uneven pieces, cutting steps and campaigns, joined in reverse: each
+	// piece is in canonical order, but a step cut in two is met again
+	// after the steps below it.
+	var pieces [][]RunRecord
 	for start := 0; start < len(flat); {
-		end := start + 1 + (start*7)%97 // uneven splits, cutting steps and campaigns
-		slots = append(slots, flat[start:min(end, len(flat))])
+		end := start + 1 + (start*7)%97
+		pieces = append(pieces, flat[start:min(end, len(flat))])
 		start = end
 	}
-	if got := parseSlots(slots); !reflect.DeepEqual(got, want) {
-		t.Error("parseSlots over a split stream differs from Parse over the flat stream")
+	var split []RunRecord
+	for i := len(pieces) - 1; i >= 0; i-- {
+		split = append(split, pieces[i]...)
+	}
+	if got := Parse(split); len(pieces) < 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("Parse over %d pieces joined in reverse differs from the canonical stream", len(pieces))
 	}
 	shuffled := append([]RunRecord(nil), flat...)
 	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
@@ -365,15 +372,6 @@ func TestParseSlotsMatchesFlat(t *testing.T) {
 	}
 	if got := Parse(dealt); len(camps) < 2 || !reflect.DeepEqual(got, want) {
 		t.Errorf("Parse over %d campaigns dealt round-robin differs from the canonical stream", len(camps))
-	}
-
-	FlushCampaignCache()
-	got, err := NewLadderRunner(func() *xgene.Machine { return xgene.New(silicon.NewChip(silicon.TTT, 1)) }).Characterize(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("LadderRunner.Characterize differs from Parse over the sequential stream")
 	}
 }
 

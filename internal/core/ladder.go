@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xvolt/internal/edac"
 	"xvolt/internal/obs"
 	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
@@ -41,9 +42,9 @@ func (c *Config) Grid() []Campaign {
 // with a pooled board of its own. Instead of one fully locked machine
 // call per (benchmark, core, voltage, run) grid cell, each worker takes a
 // single state snapshot of its board per campaign and samples the whole
-// voltage ladder from it (xgene.SampleCell), writing records into pooled
-// arenas. Three properties make the output byte-identical to the
-// sequential Framework at any worker count:
+// voltage ladder from it (xgene.SampleCell), tallying each step as it
+// goes into a compact sweep. Three properties make the output
+// byte-identical to the sequential Framework at any worker count:
 //
 //   - every campaign draws from its own CampaignSeed-derived stream, and a
 //     sampled cell consumes that stream in exactly RunOnCore's draw order;
@@ -177,58 +178,61 @@ func (r *LadderRunner) ExecuteCampaigns(cfg Config, grid []Campaign) ([]RunRecor
 	return r.executeFlat(cfg, grid)
 }
 
-// Characterize runs the execution and parsing phases end to end. It
-// parses the per-campaign slots in place: the flat stream Execute would
-// return is never assembled.
+// Characterize runs the execution and parsing phases end to end. The
+// sweeps' step tallies are the parsing phase's output already, so no run
+// record is built: each campaign's result gets a fresh copy of its
+// sweep's steps, and a campaign the grid lists twice is merged step by
+// step, as Parse merges its records.
 func (r *LadderRunner) Characterize(cfg Config) ([]*CampaignResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	slots, err := r.executeGrid(cfg, cfg.Grid(), nil)
+	sweeps, err := r.executeGrid(cfg, cfg.Grid(), nil)
 	if err != nil {
 		return nil, err
 	}
-	return parseSlots(slots), nil
+	p := newParser(len(sweeps))
+	for _, s := range sweeps {
+		t := p.table(s.id)
+		if t.steps == nil {
+			t.steps = make([]StepResult, len(s.steps))
+			copy(t.steps, s.steps)
+			continue
+		}
+		for _, st := range s.steps {
+			t.tally(st.Voltage).merge(st.Tally)
+		}
+	}
+	return p.results(), nil
 }
 
-// recordArenaPool recycles per-campaign record buffers across campaigns
-// and Execute calls (the regress.Fit workspace pattern). Buffers are
-// staged per grid slot and returned after assembly into the exact-size
-// output slice.
-var recordArenaPool = sync.Pool{
-	New: func() any {
-		b := make([]RunRecord, 0, 512)
-		return &b
-	},
-}
-
-// executeFlat runs a grid and concatenates its campaigns' records in grid
+// executeFlat runs a grid and rebuilds its campaigns' records in grid
 // order.
 func (r *LadderRunner) executeFlat(cfg Config, grid []Campaign) ([]RunRecord, error) {
-	out, err := r.executeGrid(cfg, grid, nil)
-	if err != nil || len(out) == 0 {
+	sweeps, err := r.executeGrid(cfg, grid, nil)
+	if err != nil || len(sweeps) == 0 {
 		return nil, err
 	}
 	n := 0
-	for _, recs := range out {
-		n += len(recs)
+	for _, s := range sweeps {
+		n += s.runs()
 	}
 	all := make([]RunRecord, 0, n)
-	for _, recs := range out {
-		all = append(all, recs...)
+	for _, s := range sweeps {
+		all = s.appendRecords(all)
 	}
 	return all, nil
 }
 
-// executeGrid is the worker pool. Results land in a per-campaign slot
+// executeGrid is the worker pool. Sweeps land in a per-campaign slot
 // table indexed by grid position, so assembly order never depends on
-// which worker finished first. Each slot is read-only: it may be shared
+// which worker finished first. Each sweep is read-only: it may be shared
 // with the campaign memo. Campaigns are accounted in grid order
 // (gridAccounts), so the event stream and the recovery numbering do not
 // depend on the worker count either. A non-nil done is called with each
 // campaign as it is accounted; its first error stops the grid — no
 // campaign starts after it — and is returned.
-func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx int, recs []RunRecord) error) ([][]RunRecord, error) {
+func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx int, s *sweep) error) ([]*sweep, error) {
 	if len(grid) == 0 {
 		return nil, nil
 	}
@@ -244,7 +248,7 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx in
 	r.metrics.queued.Add(float64(len(grid)))
 
 	jobs := make(chan int)
-	out := make([][]RunRecord, len(grid))
+	out := make([]*sweep, len(grid))
 	acct := &gridAccounts{r: r, grid: grid, out: out, cfg: &cfg, done: done, slots: make([]finishedSlot, len(grid))}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -255,17 +259,18 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx in
 			defer r.pool.Put(wm)
 			bs := wm.BatchState()
 			label := strconv.Itoa(worker)
+			var cells []runCell // the worker's staging buffer, reused across campaigns
 			for idx := range jobs {
 				r.metrics.queued.Dec()
 				camp := grid[idx]
 				r.metrics.busy.Inc()
 				span := obs.StartSpan(r.metrics.latency.With(label))
-				recs, hit := r.oneCampaign(wm, bs, camp.Spec, camp.Core, &cfg)
-				out[idx] = recs
+				s, hit := r.oneCampaign(wm, bs, camp.Spec, camp.Core, &cfg, &cells)
+				out[idx] = s
 				span.End()
 				r.metrics.busy.Dec()
 				r.metrics.done.Inc()
-				acct.finish(idx, bs.Chip.Name, hit)
+				acct.finish(idx, hit)
 			}
 		}(w)
 	}
@@ -294,9 +299,9 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx in
 type gridAccounts struct {
 	r    *LadderRunner
 	grid []Campaign
-	out  [][]RunRecord
+	out  []*sweep
 	cfg  *Config
-	done func(idx int, recs []RunRecord) error // nil: nothing to call
+	done func(idx int, s *sweep) error // nil: nothing to call
 
 	mu       sync.Mutex
 	slots    []finishedSlot
@@ -309,19 +314,18 @@ type gridAccounts struct {
 }
 
 // finishedSlot is what a finished campaign leaves for accounting besides
-// its records.
+// its sweep.
 type finishedSlot struct {
 	ready bool
 	memo  bool
-	chip  string
 }
 
-// finish parks slot idx, whose records are already in out, and accounts
+// finish parks slot idx, whose sweep is already in out, and accounts
 // every campaign now ready in grid order unless another worker is doing
 // so. The lock is not held while a campaign is accounted.
-func (g *gridAccounts) finish(idx int, chip string, memo bool) {
+func (g *gridAccounts) finish(idx int, memo bool) {
 	g.mu.Lock()
-	g.slots[idx] = finishedSlot{ready: true, memo: memo, chip: chip}
+	g.slots[idx] = finishedSlot{ready: true, memo: memo}
 	if g.draining {
 		g.mu.Unlock()
 		return
@@ -332,7 +336,7 @@ func (g *gridAccounts) finish(idx int, chip string, memo bool) {
 		g.next++
 		s, c := g.slots[i], g.grid[i]
 		g.mu.Unlock()
-		g.r.accountCampaign(g.out[i], s.chip, c.Spec, c.Core, g.cfg, s.memo, &g.crashes)
+		g.r.accountCampaign(g.out[i], c.Spec, g.cfg, s.memo, &g.crashes)
 		if g.done != nil && g.err == nil {
 			if g.err = g.done(i, g.out[i]); g.err != nil {
 				g.stopped.Store(true)
@@ -345,35 +349,27 @@ func (g *gridAccounts) finish(idx int, chip string, memo bool) {
 }
 
 // oneCampaign resolves one grid cell: a memo hit reuses the stored
-// stream, a miss sweeps the ladder into a pooled arena and stores a
-// compact copy. Either way the returned slice is read-only shared state;
-// hit reports a memo hit.
-func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config) (recs []RunRecord, hit bool) {
+// sweep, a miss sweeps the ladder, staging its cells in the worker's
+// buffer, and stores the result. Either way the returned sweep is
+// read-only shared state; hit reports a memo hit.
+func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, cells *[]runCell) (s *sweep, hit bool) {
 	key := newMemoKey(bs, spec, coreID, cfg)
-	recs, hit = lookupCampaign(key)
-	if !hit {
-		bufp := recordArenaPool.Get().(*[]RunRecord)
-		buf := r.runLadder(wm, bs, spec, coreID, cfg, (*bufp)[:0])
-		recs = make([]RunRecord, len(buf))
-		copy(recs, buf)
-		*bufp = buf
-		recordArenaPool.Put(bufp)
-		storeCampaign(key, recs)
+	if s, hit = lookupCampaign(key); !hit {
+		s, *cells = r.runLadder(wm, bs, spec, coreID, cfg, (*cells)[:0])
+		storeCampaign(key, s)
 	}
-	return recs, hit
+	return s, hit
 }
 
 // accountCampaign is the one place a campaign's crashes are counted as
 // watchdog recoveries and its trace is emitted: with a log attached,
-// the record stream becomes the event sequence of the sequential
+// the sweep's records become the event sequence of the sequential
 // sweep — campaign, step, run, crash and recovery — marked "(memo)"
-// when the records came from the memo.
-func (r *LadderRunner) accountCampaign(recs []RunRecord, chip string, spec *workload.Spec, coreID int, cfg *Config, memo bool, crashes *int) {
+// when the sweep came from the memo.
+func (r *LadderRunner) accountCampaign(s *sweep, spec *workload.Spec, cfg *Config, memo bool, crashes *int) {
 	if r.log == nil {
-		for i := range recs {
-			if recs[i].SystemCrashed {
-				*crashes++
-			}
+		for i := range s.steps {
+			*crashes += s.steps[i].Tally.SC
 		}
 		return
 	}
@@ -381,10 +377,10 @@ func (r *LadderRunner) accountCampaign(recs []RunRecord, chip string, spec *work
 	if memo {
 		mark = " (memo)"
 	}
-	r.log.Emit(trace.CampaignStart, "%s on %s core %d at %v%s", spec.ID(), chip, coreID, cfg.Frequency, mark)
-	for i := range recs {
-		rec := &recs[i]
-		if i == 0 || rec.Voltage != recs[i-1].Voltage {
+	coreID := s.id.core
+	r.log.Emit(trace.CampaignStart, "%s on %s core %d at %v%s", spec.ID(), s.id.chip, coreID, cfg.Frequency, mark)
+	s.eachRecord(func(rec *RunRecord) {
+		if rec.RunIndex == 0 {
 			r.log.Emit(trace.StepStart, "%s core %d step %v", spec.ID(), coreID, rec.Voltage)
 		}
 		if rec.SystemCrashed {
@@ -393,26 +389,105 @@ func (r *LadderRunner) accountCampaign(recs []RunRecord, chip string, spec *work
 			r.log.Emit(trace.Recovery, "watchdog power-cycled the board (recovery #%d)", *crashes)
 		}
 		r.log.Emit(trace.RunDone, "%s core %d %v run %d -> %s", spec.ID(), coreID, rec.Voltage, rec.RunIndex, rec.Classify())
-	}
+	})
 	r.log.Emit(trace.CampaignEnd, "%s on core %d", spec.ID(), coreID)
 }
 
+// sweep is one campaign's ladder in the form the engine keeps it: the
+// campaign's identity once, one Table 3 tally per voltage step — the
+// parsing phase's reduction (§3.4.1), made while sweeping — and a cell
+// per run for the steps where some run had an effect. A step whose
+// tally is all clean keeps no run data, since each of its runs logs the
+// zero-effect record, whether the step was synthesized or sampled. A
+// sweep is read-only once built: the campaign memo shares it.
+type sweep struct {
+	id    campaignID
+	steps []StepResult // descending voltage, one per step, each N = Config.Runs
+	cells []runCell    // N cells per step with any effect, in step order
+}
+
+// runCell is one sampled run's observables: all a RunRecord holds
+// beyond the campaign, the step voltage and the run index. It holds no
+// pointer, so the memo's cells cost the garbage collector no scan.
+type runCell struct {
+	counts   edac.Counts // the run's EDAC delta; DeltaCE/DeltaUE are its totals
+	exitCode int32
+	mismatch bool // output differed from the golden one
+	crashed  bool // system crash: the watchdog power-cycled the board
+}
+
+func (c *runCell) observation() Observation {
+	return classify(c.crashed, int(c.exitCode), c.mismatch, c.counts.TotalCE(), c.counts.TotalUE())
+}
+
+// runs counts the sweep's runs: its records once rebuilt.
+func (s *sweep) runs() int {
+	n := 0
+	for i := range s.steps {
+		n += s.steps[i].Tally.N
+	}
+	return n
+}
+
+// eachRecord calls f with the sweep's run records in run order, the
+// stream Framework.Execute logs for the campaign. rec is reused: f must
+// not keep it.
+func (s *sweep) eachRecord(f func(rec *RunRecord)) {
+	proto := RunRecord{
+		Chip:      s.id.chip,
+		Benchmark: s.id.bench,
+		Input:     s.id.input,
+		Core:      s.id.core,
+		Frequency: s.id.freq,
+	}
+	var rec RunRecord
+	cells := s.cells
+	for _, st := range s.steps {
+		proto.Voltage = st.Voltage
+		clean := st.Tally.AllClean()
+		for run := 0; run < st.Tally.N; run++ {
+			rec = proto
+			rec.RunIndex = run
+			if !clean {
+				c := &cells[run]
+				rec.ExitCode = int(c.exitCode)
+				rec.OutputMismatch = c.mismatch
+				rec.DeltaCE = c.counts.TotalCE()
+				rec.DeltaUE = c.counts.TotalUE()
+				rec.ByLocation = c.counts
+				rec.SystemCrashed = c.crashed
+				rec.Recovered = c.crashed
+			}
+			f(&rec)
+		}
+		if !clean {
+			cells = cells[st.Tally.N:]
+		}
+	}
+}
+
+// appendRecords appends the sweep's run records to dst.
+func (s *sweep) appendRecords(dst []RunRecord) []RunRecord {
+	s.eachRecord(func(rec *RunRecord) { dst = append(dst, *rec) })
+	return dst
+}
+
 // runLadder sweeps one (benchmark, core) campaign downward against the
-// worker board's state snapshot, appending records to buf.
+// worker board's state snapshot, tallying each step as it goes. The
+// cells of a sampled step are staged in cells; a step with no effect
+// drops them again. The sweep gets an exact-size copy of what is left,
+// and the grown staging buffer is returned for the next campaign.
 //
 //xvolt:hotpath inner sweep loop; allocation profile pinned by BENCH_baseline.json
-func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, buf []RunRecord) []RunRecord {
+func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, cells []runCell) (*sweep, []runCell) {
 	rng := newCampaignRand(CampaignSeed(cfg.Seed, bs.Chip.Name, spec.Name, spec.Input, coreID))
 	margins := wm.Assess(coreID, spec, units.RegimeOf(cfg.Frequency))
 	cleanAbove := silicon.EffectiveSafeVmin(margins, bs.Prot)
 	golden := spec.Golden()
 
-	proto := RunRecord{
-		Chip:      bs.Chip.Name,
-		Benchmark: spec.Name,
-		Input:     spec.Input,
-		Core:      coreID,
-		Frequency: cfg.Frequency,
+	s := &sweep{
+		id:    campaignID{bs.Chip.Name, spec.Name, spec.Input, coreID, cfg.Frequency},
+		steps: make([]StepResult, 0, int((cfg.StartVoltage-cfg.StopVoltage)/units.VoltageStep)+1),
 	}
 	st := bs.State
 	var inj workload.Bitflip // rescheduled for every SDC cell
@@ -420,44 +495,38 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 	for v := cfg.StartVoltage; v >= cfg.StopVoltage; v -= units.VoltageStep {
 		if v >= cleanAbove && st.Clean(bs.Chip) {
 			// Clean region: the sampled path would return zero effects
-			// without consuming a single draw, so the step's records are
-			// synthesized outright. A clean step resets the early-exit
-			// crash counter, same as a sampled step with zero crashes.
-			for run := 0; run < cfg.Runs; run++ {
-				rec := proto
-				rec.Voltage = v
-				rec.RunIndex = run
-				buf = append(buf, rec)
-			}
+			// without consuming a single draw, so the step is tallied
+			// clean outright. A clean step resets the early-exit crash
+			// counter, same as a sampled step with zero crashes.
+			s.steps = append(s.steps, StepResult{Voltage: v, Tally: Tally{N: cfg.Runs}})
 			consecutiveAllCrash = 0
 			continue
 		}
-		crashesThisStep := 0
+		var tally Tally
+		staged := len(cells)
 		for run := 0; run < cfg.Runs; run++ {
 			cell := xgene.SampleCell(rng, bs, st, margins, v)
-			rec := proto
-			rec.Voltage = v
-			rec.RunIndex = run
-			rec.DeltaCE = cell.Delta.TotalCE()
-			rec.DeltaUE = cell.Delta.TotalUE()
-			rec.ByLocation = cell.Delta
+			c := runCell{counts: cell.Delta}
 			switch {
 			case cell.Effects.SC:
-				rec.SystemCrashed = true
-				rec.ExitCode = -1
-				rec.Recovered = true
+				c.crashed = true
+				c.exitCode = -1
 				st.ResetAfterCrash()
-				crashesThisStep++
 			case cell.Effects.AC:
-				rec.ExitCode = 134
+				c.exitCode = 134
 			case cell.Effects.SDC:
 				inj.Reset(rng, cell.Effects.SDCBits)
-				rec.OutputMismatch = spec.Run(&inj) != golden
+				c.mismatch = spec.Run(&inj) != golden
 			}
-			buf = append(buf, rec)
+			tally.Add(c.observation())
+			cells = append(cells, c)
 		}
+		if tally.AllClean() {
+			cells = cells[:staged]
+		}
+		s.steps = append(s.steps, StepResult{Voltage: v, Tally: tally})
 		if cfg.StopAfterCrashSteps > 0 {
-			if crashesThisStep == cfg.Runs {
+			if tally.SC == cfg.Runs {
 				consecutiveAllCrash++
 				if consecutiveAllCrash >= cfg.StopAfterCrashSteps {
 					break
@@ -467,5 +536,9 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 			}
 		}
 	}
-	return buf
+	if len(cells) > 0 {
+		s.cells = make([]runCell, len(cells))
+		copy(s.cells, cells)
+	}
+	return s, cells
 }

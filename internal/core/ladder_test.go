@@ -3,7 +3,9 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"xvolt/internal/core"
 	"xvolt/internal/selftest"
@@ -116,12 +118,19 @@ func TestLadderEarlyExitAndSynthesis(t *testing.T) {
 	}
 }
 
-// Every board configuration a production sweep runs on the batch engine
-// must match the sequential Framework at every worker count, cold and
-// memo-warm. Protection knobs and the failure model persist across crash
-// reboots, so these boards are partition-stable across the whole grid.
-func TestLadderProtectedEquivalence(t *testing.T) {
-	core.FlushCampaignCache()
+// study is a grid on a board configuration: one factory per chip.
+type study struct {
+	name  string
+	chips []func() *xgene.Machine
+	cfg   core.Config
+}
+
+// protectedStudies are the board configurations a production sweep runs
+// on the batch engine. Protection knobs and the failure model persist
+// across crash reboots, so these boards are partition-stable across the
+// whole grid.
+func protectedStudies(t *testing.T) []study {
+	t.Helper()
 	board := func(model silicon.Model, p silicon.Protection) func() *xgene.Machine {
 		return func() *xgene.Machine {
 			m := xgene.NewWithModel(silicon.NewChip(silicon.TTT, 1), model)
@@ -139,32 +148,145 @@ func TestLadderProtectedEquivalence(t *testing.T) {
 	selftests := core.DefaultConfig(selftest.Tests(), []int{4})
 	selftests.Runs = 3
 	selftests.StopVoltage = 760
-	cases := []struct {
-		name    string
-		factory func() *xgene.Machine
-		cfg     core.Config
-	}{
-		{"dected+adaptive", board(silicon.XGene, silicon.Protection{ECC: silicon.DECTED, AdaptiveClocking: true}), testConfig(t)},
-		{"dected", board(silicon.XGene, silicon.Protection{ECC: silicon.DECTED}), testConfig(t)},
-		{"adaptive", board(silicon.XGene, silicon.Protection{AdaptiveClocking: true}), testConfig(t)},
-		{"itanium", board(silicon.Itanium, silicon.Stock()), testConfig(t)},
-		{"selftests", ttFactory, selftests},
-		{"runs-1", ttFactory, withRuns(1)},
-		{"runs-3", ttFactory, withRuns(3)},
+	one := func(f func() *xgene.Machine) []func() *xgene.Machine { return []func() *xgene.Machine{f} }
+	return []study{
+		{"dected+adaptive", one(board(silicon.XGene, silicon.Protection{ECC: silicon.DECTED, AdaptiveClocking: true})), testConfig(t)},
+		{"dected", one(board(silicon.XGene, silicon.Protection{ECC: silicon.DECTED})), testConfig(t)},
+		{"adaptive", one(board(silicon.XGene, silicon.Protection{AdaptiveClocking: true})), testConfig(t)},
+		{"itanium", one(board(silicon.Itanium, silicon.Stock())), testConfig(t)},
+		{"selftests", one(ttFactory), selftests},
+		{"runs-1", one(ttFactory), withRuns(1)},
+		{"runs-3", one(ttFactory), withRuns(3)},
 	}
-	for _, tc := range cases {
-		seqRaw, err := core.New(tc.factory()).Execute(tc.cfg)
+}
+
+// Every board configuration a production sweep runs on the batch engine
+// must match the sequential Framework at every worker count, cold and
+// memo-warm.
+func TestLadderProtectedEquivalence(t *testing.T) {
+	core.FlushCampaignCache()
+	for _, tc := range protectedStudies(t) {
+		factory := tc.chips[0]
+		seqRaw, err := core.New(factory()).Execute(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4, 8} {
-			cold, warm := coldAndWarm(t, tc.factory, tc.cfg, workers)
+			cold, warm := coldAndWarm(t, factory, tc.cfg, workers)
 			if !reflect.DeepEqual(seqRaw, cold) {
 				t.Errorf("%s: workers %d cold: batch run diverges from sequential", tc.name, workers)
 			}
 			if !reflect.DeepEqual(seqRaw, warm) {
 				t.Errorf("%s: workers %d warm: batch run diverges from sequential", tc.name, workers)
 			}
+		}
+	}
+}
+
+// Characterize builds its results from the sweeps' step tallies without
+// a run record, so it must equal Parse over the sequential Framework's
+// stream on every protected board, cold and memo-warm: on an early exit,
+// on a grid that lists a benchmark twice (its campaigns merge), on two
+// specs that share a name and input but not a size (a merge of two
+// different sweeps), and on a study over several chips, whose per-chip
+// results concatenate in chip order.
+func TestCharacterizeMatchesParse(t *testing.T) {
+	studies := protectedStudies(t)
+
+	early := testConfig(t)
+	early.StopAfterCrashSteps = 1
+	twice := testConfig(t)
+	twice.Benchmarks = append(twice.Benchmarks, twice.Benchmarks[0])
+	bw := testConfig(t).Benchmarks[0]
+	resized := testConfig(t)
+	resized.Benchmarks = append(resized.Benchmarks, &workload.Spec{
+		Name: bw.Name, Input: bw.Input, Size: bw.Size + 7,
+		Profile: bw.Profile, Score: bw.Score, Kernel: bw.Kernel,
+	})
+	var chips []func() *xgene.Machine
+	for _, c := range []silicon.Corner{silicon.TFF, silicon.TSS, silicon.TTT} { // chip-name order
+		chips = append(chips, func() *xgene.Machine { return xgene.New(silicon.NewChip(c, 1)) })
+	}
+	studies = append(studies,
+		study{"early-exit", []func() *xgene.Machine{ttFactory}, early},
+		study{"listed-twice", []func() *xgene.Machine{ttFactory}, twice},
+		study{"two-sizes", []func() *xgene.Machine{ttFactory}, resized},
+		study{"three-chips", chips, testConfig(t)},
+	)
+
+	exited := false
+	for _, tc := range studies {
+		var seqRaw []core.RunRecord
+		for _, chip := range tc.chips {
+			raw, err := core.New(chip()).Execute(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqRaw = append(seqRaw, raw...)
+		}
+		want := core.Parse(seqRaw)
+		for _, c := range want {
+			if c.Steps[len(c.Steps)-1].Voltage > tc.cfg.StopVoltage {
+				exited = true
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			core.FlushCampaignCache()
+			for _, pass := range []string{"cold", "warm"} {
+				var got []*core.CampaignResult
+				for _, chip := range tc.chips {
+					r := core.NewLadderRunner(chip)
+					r.SetParallelism(workers)
+					res, err := r.Characterize(tc.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, res...)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: workers %d %s: Characterize differs from Parse over the sequential stream", tc.name, workers, pass)
+				}
+			}
+		}
+	}
+	if !exited {
+		t.Error("no campaign stopped early; the early-exit path goes untested")
+	}
+}
+
+// A memo-hit Characterize reads the stored step tallies: it builds no
+// run record, so neither its allocation count nor its bytes grow with
+// the runs per step.
+func TestCharacterizeWarmAllocs(t *testing.T) {
+	for _, runs := range []int{3, 30} {
+		cfg := testConfig(t)
+		cfg.Runs = runs
+		r := core.NewLadderRunner(ttFactory)
+		r.SetParallelism(1)
+		core.FlushCampaignCache()
+		res, err := r.Characterize(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := 0
+		for _, c := range res {
+			steps += len(c.Steps)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := r.Characterize(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		perCall := float64(after.TotalAlloc-before.TotalAlloc) / 21 // AllocsPerRun adds a warm-up call
+		t.Logf("runs %d: %d campaigns, %d steps: %.0f allocs, %.0f B per warm Characterize", runs, len(res), steps, allocs, perCall)
+		if limit := float64(8*len(res) + 64); allocs > limit {
+			t.Errorf("runs %d: %.0f allocations per warm Characterize, want at most %.0f (8 a campaign + 64)", runs, allocs, limit)
+		}
+		if limit := float64(steps*int(unsafe.Sizeof(core.StepResult{}))*2 + 16<<10); perCall > limit {
+			t.Errorf("runs %d: %.0f B per warm Characterize, want at most %.0f (two step tallies a step + 16 KiB)", runs, perCall, limit)
 		}
 	}
 }

@@ -177,6 +177,17 @@ func (t *Tally) Add(o Observation) {
 	}
 }
 
+// merge folds another tally of the same voltage step into t, as if its
+// runs had been added one by one.
+func (t *Tally) merge(o Tally) {
+	t.N += o.N
+	t.SDC += o.SDC
+	t.CE += o.CE
+	t.UE += o.UE
+	t.AC += o.AC
+	t.SC += o.SC
+}
+
 // AllClean reports whether none of the N runs manifested any effect.
 func (t Tally) AllClean() bool {
 	return t.SDC == 0 && t.CE == 0 && t.UE == 0 && t.AC == 0 && t.SC == 0

@@ -21,6 +21,8 @@
 package fleet
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,16 +123,7 @@ func (m *Manager) Run(polls int) {
 
 	slots := m.takeSlots(polls)
 	m.traceSchedule(slots)
-	// Boards are handed out whole: a board's polls are strictly
-	// sequential, in slot order.
-	jobs := make([][]int, len(m.boards))
-	var active []int
-	for si, s := range slots {
-		if len(jobs[s.board]) == 0 {
-			active = append(active, s.board)
-		}
-		jobs[s.board] = append(jobs[s.board], si)
-	}
+	jobs := boardJobs(slots)
 	outcomes := make([]pollOutcome, len(slots))
 
 	// The poll-latency instrument is read by workers without the lock;
@@ -139,17 +132,17 @@ func (m *Manager) Run(polls int) {
 	pollSeconds := m.m.pollSeconds
 	m.mu.Unlock()
 
-	// Poll phase: the workers take the active boards in order; outcome
+	// Poll phase: the workers take the boards' jobs in order; outcome
 	// slots are disjoint, so no locks are held.
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(m.cfg.Workers, len(active)); w++ {
+	for w := 0; w < min(m.cfg.Workers, len(jobs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := int(next.Add(1)) - 1; k < len(active); k = int(next.Add(1)) - 1 {
-				b := m.boards[active[k]]
-				for _, si := range jobs[active[k]] {
+			for k := int(next.Add(1)) - 1; k < len(jobs); k = int(next.Add(1)) - 1 {
+				b := m.boards[slots[jobs[k][0]].board]
+				for _, si := range jobs[k] {
 					span := obs.StartSpan(pollSeconds)
 					outcomes[si] = b.poll(slots[si].due, &m.cfg)
 					span.End()
@@ -169,6 +162,36 @@ func (m *Manager) Run(polls int) {
 	}
 	m.publishGaugesLocked()
 	m.gen.Store(gen)
+}
+
+// boardJobs groups a chunk's slots by board in O(chunk) space. Boards
+// are handed out whole, since a board's polls are strictly sequential:
+// one job per board, holding its slot indices in slot order, and the
+// jobs in the order their boards first appear in the chunk.
+func boardJobs(slots []pollSlot) [][]int {
+	order := make([]int, len(slots))
+	for i := range order {
+		order[i] = i
+	}
+	// By board, then by slot: each board's slots become one run.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(slots[a].board, slots[b].board); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	jobs := make([][]int, 0, len(slots))
+	for start := 0; start < len(order); {
+		end := start + 1
+		for end < len(order) && slots[order[end]].board == slots[order[start]].board {
+			end++
+		}
+		jobs = append(jobs, order[start:end:end])
+		start = end
+	}
+	// A job's first slot is where its board first appears.
+	slices.SortFunc(jobs, func(a, b []int) int { return cmp.Compare(a[0], b[0]) })
+	return jobs
 }
 
 // pollSlot is one scheduled poll.

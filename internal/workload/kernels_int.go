@@ -486,33 +486,47 @@ func choose(c bool, a, b int) int {
 }
 
 // kXalancbmk models the XSLT processor: tree walking and string
-// transformation over a synthetic DOM.
+// transformation over a synthetic DOM. The 128-node DOM is rebuilt on
+// each call in fixed-size arrays, children by offset: count each node's
+// children, turn the counts into offsets, then place every child in
+// index order, so each node's children keep the order they were drawn
+// in.
 func kXalancbmk(size int, inj Injector) uint64 {
-	type node struct {
-		tag      int
-		children []int
-	}
+	const nodes = 128
+	var (
+		parent [nodes]int
+		tag    [nodes]int
+		first  [nodes + 1]int // node n's children are child[first[n]:first[n+1]]
+		child  [nodes - 1]int
+	)
 	rng := newXorshift(0xa1a)
-	nodes := make([]node, 128)
-	for i := 1; i < len(nodes); i++ {
-		parent := rng.intn(i)
-		nodes[parent].children = append(nodes[parent].children, i)
-		nodes[i].tag = rng.intn(12)
+	for i := 1; i < nodes; i++ {
+		parent[i] = rng.intn(i)
+		tag[i] = rng.intn(12)
+		first[parent[i]+1]++
+	}
+	for n := 1; n <= nodes; n++ {
+		first[n] += first[n-1]
+	}
+	next := first
+	for i := 1; i < nodes; i++ {
+		child[next[parent[i]]] = i
+		next[parent[i]]++
 	}
 	h := uint64(0x1b)
 	iters := 64 + size/4
 	for it := 0; it < iters; it++ {
 		// Template "match": walk from a pseudo-random node to the leaves,
 		// hashing tags with transformation rules.
-		cur := it % len(nodes)
+		cur := it % nodes
 		acc := uint64(0xcbf29ce484222325)
 		for depth := 0; depth < 12; depth++ {
-			nd := nodes[cur]
-			acc = (acc ^ uint64(nd.tag)) * 0x100000001b3
-			if len(nd.children) == 0 {
+			acc = (acc ^ uint64(tag[cur])) * 0x100000001b3
+			kids := child[first[cur]:first[cur+1]]
+			if len(kids) == 0 {
 				break
 			}
-			cur = nd.children[(it+depth)%len(nd.children)]
+			cur = kids[(it+depth)%len(kids)]
 		}
 		v := inj.Word(acc)
 		h = fold(h, v)

@@ -65,6 +65,7 @@ var referenceKernels = map[string]Kernel{
 	"mcf":       refMcf,
 	"milc":      refMilc,
 	"namd":      refNamd,
+	"xalancbmk": refXalancbmk,
 	"zeusmp":    refZeusmp,
 }
 
@@ -204,6 +205,25 @@ func TestReplayInjectorAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Reset and 320 hook calls: %v allocations, want 0", allocs)
+	}
+}
+
+// kXalancbmk rebuilds its DOM in arrays on each call, so a replay
+// allocates nothing beyond what the injector does (and a reset one does
+// not).
+func TestXalancbmkReplayAllocs(t *testing.T) {
+	s, err := LookupName("xalancbmk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var inj Bitflip
+	allocs := testing.AllocsPerRun(100, func() {
+		inj.Reset(rng, 2)
+		s.Run(&inj)
+	})
+	if allocs != 0 {
+		t.Errorf("xalancbmk replay: %v allocations, want 0", allocs)
 	}
 }
 
@@ -658,6 +678,38 @@ func refZeusmp(size int, inj Injector) uint64 {
 			bf[i] = v
 			h = foldF64(h, v)
 		}
+	}
+	return h
+}
+
+// refXalancbmk is kXalancbmk before its rewrite: a child slice per node.
+func refXalancbmk(size int, inj Injector) uint64 {
+	type node struct {
+		tag      int
+		children []int
+	}
+	rng := newXorshift(0xa1a)
+	nodes := make([]node, 128)
+	for i := 1; i < len(nodes); i++ {
+		parent := rng.intn(i)
+		nodes[parent].children = append(nodes[parent].children, i)
+		nodes[i].tag = rng.intn(12)
+	}
+	h := uint64(0x1b)
+	iters := 64 + size/4
+	for it := 0; it < iters; it++ {
+		cur := it % len(nodes)
+		acc := uint64(0xcbf29ce484222325)
+		for depth := 0; depth < 12; depth++ {
+			nd := nodes[cur]
+			acc = (acc ^ uint64(nd.tag)) * 0x100000001b3
+			if len(nd.children) == 0 {
+				break
+			}
+			cur = nd.children[(it+depth)%len(nd.children)]
+		}
+		v := inj.Word(acc)
+		h = fold(h, v)
 	}
 	return h
 }
