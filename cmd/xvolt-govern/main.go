@@ -16,13 +16,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"xvolt/internal/core"
 	"xvolt/internal/counters"
 	"xvolt/internal/mitigate"
 	"xvolt/internal/predict"
+	"xvolt/internal/randsrc"
 	"xvolt/internal/sched"
 	"xvolt/internal/silicon"
 	"xvolt/internal/units"
@@ -107,7 +107,7 @@ func obtainBank(w io.Writer, chip *silicon.Chip, runs int, seed int64, paralleli
 func run(w io.Writer, epochs int, tolerance float64, margin, runs int, seed int64, parallelism int, savePath, loadPath string) error {
 	chip := silicon.NewChip(silicon.TTT, 1)
 	machine := xgene.New(chip)
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.New(seed)
 
 	bank, err := obtainBank(w, chip, runs, seed, parallelism, savePath, loadPath)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"xvolt/internal/edac"
 	"xvolt/internal/obs"
+	"xvolt/internal/randsrc"
 	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
 	"xvolt/internal/units"
@@ -243,18 +244,13 @@ func (f *Framework) restoreNominal() {
 	f.metrics.railMV.Set(float64(units.NominalPMD))
 }
 
-// newCampaignRand builds the framework RNG stream for a campaign seed.
-func newCampaignRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
-
 // campaignRand builds the RNG stream of one (benchmark, core) campaign:
 // the seed is derived from the campaign's identity (CampaignSeed), not
 // from a position in a shared stream, so outcomes are identical whether
 // the campaign runs sequentially, in a LadderRunner worker, in
 // isolation, or after a checkpoint resume.
 func (f *Framework) campaignRand(spec *workload.Spec, core int, cfg *Config) *rand.Rand {
-	return newCampaignRand(CampaignSeed(cfg.Seed, f.machine.Chip().Name, spec.Name, spec.Input, core))
+	return randsrc.New(CampaignSeed(cfg.Seed, f.machine.Chip().Name, spec.Name, spec.Input, core))
 }
 
 // Execute runs the execution phase for the whole configuration and returns

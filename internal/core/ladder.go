@@ -10,6 +10,7 @@ import (
 
 	"xvolt/internal/edac"
 	"xvolt/internal/obs"
+	"xvolt/internal/randsrc"
 	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
 	"xvolt/internal/units"
@@ -164,30 +165,45 @@ func (r *LadderRunner) Execute(cfg Config) ([]RunRecord, error) {
 // ExecuteCampaigns runs an explicit campaign list (one benchmark pinned
 // per core, Figure 9 style); records come back in list order.
 func (r *LadderRunner) ExecuteCampaigns(cfg Config, grid []Campaign) ([]RunRecord, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkCampaigns(cfg, grid); err != nil {
 		return nil, err
-	}
-	for i, c := range grid {
-		if c.Spec == nil {
-			return nil, fmt.Errorf("core: campaign %d has no benchmark", i)
-		}
-		if c.Core < 0 || c.Core >= silicon.NumCores {
-			return nil, fmt.Errorf("core: campaign %d core %d out of range", i, c.Core)
-		}
 	}
 	return r.executeFlat(cfg, grid)
 }
 
-// Characterize runs the execution and parsing phases end to end. The
-// sweeps' step tallies are the parsing phase's output already, so no run
-// record is built: each campaign's result gets a fresh copy of its
-// sweep's steps, and a campaign the grid lists twice is merged step by
-// step, as Parse merges its records.
-func (r *LadderRunner) Characterize(cfg Config) ([]*CampaignResult, error) {
+// checkCampaigns validates the configuration and every campaign of an
+// explicit list.
+func checkCampaigns(cfg Config, grid []Campaign) error {
 	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	for i, c := range grid {
+		if c.Spec == nil {
+			return fmt.Errorf("core: campaign %d has no benchmark", i)
+		}
+		if c.Core < 0 || c.Core >= silicon.NumCores {
+			return fmt.Errorf("core: campaign %d core %d out of range", i, c.Core)
+		}
+	}
+	return nil
+}
+
+// Characterize runs the configuration grid through the execution and
+// parsing phases: CharacterizeCampaigns over cfg.Grid().
+func (r *LadderRunner) Characterize(cfg Config) ([]*CampaignResult, error) {
+	return r.CharacterizeCampaigns(cfg, cfg.Grid())
+}
+
+// CharacterizeCampaigns runs an explicit campaign list through the
+// execution and parsing phases. The sweeps' step tallies are the parsing
+// phase's output already, so no run record is built: each campaign's
+// result gets a fresh copy of its sweep's steps, and a campaign the list
+// names twice is merged step by step, as Parse merges its records.
+func (r *LadderRunner) CharacterizeCampaigns(cfg Config, grid []Campaign) ([]*CampaignResult, error) {
+	if err := checkCampaigns(cfg, grid); err != nil {
 		return nil, err
 	}
-	sweeps, err := r.executeGrid(cfg, cfg.Grid(), nil)
+	sweeps, err := r.executeGrid(cfg, grid, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +496,7 @@ func (s *sweep) appendRecords(dst []RunRecord) []RunRecord {
 //
 //xvolt:hotpath inner sweep loop; allocation profile pinned by BENCH_baseline.json
 func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, cells []runCell) (*sweep, []runCell) {
-	rng := newCampaignRand(CampaignSeed(cfg.Seed, bs.Chip.Name, spec.Name, spec.Input, coreID))
+	rng := randsrc.New(CampaignSeed(cfg.Seed, bs.Chip.Name, spec.Name, spec.Input, coreID))
 	margins := wm.Assess(coreID, spec, units.RegimeOf(cfg.Frequency))
 	cleanAbove := silicon.EffectiveSafeVmin(margins, bs.Prot)
 	golden := spec.Golden()

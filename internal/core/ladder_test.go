@@ -252,6 +252,65 @@ func TestCharacterizeMatchesParse(t *testing.T) {
 	if !exited {
 		t.Error("no campaign stopped early; the early-exit path goes untested")
 	}
+
+	// Explicit lists: Figure 9's one benchmark per core, and a list that
+	// names one campaign twice. A campaign's stream depends only on its
+	// identity, so a list's sequential stream is its campaigns'
+	// single-campaign studies, in list order.
+	var fig9 []core.Campaign
+	var specs []*workload.Spec
+	var cores []int
+	for c, name := range []string{"bwaves", "cactusADM", "dealII", "gromacs", "leslie3d", "mcf", "milc", "namd"} {
+		spec, err := workload.LookupName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig9 = append(fig9, core.Campaign{Spec: spec, Core: c})
+		specs, cores = append(specs, spec), append(cores, c)
+	}
+	fig9Cfg := core.DefaultConfig(specs, cores)
+	fig9Cfg.Runs = 3
+	cfg := testConfig(t)
+	bw, mcf := cfg.Benchmarks[0], cfg.Benchmarks[1]
+	lists := []struct {
+		name      string
+		cfg       core.Config
+		list      []core.Campaign
+		campaigns int // distinct campaigns in the list
+	}{
+		{"figure9", fig9Cfg, fig9, 8},
+		{"named-twice", cfg, []core.Campaign{{Spec: mcf, Core: 3}, {Spec: bw, Core: 0}, {Spec: mcf, Core: 3}}, 2},
+	}
+	for _, tc := range lists {
+		var seqRaw []core.RunRecord
+		for _, c := range tc.list {
+			one := tc.cfg
+			one.Benchmarks, one.Cores = []*workload.Spec{c.Spec}, []int{c.Core}
+			raw, err := core.New(ttFactory()).Execute(one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqRaw = append(seqRaw, raw...)
+		}
+		want := core.Parse(seqRaw)
+		if len(want) != tc.campaigns {
+			t.Fatalf("%s: the sequential stream holds %d campaigns, want %d", tc.name, len(want), tc.campaigns)
+		}
+		for _, workers := range []int{1, 4} {
+			core.FlushCampaignCache()
+			for _, pass := range []string{"cold", "warm"} {
+				r := core.NewLadderRunner(ttFactory)
+				r.SetParallelism(workers)
+				got, err := r.CharacterizeCampaigns(tc.cfg, tc.list)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: workers %d %s: CharacterizeCampaigns differs from Parse over the sequential stream", tc.name, workers, pass)
+				}
+			}
+		}
+	}
 }
 
 // A memo-hit Characterize reads the stored step tallies: it builds no

@@ -353,11 +353,10 @@ func Figure9(opt Options) (*Fig9Result, error) {
 	cfg := core.DefaultConfig(specs, cores)
 	cfg.Runs = opt.Runs
 	cfg.Seed = opt.Seed
-	recs, err := r.ExecuteCampaigns(cfg, grid)
+	results, err := r.CharacterizeCampaigns(cfg, grid)
 	if err != nil {
 		return nil, err
 	}
-	results := core.Parse(recs)
 
 	vmins := map[int]units.MilliVolts{}
 	for _, c := range results {

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
+	"xvolt/internal/randsrc"
 	"xvolt/internal/sched"
 	"xvolt/internal/silicon"
 	"xvolt/internal/units"
@@ -39,7 +39,7 @@ func MeasuredPower(opt Options) (*PowerResult, error) {
 	opt = opt.normalize()
 	chip := silicon.NewChip(silicon.TTT, 1)
 	m := xgene.New(chip)
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := randsrc.New(opt.Seed)
 
 	vmin := func(spec *workload.Spec, coreID int) units.MilliVolts {
 		return chip.Assess(coreID, spec.Profile, spec.Idio(), units.RegimeFull).SafeVmin

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 
 	"xvolt/internal/obs"
@@ -68,4 +69,39 @@ func BenchmarkFleetRunChunk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Run(32)
 	}
+}
+
+// BenchmarkFleetNew measures bring-up: fleet.New at 2,000 boards with
+// perfbench's fleet settings (two runs per poll, three confirmation
+// runs). One op is one fleet built: each board's die, Vmin bisection,
+// streams and initial commit. kB/board is the live heap the built fleet
+// holds after a forced GC, per board.
+func BenchmarkFleetNew(b *testing.B) {
+	cfg := Config{Boards: 2000, Seed: 1, RunsPerPoll: 2, ConfirmRuns: 3}
+	var perBoard float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
+		m, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		perBoard = float64(liveHeap()-before) / 1024 / float64(cfg.Boards)
+		if err := m.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(perBoard, "kB/board")
+}
+
+// liveHeap forces a collection and returns the live heap in bytes.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -28,6 +28,7 @@ import (
 	apiv1 "xvolt/api/v1"
 	"xvolt/internal/core"
 	"xvolt/internal/energy"
+	"xvolt/internal/randsrc"
 	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
 	"xvolt/internal/units"
@@ -483,9 +484,9 @@ func buildBoard(cfg *Config, suite []*workload.Spec, i int) (*board, error) {
 	b.machine = xgene.New(silicon.NewChip(b.corner, fabSeed))
 	b.dog = watchdog.New(b.machine, 2)
 	runSeed := core.CampaignSeed(cfg.Seed, b.id, b.spec.Name, b.spec.Input, b.coreID)
-	b.rng = rand.New(rand.NewSource(runSeed))
+	b.rng = randsrc.New(runSeed)
 	intervalSeed := core.CampaignSeed(cfg.Seed, b.id, "poll-interval", "", b.index)
-	b.ivalRng = rand.New(rand.NewSource(intervalSeed))
+	b.ivalRng = randsrc.New(intervalSeed)
 
 	if err := characterize(cfg, b); err != nil {
 		return nil, fmt.Errorf("fleet: %s: %w", b.id, err)

@@ -16,12 +16,16 @@ type Config struct {
 	// entry in the default config is obs span timing, which routes
 	// through the injectable `now` hook.
 	DetrandAllow map[string][]string
-	// SeedflowPkgs are packages in which every rand.NewSource argument
-	// must trace back to a seed source.
+	// SeedflowPkgs are packages in which every seed passed to
+	// rand.NewSource or a SeedSinks constructor must trace back to a seed
+	// source.
 	SeedflowPkgs []string
 	// SeedSources are qualified function names ("pkgpath.Func") whose
 	// results count as derived campaign seeds.
 	SeedSources []string
+	// SeedSinks are qualified function names ("pkgpath.Func") whose first
+	// argument is a seed: stream constructors vetted like rand.NewSource.
+	SeedSinks []string
 	// DetflowEntries are deterministic entry points, named by
 	// (*types.Func).FullName() — e.g.
 	// "(*xvolt/internal/core.LadderRunner).Execute". Everything statically
@@ -60,6 +64,9 @@ func DefaultConfig() Config {
 			// and machine pool — the exact-draw-order contract the batch ≡
 			// sequential equivalence rests on lives here.
 			"xvolt/internal/xgene",
+			// randsrc builds every campaign, die and board stream; its
+			// draws must stay exactly math/rand's.
+			"xvolt/internal/randsrc",
 			// the event store and the aggregation tier are replay/ingest
 			// state machines — their outputs must be pure functions of the
 			// journaled operations and pushed requests.
@@ -103,6 +110,9 @@ func DefaultConfig() Config {
 			"xvolt/internal/regress.FoldSeed",
 			"xvolt/internal/regress.splitmix64",
 		},
+		// Every production stream is built by randsrc.New, so it is the
+		// sink seedflow vets; rand.NewSource stays one by default.
+		SeedSinks: []string{"xvolt/internal/randsrc.New"},
 		// The whole-program determinism contract: campaign results and
 		// fleet event state are pure functions of their configs and seeds.
 		// Wall-clock use inside these trees must route through injectable

@@ -102,7 +102,7 @@ func NewDetrand(cfg Config) *Analyzer {
 								o := named.Obj()
 								if o.Pkg() != nil && detRandPkgs[o.Pkg().Path()] && o.Name() == "Rand" {
 									pass.Reportf(n.Pos(),
-										"new(rand.Rand) in deterministic package %s: construct with rand.New(rand.NewSource(seed)) from a campaign-derived seed",
+										"new(rand.Rand) in deterministic package %s: construct with randsrc.New(seed) from a campaign-derived seed",
 										pass.Pkg.Path())
 								}
 							}

@@ -139,17 +139,24 @@ func TestSeedflowFixture(t *testing.T) {
 	fixture(t, "seedflow")
 	cfg := Config{
 		SeedflowPkgs: []string{"fixture/seedflow", "fixture/seedflowdep"},
+		SeedSinks:    []string{"fixture/seedflowdep.NewStream"},
 	}
 	res := runOn(t, filepath.Join("testdata", "src", "seedflow"), NewSeedflow(cfg))
 	checkGolden(t, "seedflow", res.Findings)
-	var crossPkg bool
+	var crossPkg, configured bool
 	for _, f := range res.Findings {
 		if strings.Contains(f.Message, "seedflowdep.NewRig") {
 			crossPkg = true
 		}
+		if strings.Contains(f.Message, "seedflowdep.NewStream") {
+			configured = true
+		}
 	}
 	if !crossPkg {
 		t.Error("seedflow missed the literal flowing through the cross-package sink fact")
+	}
+	if !configured {
+		t.Error("seedflow missed the literal passed to a configured SeedSinks constructor")
 	}
 }
 
@@ -414,13 +421,15 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestDefaultConfigNamesResolve: detflow and hotalloc skip a configured
-// name they cannot find, so a renamed or deleted entry point would drop
-// out of enforcement silently. Every name must resolve in the program.
+// TestDefaultConfigNamesResolve: detflow, hotalloc and seedflow skip a
+// configured name they cannot find, so a renamed or deleted entry point
+// or constructor would drop out of enforcement silently. Every name must
+// resolve in the program.
 func TestDefaultConfigNamesResolve(t *testing.T) {
 	cfg := DefaultConfig()
 	g := sharedProg(t).Graph()
-	for _, name := range append(cfg.DetflowEntries, cfg.HotpathRequired...) {
+	names := append(append(cfg.DetflowEntries, cfg.HotpathRequired...), cfg.SeedSinks...)
+	for _, name := range names {
 		if g.byName[name] == nil {
 			t.Errorf("configured function %s does not exist in the program", name)
 		}

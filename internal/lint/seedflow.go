@@ -1,13 +1,15 @@
-// seedflow: inside the campaign engine, every rand.NewSource argument
-// must trace back to core.CampaignSeed (or a derived seed) — never a
+// seedflow: inside the campaign engine, every seed handed to a stream
+// constructor — rand.NewSource or a configured sink such as randsrc.New
+// — must trace back to core.CampaignSeed (or a derived seed) — never a
 // literal, never a wall clock. Literal seeds silently decouple a
 // campaign from its identity-derived stream, which is exactly how
 // "resumed study ≠ uninterrupted study" regressions are born.
 //
 // The analyzer does cross-package fact passing over the shared load:
-// a function whose parameter flows into rand.NewSource is marked as a
+// a function whose parameter flows into a constructor is marked as a
 // seed sink, and every call to it — in this package or any dependent —
-// has that argument vetted by the same rules as a direct NewSource call.
+// has that argument vetted by the same rules as a direct constructor
+// call.
 
 package lint
 
@@ -17,7 +19,7 @@ import (
 	"strings"
 )
 
-// seedSinkFact marks a function whose param at Index feeds rand.NewSource.
+// seedSinkFact marks a function whose param at Index feeds a constructor.
 type seedSinkFact struct{ Index int }
 
 // NewSeedflow builds the seedflow analyzer for a config.
@@ -27,15 +29,16 @@ func NewSeedflow(cfg Config) *Analyzer {
 	for _, s := range cfg.SeedSources {
 		sources[s] = true
 	}
+	roots := newPkgSet(cfg.SeedSinks)
 	a := &Analyzer{
 		Name: "seedflow",
-		Doc:  "rand.NewSource arguments must derive from core.CampaignSeed",
+		Doc:  "stream seeds must derive from core.CampaignSeed",
 	}
 	a.Run = func(pass *Pass) error {
 		if !scope[pass.Pkg.Path()] {
 			return nil
 		}
-		s := &seedflow{pass: pass, sources: sources}
+		s := &seedflow{pass: pass, sources: sources, roots: roots}
 		// Sink facts propagate over the call graph to a fixpoint, so a
 		// wrapper chain of any depth (f wraps g wraps h wraps NewSource)
 		// is settled regardless of declaration order — the fixed
@@ -58,23 +61,27 @@ func NewSeedflow(cfg Config) *Analyzer {
 type seedflow struct {
 	pass    *Pass
 	sources map[string]bool
+	roots   pkgSet // configured constructors, by qualified name
 }
 
-// isNewSource reports whether call invokes math/rand's NewSource.
-func (s *seedflow) isNewSource(call *ast.CallExpr) bool {
+// isConstructor reports whether call invokes math/rand's NewSource or a
+// configured constructor, both of which take the seed first.
+func (s *seedflow) isConstructor(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	obj := s.pass.Info.Uses[sel.Sel]
-	return obj != nil && obj.Pkg() != nil &&
-		detRandPkgs[obj.Pkg().Path()] && obj.Name() == "NewSource"
+	if obj == nil || obj.Pkg() == nil {
+		return false
+	}
+	return detRandPkgs[obj.Pkg().Path()] && obj.Name() == "NewSource" || s.roots[objKey(obj)]
 }
 
 // callSinkIndex returns the checked-argument index if call targets a
-// seed sink (NewSource itself, or a function carrying the fact).
+// seed sink (a constructor, or a function carrying the fact).
 func (s *seedflow) callSinkIndex(call *ast.CallExpr) (int, bool) {
-	if s.isNewSource(call) {
+	if s.isConstructor(call) {
 		return 0, true
 	}
 	if obj := calleeObj(s.pass.Info, call); obj != nil {

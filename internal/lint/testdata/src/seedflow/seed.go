@@ -28,3 +28,14 @@ func good(seed int64, o opts) *rand.Rand {
 	_ = seedflowdep.NewRig(o.Seed + 1)
 	return rand.New(rand.NewSource(int64(uint64(seed))))
 }
+
+// configured vets a constructor named in SeedSinks, directly and through
+// a one-level wrapper.
+func configured(seed int64) {
+	_ = seedflowdep.NewStream(9) // literal through a configured sink
+	_ = stream(seed)
+}
+
+// stream passes its own parameter to a configured sink, which makes it a
+// sink too: its callers' arguments are vetted, not its own.
+func stream(n int64) *rand.Rand { return seedflowdep.NewStream(n) }

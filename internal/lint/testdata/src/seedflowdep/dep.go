@@ -14,3 +14,16 @@ func NewRig(s int64) *rand.Rand {
 func DeriveSeed(seed int64, stage int64) int64 {
 	return seed ^ (stage * int64(0x9e3779b97f4a7c15&0x7fffffffffffffff))
 }
+
+// NewStream builds a stream from s without calling rand.NewSource, so
+// only a configured SeedSinks entry makes it a sink.
+func NewStream(s int64) *rand.Rand {
+	return rand.New(&counter{n: s})
+}
+
+// counter is a stand-in source.
+type counter struct{ n int64 }
+
+func (c *counter) Int63() int64 { c.n++; return c.n & (1<<63 - 1) }
+
+func (c *counter) Seed(s int64) { c.n = s }

@@ -25,6 +25,7 @@ import (
 
 	"xvolt/internal/core"
 	"xvolt/internal/obs"
+	"xvolt/internal/randsrc"
 )
 
 // now is the package's single sanctioned wall-clock reference
@@ -357,7 +358,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 // newClientRNG derives one client's private mix PRNG from the master
 // seed via the campaign seed-derivation chain.
 func newClientRNG(seed int64, client int) *rand.Rand {
-	return rand.New(rand.NewSource(core.CampaignSeed(seed, "loadgen", "client", "", client)))
+	return randsrc.New(core.CampaignSeed(seed, "loadgen", "client", "", client))
 }
 
 // pickTarget draws one target index by weight.

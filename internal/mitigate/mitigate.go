@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"xvolt/internal/core"
+	"xvolt/internal/randsrc"
 	"xvolt/internal/units"
 	"xvolt/internal/workload"
 	"xvolt/internal/xgene"
@@ -166,7 +167,7 @@ func (e *Executor) Run(spec *workload.Spec, coreID int, class TolerantClass) (Ou
 		return Outcome{}, ErrNoMachine
 	}
 	if e.Rng == nil {
-		e.Rng = rand.New(rand.NewSource(1))
+		e.Rng = randsrc.New(1)
 	}
 	var out Outcome
 	golden := spec.Golden()

@@ -14,10 +14,10 @@ package predict
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"xvolt/internal/core"
 	"xvolt/internal/counters"
+	"xvolt/internal/randsrc"
 	"xvolt/internal/regress"
 	"xvolt/internal/units"
 	"xvolt/internal/workload"
@@ -42,7 +42,7 @@ type Profiles struct {
 // CollectProfiles measures every benchmark at nominal conditions (the
 // profiling phase of Fig. 6).
 func CollectProfiles(specs []*workload.Spec, seed int64) Profiles {
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.New(seed)
 	return Profiles{Specs: specs, Samples: counters.MeasureSuite(specs, rng)}
 }
 
@@ -158,7 +158,7 @@ func (p Pipeline) Run(d *regress.Dataset) (CaseResult, error) {
 	if err := d.Validate(); err != nil {
 		return CaseResult{}, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := randsrc.New(p.Seed)
 	train, test, err := d.Split(rng, p.TrainFrac)
 	if err != nil {
 		return CaseResult{}, err

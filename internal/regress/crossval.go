@@ -18,6 +18,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+
+	"xvolt/internal/randsrc"
 )
 
 // CVResult aggregates per-fold evaluations.
@@ -97,7 +99,7 @@ func CrossValidateOpts(d *Dataset, o CVOptions) (*CVResult, error) {
 	}
 	perms := make([][]int, reps)
 	for r := range perms {
-		perms[r] = rand.New(rand.NewSource(FoldSeed(o.Seed, r))).Perm(d.Len())
+		perms[r] = randsrc.New(FoldSeed(o.Seed, r)).Perm(d.Len())
 	}
 	return runFolds(d, perms, o.Folds, o.SelectFeatures, o.Workers)
 }

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 
+	"xvolt/internal/randsrc"
 	"xvolt/internal/units"
 )
 
@@ -203,7 +204,7 @@ func NewChip(corner Corner, seed int64) *Chip {
 		panic(fmt.Sprintf("silicon: no spec for corner %v", corner))
 	}
 	c := &Chip{Name: corner.String(), corner: corner, seed: seed, spec: spec}
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.New(seed)
 	for i := range c.jitter {
 		c.jitter[i] = (rng.Float64()*2 - 1) * spec.jitterMV
 	}

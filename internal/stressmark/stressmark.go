@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 
+	"xvolt/internal/randsrc"
 	"xvolt/internal/silicon"
 	"xvolt/internal/units"
 	"xvolt/internal/workload"
@@ -80,7 +81,7 @@ func perturb(rng *rand.Rand, p silicon.StressProfile, scale float64) silicon.Str
 // campaign uses real hardware.
 func Search(chip *silicon.Chip, coreID int, opt Options) Result {
 	opt = opt.normalize()
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := randsrc.New(opt.Seed)
 	eval := func(p silicon.StressProfile) units.MilliVolts {
 		return chip.Assess(coreID, p, 0, units.RegimeFull).SafeVmin
 	}

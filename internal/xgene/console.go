@@ -26,9 +26,15 @@ func newConsole(max int) *Console {
 
 // Printf appends a formatted line to the serial stream.
 func (c *Console) Printf(format string, args ...interface{}) {
+	c.writeLine(fmt.Sprintf(format, args...))
+}
+
+// writeLine appends a finished line, such as an interned one, to the serial
+// stream.
+func (c *Console) writeLine(line string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lines = append(c.lines, fmt.Sprintf(format, args...))
+	c.lines = append(c.lines, line)
 	if len(c.lines) > c.maxLines {
 		c.lines = c.lines[len(c.lines)-c.maxLines:]
 	}

@@ -38,6 +38,34 @@ const (
 	MaxSoCVoltage units.MilliVolts = units.NominalSoC
 )
 
+// railLines and clockLines intern the console lines of the two SLIMpro
+// writes a Vmin bisection makes on every run: one line per shared-rail
+// voltage on the 5 mV grid, and one per (PMD, clock). They are formatted
+// once, at package initialization, so such a write appends only a string
+// header. Every other console line is formatted when it is written.
+var (
+	railLines  = internRailLines()
+	clockLines = internClockLines()
+)
+
+func internRailLines() (out [(MaxPMDVoltage-MinPMDVoltage)/units.VoltageStep + 1]string) {
+	for i := range out {
+		v := MinPMDVoltage + units.MilliVolts(i)*units.VoltageStep
+		out[i] = fmt.Sprintf("slimpro: pmd rail -> %v", v)
+	}
+	return out
+}
+
+func internClockLines() (out [silicon.NumPMDs][(units.MaxFrequency-units.MinFrequency)/units.FrequencyStep + 1]string) {
+	for pmd := range out {
+		for i := range out[pmd] {
+			f := units.MinFrequency + units.MegaHertz(i)*units.FrequencyStep
+			out[pmd][i] = fmt.Sprintf("slimpro: pmd%d clock -> %v", pmd, f)
+		}
+	}
+	return out
+}
+
 // RunResult is what a benchmark run on a core yields, as observable by
 // system software: the exit status, the program output (checksum), and
 // whether the whole system survived. The embedded Effects are the
@@ -244,7 +272,7 @@ func (m *Machine) SetPMDVoltage(v units.MilliVolts) error {
 	for i := range m.pmdVoltages {
 		m.pmdVoltages[i] = v
 	}
-	m.console.Printf("slimpro: pmd rail -> %v", v)
+	m.console.writeLine(railLines[(v-MinPMDVoltage)/units.VoltageStep])
 	return nil
 }
 
@@ -346,7 +374,7 @@ func (m *Machine) SetPMDFrequency(pmd int, f units.MegaHertz) error {
 		return fmt.Errorf("%w: %v", ErrBadFrequency, f)
 	}
 	m.pmdFrequency[pmd] = f
-	m.console.Printf("slimpro: pmd%d clock -> %v", pmd, f)
+	m.console.writeLine(clockLines[pmd][(f-units.MinFrequency)/units.FrequencyStep])
 	return nil
 }
 
