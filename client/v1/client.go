@@ -4,8 +4,13 @@
 // The client is conversation-aware, not just a request helper:
 //
 //   - ETag revalidation: responses carry generation-keyed ETags; the
-//     client echoes them as If-None-Match and serves its cached decode
-//     on a 304, so steady-state polling transfers no body at all.
+//     client keeps each path's last decoded 200 beside its ETag, echoes
+//     the ETag as If-None-Match and answers a 304 with a copy of that
+//     decode, so steady-state polling transfers and decodes no body at
+//     all. Every result is the caller's: its slices are fresh.
+//   - Board documents (FleetBoards, FleetDelta) decode through api/v1's
+//     reflection-free codec, which agrees with json.Unmarshal on every
+//     input.
 //   - Wire deltas: FleetDelta asks /api/fleet?since=G for only the
 //     boards that committed after generation G, and Generation tracks
 //     the X-Fleet-Generation header so callers can run the resumption
@@ -27,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,10 +50,15 @@ type Client struct {
 	backoff time.Duration
 	sleep   func(ctx context.Context, d time.Duration) error
 
-	mu     sync.Mutex
-	etags  map[string]string // path → last ETag
-	bodies map[string][]byte // path → last 200 body (the ETag's value)
-	gen    uint64            // last X-Fleet-Generation observed
+	mu    sync.Mutex
+	cache map[string]cached // path → its last 200 that carried an ETag
+	gen   uint64            // last X-Fleet-Generation observed
+}
+
+// cached is a revalidated path's last 200: its ETag and its decode.
+type cached struct {
+	etag  string
+	value any
 }
 
 // Option configures a Client.
@@ -78,8 +89,7 @@ func New(base string, opts ...Option) *Client {
 		retries: 3,
 		backoff: 100 * time.Millisecond,
 		sleep:   defaultSleep,
-		etags:   map[string]string{},
-		bodies:  map[string][]byte{},
+		cache:   map[string]cached{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -112,34 +122,39 @@ func (e *APIError) Error() string {
 // retryable reports whether the response status merits another attempt.
 func retryable(status int) bool { return status >= 500 }
 
-// do runs one request with retry/backoff, returning the status, body
-// and ETag. revalidate adds If-None-Match from the path cache; a 304
-// returns the cached body with status 200 semantics preserved by the
-// caller. reqBody non-nil makes it a POST.
-func (c *Client) do(ctx context.Context, path string, reqBody []byte, revalidate bool) (status int, body []byte, err error) {
-	var lastErr error
+// reply is the outcome of one exchange.
+type reply struct {
+	status int
+	body   []byte
+	etag   string
+}
+
+// do runs one request with retry/backoff. revalidate sends the path's
+// cached ETag as If-None-Match; a 304 comes back as it is, for the
+// caller to answer from its cache. reqBody non-nil makes it a POST.
+func (c *Client) do(ctx context.Context, path string, reqBody []byte, revalidate bool) (reply, error) {
 	for attempt := 0; ; attempt++ {
-		status, body, lastErr = c.once(ctx, path, reqBody, revalidate)
-		if lastErr == nil && !retryable(status) {
-			return status, body, nil
+		r, err := c.once(ctx, path, reqBody, revalidate)
+		if err == nil && !retryable(r.status) {
+			return r, nil
 		}
-		if lastErr == nil {
-			lastErr = &APIError{Status: status, Body: string(body)}
+		if err == nil {
+			err = &APIError{Status: r.status, Body: string(r.body)}
 		}
 		if attempt >= c.retries {
-			return status, nil, lastErr
+			return reply{status: r.status}, err
 		}
 		if ctx.Err() != nil {
-			return status, nil, ctx.Err()
+			return reply{status: r.status}, ctx.Err()
 		}
 		if err := c.sleep(ctx, c.backoff<<uint(attempt)); err != nil {
-			return status, nil, err
+			return reply{status: r.status}, err
 		}
 	}
 }
 
 // once runs a single HTTP exchange.
-func (c *Client) once(ctx context.Context, path string, reqBody []byte, revalidate bool) (int, []byte, error) {
+func (c *Client) once(ctx context.Context, path string, reqBody []byte, revalidate bool) (reply, error) {
 	method := http.MethodGet
 	var rd io.Reader
 	if reqBody != nil {
@@ -148,15 +163,14 @@ func (c *Client) once(ctx context.Context, path string, reqBody []byte, revalida
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
 	if reqBody != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	var etag string
 	if revalidate {
 		c.mu.Lock()
-		etag = c.etags[path]
+		etag := c.cache[path].etag
 		c.mu.Unlock()
 		if etag != "" {
 			req.Header.Set("If-None-Match", etag)
@@ -164,35 +178,17 @@ func (c *Client) once(ctx context.Context, path string, reqBody []byte, revalida
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
 	c.noteGeneration(resp)
-
-	if resp.StatusCode == http.StatusNotModified {
+	r := reply{status: resp.StatusCode, etag: resp.Header.Get("ETag")}
+	if r.status == http.StatusNotModified {
 		_ = resp.Body.Close() // bodyless by protocol
-		c.mu.Lock()
-		cached := c.bodies[path]
-		c.mu.Unlock()
-		if cached == nil {
-			// A 304 with no cache (e.g. a delta probe): surface as-is.
-			return resp.StatusCode, nil, nil
-		}
-		return http.StatusOK, cached, nil
+		return r, nil
 	}
-	body, err := io.ReadAll(resp.Body)
+	r.body, err = io.ReadAll(resp.Body)
 	_ = resp.Body.Close() // body fully consumed (or failed) above
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	if resp.StatusCode == http.StatusOK && revalidate {
-		if tag := resp.Header.Get("ETag"); tag != "" {
-			c.mu.Lock()
-			c.etags[path] = tag
-			c.bodies[path] = body
-			c.mu.Unlock()
-		}
-	}
-	return resp.StatusCode, body, nil
+	return r, err
 }
 
 // noteGeneration records the response's X-Fleet-Generation, if any.
@@ -217,36 +213,101 @@ func (c *Client) Generation() uint64 {
 	return c.gen
 }
 
-// getJSON GETs path (with ETag revalidation) and decodes into v.
-func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	status, body, err := c.do(ctx, path, nil, true)
+// getJSON GETs path with ETag revalidation. A 200 is decoded and, when
+// it carries an ETag, cached beside it; a 304 answers with the cached
+// decode. The caller gets a copy (clone) either way, so it may change
+// the result without changing what the next 304 returns.
+func getJSON[T any](ctx context.Context, c *Client, path string, decode func([]byte) (T, error), clone func(T) T) (T, error) {
+	var zero T
+	r, err := c.do(ctx, path, nil, true)
 	if err != nil {
-		return err
+		return zero, err
 	}
-	if status != http.StatusOK {
-		return &APIError{Status: status, Body: string(body)}
+	switch r.status {
+	case http.StatusNotModified:
+		c.mu.Lock()
+		v, ok := c.cache[path].value.(T)
+		c.mu.Unlock()
+		if ok {
+			return clone(v), nil
+		}
+		// A 304 with nothing cached: surface it.
+	case http.StatusOK:
+		v, err := decode(r.body)
+		if err != nil || r.etag == "" {
+			return v, err
+		}
+		c.mu.Lock()
+		c.cache[path] = cached{etag: r.etag, value: v}
+		c.mu.Unlock()
+		return clone(v), nil
 	}
-	return json.Unmarshal(body, v)
+	return zero, &APIError{Status: r.status, Body: string(r.body)}
 }
+
+// unmarshal decodes a document with encoding/json.
+func unmarshal[T any](data []byte) (T, error) {
+	var v T
+	err := json.Unmarshal(data, &v)
+	return v, err
+}
+
+// The clone functions copy a cached decode for a caller: every slice
+// fresh, and every pointer to a fresh value.
+
+func cloneBoards(v apiv1.Boards) apiv1.Boards {
+	v.Boards = slices.Clone(v.Boards)
+	return v
+}
+
+func cloneHealth(v apiv1.HealthSummary) apiv1.HealthSummary {
+	v.States = slices.Clone(v.States)
+	return v
+}
+
+func cloneEvents(v apiv1.BoardEvents) apiv1.BoardEvents {
+	v.Events = slices.Clone(v.Events)
+	return v
+}
+
+func cloneAlerts(v apiv1.Alerts) apiv1.Alerts {
+	v.Alerts = slices.Clone(v.Alerts)
+	for i := range v.Alerts {
+		v.Alerts[i].Value = cloneFloat(v.Alerts[i].Value)
+	}
+	v.Transitions = slices.Clone(v.Transitions)
+	for i := range v.Transitions {
+		v.Transitions[i].Value = cloneFloat(v.Transitions[i].Value)
+	}
+	return v
+}
+
+func cloneFloat(p *float64) *float64 {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
+}
+
+func cloneStatus(v apiv1.Status) apiv1.Status { return v }
 
 // Healthz probes the daemon's liveness endpoint.
 func (c *Client) Healthz(ctx context.Context) error {
-	status, body, err := c.do(ctx, "/healthz", nil, false)
+	r, err := c.do(ctx, "/healthz", nil, false)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return &APIError{Status: status, Body: string(body)}
+	if r.status != http.StatusOK {
+		return &APIError{Status: r.status, Body: string(r.body)}
 	}
 	return nil
 }
 
 // FleetBoards fetches the full fleet snapshot. Steady-state calls serve
-// from the ETag cache (no body transferred on 304).
+// from the ETag cache (no body transferred or decoded on 304).
 func (c *Client) FleetBoards(ctx context.Context) (apiv1.Boards, error) {
-	var out apiv1.Boards
-	err := c.getJSON(ctx, "/api/fleet", &out)
-	return out, err
+	return getJSON(ctx, c, "/api/fleet", apiv1.DecodeBoards, cloneBoards)
 }
 
 // FleetDelta fetches the boards that committed after generation since.
@@ -257,16 +318,16 @@ func (c *Client) FleetBoards(ctx context.Context) (apiv1.Boards, error) {
 // back in.
 func (c *Client) FleetDelta(ctx context.Context, since uint64) (*apiv1.BoardsDelta, error) {
 	path := "/api/fleet?since=" + strconv.FormatUint(since, 10)
-	status, body, err := c.do(ctx, path, nil, false)
+	r, err := c.do(ctx, path, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	switch status {
+	switch r.status {
 	case http.StatusNotModified:
 		return nil, nil
 	case http.StatusOK:
-		var out apiv1.BoardsDelta
-		if err := json.Unmarshal(body, &out); err != nil {
+		out, err := apiv1.DecodeBoardsDelta(r.body)
+		if err != nil {
 			return nil, err
 		}
 		if out.Generation < since {
@@ -276,15 +337,13 @@ func (c *Client) FleetDelta(ctx context.Context, since uint64) (*apiv1.BoardsDel
 		}
 		return &out, nil
 	default:
-		return nil, &APIError{Status: status, Body: string(body)}
+		return nil, &APIError{Status: r.status, Body: string(r.body)}
 	}
 }
 
 // FleetHealth fetches the fleet health summary.
 func (c *Client) FleetHealth(ctx context.Context) (apiv1.HealthSummary, error) {
-	var out apiv1.HealthSummary
-	err := c.getJSON(ctx, "/api/fleet/health", &out)
-	return out, err
+	return getJSON(ctx, c, "/api/fleet/health", unmarshal[apiv1.HealthSummary], cloneHealth)
 }
 
 // BoardEvents fetches up to n most recent events of one board (n ≤ 0
@@ -294,23 +353,17 @@ func (c *Client) BoardEvents(ctx context.Context, board string, n int) (apiv1.Bo
 	if n > 0 {
 		path += "?n=" + strconv.Itoa(n)
 	}
-	var out apiv1.BoardEvents
-	err := c.getJSON(ctx, path, &out)
-	return out, err
+	return getJSON(ctx, c, path, unmarshal[apiv1.BoardEvents], cloneEvents)
 }
 
 // Alerts fetches the alert engine's rule states and transition log.
 func (c *Client) Alerts(ctx context.Context) (apiv1.Alerts, error) {
-	var out apiv1.Alerts
-	err := c.getJSON(ctx, "/api/alerts", &out)
-	return out, err
+	return getJSON(ctx, c, "/api/alerts", unmarshal[apiv1.Alerts], cloneAlerts)
 }
 
 // Status fetches the single-machine study status.
 func (c *Client) Status(ctx context.Context) (apiv1.Status, error) {
-	var out apiv1.Status
-	err := c.getJSON(ctx, "/api/status", &out)
-	return out, err
+	return getJSON(ctx, c, "/api/status", unmarshal[apiv1.Status], cloneStatus)
 }
 
 // Ingest pushes one batch of fleet state to a hub. Safe to retry: the
@@ -321,13 +374,13 @@ func (c *Client) Ingest(ctx context.Context, req apiv1.IngestRequest) (apiv1.Ing
 	if err != nil {
 		return out, err
 	}
-	status, respBody, err := c.do(ctx, "/api/hub/ingest", body, false)
+	r, err := c.do(ctx, "/api/hub/ingest", body, false)
 	if err != nil {
 		return out, err
 	}
-	if status != http.StatusOK {
-		return out, &APIError{Status: status, Body: string(respBody)}
+	if r.status != http.StatusOK {
+		return out, &APIError{Status: r.status, Body: string(r.body)}
 	}
-	err = json.Unmarshal(respBody, &out)
+	err = json.Unmarshal(r.body, &out)
 	return out, err
 }

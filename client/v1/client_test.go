@@ -5,10 +5,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	apiv1 "xvolt/api/v1"
 	"xvolt/internal/fleet"
 	"xvolt/internal/server"
 )
@@ -217,6 +219,91 @@ func TestETagRevalidation(t *testing.T) {
 	}
 	if first.Boards != second.Boards || first.Polls != second.Polls {
 		t.Errorf("cached decode diverges: %+v vs %+v", first, second)
+	}
+}
+
+// TestNotModifiedServesCachedDecode: after a 200, every revalidating
+// getter answers its 304s with the decode it cached, equal to the first
+// result, and a caller that changes a returned value (its slices, its
+// pointers) does not change what the next 304 returns.
+func TestNotModifiedServesCachedDecode(t *testing.T) {
+	value := 0.25
+	docs := map[string]any{
+		"/api/fleet": apiv1.Boards{Boards: []apiv1.BoardStatus{
+			{ID: "board-00", State: "healthy", Savings: 0.1}, {ID: "board-01", State: "degraded"}}},
+		"/api/fleet/health": apiv1.HealthSummary{Boards: 2, Status: "degraded",
+			States: []apiv1.StateCount{{State: "healthy", Boards: 1}, {State: "degraded", Boards: 1}}},
+		"/api/fleet/board-01/events?n=2": apiv1.BoardEvents{Board: "board-01", Events: []apiv1.Event{
+			{Seq: 3, Board: "board-01", Kind: "sdc-observed", Count: 1, Msg: "mismatch"}}},
+		"/api/alerts": apiv1.Alerts{
+			Alerts:      []apiv1.Alert{{Rule: "r", Kind: "threshold", State: "firing", Value: &value}},
+			Firing:      1,
+			Transitions: []apiv1.AlertTransition{{Seq: 1, Rule: "r", To: "firing", Value: &value}}},
+		"/api/status": apiv1.Status{Chip: "TTT", Frequencies: [4]int{2400, 300, 300, 300}},
+	}
+	var s200, s304 atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		doc, ok := docs[r.URL.RequestURI()]
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("ETag", `"doc-1"`)
+		if r.Header.Get("If-None-Match") == `"doc-1"` {
+			s304.Add(1)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		body, err := apiv1.Marshal(doc)
+		if err != nil {
+			t.Error(err)
+		}
+		s200.Add(1)
+		_, _ = w.Write(body)
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	ctx := context.Background()
+
+	getters := []struct {
+		path   string
+		get    func() (any, error)
+		mutate func(any)
+	}{
+		{"/api/fleet", func() (any, error) { return c.FleetBoards(ctx) }, func(v any) {
+			b := v.(apiv1.Boards)
+			b.Boards[0].ID, b.Boards[1].Savings = "changed", 9
+		}},
+		{"/api/fleet/health", func() (any, error) { return c.FleetHealth(ctx) }, func(v any) {
+			v.(apiv1.HealthSummary).States[0].Boards = 99
+		}},
+		{"/api/fleet/board-01/events?n=2", func() (any, error) { return c.BoardEvents(ctx, "board-01", 2) }, func(v any) {
+			v.(apiv1.BoardEvents).Events[0].Msg = "changed"
+		}},
+		{"/api/alerts", func() (any, error) { return c.Alerts(ctx) }, func(v any) {
+			a := v.(apiv1.Alerts)
+			a.Alerts[0].State = "changed"
+			*a.Alerts[0].Value = 9
+			*a.Transitions[0].Value = 9
+			a.Transitions[0].To = "changed"
+		}},
+		{"/api/status", func() (any, error) { return c.Status(ctx) }, func(v any) {}},
+	}
+	for _, g := range getters {
+		want := docs[g.path]
+		for i := 0; i < 3; i++ {
+			got, err := g.get()
+			if err != nil {
+				t.Fatalf("%s call %d: %v", g.path, i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s call %d:\n got %+v\nwant %+v", g.path, i, got, want)
+			}
+			g.mutate(got)
+		}
+	}
+	if n200, n304 := s200.Load(), s304.Load(); n200 != 5 || n304 != 10 {
+		t.Errorf("server answered %d 200s and %d 304s, want 5 and 10", n200, n304)
 	}
 }
 

@@ -12,31 +12,20 @@
 // through the per-generation dirty log — no full-fleet scan, no full-
 // fleet transfer. This is what keeps /api/fleet flat in board count.
 //
-// The stitched bytes are pinned byte-identical to apiv1.Marshal of the
-// apiv1.Boards document by snapshot_test.go, and the delta document the
-// same way against apiv1.BoardsDelta.
+// Segments are encoded by apiv1.AppendBoardStatus and stitched by
+// apiv1.AppendBoards and AppendBoardsDelta, the api/v1 codec that owns
+// the board documents' bytes. The stitched bytes are pinned
+// byte-identical to apiv1.Marshal of the apiv1.Boards document by
+// snapshot_test.go, and the delta document the same way against
+// apiv1.BoardsDelta.
 
 package fleet
 
 import (
-	"encoding/json"
 	"sort"
-	"strconv"
 	"sync"
-)
 
-// Stitch constants reproducing json.Encoder SetIndent("", " ") framing
-// around per-board segments produced by json.MarshalIndent(s, "  ", " ").
-const (
-	bodyOpen  = "{\n \"boards\": [\n  "
-	segSep    = ",\n  "
-	bodyClose = "\n ]\n}\n"
-	emptyBody = "{\n \"boards\": []\n}\n"
-
-	deltaOpen     = "{\n \"generation\": "
-	deltaSince    = ",\n \"since\": "
-	deltaBoards   = ",\n \"boards\": [\n  "
-	deltaNoBoards = ",\n \"boards\": []\n}\n"
+	apiv1 "xvolt/api/v1"
 )
 
 // dirtyLogGens is how many generations of dirty-board lists the fleet
@@ -46,9 +35,10 @@ const (
 const dirtyLogGens = 256
 
 // snapshotEncoder holds the per-board segment arena and the stitched
-// document for one generation. The segment table is reused across
-// generations; bodies are freshly allocated because in-flight HTTP
-// responses may still reference the previous one.
+// document for one generation. The segment table and each board's
+// segment buffer are reused across generations: every document copies
+// the segments it holds under mu. Bodies are freshly allocated because
+// in-flight HTTP responses may still reference the previous one.
 //
 // Lock order: enc.mu is taken strictly before Manager.mu, never the
 // reverse.
@@ -227,13 +217,13 @@ func (m *Manager) logDirtyLocked(gen uint64, i int) {
 	m.dirtyIdx[slot] = append(m.dirtyIdx[slot], i)
 }
 
-// encode re-marshals the dirty segments into the arena. Callers hold
-// enc.mu.
+// encode re-encodes the dirty segments into the arena, each into its
+// board's existing buffer. Callers hold enc.mu.
 //
 //xvolt:hotpath delta snapshot encode; every /api/fleet generation miss crosses this
 func (e *snapshotEncoder) encode(gen uint64, dirty []int, statuses []BoardStatus) error {
 	for k, i := range dirty {
-		seg, err := json.MarshalIndent(&statuses[k], "  ", " ")
+		seg, err := apiv1.AppendBoardStatus(e.segs[i][:0], &statuses[k])
 		if err != nil {
 			return err
 		}
@@ -247,28 +237,7 @@ func (e *snapshotEncoder) encode(gen uint64, dirty []int, statuses []BoardStatus
 // stitch rebuilds the full document from the segment arena. Callers hold
 // enc.mu with the arena already refreshed to gen.
 func (e *snapshotEncoder) stitch(gen uint64) {
-	size := len(bodyOpen) + len(bodyClose)
-	for _, seg := range e.segs {
-		size += len(seg) + len(segSep)
-	}
-	if size < len(emptyBody) {
-		size = len(emptyBody)
-	}
-	body := make([]byte, 0, size)
-	if len(e.segs) == 0 {
-		body = append(body, emptyBody...)
-	} else {
-		for i, seg := range e.segs {
-			if i == 0 {
-				body = append(body, bodyOpen...)
-			} else {
-				body = append(body, segSep...)
-			}
-			body = append(body, seg...)
-		}
-		body = append(body, bodyClose...)
-	}
-	e.body = body
+	e.body = apiv1.AppendBoards(nil, e.segs)
 	e.bodyGen = gen
 }
 
@@ -277,26 +246,9 @@ func (e *snapshotEncoder) stitch(gen uint64) {
 // refreshed to gen; the returned buffer is freshly allocated (deltas are
 // per-(since, gen) and not cached).
 func (e *snapshotEncoder) appendDelta(gen, since uint64, idx []int) []byte {
-	size := len(deltaOpen) + len(deltaSince) + len(deltaNoBoards) + 2*20
-	for _, i := range idx {
-		size += len(e.segs[i]) + len(segSep)
-	}
-	b := make([]byte, 0, size)
-	b = append(b, deltaOpen...)
-	b = strconv.AppendUint(b, gen, 10)
-	b = append(b, deltaSince...)
-	b = strconv.AppendUint(b, since, 10)
-	if len(idx) == 0 {
-		b = append(b, deltaNoBoards...)
-		return b
-	}
-	b = append(b, deltaBoards...)
+	segs := make([][]byte, len(idx))
 	for k, i := range idx {
-		if k > 0 {
-			b = append(b, segSep...)
-		}
-		b = append(b, e.segs[i]...)
+		segs[k] = e.segs[i]
 	}
-	b = append(b, bodyClose...)
-	return b
+	return apiv1.AppendBoardsDelta(nil, gen, since, segs)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -71,6 +72,12 @@ func (h *Hub) handleIngest(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	if err := dec.Decode(&req); err != nil {
 		http.Error(w, "bad ingest body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	// One request is one value: anything after it but whitespace (a
+	// second request, garbage) refuses the whole body.
+	if _, err := dec.Token(); err != io.EOF {
+		http.Error(w, "bad ingest body: data after the request", http.StatusBadRequest)
 		return
 	}
 	resp, err := h.Ingest(req)

@@ -311,7 +311,7 @@ func (h *Hub) BoardsSince(since uint64) (uint64, []apiv1.BoardStatus) {
 // every source's boards, ids namespaced "source/board".
 func (h *Hub) BoardsJSON() (uint64, []byte, error) {
 	gen, boards := h.BoardsSince(0)
-	body, err := apiv1.Marshal(apiv1.Boards{Boards: boards})
+	body, err := apiv1.MarshalBoards(boards)
 	return gen, body, err
 }
 
@@ -324,7 +324,7 @@ func (h *Hub) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
 		return gen, nil, nil
 	}
 	gen, boards := h.BoardsSince(since)
-	body, err := apiv1.Marshal(apiv1.BoardsDelta{Generation: gen, Since: since, Boards: boards})
+	body, err := apiv1.MarshalBoardsDelta(gen, since, boards)
 	return gen, body, err
 }
 

@@ -283,6 +283,43 @@ func TestHubBadSource(t *testing.T) {
 	}
 }
 
+// TestHubIngestRejectsTrailingData: an ingest body is exactly one
+// request. Garbage or a second request after it answers 400 and ingests
+// nothing; trailing whitespace is fine.
+func TestHubIngestRejectsTrailingData(t *testing.T) {
+	h := New()
+	ts := httptest.NewServer(h.Handler(nil))
+	defer ts.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/api/hub/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		`{"source":"a","generation":1} garbage`,
+		`{"source":"a","generation":2}{"source":"b","generation":1}`,
+		`{"source":"a","generation":2}]`,
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("POST %q = %d, want 400", body, code)
+		}
+	}
+	if got := h.Sources(); len(got) != 0 {
+		t.Fatalf("refused bodies ingested sources %+v", got)
+	}
+	if code := post("{\"source\":\"a\",\"generation\":1}\n\t "); code != http.StatusOK {
+		t.Errorf("POST with trailing whitespace = %d, want 200", code)
+	}
+	if got := h.Sources(); len(got) != 1 || got[0].Source != "a" {
+		t.Errorf("sources = %+v, want only a", got)
+	}
+}
+
 // TestHubStatusFromMergedCounts: the hub derives its status from the
 // merged state counts by the fleet's rule, so a pushed status that
 // contradicts its own counts does not decide it.

@@ -140,6 +140,8 @@ func DefaultConfig() Config {
 			"xvolt/internal/xgene.SampleCell",
 			"(*xvolt/internal/fleet.board).poll",
 			"(*xvolt/internal/fleet.snapshotEncoder).encode",
+			"xvolt/api/v1.AppendBoardStatus",
+			"(*xvolt/api/v1.decoder).boards",
 			"(*xvolt/internal/obs.HDR).Observe",
 			"(*xvolt/internal/eventstore.Log).Append",
 		},

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -213,6 +214,42 @@ func TestFleetDeltaServing(t *testing.T) {
 	if resp4, _ := condGet(t, ts, "/api/fleet?since=banana", ""); resp4.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad since = %d, want 400", resp4.StatusCode)
 	}
+}
+
+// BenchmarkServeFleetDelta measures the handler write of a steady-state
+// dashboard poll on a 2,000-board fleet: after each (untimed) Run(32),
+// FleetAPI serves /api/fleet?since=<the previous generation> into a
+// ResponseRecorder. One op is one delta response: the dirty boards'
+// segment encode, the stitch and the write. B/resp is its body size.
+func BenchmarkServeFleetDelta(b *testing.B) {
+	m, err := fleet.New(fleet.Config{Boards: 2000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	api := NewFleetAPI("fleet", m)
+	if _, _, err := m.BoardsJSON(); err != nil {
+		b.Fatal(err) // prime the segment arena with the full encode
+	}
+	since := strconv.FormatUint(m.Generation(), 10)
+	body := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m.Run(32)
+		req := httptest.NewRequest(http.MethodGet, "/api/fleet?since="+since, nil)
+		rec := httptest.NewRecorder()
+		b.StartTimer()
+		api.ServeBoards(rec, req)
+		b.StopTimer()
+		if rec.Code != http.StatusOK {
+			b.Fatalf("delta = %d", rec.Code)
+		}
+		body += rec.Body.Len()
+		since = rec.Header().Get(apiv1.GenerationHeader)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(body)/float64(b.N), "B/resp")
 }
 
 // TestFleetInterfaceAttachment: a manager serves through the
