@@ -8,10 +8,11 @@
 //     these structs with json.Encoder SetIndent("", " "), and the
 //     resulting bytes are part of the determinism contract (ETag caches
 //     and the fleet's stitched snapshot encoder both assume a fixed
-//     serialization). The board documents (Boards, BoardsDelta) have a
-//     codec without reflection (codec.go) that writes these bytes and
-//     decodes them; Marshal and encoding/json stay the oracle it is
-//     pinned against.
+//     serialization). The board documents (Boards, BoardsDelta) and
+//     the hub ingest request (IngestRequest, which a pusher posts in
+//     json.Marshal's compact form) have a codec without reflection on
+//     their boards (codec.go) that writes these bytes and decodes them;
+//     Marshal and encoding/json stay the oracle it is pinned against.
 //   - Additions are append-only: new fields go at the end of a struct
 //     (or are new endpoints); existing fields never change type, name or
 //     position. Clients must ignore unknown fields.

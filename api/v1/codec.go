@@ -1,8 +1,11 @@
-// The board documents' codec: Boards and BoardsDelta without
-// reflection. The encoder writes exactly the bytes Marshal writes; the
-// decoder takes the canonical form in one pass and hands every other
-// input to json.Unmarshal, so both agree with encoding/json on every
-// value and every input (the fuzz targets in codec_test.go pin this).
+// The codec: the board documents (Boards, BoardsDelta) and the hub
+// ingest request (IngestRequest) without reflection. The encoders write
+// exactly the bytes Marshal (board documents) and json.Marshal (ingest
+// requests) write, every board through one encoder built from one field
+// list; the decoders take the canonical forms in one pass and hand
+// every other input to json.Unmarshal, so both agree with encoding/json
+// on every value and every input (the fuzz targets in codec_test.go pin
+// this).
 
 package apiv1
 
@@ -38,6 +41,39 @@ const (
 	framingSize     = 96
 )
 
+// boardFields are BoardStatus's JSON keys in field order: the one field
+// list both board layouts below are built from.
+var boardFields = [...]string{"id", "corner", "workload", "core", "state", "floor_mv",
+	"margin_mv", "voltage_mv", "polls", "runs", "sdc_runs", "ce_events", "ue_events",
+	"ac_runs", "boots", "watchdog_recoveries", "power_savings", "last_poll", "frequency_mhz"}
+
+// boardLayout is one way of writing a board object: each key of
+// boardFields with the punctuation before it, and the closing bytes.
+type boardLayout struct {
+	keys  [len(boardFields)]string
+	close string
+}
+
+func newBoardLayout(open, sep, colon, close string) *boardLayout {
+	l := &boardLayout{close: close}
+	for i, name := range boardFields {
+		before := sep
+		if i == 0 {
+			before = open
+		}
+		l.keys[i] = before + `"` + name + `"` + colon
+	}
+	return l
+}
+
+var (
+	// indentedBoard is an element of a board document's "boards" array,
+	// as json.MarshalIndent(b, "  ", " ") writes it.
+	indentedBoard = newBoardLayout("{\n   ", ",\n   ", ": ", "\n  }")
+	// compactBoard is a board as json.Marshal writes it.
+	compactBoard = newBoardLayout("{", ",", ":", "}")
+)
+
 // AppendBoardStatus appends b as json.MarshalIndent(b, "  ", " ")
 // writes it: one element of a board document's "boards" array. Strings
 // of printable ASCII other than `"`, `\`, `<`, `>` and `&` are written
@@ -49,50 +85,59 @@ const (
 //
 //xvolt:hotpath board segment encode; every dirty board of every /api/fleet generation crosses this
 func AppendBoardStatus(dst []byte, b *BoardStatus) ([]byte, error) {
+	return appendBoard(dst, b, indentedBoard)
+}
+
+// appendBoard appends b in layout l: the one board encoder, shared by
+// the board documents and the ingest request.
+//
+//xvolt:hotpath board encode; every board of every /api/fleet generation and every push crosses this
+func appendBoard(dst []byte, b *BoardStatus, l *boardLayout) ([]byte, error) {
 	if math.IsNaN(b.Savings) || math.IsInf(b.Savings, 0) {
 		_, err := json.Marshal(b.Savings)
 		return dst, err
 	}
+	k := &l.keys
 	dst = slices.Grow(dst, segmentSizeHint)
-	dst = append(dst, "{\n   \"id\": "...)
+	dst = append(dst, k[0]...)
 	dst = appendString(dst, b.ID)
-	dst = append(dst, ",\n   \"corner\": "...)
+	dst = append(dst, k[1]...)
 	dst = appendString(dst, b.Corner)
-	dst = append(dst, ",\n   \"workload\": "...)
+	dst = append(dst, k[2]...)
 	dst = appendString(dst, b.Workload)
-	dst = append(dst, ",\n   \"core\": "...)
+	dst = append(dst, k[3]...)
 	dst = strconv.AppendInt(dst, int64(b.Core), 10)
-	dst = append(dst, ",\n   \"state\": "...)
+	dst = append(dst, k[4]...)
 	dst = appendString(dst, b.State)
-	dst = append(dst, ",\n   \"floor_mv\": "...)
+	dst = append(dst, k[5]...)
 	dst = strconv.AppendInt(dst, int64(b.FloorMV), 10)
-	dst = append(dst, ",\n   \"margin_mv\": "...)
+	dst = append(dst, k[6]...)
 	dst = strconv.AppendInt(dst, int64(b.MarginMV), 10)
-	dst = append(dst, ",\n   \"voltage_mv\": "...)
+	dst = append(dst, k[7]...)
 	dst = strconv.AppendInt(dst, int64(b.VoltageMV), 10)
-	dst = append(dst, ",\n   \"polls\": "...)
+	dst = append(dst, k[8]...)
 	dst = strconv.AppendInt(dst, int64(b.Polls), 10)
-	dst = append(dst, ",\n   \"runs\": "...)
+	dst = append(dst, k[9]...)
 	dst = strconv.AppendInt(dst, int64(b.Runs), 10)
-	dst = append(dst, ",\n   \"sdc_runs\": "...)
+	dst = append(dst, k[10]...)
 	dst = strconv.AppendInt(dst, int64(b.SDCs), 10)
-	dst = append(dst, ",\n   \"ce_events\": "...)
+	dst = append(dst, k[11]...)
 	dst = strconv.AppendUint(dst, b.CEs, 10)
-	dst = append(dst, ",\n   \"ue_events\": "...)
+	dst = append(dst, k[12]...)
 	dst = strconv.AppendUint(dst, b.UEs, 10)
-	dst = append(dst, ",\n   \"ac_runs\": "...)
+	dst = append(dst, k[13]...)
 	dst = strconv.AppendInt(dst, int64(b.ACs), 10)
-	dst = append(dst, ",\n   \"boots\": "...)
+	dst = append(dst, k[14]...)
 	dst = strconv.AppendInt(dst, int64(b.Boots), 10)
-	dst = append(dst, ",\n   \"watchdog_recoveries\": "...)
+	dst = append(dst, k[15]...)
 	dst = strconv.AppendInt(dst, int64(b.Recoveries), 10)
-	dst = append(dst, ",\n   \"power_savings\": "...)
+	dst = append(dst, k[16]...)
 	dst = appendFloat(dst, b.Savings)
-	dst = append(dst, ",\n   \"last_poll\": "...)
+	dst = append(dst, k[17]...)
 	dst = strconv.AppendInt(dst, int64(b.LastPoll), 10)
-	dst = append(dst, ",\n   \"frequency_mhz\": "...)
+	dst = append(dst, k[18]...)
 	dst = strconv.AppendInt(dst, int64(b.Frequency), 10)
-	return append(dst, "\n  }"...), nil
+	return append(dst, l.close...), nil
 }
 
 // htmlSafe reports whether encoding/json writes byte c of a string as
@@ -221,6 +266,154 @@ func appendBoardValues(dst []byte, boards []BoardStatus) ([]byte, error) {
 	return append(dst, boardsClose...), nil
 }
 
+// MarshalIngestRequest returns json.Marshal(req)'s bytes: the compact
+// body a pusher posts, written without reflection. Boards go through the
+// board encoder the board documents use. A NaN or infinite float returns
+// encoding/json's error.
+func MarshalIngestRequest(req *IngestRequest) ([]byte, error) {
+	dst := make([]byte, 0, framingSize+len(req.Boards)*segmentSizeHint)
+	dst = append(dst, `{"source":`...)
+	dst = appendString(dst, req.Source)
+	dst = append(dst, `,"generation":`...)
+	dst = strconv.AppendUint(dst, req.Generation, 10)
+	dst = append(dst, `,"virtual_now":`...)
+	dst = strconv.AppendInt(dst, int64(req.VirtualNow), 10)
+	var err error
+	if len(req.Boards) > 0 {
+		dst = append(dst, `,"boards":[`...)
+		for i := range req.Boards {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendBoard(dst, &req.Boards[i], compactBoard); err != nil {
+				return nil, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if len(req.Events) > 0 {
+		dst = append(dst, `,"events":[`...)
+		for i := range req.Events {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendEvent(dst, &req.Events[i])
+		}
+		dst = append(dst, ']')
+	}
+	if len(req.Transitions) > 0 {
+		dst = append(dst, `,"transitions":[`...)
+		for i := range req.Transitions {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendTransition(dst, &req.Transitions[i])
+		}
+		dst = append(dst, ']')
+	}
+	if req.Health != nil {
+		dst = append(dst, `,"health":`...)
+		if dst, err = appendHealth(dst, req.Health); err != nil {
+			return nil, err
+		}
+	}
+	if req.BoardsSince != 0 {
+		dst = append(dst, `,"boards_since":`...)
+		dst = strconv.AppendUint(dst, req.BoardsSince, 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendHealth appends h as json.Marshal writes it.
+func appendHealth(dst []byte, h *HealthSummary) ([]byte, error) {
+	if math.IsNaN(h.MeanSavings) || math.IsInf(h.MeanSavings, 0) {
+		_, err := json.Marshal(h.MeanSavings)
+		return nil, err
+	}
+	dst = append(dst, `{"boards":`...)
+	dst = strconv.AppendInt(dst, int64(h.Boards), 10)
+	dst = append(dst, `,"polls":`...)
+	dst = strconv.AppendUint(dst, h.Polls, 10)
+	dst = append(dst, `,"events":`...)
+	dst = strconv.AppendInt(dst, int64(h.Events), 10)
+	dst = append(dst, `,"dropped_events":`...)
+	dst = strconv.AppendUint(dst, h.DroppedEvents, 10)
+	dst = append(dst, `,"deduped_events":`...)
+	dst = strconv.AppendUint(dst, h.DedupedEvents, 10)
+	dst = append(dst, `,"transitions":`...)
+	dst = strconv.AppendInt(dst, int64(h.Transitions), 10)
+	dst = append(dst, `,"states":`...)
+	if h.States == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range h.States {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"state":`...)
+			dst = appendString(dst, h.States[i].State)
+			dst = append(dst, `,"boards":`...)
+			dst = strconv.AppendInt(dst, int64(h.States[i].Boards), 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"status":`...)
+	dst = appendString(dst, h.Status)
+	dst = append(dst, `,"mean_power_savings":`...)
+	dst = appendFloat(dst, h.MeanSavings)
+	dst = append(dst, `,"virtual_now":`...)
+	dst = strconv.AppendInt(dst, int64(h.VirtualNow), 10)
+	return append(dst, '}'), nil
+}
+
+// appendEvent appends e as json.Marshal writes it.
+func appendEvent(dst []byte, e *Event) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, e.Seq, 10)
+	dst = append(dst, `,"at":`...)
+	dst = strconv.AppendInt(dst, int64(e.At), 10)
+	if e.LastAt != 0 {
+		dst = append(dst, `,"last_at":`...)
+		dst = strconv.AppendInt(dst, int64(e.LastAt), 10)
+	}
+	dst = append(dst, `,"board":`...)
+	dst = appendString(dst, e.Board)
+	dst = append(dst, `,"kind":`...)
+	dst = appendString(dst, e.Kind)
+	if e.State != "" {
+		dst = append(dst, `,"state":`...)
+		dst = appendString(dst, e.State)
+	}
+	if e.MV != 0 {
+		dst = append(dst, `,"mv":`...)
+		dst = strconv.AppendInt(dst, int64(e.MV), 10)
+	}
+	dst = append(dst, `,"count":`...)
+	dst = strconv.AppendInt(dst, int64(e.Count), 10)
+	dst = append(dst, `,"msg":`...)
+	dst = appendString(dst, e.Msg)
+	return append(dst, '}')
+}
+
+// appendTransition appends t as json.Marshal writes it.
+func appendTransition(dst []byte, t *Transition) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, t.Seq, 10)
+	dst = append(dst, `,"at":`...)
+	dst = strconv.AppendInt(dst, int64(t.At), 10)
+	dst = append(dst, `,"board":`...)
+	dst = appendString(dst, t.Board)
+	dst = append(dst, `,"from":`...)
+	dst = appendString(dst, t.From)
+	dst = append(dst, `,"to":`...)
+	dst = appendString(dst, t.To)
+	dst = append(dst, `,"reason":`...)
+	dst = appendString(dst, t.Reason)
+	return append(dst, '}')
+}
+
 // DecodeBoards decodes a Boards document. The result and the error are
 // json.Unmarshal's into a zero Boards for every input: the canonical
 // form is scanned in one pass, and anything else (escapes, non-ASCII,
@@ -244,6 +437,22 @@ func DecodeBoardsDelta(data []byte) (BoardsDelta, error) {
 		return v, nil
 	}
 	var v BoardsDelta
+	err := json.Unmarshal(data, &v)
+	return v, err
+}
+
+// DecodeIngestRequest decodes an IngestRequest body, as DecodeBoards
+// decodes a Boards document: the result and the error are
+// json.Unmarshal's into a zero IngestRequest for every input. The
+// scanner takes the canonical form, the boards through the board
+// documents' scanner, and leaves any other input to json.Unmarshal
+// whole.
+func DecodeIngestRequest(data []byte) (IngestRequest, error) {
+	d := decoder{data: data}
+	if v, ok := d.ingestDoc(); ok {
+		return v, nil
+	}
+	var v IngestRequest
 	err := json.Unmarshal(data, &v)
 	return v, err
 }
@@ -348,28 +557,192 @@ func (d *decoder) deltaDoc() (v BoardsDelta, ok bool) {
 	return v, ok && d.end()
 }
 
-// minBoardSize is fewer bytes than any board with its keys takes, even
-// compacted (over 200).
-const minBoardSize = 64
-
-// boards scans a "boards" array. It sizes the slice from the '{' bytes
-// left in the document, at least one per board, bounded by the bytes
-// left: a run of '{' cannot make it allocate more than a few times the
-// document's size.
+// ingestDoc scans an IngestRequest. A repeated key is left to
+// json.Unmarshal, as in the board documents.
 //
-//xvolt:hotpath board decode; every client/v1 board read crosses this loop
+//xvolt:hotpath ingest decode; every push the hub receives crosses this scan
+func (d *decoder) ingestDoc() (v IngestRequest, ok bool) {
+	var seen topKeys
+	ok = d.object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "source":
+			return d.str(&v.Source) && seen.first(1)
+		case "generation":
+			v.Generation, ok = d.uint()
+			return ok && seen.first(2)
+		case "virtual_now":
+			return d.duration(&v.VirtualNow) && seen.first(4)
+		case "boards":
+			v.Boards, ok = d.boards()
+			return ok && seen.first(8)
+		case "events":
+			v.Events, ok = array(d, minEventSize, d.event)
+			return ok && seen.first(16)
+		case "transitions":
+			v.Transitions, ok = array(d, minTransitionSize, d.transition)
+			return ok && seen.first(32)
+		case "health":
+			v.Health, ok = d.health()
+			return ok && seen.first(64)
+		case "boards_since":
+			v.BoardsSince, ok = d.uint()
+			return ok && seen.first(128)
+		}
+		return false
+	})
+	return v, ok && d.end()
+}
+
+// health scans a health summary object. A repeated "states" key is
+// left to json.Unmarshal, which decodes the second array into the
+// first one's elements.
+func (d *decoder) health() (*HealthSummary, bool) {
+	h := new(HealthSummary)
+	var states bool
+	ok := d.object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "boards":
+			return d.int(&h.Boards)
+		case "polls":
+			h.Polls, ok = d.uint()
+			return ok
+		case "events":
+			return d.int(&h.Events)
+		case "dropped_events":
+			h.DroppedEvents, ok = d.uint()
+			return ok
+		case "deduped_events":
+			h.DedupedEvents, ok = d.uint()
+			return ok
+		case "transitions":
+			return d.int(&h.Transitions)
+		case "states":
+			if states {
+				return false
+			}
+			states = true
+			h.States, ok = array(d, minStateSize, d.state)
+			return ok
+		case "status":
+			return d.str(&h.Status)
+		case "mean_power_savings":
+			return d.float(&h.MeanSavings)
+		case "virtual_now":
+			return d.duration(&h.VirtualNow)
+		}
+		return false
+	})
+	return h, ok
+}
+
+// state scans one of a health summary's state counts.
+func (d *decoder) state(c *StateCount) bool {
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "state":
+			return d.str(&c.State)
+		case "boards":
+			return d.int(&c.Boards)
+		}
+		return false
+	})
+}
+
+// event scans one event object, its keys in any order.
+func (d *decoder) event(e *Event) bool {
+	return d.object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "seq":
+			e.Seq, ok = d.uint()
+			return ok
+		case "at":
+			return d.duration(&e.At)
+		case "last_at":
+			return d.duration(&e.LastAt)
+		case "board":
+			return d.str(&e.Board)
+		case "kind":
+			return d.str(&e.Kind)
+		case "state":
+			return d.str(&e.State)
+		case "mv":
+			return d.int(&e.MV)
+		case "count":
+			return d.int(&e.Count)
+		case "msg":
+			return d.str(&e.Msg)
+		}
+		return false
+	})
+}
+
+// transition scans one transition object, its keys in any order.
+func (d *decoder) transition(t *Transition) bool {
+	return d.object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "seq":
+			t.Seq, ok = d.uint()
+			return ok
+		case "at":
+			return d.duration(&t.At)
+		case "board":
+			return d.str(&t.Board)
+		case "from":
+			return d.str(&t.From)
+		case "to":
+			return d.str(&t.To)
+		case "reason":
+			return d.str(&t.Reason)
+		}
+		return false
+	})
+}
+
+// Fewer bytes than an element with its keys takes, even compacted: a
+// board takes over 200, an event 56, a transition 57 and a state count
+// 23.
+const (
+	minBoardSize      = 64
+	minEventSize      = 48
+	minTransitionSize = 48
+	minStateSize      = 16
+)
+
+// boards scans a "boards" array.
+//
+//xvolt:hotpath board decode; every client/v1 board read and every hub ingest crosses this loop
 func (d *decoder) boards() ([]BoardStatus, bool) {
+	return array(d, minBoardSize, d.board)
+}
+
+// array scans an array of objects, each by elem. It sizes the slice
+// from the '{' bytes before the next ']', at least one per element (an
+// element holds no ']' outside its strings, so that is the array's end,
+// and a later array is not counted), bounded by minSize bytes an
+// element: a run of '{' cannot make it allocate more than a few times
+// the document's size.
+//
+//xvolt:hotpath array decode; every board, event and transition a reader or the hub decodes crosses this loop
+func array[T any](d *decoder, minSize int, elem func(*T) bool) ([]T, bool) {
 	if !d.consume('[') {
 		return nil, false
 	}
 	rest := d.data[d.off:]
-	out := make([]BoardStatus, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/minBoardSize))
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	out := make([]T, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/minSize))
 	if d.consume(']') {
 		return out, true
 	}
 	for {
-		out = append(out, BoardStatus{})
-		if !d.board(&out[len(out)-1]) {
+		var zero T
+		out = append(out, zero)
+		if !elem(&out[len(out)-1]) {
 			return nil, false
 		}
 		if !d.consume(',') {
@@ -423,9 +796,7 @@ func (d *decoder) board(b *BoardStatus) bool {
 		case "power_savings":
 			return d.float(&b.Savings)
 		case "last_poll":
-			n, ok := d.int64()
-			b.LastPoll = time.Duration(n)
-			return ok
+			return d.duration(&b.LastPoll)
 		case "frequency_mhz":
 			return d.int(&b.Frequency)
 		}
@@ -504,6 +875,12 @@ func (d *decoder) int64() (int64, bool) {
 		return -int64(u), ok
 	}
 	return int64(u), ok
+}
+
+func (d *decoder) duration(v *time.Duration) bool {
+	n, ok := d.int64()
+	*v = time.Duration(n)
+	return ok
 }
 
 // int scans an int field, refusing a value the platform's int cannot

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -35,9 +36,8 @@ func liveDocuments(tb testing.TB, n int) (table, delta []byte) {
 	return table, delta
 }
 
-// goldenBoardDocuments returns the board documents of documents.golden:
-// the BoardStatus, the empty Boards and the BoardsDelta.
-func goldenBoardDocuments(tb testing.TB) map[string][]byte {
+// goldenDocuments returns the named documents of documents.golden.
+func goldenDocuments(tb testing.TB, names ...string) map[string][]byte {
 	tb.Helper()
 	raw, err := os.ReadFile("testdata/documents.golden")
 	if err != nil {
@@ -46,15 +46,21 @@ func goldenBoardDocuments(tb testing.TB) map[string][]byte {
 	docs := map[string][]byte{}
 	for _, part := range strings.Split(string(raw), "# ")[1:] {
 		name, body, _ := strings.Cut(part, "\n")
-		switch name {
-		case "BoardStatus", "Boards empty", "BoardsDelta":
+		if slices.Contains(names, name) {
 			docs[name] = []byte(body)
 		}
 	}
-	if len(docs) != 3 {
-		tb.Fatalf("documents.golden holds %d of the 3 board documents", len(docs))
+	if len(docs) != len(names) {
+		tb.Fatalf("documents.golden holds %d of the documents %q", len(docs), names)
 	}
 	return docs
+}
+
+// goldenPushes returns documents.golden's two IngestRequest documents:
+// the full push and the delta.
+func goldenPushes(tb testing.TB) (full, delta []byte) {
+	docs := goldenDocuments(tb, "IngestRequest full", "IngestRequest delta")
+	return docs["IngestRequest full"], docs["IngestRequest delta"]
 }
 
 // goldenBoard is the board of documents.golden.
@@ -71,7 +77,7 @@ func goldenBoard() apiv1.BoardStatus {
 // the golden board documents, a live fleet table and delta, and one
 // document for each input the scanner must leave to json.Unmarshal.
 func decodeSeeds(tb testing.TB) [][]byte {
-	docs := goldenBoardDocuments(tb)
+	docs := goldenDocuments(tb, "BoardStatus", "Boards empty", "BoardsDelta")
 	delta := string(docs["BoardsDelta"])
 	table, live := liveDocuments(tb, 8)
 	seeds := [][]byte{docs["BoardStatus"], docs["Boards empty"], docs["BoardsDelta"], table, live}
@@ -326,4 +332,307 @@ func benchDecode[T any](b *testing.B, data []byte, decode func([]byte) (T, error
 			}
 		}
 	})
+}
+
+// TestDecoderScope: the one-pass scanner itself takes the documents
+// servers and pushers write, compacted or not, and refuses every input
+// that must go to json.Unmarshal. The fuzz targets prove the results
+// agree either way; this proves the fast path is the one taken.
+func TestDecoderScope(t *testing.T) {
+	board := goldenBoard()
+	tiny := board
+	tiny.Savings = 2.5e-7
+	want := apiv1.BoardsDelta{Generation: 12, Since: 9, Boards: []apiv1.BoardStatus{board, tiny}}
+	canonical, err := apiv1.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{string(canonical), string(compact)} {
+		got, ok := apiv1.ScanBoardsDelta([]byte(doc))
+		if !ok {
+			t.Fatalf("scanner refused a canonical delta:\n%s", doc)
+		}
+		if len(got.Boards) != 2 || got.Boards[0] != board || got.Boards[1] != tiny || got.Generation != 12 || got.Since != 9 {
+			t.Errorf("scanner decoded %+v", got)
+		}
+	}
+	for _, doc := range []string{"{\n \"boards\": []\n}\n", `{"boards":[{}]}`, `{}`} {
+		if _, ok := apiv1.ScanBoards([]byte(doc)); !ok {
+			t.Errorf("scanner refused Boards document %q", doc)
+		}
+	}
+
+	for _, c := range []struct{ name, old, new string }{
+		{"escape", `"board-03"`, `"board\u002d03"`},
+		{"non-ASCII", `"mg.W"`, "\"mg.Wé\""},
+		{"control byte", `"mg.W"`, "\"mg\tW\""},
+		{"unknown key", `"core": 5`, `"core": 5, "extra": 1`},
+		{"mis-cased key", `"core": 5`, `"Core": 5`},
+		{"mis-cased top-level key", `"since": 9`, `"Since": 9`},
+		{"null", `"id": "board-03"`, `"id": null`},
+		{"leading zero", `"core": 5`, `"core": 05`},
+		{"zero then digit", `"core": 5`, `"core": 01`},
+		{"fraction for an int", `"core": 5`, `"core": 5.0`},
+		{"exponent for an int", `"core": 5`, `"core": 5e0`},
+		{"negative uint", `"ce_events": 7`, `"ce_events": -7`},
+		{"19 digits", `"ce_events": 7`, `"ce_events": 1000000000000000000`},
+		{"trailing dot", `"power_savings": 0.112233`, `"power_savings": 1.`},
+		{"float leading zero", `"power_savings": 0.112233`, `"power_savings": 00.1`},
+		{"bare exponent", `"power_savings": 0.112233`, `"power_savings": 1e`},
+		{"float out of range", `"power_savings": 0.112233`, `"power_savings": 1e400`},
+		{"repeated top-level key", `"since": 9`, `"since": 9, "since": 9`},
+		{"repeated boards", "\n ]\n}", "\n ],\n \"boards\": []\n}"},
+		{"trailing comma", "\n  }\n ]", "\n  },\n ]"},
+		{"trailing data", "\n ]\n}\n", "\n ]\n}\nx"},
+		{"second value", "\n ]\n}\n", "\n ]\n}\n{}"},
+	} {
+		doc := string(canonical)
+		if !strings.Contains(doc, c.old) {
+			t.Fatalf("%s: %q is not in the document", c.name, c.old)
+		}
+		doc = strings.Replace(doc, c.old, c.new, 1)
+		if _, ok := apiv1.ScanBoardsDelta([]byte(doc)); ok {
+			t.Errorf("%s: scanner took %q", c.name, doc)
+		}
+	}
+
+	// Ingest requests: the golden pushes as Marshal and json.Marshal
+	// write them, and a live fleet's full, steady and resync pushes.
+	goldenFull, goldenDelta := goldenPushes(t)
+	full, steady, resync := livePushes(t, 8, 64)
+	base := string(compactJSON(t, goldenDelta))
+	pushes := map[string][]byte{"golden full": goldenFull, "golden delta": goldenDelta,
+		"compact golden delta": []byte(base), "live full": full,
+		"live steady": steady, "live resync": resync}
+	for name, doc := range pushes {
+		got, ok := apiv1.ScanIngestRequest(doc)
+		if !ok {
+			t.Errorf("scanner refused the %s push:\n%s", name, doc)
+			continue
+		}
+		var want apiv1.IngestRequest
+		if err := json.Unmarshal(doc, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s push: scanner decoded\n%+v\nwant %+v", name, got, want)
+		}
+	}
+	if req, _ := apiv1.ScanIngestRequest(steady); len(req.Boards) == 0 || req.Health == nil || req.BoardsSince == 0 {
+		t.Errorf("the live steady push carries %d boards, health %v, boards_since %d",
+			len(req.Boards), req.Health, req.BoardsSince)
+	}
+	if req, _ := apiv1.ScanIngestRequest(resync); len(req.Events) == 0 || len(req.Transitions) == 0 {
+		t.Errorf("the live resync push carries %d events and %d transitions", len(req.Events), len(req.Transitions))
+	}
+	for _, c := range ingestFallbacks {
+		if !strings.Contains(base, c[0]) {
+			t.Fatalf("%q is not in the compact golden push", c[0])
+		}
+		doc := strings.Replace(base, c[0], c[1], 1)
+		if _, ok := apiv1.ScanIngestRequest([]byte(doc)); ok {
+			t.Errorf("scanner took %q", doc)
+		}
+	}
+	for _, doc := range trailingIngestBodies[:3] {
+		if _, ok := apiv1.ScanIngestRequest([]byte(doc)); ok {
+			t.Errorf("scanner took %q", doc)
+		}
+	}
+}
+
+func compactJSON(tb testing.TB, doc []byte) []byte {
+	tb.Helper()
+	var out bytes.Buffer
+	if err := json.Compact(&out, doc); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// livePushes returns the bodies a pusher sends from a fleet of n boards
+// whose store holds storeCap events (0: the default), gathered as
+// hub.Pusher gathers them: its first push, which carries everything; a
+// steady push, two 32-poll chunks later (the second push resends the
+// boards' first events, stamped at time zero like the first push); and,
+// after four more chunks, the full push it resends when a restarted hub
+// refuses its delta, by then missing the events retention evicted.
+func livePushes(tb testing.TB, n, storeCap int) (full, steady, resync []byte) {
+	tb.Helper()
+	m, err := fleet.New(fleet.Config{Boards: n, Seed: 5, StoreCap: storeCap})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer m.Close()
+	var lastGen, lastT uint64
+	var lastAt time.Duration
+	push := func() []byte {
+		now := m.Now()
+		gen, boards := m.BoardsSince(lastGen)
+		health := m.HealthAPIv1()
+		req := apiv1.IngestRequest{Source: "rack-a", Generation: gen, VirtualNow: now,
+			Boards: boards, Events: m.EventsSince(lastAt), Transitions: m.TransitionsSince(lastT),
+			Health: &health, BoardsSince: lastGen}
+		body, err := json.Marshal(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lastGen, lastAt = gen, now
+		if k := len(req.Transitions); k > 0 {
+			lastT = req.Transitions[k-1].Seq
+		}
+		return body
+	}
+	full = push()
+	m.Run(32)
+	push()
+	m.Run(32)
+	steady = push()
+	m.Run(4 * 32)
+	lastGen, lastAt, lastT = 0, 0, 0
+	resync = push()
+	return full, steady, resync
+}
+
+// ingestFallbacks are edits of the compact golden delta push that the
+// scanner must leave to json.Unmarshal.
+var ingestFallbacks = [][2]string{
+	// escapes, non-ASCII and unknown or mis-cased keys
+	{`"rack-a"`, `"rack\u002da"`},
+	{`"rack-a"`, "\"rack-\u00e9\""},
+	{`"generation":7`, `"generation":7,"extra":[1,{"a":null}]`},
+	{`"source":`, `"Source":`},
+	{`"health":`, `"Health":`},
+	{`"boards_since":6`, `"BOARDS_SINCE":6`},
+	{`"status":"unhealthy"`, `"status":"unhealthy","extra":1`},
+	{`"status":"unhealthy"`, `"Status":"unhealthy"`},
+	{`{"state":"healthy"`, `{"State":"healthy"`},
+	// null
+	{`"source":"rack-a"`, `"source":null`},
+	{`"generation":7`, `"generation":null`},
+	{`"status":"unhealthy"`, `"status":null`},
+	{`"states":[`, `"states":null,"x":[`},
+	// numbers JSON or the field's type rejects
+	{`"generation":7`, `"generation":07`},
+	{`"generation":7`, `"generation":-7`},
+	{`"generation":7`, `"generation":7.0`},
+	{`"generation":7`, `"generation":18446744073709551616`},
+	{`"virtual_now":12000000000`, `"virtual_now":1.2e10`},
+	{`"boards_since":6`, `"boards_since":-6`},
+	{`"polls":100`, `"polls":-100`},
+	{`"mean_power_savings":0.09`, `"mean_power_savings":1e400`},
+	{`"mean_power_savings":0.09`, `"mean_power_savings":"0.09"`},
+	{`"healthy","boards":2`, `"healthy","boards":2.5`},
+	// events and transitions: escapes, unknown or mis-cased keys, null,
+	// numbers JSON or the field's type rejects
+	{`"msg":"output mismatch at operating point"`, `"msg":"out\"put ]} \\ [{\u00e9"`},
+	{`"reason":"`, `"reason":"\\\"],`},
+	{`"from":"healthy"`, `"from":"\u0068ealthy"`},
+	{`"count":3`, `"count":3,"extra":1`},
+	{`"kind":"sdc-observed"`, `"Kind":"sdc-observed"`},
+	{`"msg":"3 clean polls"`, `"msg":null`},
+	{`"seq":12`, `"seq":-12`},
+	{`"at":2000000000`, `"at":"2s"`},
+	{`"last_at":4000000000`, `"last_at":4e9`},
+	{`"mv":900`, `"mv":900.5`},
+	{`"events":[`, `"events":{`},
+	{`"events":[`, `"events":null,"x":[`},
+	{`"reason":"`, `"reason":7,"x":"`},
+	// repeated keys: top level, and the health summary's states, whose
+	// second array json.Unmarshal decodes into the first one's elements
+	{`"source":"rack-a"`, `"source":"rack-a","source":"rack-b"`},
+	{`"boards_since":6`, `"boards_since":6,"events":[]`},
+	{`"status":"unhealthy"`, `"status":"unhealthy","states":[{"boards":9}]`},
+	// structure
+	{`"boards_since":6}`, `"boards_since":6,}`},
+	{`"generation":7`, `"generation" 7`},
+	{`{"source"`, `["source"`},
+	{`"boards_since":6}`, `"boards_since":6}x`},
+}
+
+// trailingIngestBodies are TestHubIngestRejectsTrailingData's bodies:
+// three the hub refuses, then one it takes.
+var trailingIngestBodies = []string{
+	`{"source":"a","generation":1} garbage`,
+	`{"source":"a","generation":2}{"source":"b","generation":1}`,
+	`{"source":"a","generation":2}]`,
+	"{\"source\":\"a\",\"generation\":1}\n\t ",
+}
+
+// ingestSeeds are the bodies both ingest fuzz targets start from: the
+// golden pushes, a live fleet's full, steady and resync pushes, each
+// fallback case, and the hub's trailing-data bodies.
+func ingestSeeds(tb testing.TB) [][]byte {
+	goldenFull, goldenDelta := goldenPushes(tb)
+	full, steady, resync := livePushes(tb, 8, 64)
+	base := string(compactJSON(tb, goldenDelta))
+	seeds := [][]byte{goldenFull, goldenDelta, []byte(base), full, steady, resync}
+	for _, c := range ingestFallbacks {
+		seeds = append(seeds, []byte(strings.Replace(base, c[0], c[1], 1)))
+	}
+	seeds = append(seeds, []byte(strings.Replace(base, `"transitions":[`, `"transitions":[ `, 1)))
+	for _, b := range trailingIngestBodies {
+		seeds = append(seeds, []byte(b))
+	}
+	return append(seeds, []byte(`{}`), []byte(`null`), []byte(``), []byte(`{"source":"a","health":null}`),
+		[]byte(`{"source":"a","boards":null,"events":null,"transitions":null}`),
+		[]byte(`{"health":{"states":null}}`), []byte(`{"health":{"states":[]}}`),
+		[]byte(`{"health":{}}`), []byte(`{"events":[],"transitions":[],"boards":[]}`))
+}
+
+func FuzzDecodeIngestRequest(f *testing.F) {
+	for _, s := range ingestSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := apiv1.DecodeIngestRequest(data)
+		sameDecode(t, data, v, err)
+	})
+}
+
+// FuzzMarshalIngestRequest encodes every request json.Unmarshal takes
+// from the fuzzed body, its last board's savings and its health's mean
+// savings replaced by the fuzzed floats, and compares the bytes with
+// json.Marshal's.
+func FuzzMarshalIngestRequest(f *testing.F) {
+	for _, s := range ingestSeeds(f) {
+		f.Add(s, 0.112233, 0.09)
+	}
+	_, goldenDelta := goldenPushes(f)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e21, 9.99999e-7, math.Copysign(0, -1)} {
+		f.Add(goldenDelta, v, 0.09)
+		f.Add(goldenDelta, 0.112233, v)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, savings, mean float64) {
+		var req apiv1.IngestRequest
+		if json.Unmarshal(data, &req) != nil {
+			return
+		}
+		if n := len(req.Boards); n > 0 {
+			req.Boards[n-1].Savings = savings
+		}
+		if req.Health != nil {
+			req.Health.MeanSavings = mean
+		}
+		got, err := apiv1.MarshalIngestRequest(&req)
+		want, wantErr := json.Marshal(req)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("%#v: error %v, json.Marshal's %v", req, err, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%#v:\n got %s\nwant %s", req, got, want)
+		}
+	})
+}
+
+// BenchmarkDecodeIngestRequest decodes the steady push of a 2,000-board
+// fleet, the 32 boards of one chunk, beside json.Unmarshal of the same
+// bytes (/reference).
+func BenchmarkDecodeIngestRequest(b *testing.B) {
+	_, steady, _ := livePushes(b, 2000, 0)
+	benchDecode(b, steady, apiv1.DecodeIngestRequest)
 }

@@ -370,7 +370,7 @@ func (c *Client) Status(ctx context.Context) (apiv1.Status, error) {
 // hub upserts events by (source, seq), so a duplicate push is absorbed.
 func (c *Client) Ingest(ctx context.Context, req apiv1.IngestRequest) (apiv1.IngestResponse, error) {
 	var out apiv1.IngestResponse
-	body, err := json.Marshal(req)
+	body, err := apiv1.MarshalIngestRequest(&req)
 	if err != nil {
 		return out, err
 	}

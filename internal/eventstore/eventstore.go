@@ -66,6 +66,11 @@ type Store interface {
 	Append(rec Record) (AppendResult, error)
 	// Records returns a copy of the retained records in order.
 	Records() []Record
+	// RecordsSince returns a copy of the retained records first seen or
+	// last merged at or after at (At or LastAt ≥ at), in order: what
+	// changed since a reader's last look, since a dedup merge always
+	// advances LastAt.
+	RecordsSince(at time.Duration) []Record
 	// RecordsFor returns up to n most recent records of one board,
 	// oldest first (n ≤ 0 means all).
 	RecordsFor(board string, n int) []Record
@@ -222,6 +227,31 @@ func (r *ring) retain(newest time.Duration) int {
 // records returns a copy of the retained records.
 func (r *ring) records() []Record {
 	return append([]Record(nil), r.retained()...)
+}
+
+// recordsSince copies the retained records with At or LastAt ≥ at.
+// It filters the ring in place: one pass counts the matches, a second
+// copies exactly those, so a reader whose tail is empty copies nothing.
+//
+//xvolt:hotpath push gather; every hub push filters the retained ring here
+func (r *ring) recordsSince(at time.Duration) []Record {
+	live := r.retained()
+	n := 0
+	for i := range live {
+		if live[i].At >= at || live[i].LastAt >= at {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, n)
+	for i := range live {
+		if live[i].At >= at || live[i].LastAt >= at {
+			out = append(out, live[i])
+		}
+	}
+	return out
 }
 
 // recordsFor filters one board's records, keeping the n most recent.

@@ -516,6 +516,14 @@ func (l *Log) Records() []Record {
 	return l.r.records()
 }
 
+// RecordsSince returns a copy of the retained records with At or
+// LastAt ≥ at, in order.
+func (l *Log) RecordsSince(at time.Duration) []Record {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.r.recordsSince(at)
+}
+
 // RecordsFor returns up to n most recent records of one board, oldest
 // first (n ≤ 0 means all).
 func (l *Log) RecordsFor(board string, n int) []Record {

@@ -40,6 +40,14 @@ func (m *Memory) Records() []Record {
 	return m.r.records()
 }
 
+// RecordsSince returns a copy of the retained records with At or
+// LastAt ≥ at, in order.
+func (m *Memory) RecordsSince(at time.Duration) []Record {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.r.recordsSince(at)
+}
+
 // RecordsFor returns up to n most recent records of one board, oldest
 // first (n ≤ 0 means all).
 func (m *Memory) RecordsFor(board string, n int) []Record {

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	apiv1 "xvolt/api/v1"
 	"xvolt/internal/eventstore"
 )
 
@@ -216,6 +217,25 @@ func (s *Store) Events() []Event {
 	out := make([]Event, len(recs))
 	for i, r := range recs {
 		out[i] = eventOf(r)
+	}
+	return out
+}
+
+// EventsSince returns, in wire form and in order, the retained events
+// first seen or last merged at or after at: the tail a push since
+// virtual time at must carry. Only the matching records are copied and
+// converted. Nil-safe.
+func (s *Store) EventsSince(at time.Duration) []apiv1.Event {
+	if s == nil {
+		return nil
+	}
+	recs := s.be.RecordsSince(at)
+	if len(recs) == 0 {
+		return nil
+	}
+	out := make([]apiv1.Event, len(recs))
+	for i, r := range recs {
+		out[i] = eventOf(r).APIv1()
 	}
 	return out
 }

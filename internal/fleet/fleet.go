@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -373,11 +374,14 @@ type Fleet interface {
 	HealthAPIv1() apiv1.HealthSummary
 	EventsAPIv1(id string, n int) []apiv1.Event
 
-	// Read by hub.Pusher.
+	// Read by hub.Pusher. The three reads after Now return only what
+	// changed since the pusher's last acknowledged push, so a steady
+	// push copies the boards, events and transitions it carries and
+	// nothing else.
 	Now() time.Duration
 	BoardsSince(since uint64) (uint64, []BoardStatus)
-	Store() *Store
-	Transitions() []apiv1.Transition
+	EventsSince(at time.Duration) []apiv1.Event
+	TransitionsSince(seq uint64) []apiv1.Transition
 }
 
 var _ Fleet = (*Manager)(nil)
@@ -588,6 +592,10 @@ func (m *Manager) commitLocked(o *pollOutcome, gen uint64) {
 // Store returns the fleet event store.
 func (m *Manager) Store() *Store { return m.store }
 
+// EventsSince returns the store's events with At or LastAt ≥ at in
+// wire form, in order (Store.EventsSince).
+func (m *Manager) EventsSince(at time.Duration) []apiv1.Event { return m.store.EventsSince(at) }
+
 // Boards returns a snapshot of every board's latest committed status.
 func (m *Manager) Boards() []BoardStatus {
 	m.mu.Lock()
@@ -606,6 +614,19 @@ func (m *Manager) Transitions() []apiv1.Transition {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]apiv1.Transition(nil), m.transitions...)
+}
+
+// TransitionsSince returns a copy of the retained transitions with a
+// seq above seq, in order. The log is in seq order, so the tail is
+// found by binary search and only it is copied.
+func (m *Manager) TransitionsSince(seq uint64) []apiv1.Transition {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := sort.Search(len(m.transitions), func(i int) bool { return m.transitions[i].Seq > seq })
+	if i == len(m.transitions) {
+		return nil
+	}
+	return append([]apiv1.Transition(nil), m.transitions[i:]...)
 }
 
 // WriteTransitions dumps the transition log one per line — the second

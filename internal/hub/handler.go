@@ -1,11 +1,12 @@
 package hub
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 
 	apiv1 "xvolt/api/v1"
@@ -18,6 +19,13 @@ import (
 // from a large fleet is a few MB, so 16 MiB leaves generous headroom
 // without letting a client balloon the hub's heap.
 const maxIngestBody = 16 << 20
+
+// maxBodyPrealloc bounds the buffer a declared Content-Length buys
+// before any of the body arrives (a 2,000-board full push is about
+// 1 MB): a larger body grows the buffer as its bytes come, so a client
+// cannot hold 16 MiB of the hub's heap by declaring a body it never
+// sends.
+const maxBodyPrealloc = 1 << 20
 
 // The hub serves the api/v1 fleet routes through the fleet daemon's own
 // implementation, over the merged view.
@@ -67,17 +75,19 @@ func (h *Hub) handleDump(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleIngest decodes one push through the api/v1 codec. The body is
+// exactly one request: anything after it but whitespace (a second
+// request, garbage) refuses the whole body with 400, as json.Unmarshal
+// refuses it.
 func (h *Hub) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req apiv1.IngestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r, maxIngestBody)
+	if err != nil {
 		http.Error(w, "bad ingest body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// One request is one value: anything after it but whitespace (a
-	// second request, garbage) refuses the whole body.
-	if _, err := dec.Token(); err != io.EOF {
-		http.Error(w, "bad ingest body: data after the request", http.StatusBadRequest)
+	req, err := apiv1.DecodeIngestRequest(body)
+	if err != nil {
+		http.Error(w, "bad ingest body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	resp, err := h.Ingest(req)
@@ -91,6 +101,31 @@ func (h *Hub) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(apiv1.GenerationHeader, strconv.FormatUint(h.Generation(), 10))
 	server.WriteJSON(w, resp)
+}
+
+// readBody reads r's whole body, at most limit bytes, into one buffer
+// sized from Content-Length up to maxBodyPrealloc; a body without one,
+// or a larger one, grows the buffer as it is read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	size := int64(bytes.MinRead)
+	if n := r.ContentLength; n >= 0 && n < limit {
+		size = min(n, maxBodyPrealloc) + 1 // room to read EOF without growing
+	}
+	buf := make([]byte, 0, size)
+	body := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, len(buf))
+		}
+	}
 }
 
 func (h *Hub) handleIndex(w http.ResponseWriter, r *http.Request) {

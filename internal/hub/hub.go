@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -60,7 +59,8 @@ type source struct {
 	sorted []*board // boards by id (map iteration never reaches output)
 
 	events   map[uint64]apiv1.Event
-	eventSeq []uint64 // ascending seqs
+	eventSeq []uint64             // ascending seqs
+	byBoard  map[string]*[]uint64 // board → its events' seqs, ascending
 	maxSeq   uint64
 
 	transitions map[uint64]apiv1.Transition
@@ -145,6 +145,7 @@ func (h *Hub) Ingest(req apiv1.IngestRequest) (apiv1.IngestResponse, error) {
 			name:        req.Source,
 			boards:      map[string]*board{},
 			events:      map[uint64]apiv1.Event{},
+			byBoard:     map[string]*[]uint64{},
 			transitions: map[uint64]apiv1.Transition{},
 		}
 		h.sources[req.Source] = s
@@ -193,11 +194,16 @@ func (h *Hub) Ingest(req apiv1.IngestRequest) (apiv1.IngestResponse, error) {
 		switch {
 		case !seen:
 			s.events[e.Seq] = e
-			s.insertEventSeq(e.Seq)
+			s.eventSeq = insertSeq(s.eventSeq, e.Seq)
+			s.indexEvent(e.Board, e.Seq)
+			s.maxSeq = max(s.maxSeq, e.Seq)
 			resp.NewEvents++
 			changed = true
 		case old != e:
 			s.events[e.Seq] = e
+			if old.Board != e.Board {
+				s.moveEvent(e.Seq, old.Board, e.Board)
+			}
 			resp.UpdatedEvents++
 			changed = true
 		default:
@@ -210,17 +216,14 @@ func (h *Hub) Ingest(req apiv1.IngestRequest) (apiv1.IngestResponse, error) {
 		}
 		if _, seen := s.transitions[t.Seq]; !seen {
 			s.transitions[t.Seq] = t
-			i := sort.Search(len(s.transSeq), func(i int) bool { return s.transSeq[i] >= t.Seq })
-			s.transSeq = append(s.transSeq, 0)
-			copy(s.transSeq[i+1:], s.transSeq[i:])
-			s.transSeq[i] = t.Seq
+			s.transSeq = insertSeq(s.transSeq, t.Seq)
 			resp.NewTransitions++
 			changed = true
 		}
 	}
 	if req.Health != nil {
 		hv := *req.Health
-		if s.health == nil || !reflect.DeepEqual(*s.health, hv) {
+		if s.health == nil || !sameHealth(s.health, &hv) {
 			changed = true
 		}
 		s.health = new(apiv1.HealthSummary)
@@ -236,20 +239,51 @@ func (h *Hub) Ingest(req apiv1.IngestRequest) (apiv1.IngestResponse, error) {
 	return resp, nil
 }
 
-// insertEventSeq keeps eventSeq ascending; pushes arrive in seq order,
-// so the common case is a plain append.
-func (s *source) insertEventSeq(seq uint64) {
-	if n := len(s.eventSeq); n == 0 || s.eventSeq[n-1] < seq {
-		s.eventSeq = append(s.eventSeq, seq)
-	} else {
-		i := sort.Search(n, func(i int) bool { return s.eventSeq[i] >= seq })
-		s.eventSeq = append(s.eventSeq, 0)
-		copy(s.eventSeq[i+1:], s.eventSeq[i:])
-		s.eventSeq[i] = seq
+// insertSeq inserts a seq that seqs does not hold, keeping seqs
+// ascending; pushes arrive in seq order, so the common case is a plain
+// append.
+func insertSeq(seqs []uint64, seq uint64) []uint64 {
+	n := len(seqs)
+	if n == 0 || seqs[n-1] < seq {
+		return append(seqs, seq)
 	}
-	if seq > s.maxSeq {
-		s.maxSeq = seq
+	i, _ := slices.BinarySearch(seqs, seq)
+	return slices.Insert(seqs, i, seq)
+}
+
+// indexEvent adds seq to its board's event index.
+func (s *source) indexEvent(board string, seq uint64) {
+	seqs := s.byBoard[board]
+	if seqs == nil {
+		seqs = new([]uint64)
+		s.byBoard[board] = seqs
 	}
+	*seqs = insertSeq(*seqs, seq)
+}
+
+// moveEvent moves seq from one board's event index to another's: an
+// update that changed the event's board.
+func (s *source) moveEvent(seq uint64, from, to string) {
+	if seqs := s.byBoard[from]; seqs != nil {
+		if i, found := slices.BinarySearch(*seqs, seq); found {
+			*seqs = slices.Delete(*seqs, i, i+1)
+		}
+		if len(*seqs) == 0 {
+			delete(s.byBoard, from)
+		}
+	}
+	s.indexEvent(to, seq)
+}
+
+// sameHealth reports whether two health summaries are equal as
+// reflect.DeepEqual finds them: a nil States differs from an empty one,
+// and a NaN MeanSavings equals nothing.
+func sameHealth(a, b *apiv1.HealthSummary) bool {
+	return (a.States == nil) == (b.States == nil) && slices.Equal(a.States, b.States) &&
+		a.Boards == b.Boards && a.Polls == b.Polls && a.Events == b.Events &&
+		a.DroppedEvents == b.DroppedEvents && a.DedupedEvents == b.DedupedEvents &&
+		a.Transitions == b.Transitions && a.Status == b.Status &&
+		a.MeanSavings == b.MeanSavings && a.VirtualNow == b.VirtualNow
 }
 
 // Sources reports every source's standing, sorted by name.
@@ -350,6 +384,8 @@ func (h *Hub) HasBoard(id string) bool {
 
 // EventsAPIv1 returns up to n of the most recent replicated events of a
 // namespaced board ("source/board"), oldest first (n ≤ 0 means all).
+// The source's board index holds the board's seqs, so a tail of n costs
+// n lookups however many events the source holds.
 func (h *Hub) EventsAPIv1(id string, n int) []apiv1.Event {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -357,13 +393,20 @@ func (h *Hub) EventsAPIv1(id string, n int) []apiv1.Event {
 	if !ok {
 		return nil
 	}
-	var out []apiv1.Event
-	for i := len(s.eventSeq) - 1; i >= 0 && (n <= 0 || len(out) < n); i-- {
-		if e := s.events[s.eventSeq[i]]; e.Board == board {
-			out = append(out, e)
-		}
+	var seqs []uint64
+	if p := s.byBoard[board]; p != nil {
+		seqs = *p
 	}
-	slices.Reverse(out)
+	if n > 0 && len(seqs) > n {
+		seqs = seqs[len(seqs)-n:]
+	}
+	if len(seqs) == 0 {
+		return nil
+	}
+	out := make([]apiv1.Event, len(seqs))
+	for i, seq := range seqs {
+		out[i] = s.events[seq]
+	}
 	return out
 }
 

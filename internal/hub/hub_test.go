@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -317,6 +318,38 @@ func TestHubIngestRejectsTrailingData(t *testing.T) {
 	}
 	if got := h.Sources(); len(got) != 1 || got[0].Source != "a" {
 		t.Errorf("sources = %+v, want only a", got)
+	}
+}
+
+// TestReadBodyBoundsPreallocation: a body of any length up to the
+// limit, declared or not, reads back whole, and a declared
+// Content-Length buys at most maxBodyPrealloc bytes of buffer before
+// the body arrives.
+func TestReadBodyBoundsPreallocation(t *testing.T) {
+	read := func(body []byte, declared int64) []byte {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/api/hub/ingest", bytes.NewReader(body))
+		r.ContentLength = declared
+		got, err := readBody(httptest.NewRecorder(), r, maxIngestBody)
+		if err != nil {
+			t.Fatalf("body of %d bytes declared %d: %v", len(body), declared, err)
+		}
+		return got
+	}
+	for _, c := range []struct{ body, declared int64 }{
+		{0, 0}, {10, 10}, {10, -1}, {3 << 20, 3 << 20}, {3 << 20, -1},
+	} {
+		body := bytes.Repeat([]byte{'x'}, int(c.body))
+		if got := read(body, c.declared); !bytes.Equal(got, body) {
+			t.Errorf("body of %d bytes declared %d read back %d bytes", c.body, c.declared, len(got))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := read([]byte("0123456789"), 15<<20)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; len(got) != 10 || alloc > 4<<20 {
+		t.Errorf("10 bytes declared as 15 MiB: read %d bytes, allocated %d", len(got), alloc)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sort"
 	"time"
 
 	apiv1 "xvolt/api/v1"
@@ -24,7 +23,10 @@ import (
 // time, so every event created or merged since the last push satisfies
 // At >= lastPush or LastAt >= lastPush. Boundary events are resent —
 // the hub's (source, seq) upsert absorbs them as duplicates — which is
-// also what makes a retried or replayed push harmless.
+// also what makes a retried or replayed push harmless. The store
+// filters its ring in place by that rule (Fleet.EventsSince), and the
+// transition log is cut at the last pushed seq (TransitionsSince), so
+// gathering a steady push copies only what it carries.
 //
 // The baseline advances only when the hub acknowledges a push, so a
 // failed push's boards and events ride along with the next one. A hub
@@ -66,16 +68,8 @@ func (p *Pusher) Push(ctx context.Context) (apiv1.IngestResponse, error) {
 // everything: every board, every event (At >= 0) and every transition.
 func (p *Pusher) push(ctx context.Context) (apiv1.IngestResponse, error) {
 	now := p.f.Now()
-	var events []apiv1.Event
-	for _, e := range p.f.Store().Events() {
-		if e.At >= p.lastAt || e.LastAt >= p.lastAt {
-			events = append(events, e.APIv1())
-		}
-	}
-	// The transition log is in seq order: its unpushed tail follows the
-	// last pushed seq.
-	transitions := p.f.Transitions()
-	transitions = transitions[sort.Search(len(transitions), func(i int) bool { return transitions[i].Seq > p.lastT }):]
+	events := p.f.EventsSince(p.lastAt)
+	transitions := p.f.TransitionsSince(p.lastT)
 	maxT := p.lastT
 	if n := len(transitions); n > 0 {
 		maxT = transitions[n-1].Seq

@@ -141,7 +141,11 @@ func DefaultConfig() Config {
 			"(*xvolt/internal/fleet.board).poll",
 			"(*xvolt/internal/fleet.snapshotEncoder).encode",
 			"xvolt/api/v1.AppendBoardStatus",
+			"xvolt/api/v1.appendBoard",
 			"(*xvolt/api/v1.decoder).boards",
+			"xvolt/api/v1.array",
+			"(*xvolt/api/v1.decoder).ingestDoc",
+			"(*xvolt/internal/eventstore.ring).recordsSince",
 			"(*xvolt/internal/obs.HDR).Observe",
 			"(*xvolt/internal/eventstore.Log).Append",
 		},
