@@ -162,15 +162,6 @@ func (r *LadderRunner) Execute(cfg Config) ([]RunRecord, error) {
 	return r.executeFlat(cfg, cfg.Grid())
 }
 
-// ExecuteCampaigns runs an explicit campaign list (one benchmark pinned
-// per core, Figure 9 style); records come back in list order.
-func (r *LadderRunner) ExecuteCampaigns(cfg Config, grid []Campaign) ([]RunRecord, error) {
-	if err := checkCampaigns(cfg, grid); err != nil {
-		return nil, err
-	}
-	return r.executeFlat(cfg, grid)
-}
-
 // checkCampaigns validates the configuration and every campaign of an
 // explicit list.
 func checkCampaigns(cfg Config, grid []Campaign) error {
@@ -275,13 +266,13 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx in
 			defer r.pool.Put(wm)
 			bs := wm.BatchState()
 			label := strconv.Itoa(worker)
-			var cells []runCell // the worker's staging buffer, reused across campaigns
+			sc := new(sweepScratch) // reused across the worker's campaigns
 			for idx := range jobs {
 				r.metrics.queued.Dec()
 				camp := grid[idx]
 				r.metrics.busy.Inc()
 				span := obs.StartSpan(r.metrics.latency.With(label))
-				s, hit := r.oneCampaign(wm, bs, camp.Spec, camp.Core, &cfg, &cells)
+				s, hit := r.oneCampaign(wm, bs, camp.Spec, camp.Core, &cfg, sc)
 				out[idx] = s
 				span.End()
 				r.metrics.busy.Dec()
@@ -365,16 +356,26 @@ func (g *gridAccounts) finish(idx int, memo bool) {
 }
 
 // oneCampaign resolves one grid cell: a memo hit reuses the stored
-// sweep, a miss sweeps the ladder, staging its cells in the worker's
-// buffer, and stores the result. Either way the returned sweep is
-// read-only shared state; hit reports a memo hit.
-func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, cells *[]runCell) (s *sweep, hit bool) {
+// sweep, a miss sweeps the ladder in the worker's scratch and stores the
+// result. Either way the returned sweep is read-only shared state; hit
+// reports a memo hit.
+func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, sc *sweepScratch) (s *sweep, hit bool) {
 	key := newMemoKey(bs, spec, coreID, cfg)
 	if s, hit = lookupCampaign(key); !hit {
-		s, *cells = r.runLadder(wm, bs, spec, coreID, cfg, (*cells)[:0])
+		s = r.runLadder(wm, bs, spec, coreID, cfg, sc)
 		storeCampaign(key, s)
 	}
 	return s, hit
+}
+
+// sweepScratch is a worker's reusable sweep state. Nothing in it carries
+// from one sweep to the next: runLadder restages the cells and begins
+// the replay afresh, so a fold-only program is recorded again by every
+// sweep that scores an SDC cell.
+type sweepScratch struct {
+	cells  []runCell        // the sweep's staged run cells
+	replay workload.Replay  // scores the sweep's SDC cells
+	inj    workload.Bitflip // rescheduled for every SDC cell
 }
 
 // accountCampaign is the one place a campaign's crashes are counted as
@@ -490,12 +491,13 @@ func (s *sweep) appendRecords(dst []RunRecord) []RunRecord {
 
 // runLadder sweeps one (benchmark, core) campaign downward against the
 // worker board's state snapshot, tallying each step as it goes. The
-// cells of a sampled step are staged in cells; a step with no effect
-// drops them again. The sweep gets an exact-size copy of what is left,
-// and the grown staging buffer is returned for the next campaign.
+// cells of a sampled step are staged in the scratch buffer; a step with
+// no effect drops them again. The sweep gets an exact-size copy of what
+// is left, and the grown buffer stays for the next campaign. Each SDC
+// cell is scored by the scratch replay, begun for this sweep.
 //
 //xvolt:hotpath inner sweep loop; allocation profile pinned by BENCH_baseline.json
-func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, cells []runCell) (*sweep, []runCell) {
+func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, sc *sweepScratch) *sweep {
 	rng := randsrc.New(CampaignSeed(cfg.Seed, bs.Chip.Name, spec.Name, spec.Input, coreID))
 	margins := wm.Assess(coreID, spec, units.RegimeOf(cfg.Frequency))
 	cleanAbove := silicon.EffectiveSafeVmin(margins, bs.Prot)
@@ -506,7 +508,8 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 		steps: make([]StepResult, 0, int((cfg.StartVoltage-cfg.StopVoltage)/units.VoltageStep)+1),
 	}
 	st := bs.State
-	var inj workload.Bitflip // rescheduled for every SDC cell
+	cells := sc.cells[:0]
+	sc.replay.Begin(spec)
 	consecutiveAllCrash := 0
 	for v := cfg.StartVoltage; v >= cfg.StopVoltage; v -= units.VoltageStep {
 		if v >= cleanAbove && st.Clean(bs.Chip) {
@@ -531,8 +534,8 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 			case cell.Effects.AC:
 				c.exitCode = 134
 			case cell.Effects.SDC:
-				inj.Reset(rng, cell.Effects.SDCBits)
-				c.mismatch = spec.Run(&inj) != golden
+				sc.inj.Reset(rng, cell.Effects.SDCBits)
+				c.mismatch = sc.replay.Score(&sc.inj) != golden
 			}
 			tally.Add(c.observation())
 			cells = append(cells, c)
@@ -556,5 +559,6 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 		s.cells = make([]runCell, len(cells))
 		copy(s.cells, cells)
 	}
-	return s, cells
+	sc.cells = cells
+	return s
 }

@@ -148,6 +148,21 @@ func protectedStudies(t *testing.T) []study {
 	selftests := core.DefaultConfig(selftest.Tests(), []int{4})
 	selftests.Runs = 3
 	selftests.StopVoltage = 760
+	// Fold-only programs, whose SDC cells a sweep scores from its record,
+	// between kernel-form ones, against the Framework's full runs;
+	// sjeng/ref and gobmk/13x13 share a size. (A fold-only verdict is a
+	// mismatch under any nonempty schedule, so the scored outputs
+	// themselves are pinned in internal/workload.)
+	var mixed []*workload.Spec
+	for _, id := range []string{"sjeng/ref", "mcf/ref", "gobmk/13x13", "povray/ref", "bwaves/ref", "bzip2/ref"} {
+		spec, err := workload.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed = append(mixed, spec)
+	}
+	foldOnly := core.DefaultConfig(mixed, []int{0, 4, 7})
+	foldOnly.Runs = 3
 	one := func(f func() *xgene.Machine) []func() *xgene.Machine { return []func() *xgene.Machine{f} }
 	return []study{
 		{"dected+adaptive", one(board(silicon.XGene, silicon.Protection{ECC: silicon.DECTED, AdaptiveClocking: true})), testConfig(t)},
@@ -157,6 +172,7 @@ func protectedStudies(t *testing.T) []study {
 		{"selftests", one(ttFactory), selftests},
 		{"runs-1", one(ttFactory), withRuns(1)},
 		{"runs-3", one(ttFactory), withRuns(3)},
+		{"fold-only", one(ttFactory), foldOnly},
 	}
 }
 

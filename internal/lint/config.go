@@ -120,7 +120,6 @@ func DefaultConfig() Config {
 		// approved seam.
 		DetflowEntries: []string{
 			"(*xvolt/internal/core.LadderRunner).Execute",
-			"(*xvolt/internal/core.LadderRunner).ExecuteCampaigns",
 			"(*xvolt/internal/core.LadderRunner).ExecuteResumable",
 			"(*xvolt/internal/core.Framework).Execute",
 			"(*xvolt/internal/fleet.Manager).Run",
@@ -137,6 +136,8 @@ func DefaultConfig() Config {
 		HotpathRequired: []string{
 			"(*xvolt/internal/core.LadderRunner).runLadder",
 			"(*xvolt/internal/workload.Bitflip).Reset",
+			"(*xvolt/internal/workload.Bitflip).foldRecord",
+			"(*xvolt/internal/workload.Replay).Score",
 			"xvolt/internal/xgene.SampleCell",
 			"(*xvolt/internal/fleet.board).poll",
 			"(*xvolt/internal/fleet.snapshotEncoder).encode",

@@ -13,6 +13,7 @@ package selftest
 
 import (
 	"math"
+	"slices"
 
 	"xvolt/internal/core"
 	"xvolt/internal/silicon"
@@ -93,30 +94,31 @@ func kernelFPUStress(size int, inj workload.Injector) uint64 {
 // The profiles are component extremes; the scores reflect where each
 // test's safe point sits: the cache test is SRAM-floor limited (score far
 // below the SPEC range) while the ALU/FPU tests match the most demanding
-// timing-path stress.
-func Tests() []*workload.Spec {
-	return []*workload.Spec{
-		{
-			Name: "selftest-cache", Input: "march", Size: 256,
-			Kernel:  kernelCacheMarch,
-			Profile: silicon.StressProfile{Pipeline: 0.05, FPU: 0, Memory: 1.0, Branch: 0.2, ILP: 0.2},
-			// Essentially no timing-path stress: the SRAM array floor is
-			// strictly the limiter, so failures come through the ECC path.
-			Score: 0.0,
-		},
-		{
-			Name: "selftest-alu", Input: "random-ops", Size: 256,
-			Kernel:  kernelALUStress,
-			Profile: silicon.StressProfile{Pipeline: 1.0, FPU: 0.05, Memory: 0.05, Branch: 0.35, ILP: 0.95},
-			Score:   1.00,
-		},
-		{
-			Name: "selftest-fpu", Input: "random-ops", Size: 256,
-			Kernel:  kernelFPUStress,
-			Profile: silicon.StressProfile{Pipeline: 0.55, FPU: 1.0, Memory: 0.05, Branch: 0.25, ILP: 0.9},
-			Score:   0.95,
-		},
-	}
+// timing-path stress. The specs are built once, so each golden output is
+// computed once per process; the slice is the caller's own.
+func Tests() []*workload.Spec { return slices.Clone(tests) }
+
+var tests = []*workload.Spec{
+	{
+		Name: "selftest-cache", Input: "march", Size: 256,
+		Kernel:  kernelCacheMarch,
+		Profile: silicon.StressProfile{Pipeline: 0.05, FPU: 0, Memory: 1.0, Branch: 0.2, ILP: 0.2},
+		// Essentially no timing-path stress: the SRAM array floor is
+		// strictly the limiter, so failures come through the ECC path.
+		Score: 0.0,
+	},
+	{
+		Name: "selftest-alu", Input: "random-ops", Size: 256,
+		Kernel:  kernelALUStress,
+		Profile: silicon.StressProfile{Pipeline: 1.0, FPU: 0.05, Memory: 0.05, Branch: 0.35, ILP: 0.95},
+		Score:   1.00,
+	},
+	{
+		Name: "selftest-fpu", Input: "random-ops", Size: 256,
+		Kernel:  kernelFPUStress,
+		Profile: silicon.StressProfile{Pipeline: 0.55, FPU: 1.0, Memory: 0.05, Branch: 0.25, ILP: 0.9},
+		Score:   0.95,
+	},
 }
 
 // Finding is the §3.4 localization result for one component test.

@@ -77,6 +77,22 @@ func TestBuildSpecRunnable(t *testing.T) {
 	}
 }
 
+// Two stressmarks of one size but different profiles are different
+// programs built from one function literal; each must be checked against
+// its own fault-free output, not the first one's.
+func TestBuildSpecGoldenPerProfile(t *testing.T) {
+	a := BuildSpec("stressmark", silicon.StressProfile{Pipeline: 0.9, FPU: 0.1, Memory: 0.2, Branch: 0.3, ILP: 0.5}, 300)
+	b := BuildSpec("stressmark", silicon.StressProfile{Pipeline: 0.2, FPU: 0.9, Memory: 0.8, Branch: 0.6, ILP: 0.1}, 300)
+	if a.Run(workload.Nop{}) == b.Run(workload.Nop{}) {
+		t.Fatal("different profiles computed the same output")
+	}
+	for _, s := range []*workload.Spec{a, b} {
+		if got, want := s.Golden(), s.Run(workload.Nop{}); got != want {
+			t.Errorf("profile %+v: golden 0x%016x, its own run 0x%016x", s.Profile, got, want)
+		}
+	}
+}
+
 // End to end: characterize the generated stressmark through the framework;
 // its measured Vmin must be at or above bwaves' (the worst SPEC program).
 func TestStressmarkCharacterization(t *testing.T) {

@@ -72,8 +72,7 @@ func TestGoldensPinned(t *testing.T) {
 	}
 }
 
-// countedKernelCalls observes the cross-Spec golden cache: a fresh Spec
-// over an already-goldened (kernel, size) pair must not rerun the kernel.
+// countedKernelCalls counts kernel runs, to observe the golden memo.
 var countedKernelCalls int
 
 func countedKernel(size int, inj Injector) uint64 {
@@ -85,27 +84,34 @@ func countedKernel(size int, inj Injector) uint64 {
 	return h
 }
 
-func TestGoldenCacheSpansSpecs(t *testing.T) {
+// offsetKernel returns a closure of one function literal: every kernel
+// it builds shares its code, and each computes from its own offset.
+func offsetKernel(off uint64) Kernel {
+	return func(size int, inj Injector) uint64 {
+		h := off
+		for i := 0; i < 64; i++ {
+			h = inj.Word(fold(h, uint64(size+i)))
+		}
+		return h
+	}
+}
+
+// Golden is memoized per Spec: a second call does not rerun the kernel,
+// and no Spec takes another's golden, even where two kernels share their
+// code and their size.
+func TestGoldenIsPerSpec(t *testing.T) {
 	countedKernelCalls = 0
 	a := &Spec{Name: "cachetest", Input: "a", Size: 1000, Kernel: countedKernel}
-	b := &Spec{Name: "cachetest", Input: "b", Size: 1000, Kernel: countedKernel}
-	other := &Spec{Name: "cachetest", Input: "c", Size: 1001, Kernel: countedKernel}
-
-	if a.Golden() != b.Golden() {
-		t.Fatal("same (kernel, size) produced different goldens")
+	if a.Golden() != a.Golden() {
+		t.Fatal("repeated Golden calls disagree")
 	}
 	if countedKernelCalls != 1 {
-		t.Errorf("kernel ran %d times for a shared (kernel, size), want 1", countedKernelCalls)
+		t.Errorf("kernel ran %d times for two Golden calls on one Spec, want 1", countedKernelCalls)
 	}
-	if other.Golden() == a.Golden() {
-		t.Error("different size hit the same cache entry")
-	}
-	if countedKernelCalls != 2 {
-		t.Errorf("kernel ran %d times after a distinct size, want 2", countedKernelCalls)
-	}
-	// Repeated calls on the same Spec stay cached via the once.
-	a.Golden()
-	if countedKernelCalls != 2 {
-		t.Errorf("kernel reran on a cached Spec (%d calls)", countedKernelCalls)
+	for _, off := range []uint64{1, 2} {
+		s := &Spec{Name: "closure", Input: "x", Size: 200, Kernel: offsetKernel(off)}
+		if got, want := s.Golden(), s.Run(Nop{}); got != want {
+			t.Errorf("closure %d: golden 0x%016x, its own run 0x%016x", off, got, want)
+		}
 	}
 }

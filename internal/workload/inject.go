@@ -2,10 +2,15 @@
 // outer loops through an Injector, so that a timing-path failure decided by
 // the silicon model can corrupt real computation state — the framework then
 // detects the SDC the same way the paper does, by comparing program output
-// against the golden output from a nominal-voltage run.
+// against the golden output from a nominal-voltage run. A fold-only
+// program's values pass through the injector on their way into its
+// checksum (foldProgram).
 package workload
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // Injector possibly corrupts in-flight values. Implementations must be
 // deterministic given their construction inputs.
@@ -99,4 +104,41 @@ func (b *Bitflip) F64(x float64) float64 {
 		return flipF64Bit(x, s-1)
 	}
 	return x
+}
+
+// foldRecord is the checksum of a fold-only run under b's schedule,
+// folded from the run's recorded hook-site values: the value at a fault
+// site has its scheduled bit flipped, and every value is folded as
+// foldProgram.checksum folds it. Only the first minHookCalls sites can be
+// fault sites. b's call counter is left as it is.
+//
+//xvolt:hotpath once per SDC cell of a fold-only sweep
+func (b *Bitflip) foldRecord(p *foldProgram, record []uint64) uint64 {
+	h := p.seed
+	head, tail := record, record[:0]
+	if len(record) > minHookCalls {
+		head, tail = record[:minHookCalls], record[minHookCalls:]
+	}
+	if p.float {
+		for i, x := range head {
+			if s := b.sched[i]; s != 0 {
+				x ^= 1 << (s - 1)
+			}
+			h = foldF64(h, math.Float64frombits(x))
+		}
+		for _, x := range tail {
+			h = foldF64(h, math.Float64frombits(x))
+		}
+		return h
+	}
+	for i, x := range head {
+		if s := b.sched[i]; s != 0 {
+			x ^= 1 << (s - 1)
+		}
+		h = fold(h, x)
+	}
+	for _, x := range tail {
+		h = fold(h, x)
+	}
+	return h
 }

@@ -7,12 +7,14 @@
 // their stress profiles differ the way the original programs' do.
 //
 // Their speed still matters to the framework: every SDC cell of a sweep
-// replays one. A kernel may be rewritten for speed only if its output
-// stays bit-identical for every size and every fault schedule: integer
-// code only where the new form is provably identical, floating-point
-// operations never reassociated and never fused (no math.FMA), and no
-// input table kept beyond a call. reference_test.go holds every kernel
-// as it was before such a rewrite and pins the two together.
+// replays one, unless the program is fold-only (foldProgram), whose body
+// runs once per sweep. A kernel may be rewritten for speed only if its
+// output stays bit-identical for every size and every fault schedule:
+// integer code only where the new form is provably identical,
+// floating-point operations never reassociated and never fused (no
+// math.FMA), and no input table kept beyond a call. reference_test.go
+// holds every kernel as it was before such a rewrite and pins the two
+// together.
 package workload
 
 import "math"
@@ -412,16 +414,24 @@ func kGamess(size int, inj Injector) uint64 {
 	return h
 }
 
-// kPovray models the ray tracer: ray-sphere intersection batches with
-// shading arithmetic on the hits.
+// fPovray models the ray tracer: ray-sphere intersection batches with
+// shading arithmetic on the hits. It is fold-only (foldProgram): a site
+// is one ray's shade, computed from the scene alone.
+var fPovray = &foldProgram{seed: 0xb, float: true, sites: povraySites}
+
+// kPovray is povray's kernel: its body's values folded through inj.
 func kPovray(size int, inj Injector) uint64 {
+	var buf [siteBufLen]uint64
+	return fPovray.checksum(povraySites(size, buf[:0]), inj)
+}
+
+func povraySites(size int, dst []uint64) []uint64 {
 	type sphere struct{ cx, cy, cz, r float64 }
 	rng := newXorshift(0x90f7a4)
 	spheres := make([]sphere, 8)
 	for i := range spheres {
 		spheres[i] = sphere{rng.float()*4 - 2, rng.float()*4 - 2, 2 + rng.float()*4, 0.3 + rng.float()}
 	}
-	h := uint64(0xb)
 	iters := 64 + size/4
 	for it := 0; it < iters; it++ {
 		// Ray through a pseudo-pixel, direction normalized-ish.
@@ -444,10 +454,9 @@ func kPovray(size int, inj Injector) uint64 {
 		if !math.IsInf(closest, 1) {
 			shade = 1 / (1 + closest*closest)
 		}
-		v := inj.F64(shade)
-		h = foldF64(h, v)
+		dst = append(dst, math.Float64bits(shade))
 	}
-	return h
+	return dst
 }
 
 // kCalculix models the structural FEM solver: skyline-stored triangular

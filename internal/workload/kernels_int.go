@@ -3,6 +3,12 @@
 // miniature of the pattern its namesake exercises: pointer chasing,
 // compression, dynamic programming, game-tree search, event simulation…
 // Rewrites for speed follow the bit-identity rule in kernels_fp.go.
+//
+// Seven of them are fold-only (foldProgram): bzip2, gobmk, sjeng,
+// h264ref, omnetpp, astar and xalancbmk compute each hook-site value
+// from their inputs alone and only fold it into the checksum. Their
+// bodies emit the values (…Sites) and the shared fold applies the
+// injector.
 package workload
 
 import (
@@ -74,9 +80,17 @@ func kPerlbench(size int, inj Injector) uint64 {
 	return fold(h, state)
 }
 
-// kBzip2 models the compressor: run-length encoding plus a move-to-front
-// transform over a synthetic buffer.
+// fBzip2 models the compressor: run-length encoding plus a move-to-front
+// transform over a synthetic buffer. A site is one run's symbol.
+var fBzip2 = &foldProgram{seed: 0x12, sites: bzip2Sites}
+
+// kBzip2 is bzip2's kernel: its body's values folded through inj.
 func kBzip2(size int, inj Injector) uint64 {
+	var buf [siteBufLen]uint64
+	return fBzip2.checksum(bzip2Sites(size, buf[:0]), inj)
+}
+
+func bzip2Sites(size int, dst []uint64) []uint64 {
 	rng := newXorshift(0xb21b)
 	buf := make([]byte, 512)
 	for i := range buf {
@@ -86,7 +100,6 @@ func kBzip2(size int, inj Injector) uint64 {
 	for i := range mtf {
 		mtf[i] = byte(i)
 	}
-	h := uint64(0x12)
 	run := uint64(0)
 	prev := byte(255)
 	iters := 64 + size/2
@@ -106,11 +119,10 @@ func kBzip2(size int, inj Injector) uint64 {
 		}
 		copy(mtf[1:idx+1], mtf[:idx])
 		mtf[0] = c
-		sym := inj.Word(run<<8 | uint64(idx))
-		h = fold(h, sym)
+		dst = append(dst, run<<8|uint64(idx))
 		run, prev = 0, c
 	}
-	return h
+	return dst
 }
 
 // kGcc models the compiler: constant-folding and dead-code passes over a
@@ -153,13 +165,20 @@ func kGcc(size int, inj Injector) uint64 {
 	return h
 }
 
-// kGobmk models the Go engine: liberty counting and pattern hashing on a
-// small board with captures.
+// fGobmk models the Go engine: liberty counting and pattern hashing on a
+// small board with captures. A site is one move's pattern hash.
+var fGobmk = &foldProgram{seed: 0x14, sites: gobmkSites}
+
+// kGobmk is gobmk's kernel: its body's values folded through inj.
 func kGobmk(size int, inj Injector) uint64 {
+	var buf [siteBufLen]uint64
+	return fGobmk.checksum(gobmkSites(size, buf[:0]), inj)
+}
+
+func gobmkSites(size int, dst []uint64) []uint64 {
 	const bd = 9
 	var board [bd * bd]int8
 	rng := newXorshift(0x60b)
-	h := uint64(0x14)
 	iters := 64 + size/2
 	for it := 0; it < iters; it++ {
 		pos := rng.intn(bd * bd)
@@ -178,13 +197,12 @@ func kGobmk(size int, inj Injector) uint64 {
 				}
 			}
 		}
-		v := inj.Word(uint64(pos)<<8 | libs)
-		h = fold(h, v)
+		dst = append(dst, uint64(pos)<<8|libs)
 		if libs == 0 {
 			board[pos] = 0 // suicide: undo
 		}
 	}
-	return h
+	return dst
 }
 
 // kHmmer models the profile-HMM search: Viterbi dynamic programming bands
@@ -217,9 +235,17 @@ func kHmmer(size int, inj Injector) uint64 {
 	return h
 }
 
-// kSjeng models the chess engine: fixed-depth negamax over a synthetic
-// move tree with alpha-beta-style cutoffs.
+// fSjeng models the chess engine: fixed-depth negamax over a synthetic
+// move tree with alpha-beta-style cutoffs. A site is one search's score.
+var fSjeng = &foldProgram{seed: 0x16, sites: sjengSites}
+
+// kSjeng is sjeng's kernel: its body's values folded through inj.
 func kSjeng(size int, inj Injector) uint64 {
+	var buf [siteBufLen]uint64
+	return fSjeng.checksum(sjengSites(size, buf[:0]), inj)
+}
+
+func sjengSites(size int, dst []uint64) []uint64 {
 	rng := newXorshift(0x57e6)
 	scores := make([]int64, 1024)
 	for i := range scores {
@@ -245,13 +271,11 @@ func kSjeng(size int, inj Injector) uint64 {
 		}
 		return best
 	}
-	h := uint64(0x16)
 	iters := 64 + size/8
 	for it := 0; it < iters; it++ {
-		v := inj.Word(uint64(negamax(it, 3, -1<<30, 1<<30)))
-		h = fold(h, v)
+		dst = append(dst, uint64(negamax(it, 3, -1<<30, 1<<30)))
 	}
-	return h
+	return dst
 }
 
 // kLibquantum models the quantum simulator: gate applications over a
@@ -280,9 +304,17 @@ func kLibquantum(size int, inj Injector) uint64 {
 	return h
 }
 
-// kH264ref models the video encoder: sum-of-absolute-differences motion
-// search over synthetic macroblocks.
+// fH264ref models the video encoder: sum-of-absolute-differences motion
+// search over synthetic macroblocks. A site is one block's best SAD.
+var fH264ref = &foldProgram{seed: 0x18, sites: h264refSites}
+
+// kH264ref is h264ref's kernel: its body's values folded through inj.
 func kH264ref(size int, inj Injector) uint64 {
+	var buf [siteBufLen]uint64
+	return fH264ref.checksum(h264refSites(size, buf[:0]), inj)
+}
+
+func h264refSites(size int, dst []uint64) []uint64 {
 	const mb = 8
 	rng := newXorshift(0x264)
 	ref := make([]uint8, 64*64)
@@ -292,7 +324,6 @@ func kH264ref(size int, inj Injector) uint64 {
 		curFrame[i] = uint8(int(ref[i]) + rng.intn(9) - 4)
 	}
 	offsets := [5][2]int{{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}}
-	h := uint64(0x18)
 	iters := 64 + size/4
 	for it := 0; it < iters; it++ {
 		bx := (it * 3) % (64 - mb)
@@ -311,10 +342,9 @@ func kH264ref(size int, inj Injector) uint64 {
 			}
 			bestSAD = min(bestSAD, sumLanes(lanes))
 		}
-		v := inj.Word(bestSAD)
-		h = fold(h, v)
+		dst = append(dst, bestSAD)
 	}
-	return h
+	return dst
 }
 
 // SAD arithmetic on four 16-bit lanes per uint64 (SWAR): a row of eight
@@ -339,9 +369,18 @@ func absDiff4(x, y uint64) uint64 {
 // sumLanes adds the four lanes of v (their sum must stay below 2¹⁶).
 func sumLanes(v uint64) uint64 { return v * laneOne >> 48 }
 
-// kOmnetpp models the discrete-event simulator: a binary-heap event queue
-// with dependent event insertion — pointer/memory heavy.
+// fOmnetpp models the discrete-event simulator: a binary-heap event queue
+// with dependent event insertion — pointer/memory heavy. A site is one
+// dispatched event.
+var fOmnetpp = &foldProgram{seed: 0x19, sites: omnetppSites}
+
+// kOmnetpp is omnetpp's kernel: its body's values folded through inj.
 func kOmnetpp(size int, inj Injector) uint64 {
+	var buf [siteBufLen]uint64
+	return fOmnetpp.checksum(omnetppSites(size, buf[:0]), inj)
+}
+
+func omnetppSites(size int, dst []uint64) []uint64 {
 	type event struct {
 		time uint64
 		kind int
@@ -386,12 +425,10 @@ func kOmnetpp(size int, inj Injector) uint64 {
 	for i := 0; i < 32; i++ {
 		push(event{uint64(rng.intn(1000)), rng.intn(4)})
 	}
-	h := uint64(0x19)
 	iters := 64 + size/2
 	for it := 0; it < iters; it++ {
 		e := pop()
-		v := inj.Word(e.time<<3 | uint64(e.kind))
-		h = fold(h, v)
+		dst = append(dst, e.time<<3|uint64(e.kind))
 		// Each event schedules 1–2 follow-ups.
 		push(event{e.time + uint64(rng.intn(50)+1), (e.kind + 1) % 4})
 		if e.kind == 0 {
@@ -401,12 +438,21 @@ func kOmnetpp(size int, inj Injector) uint64 {
 			heap = heap[:100]
 		}
 	}
-	return h
+	return dst
 }
 
-// kAstar models the path-finder: A* over a weighted grid with a Manhattan
-// heuristic, rebuilt for several start/goal pairs.
+// fAstar models the path-finder: A* over a weighted grid with a Manhattan
+// heuristic, rebuilt for several start/goal pairs. A site is one
+// search's end node and its distance.
+var fAstar = &foldProgram{seed: 0x1a, sites: astarSites}
+
+// kAstar is astar's kernel: its body's values folded through inj.
 func kAstar(size int, inj Injector) uint64 {
+	var buf [siteBufLen]uint64
+	return fAstar.checksum(astarSites(size, buf[:0]), inj)
+}
+
+func astarSites(size int, dst []uint64) []uint64 {
 	rng := newXorshift(0xa57a)
 	var weight astarGrid
 	for i := range weight {
@@ -416,7 +462,6 @@ func kAstar(size int, inj Injector) uint64 {
 	for i := range unreached {
 		unreached[i] = 1 << 40
 	}
-	h := uint64(0x1a)
 	iters := 64 + size/8
 	for it := 0; it < iters; it++ {
 		start := (it * 7) % (astarN * astarN)
@@ -448,16 +493,15 @@ func kAstar(size int, inj Injector) uint64 {
 			}
 			curNode = next
 		}
-		v := inj.Word(dist[curNode] + uint64(curNode))
-		h = fold(h, v)
+		dst = append(dst, dist[curNode]+uint64(curNode))
 	}
-	return h
+	return dst
 }
 
-// astarN is kAstar's grid side.
+// astarN is astarSites' grid side.
 const astarN = 16
 
-// astarGrid holds one value per kAstar grid node.
+// astarGrid holds one value per astarSites grid node.
 type astarGrid [astarN * astarN]uint64
 
 // astarRelax relaxes the edge into node nn, at Manhattan distance manh
@@ -485,13 +529,21 @@ func choose(c bool, a, b int) int {
 	return b
 }
 
-// kXalancbmk models the XSLT processor: tree walking and string
-// transformation over a synthetic DOM. The 128-node DOM is rebuilt on
-// each call in fixed-size arrays, children by offset: count each node's
-// children, turn the counts into offsets, then place every child in
-// index order, so each node's children keep the order they were drawn
-// in.
+// fXalancbmk models the XSLT processor: tree walking and string
+// transformation over a synthetic DOM. A site is one template match's
+// hash. The 128-node DOM is rebuilt on each call in fixed-size arrays,
+// children by offset: count each node's children, turn the counts into
+// offsets, then place every child in index order, so each node's
+// children keep the order they were drawn in.
+var fXalancbmk = &foldProgram{seed: 0x1b, sites: xalancbmkSites}
+
+// kXalancbmk is xalancbmk's kernel: its body's values folded through inj.
 func kXalancbmk(size int, inj Injector) uint64 {
+	var buf [siteBufLen]uint64
+	return fXalancbmk.checksum(xalancbmkSites(size, buf[:0]), inj)
+}
+
+func xalancbmkSites(size int, dst []uint64) []uint64 {
 	const nodes = 128
 	var (
 		parent [nodes]int
@@ -513,7 +565,6 @@ func kXalancbmk(size int, inj Injector) uint64 {
 		child[next[parent[i]]] = i
 		next[parent[i]]++
 	}
-	h := uint64(0x1b)
 	iters := 64 + size/4
 	for it := 0; it < iters; it++ {
 		// Template "match": walk from a pseudo-random node to the leaves,
@@ -528,8 +579,7 @@ func kXalancbmk(size int, inj Injector) uint64 {
 			}
 			cur = kids[(it+depth)%len(kids)]
 		}
-		v := inj.Word(acc)
-		h = fold(h, v)
+		dst = append(dst, acc)
 	}
-	return h
+	return dst
 }

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// The frozen reference: the map-based injector and every kernel as they
-// were before the SDC-replay rewrite. Production replays must produce the
-// same output bits under every schedule, and Reset must consume exactly
-// the reference injector's draws, or the sweeps downstream would shift.
+// The frozen reference: the map-based injector, and every rewritten
+// program as it was before its rewrite — for speed, or into fold-only
+// form. Production replays must produce the same output bits under every
+// schedule, and Reset must consume exactly the reference injector's
+// draws, or the sweeps downstream would shift.
 
 // refBitflip is the map-scheduled Bitflip the array schedule replaced.
 type refBitflip struct {
@@ -55,9 +56,11 @@ var referenceKernels = map[string]Kernel{
 	"GemsFDTD":  refGemsFDTD,
 	"astar":     refAstar,
 	"bwaves":    refBwaves,
+	"bzip2":     refBzip2,
 	"cactusADM": refCactusADM,
 	"calculix":  refCalculix,
 	"dealII":    refDealII,
+	"gobmk":     refGobmk,
 	"gromacs":   refGromacs,
 	"h264ref":   refH264ref,
 	"lbm":       refLbm,
@@ -65,6 +68,9 @@ var referenceKernels = map[string]Kernel{
 	"mcf":       refMcf,
 	"milc":      refMilc,
 	"namd":      refNamd,
+	"omnetpp":   refOmnetpp,
+	"povray":    refPovray,
+	"sjeng":     refSjeng,
 	"xalancbmk": refXalancbmk,
 	"zeusmp":    refZeusmp,
 }
@@ -709,6 +715,214 @@ func refXalancbmk(size int, inj Injector) uint64 {
 			cur = nd.children[(it+depth)%len(nd.children)]
 		}
 		v := inj.Word(acc)
+		h = fold(h, v)
+	}
+	return h
+}
+
+// refBzip2 is bzip2 in kernel form, before its fold-only rewrite.
+func refBzip2(size int, inj Injector) uint64 {
+	rng := newXorshift(0xb21b)
+	buf := make([]byte, 512)
+	for i := range buf {
+		buf[i] = byte(rng.intn(16)) // low entropy: runs exist
+	}
+	var mtf [16]byte
+	for i := range mtf {
+		mtf[i] = byte(i)
+	}
+	h := uint64(0x12)
+	run := uint64(0)
+	prev := byte(255)
+	iters := 64 + size/2
+	for it := 0; it < iters; it++ {
+		c := buf[it%len(buf)]
+		if c == prev {
+			run++
+			continue
+		}
+		// Move-to-front index of c.
+		idx := 0
+		for j, v := range mtf {
+			if v == c {
+				idx = j
+				break
+			}
+		}
+		copy(mtf[1:idx+1], mtf[:idx])
+		mtf[0] = c
+		sym := inj.Word(run<<8 | uint64(idx))
+		h = fold(h, sym)
+		run, prev = 0, c
+	}
+	return h
+}
+
+// refGobmk is gobmk in kernel form, before its fold-only rewrite.
+func refGobmk(size int, inj Injector) uint64 {
+	const bd = 9
+	var board [bd * bd]int8
+	rng := newXorshift(0x60b)
+	h := uint64(0x14)
+	iters := 64 + size/2
+	for it := 0; it < iters; it++ {
+		pos := rng.intn(bd * bd)
+		color := int8(1 + it%2)
+		board[pos] = color
+		// Count pseudo-liberties of the placed stone.
+		libs := uint64(0)
+		x, y := pos/bd, pos%bd
+		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+			nx, ny := x+d[0], y+d[1]
+			if nx >= 0 && nx < bd && ny >= 0 && ny < bd {
+				if board[nx*bd+ny] == 0 {
+					libs++
+				} else if board[nx*bd+ny] != color {
+					libs += 2 // contact bonus in the eval hash
+				}
+			}
+		}
+		v := inj.Word(uint64(pos)<<8 | libs)
+		h = fold(h, v)
+		if libs == 0 {
+			board[pos] = 0 // suicide: undo
+		}
+	}
+	return h
+}
+
+// refOmnetpp is omnetpp in kernel form, before its fold-only rewrite.
+func refOmnetpp(size int, inj Injector) uint64 {
+	type event struct {
+		time uint64
+		kind int
+	}
+	heap := make([]event, 0, 256)
+	push := func(e event) {
+		heap = append(heap, e)
+		i := len(heap) - 1
+		for i > 0 {
+			p := (i - 1) / 2
+			if heap[p].time <= heap[i].time {
+				break
+			}
+			heap[p], heap[i] = heap[i], heap[p]
+			i = p
+		}
+	}
+	pop := func() event {
+		top := heap[0]
+		last := len(heap) - 1
+		heap[0] = heap[last]
+		heap = heap[:last]
+		i := 0
+		for {
+			l, r := 2*i+1, 2*i+2
+			small := i
+			if l < last && heap[l].time < heap[small].time {
+				small = l
+			}
+			if r < last && heap[r].time < heap[small].time {
+				small = r
+			}
+			if small == i {
+				break
+			}
+			heap[i], heap[small] = heap[small], heap[i]
+			i = small
+		}
+		return top
+	}
+	rng := newXorshift(0x03e7)
+	for i := 0; i < 32; i++ {
+		push(event{uint64(rng.intn(1000)), rng.intn(4)})
+	}
+	h := uint64(0x19)
+	iters := 64 + size/2
+	for it := 0; it < iters; it++ {
+		e := pop()
+		v := inj.Word(e.time<<3 | uint64(e.kind))
+		h = fold(h, v)
+		// Each event schedules 1–2 follow-ups.
+		push(event{e.time + uint64(rng.intn(50)+1), (e.kind + 1) % 4})
+		if e.kind == 0 {
+			push(event{e.time + uint64(rng.intn(20)+1), 2})
+		}
+		if len(heap) > 200 {
+			heap = heap[:100]
+		}
+	}
+	return h
+}
+
+// refPovray is povray in kernel form, before its fold-only rewrite.
+func refPovray(size int, inj Injector) uint64 {
+	type sphere struct{ cx, cy, cz, r float64 }
+	rng := newXorshift(0x90f7a4)
+	spheres := make([]sphere, 8)
+	for i := range spheres {
+		spheres[i] = sphere{rng.float()*4 - 2, rng.float()*4 - 2, 2 + rng.float()*4, 0.3 + rng.float()}
+	}
+	h := uint64(0xb)
+	iters := 64 + size/4
+	for it := 0; it < iters; it++ {
+		// Ray through a pseudo-pixel, direction normalized-ish.
+		dx := float64(it%17)/17 - 0.5
+		dy := float64(it%13)/13 - 0.5
+		dz := 1.0
+		closest := math.Inf(1)
+		for _, s := range spheres {
+			// Quadratic for intersection along the ray from origin.
+			b := dx*s.cx + dy*s.cy + dz*s.cz
+			c := s.cx*s.cx + s.cy*s.cy + s.cz*s.cz - s.r*s.r
+			disc := b*b - c
+			if disc > 0 {
+				if tHit := b - math.Sqrt(disc); tHit > 0 && tHit < closest {
+					closest = tHit
+				}
+			}
+		}
+		shade := 0.0
+		if !math.IsInf(closest, 1) {
+			shade = 1 / (1 + closest*closest)
+		}
+		v := inj.F64(shade)
+		h = foldF64(h, v)
+	}
+	return h
+}
+
+// refSjeng is sjeng in kernel form, before its fold-only rewrite.
+func refSjeng(size int, inj Injector) uint64 {
+	rng := newXorshift(0x57e6)
+	scores := make([]int64, 1024)
+	for i := range scores {
+		scores[i] = int64(rng.intn(200) - 100)
+	}
+	var negamax func(node, depth int, alpha, beta int64) int64
+	negamax = func(node, depth int, alpha, beta int64) int64 {
+		if depth == 0 {
+			return scores[node%len(scores)]
+		}
+		best := int64(-1 << 30)
+		for m := 0; m < 3; m++ {
+			v := -negamax(node*3+m+1, depth-1, -beta, -alpha)
+			if v > best {
+				best = v
+			}
+			if v > alpha {
+				alpha = v
+			}
+			if alpha >= beta {
+				break
+			}
+		}
+		return best
+	}
+	h := uint64(0x16)
+	iters := 64 + size/8
+	for it := 0; it < iters; it++ {
+		v := inj.Word(uint64(negamax(it, 3, -1<<30, 1<<30)))
 		h = fold(h, v)
 	}
 	return h

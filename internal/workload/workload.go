@@ -19,7 +19,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"sync"
 
@@ -45,8 +44,11 @@ type Spec struct {
 	// Score is the calibrated total critical-path stress that positions
 	// the program's Vmin on the silicon model's voltage axis.
 	Score float64
-	// Kernel is the program body.
+	// Kernel is the program body. A fold-only program's kernel folds
+	// the values its body emits through the injector.
 	Kernel Kernel
+
+	fold *foldProgram // a fold-only program's body; nil otherwise
 
 	goldenOnce sync.Once
 	golden     uint64
@@ -62,42 +64,84 @@ func (s *Spec) Idio() float64 { return s.Score - s.Profile.Visible() }
 // Run executes the kernel under the given injector.
 func (s *Spec) Run(inj Injector) uint64 { return s.Kernel(s.Size, inj) }
 
-// goldenKey identifies a fault-free kernel output: the kernel body (by
-// function pointer, so closures and named kernels never collide) and the
-// work size. Name is deliberately not part of the key — two Specs sharing
-// a kernel and size (e.g. different input labels over the same body)
-// share one golden run.
-type goldenKey struct {
-	kernel uintptr
-	size   int
+// Golden returns the fault-free output checksum, computed at most once
+// per Spec. The memo is the Spec's own: a kernel value does not identify
+// its computation (every closure built from one function literal shares
+// its code), so no golden is shared between Specs.
+func (s *Spec) Golden() uint64 {
+	s.goldenOnce.Do(func() { s.golden = s.Run(Nop{}) })
+	return s.golden
 }
 
-// goldenCache spans Spec instances: a fresh Spec over an already-goldened
-// (kernel, size) pair reuses the checksum instead of re-running the
-// kernel. Concurrent first computations of the same key are benign — the
-// kernels are deterministic, so both writers store the same value.
-var (
-	goldenMu    sync.Mutex
-	goldenCache = map[goldenKey]uint64{}
-)
+// A foldProgram is a program whose hook-site values feed only its output
+// checksum: no site's value reaches a later site's. Its body emits the
+// values and never sees an injector; the fold passes each through the
+// injector and chains it into the checksum, so a fault at one site
+// changes that site's fold step and nothing the body computes. The
+// values of one run therefore score every fault schedule of that run
+// (Replay). The program's kernel calls its body directly — through the
+// sites function value the buffer would escape to the heap — into a
+// stack buffer of siteBufLen values, and returns their checksum.
+type foldProgram struct {
+	// seed is the checksum's initial value.
+	seed uint64
+	// float marks float sites: each value is a float64's bit pattern,
+	// passed through Injector.F64 and folded by foldF64. Word sites pass
+	// through Injector.Word and are folded by fold.
+	float bool
+	// sites appends one run's hook-site values to dst, in call order,
+	// and returns the extended slice.
+	sites func(size int, dst []uint64) []uint64
+}
 
-// Golden returns the fault-free output checksum, computed at most once
-// per (kernel, size) across all Spec instances.
-func (s *Spec) Golden() uint64 {
-	s.goldenOnce.Do(func() {
-		key := goldenKey{kernel: reflect.ValueOf(s.Kernel).Pointer(), size: s.Size}
-		goldenMu.Lock()
-		v, ok := goldenCache[key]
-		goldenMu.Unlock()
-		if !ok {
-			v = s.Kernel(s.Size, Nop{})
-			goldenMu.Lock()
-			goldenCache[key] = v
-			goldenMu.Unlock()
+// siteBufLen sizes a fold-only kernel's stack buffer: the suite's
+// longest run has 291 sites. A longer run spills to the heap.
+const siteBufLen = 320
+
+// checksum is one run's output under inj: the run's site values, each
+// passed through inj in call order and folded into the checksum.
+func (p *foldProgram) checksum(sites []uint64, inj Injector) uint64 {
+	h := p.seed
+	if p.float {
+		for _, x := range sites {
+			h = foldF64(h, inj.F64(math.Float64frombits(x)))
 		}
-		s.golden = v
-	})
-	return s.golden
+		return h
+	}
+	for _, x := range sites {
+		h = fold(h, inj.Word(x))
+	}
+	return h
+}
+
+// Replay scores the SDC cells of one sweep: each cell's output under its
+// fault schedule, to compare with the golden. A fold-only program runs
+// its body once per sweep, at the first cell, and scores every cell by
+// folding that record through the cell's schedule — at most a few
+// hundred mix64 steps instead of a run. Every other program runs its
+// kernel per cell. Each schedule is still evaluated exactly: the record
+// holds only values no fault can reach. A Replay is reused across
+// sweeps; Begin drops the previous sweep's record.
+type Replay struct {
+	spec   *Spec
+	record []uint64 // the sweep's hook-site values; empty until recorded
+}
+
+// Begin starts a sweep of spec.
+func (r *Replay) Begin(spec *Spec) { r.spec, r.record = spec, r.record[:0] }
+
+// Score returns the output of the sweep's spec under inj's schedule.
+//
+//xvolt:hotpath once per SDC cell of every sweep
+func (r *Replay) Score(inj *Bitflip) uint64 {
+	p := r.spec.fold
+	if p == nil {
+		return r.spec.Run(inj)
+	}
+	if len(r.record) == 0 {
+		r.record = p.sites(r.spec.Size, r.record)
+	}
+	return inj.foldRecord(p, r.record)
 }
 
 // registry maps ID → Spec for lookup. Populated in suite.go.
