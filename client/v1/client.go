@@ -186,7 +186,10 @@ func (c *Client) once(ctx context.Context, path string, reqBody []byte, revalida
 		_ = resp.Body.Close() // bodyless by protocol
 		return r, nil
 	}
-	r.body, err = io.ReadAll(resp.Body)
+	// Both tiers declare every body's length: read it into one buffer
+	// of that size (at most 1 MiB up front; a body sent without one
+	// grows its buffer as it comes).
+	r.body, err = apiv1.ReadBody(resp.Body, resp.ContentLength)
 	_ = resp.Body.Close() // body fully consumed (or failed) above
 	return r, err
 }

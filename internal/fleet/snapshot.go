@@ -11,6 +11,8 @@
 // a document containing only the boards that committed after S, resolved
 // through the per-generation dirty log — no full-fleet scan, no full-
 // fleet transfer. This is what keeps /api/fleet flat in board count.
+// The last delta stitched is kept for its (since, generation): dashboard
+// readers that all resume from the previous commit share one stitch.
 //
 // Segments are encoded by apiv1.AppendBoardStatus and stitched by
 // apiv1.AppendBoards and AppendBoardsDelta, the api/v1 codec that owns
@@ -34,11 +36,12 @@ import (
 // pacing tick, 256 generations is about a minute of client staleness.
 const dirtyLogGens = 256
 
-// snapshotEncoder holds the per-board segment arena and the stitched
-// document for one generation. The segment table and each board's
-// segment buffer are reused across generations: every document copies
-// the segments it holds under mu. Bodies are freshly allocated because
-// in-flight HTTP responses may still reference the previous one.
+// snapshotEncoder holds the per-board segment arena, the stitched
+// document for one generation and the last stitched delta. The segment
+// table and each board's segment buffer are reused across generations:
+// every document copies the segments it holds under mu. Bodies are
+// freshly allocated because in-flight HTTP responses may still
+// reference the previous one.
 //
 // Lock order: enc.mu is taken strictly before Manager.mu, never the
 // reverse.
@@ -49,6 +52,9 @@ type snapshotEncoder struct {
 	segs    [][]byte // per-board serialized segments
 	body    []byte   // stitched full document for bodyGen
 	encoded int      // segments re-marshaled at the last refresh
+
+	deltaSince, deltaGen uint64 // the (since, generation) delta holds
+	delta                []byte // last stitched delta document, or nil
 }
 
 // BoardsJSON returns the fleet generation and the serialized /api/fleet
@@ -82,16 +88,23 @@ func (m *Manager) BoardsJSON() (uint64, []byte, error) {
 // layers answer 304). Readers further behind than the dirty log, and
 // readers ahead of the generation (they counted another run's
 // generations), receive every board, which is still a correct (if
-// maximal) delta. The returned buffer is caller-owned.
+// maximal) delta. The delta is a pure function of (since, generation),
+// so the last one stitched answers every reader asking the same since
+// until the next commit. The returned slice is shared and must not be
+// mutated.
 func (m *Manager) BoardsDeltaJSON(since uint64) (uint64, []byte, error) {
+	if gen := m.gen.Load(); gen == since {
+		return gen, nil, nil // a current reader waits on no stitch
+	}
 	m.enc.mu.Lock()
 	defer m.enc.mu.Unlock()
 
-	m.mu.Lock()
 	gen := m.gen.Load()
-	m.mu.Unlock()
 	if gen == since {
 		return gen, nil, nil
+	}
+	if e := &m.enc; e.delta != nil && e.deltaGen == gen && e.deltaSince == since {
+		return gen, e.delta, nil
 	}
 
 	gen, err := m.refreshSegments()
@@ -242,13 +255,15 @@ func (e *snapshotEncoder) stitch(gen uint64) {
 }
 
 // appendDelta stitches the delta document for the given board indices
-// around the arena's segments. Callers hold enc.mu with the arena
-// refreshed to gen; the returned buffer is freshly allocated (deltas are
-// per-(since, gen) and not cached).
+// around the arena's segments into a fresh buffer, and keeps it as the
+// (since, gen) delta. Callers hold enc.mu with the arena refreshed to
+// gen.
 func (e *snapshotEncoder) appendDelta(gen, since uint64, idx []int) []byte {
 	segs := make([][]byte, len(idx))
 	for k, i := range idx {
 		segs[k] = e.segs[i]
 	}
-	return apiv1.AppendBoardsDelta(nil, gen, since, segs)
+	e.delta = apiv1.AppendBoardsDelta(nil, gen, since, segs)
+	e.deltaSince, e.deltaGen = since, gen
+	return e.delta
 }

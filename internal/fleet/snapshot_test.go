@@ -149,6 +149,55 @@ func TestBoardsDeltaJSONMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBoardsDeltaJSONSharedPerSince: readers that ask for the same
+// since at one generation share one stitched delta, so a second call
+// returns the same bytes without allocating. Another since, or a
+// commit, stitches anew, and every delta still equals its reference.
+func TestBoardsDeltaJSONSharedPerSince(t *testing.T) {
+	m := newTestManager(t, testConfig(11))
+	m.Run(40)
+	since, before := m.Generation(), m.Boards()
+	m.Run(3)
+	gen, first, err := m.BoardsDeltaJSON(since)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again []byte
+	if allocs := testing.AllocsPerRun(20, func() { _, again, _ = m.BoardsDeltaJSON(since) }); allocs != 0 {
+		t.Errorf("a second reader of the same delta allocated %v times, want 0", allocs)
+	}
+	if &again[0] != &first[0] {
+		t.Error("a second reader of the same delta got a new stitch")
+	}
+	if ref := referenceDeltaJSON(t, gen, since, committedSince(before, m.Boards())); !bytes.Equal(first, ref) {
+		t.Fatalf("shared delta diverges from reference encoder:\n--- delta ---\n%s--- reference ---\n%s", first, ref)
+	}
+
+	_, other, err := m.BoardsDeltaJSON(since - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &other[0] == &first[0] || bytes.Equal(other, first) {
+		t.Error("a reader with another since got the cached delta")
+	}
+	if _, back, _ := m.BoardsDeltaJSON(since); &back[0] == &first[0] || !bytes.Equal(back, first) {
+		t.Error("returning to the first since did not restitch the same document")
+	}
+
+	before = m.Boards()
+	m.Run(2)
+	gen2, next, err := m.BoardsDeltaJSON(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := referenceDeltaJSON(t, gen2, gen, committedSince(before, m.Boards())); !bytes.Equal(next, ref) {
+		t.Fatalf("delta after a commit diverges from reference encoder:\n--- delta ---\n%s--- reference ---\n%s", next, ref)
+	}
+	if _, stale, _ := m.BoardsDeltaJSON(since); bytes.Equal(stale, first) {
+		t.Error("the old generation's delta was served after a commit")
+	}
+}
+
 // TestBoardsDeltaJSONMergesToFullSnapshot: applying a delta over the old
 // full snapshot, board by board, reconstructs the new full snapshot —
 // the client-side merge contract.

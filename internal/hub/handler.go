@@ -1,12 +1,9 @@
 package hub
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"slices"
 	"strconv"
 
 	apiv1 "xvolt/api/v1"
@@ -19,13 +16,6 @@ import (
 // from a large fleet is a few MB, so 16 MiB leaves generous headroom
 // without letting a client balloon the hub's heap.
 const maxIngestBody = 16 << 20
-
-// maxBodyPrealloc bounds the buffer a declared Content-Length buys
-// before any of the body arrives (a 2,000-board full push is about
-// 1 MB): a larger body grows the buffer as its bytes come, so a client
-// cannot hold 16 MiB of the hub's heap by declaring a body it never
-// sends.
-const maxBodyPrealloc = 1 << 20
 
 // The hub serves the api/v1 fleet routes through the fleet daemon's own
 // implementation, over the merged view.
@@ -103,29 +93,17 @@ func (h *Hub) handleIngest(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, resp)
 }
 
-// readBody reads r's whole body, at most limit bytes, into one buffer
-// sized from Content-Length up to maxBodyPrealloc; a body without one,
-// or a larger one, grows the buffer as it is read.
+// readBody reads r's whole body, at most limit bytes, through
+// apiv1.ReadBody, the sized reader client/v1 reads responses with: one
+// buffer sized from a Content-Length under the limit, up to the 1 MiB
+// preallocation cap, so a client cannot hold 16 MiB of the hub's heap
+// by declaring a body it never sends.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	size := int64(bytes.MinRead)
-	if n := r.ContentLength; n >= 0 && n < limit {
-		size = min(n, maxBodyPrealloc) + 1 // room to read EOF without growing
+	declared := r.ContentLength
+	if declared >= limit {
+		declared = -1 // the limit refuses it before the buffer fills
 	}
-	buf := make([]byte, 0, size)
-	body := http.MaxBytesReader(w, r.Body, limit)
-	for {
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, len(buf))
-		}
-	}
+	return apiv1.ReadBody(http.MaxBytesReader(w, r.Body, limit), declared)
 }
 
 func (h *Hub) handleIndex(w http.ResponseWriter, r *http.Request) {

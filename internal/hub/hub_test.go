@@ -323,7 +323,7 @@ func TestHubIngestRejectsTrailingData(t *testing.T) {
 
 // TestReadBodyBoundsPreallocation: a body of any length up to the
 // limit, declared or not, reads back whole, and a declared
-// Content-Length buys at most maxBodyPrealloc bytes of buffer before
+// Content-Length buys at most apiv1.ReadBody's 1 MiB of buffer before
 // the body arrives.
 func TestReadBodyBoundsPreallocation(t *testing.T) {
 	read := func(body []byte, declared int64) []byte {

@@ -148,6 +148,8 @@ func DefaultConfig() Config {
 			"(*xvolt/api/v1.decoder).ingestDoc",
 			"(*xvolt/internal/eventstore.ring).recordsSince",
 			"(*xvolt/internal/obs.HDR).Observe",
+			"(*xvolt/internal/obs.AlertEngine).readLocked",
+			"(xvolt/internal/obs.sampleRef).read",
 			"(*xvolt/internal/eventstore.Log).Append",
 		},
 	}

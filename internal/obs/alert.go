@@ -1,5 +1,5 @@
 // SLO/alert-rule engine: declarative rules evaluated over registry
-// snapshots on an injectable clock, with a pending → firing → resolved
+// samples on an injectable clock, with a pending → firing → resolved
 // state machine per rule. This is the layer that turns the fleet's raw
 // telemetry into the operational question the paper's §5 deployment
 // story hinges on: is harvesting the guardband currently costing
@@ -11,8 +11,13 @@
 //     compared against a bound — e.g. unhealthy-board ratio ≥ 25 %.
 //   - RuleRate: the per-second rate of change of a sample between
 //     evaluations — e.g. SDC events/second over the virtual clock.
-//   - RuleAbsence: the sample is missing from the snapshot entirely —
+//   - RuleAbsence: the sample is missing from the registry entirely —
 //     e.g. the poll counter vanished, so the fleet loop is dead.
+//
+// A rule names its samples by Registry.Snapshot key, but Eval never
+// renders a snapshot: each key is resolved to its instrument once, and
+// again only after the registry gains a family or child, so an
+// evaluation reads just the samples its rules name.
 //
 // Evaluation is explicitly clocked (Eval), never timer-driven, so alert
 // histories are a pure function of the metric stream and the injected
@@ -22,7 +27,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -37,7 +41,7 @@ const (
 	// RuleRate compares the sample's per-second rate of change between
 	// evaluations to the threshold.
 	RuleRate
-	// RuleAbsence fires when the sample is absent from the snapshot.
+	// RuleAbsence fires when the sample is absent from the registry.
 	RuleAbsence
 )
 
@@ -186,6 +190,10 @@ const maxAlertTransitions = 1024
 type ruleState struct {
 	rule Rule
 
+	metric, denom sampleRef // the rule's keys, resolved at the engine's resolvedAt
+	v, d          float64   // this evaluation's metric and denominator samples
+	vok, dok      bool      // whether each sample was present
+
 	state      AlertState
 	since      time.Duration // start of the current state
 	value      float64       // last evaluated value (threshold/rate/ratio)
@@ -202,7 +210,10 @@ type AlertEngine struct {
 	reg         *Registry
 	now         func() time.Duration
 	rules       map[string]*ruleState
-	order       []string // registration order, for deterministic Eval
+	order       []*ruleState // registration order, for deterministic Eval
+	byName      []*ruleState // sorted by rule name, for Alerts
+	stale       bool         // rules added since the keys were last resolved
+	resolvedAt  uint64       // registry growth the keys were resolved at
 	lastEval    time.Duration
 	evals       uint64
 	tseq        uint64
@@ -252,8 +263,11 @@ func (e *AlertEngine) Add(rules ...Rule) error {
 		if r.For < 0 {
 			return fmt.Errorf("obs: rule %q: negative For", r.Name)
 		}
-		e.rules[r.Name] = &ruleState{rule: r, value: math.NaN()}
-		e.order = append(e.order, r.Name)
+		st := &ruleState{rule: r, value: math.NaN()}
+		e.rules[r.Name] = st
+		e.order = append(e.order, st)
+		e.byName = insertSorted(e.byName, st, func(o *ruleState) bool { return o.rule.Name > r.Name })
+		e.stale = true
 		e.firing.With(r.Name).Set(0)
 	}
 	return nil
@@ -269,28 +283,48 @@ func (e *AlertEngine) Eval() []Alert {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now()
-	snap := e.reg.Snapshot()
+	e.readLocked()
 	e.lastEval = now
 	e.evals++
-	for _, name := range e.order {
-		e.evalRuleLocked(e.rules[name], snap, now)
+	for _, st := range e.order {
+		e.evalRuleLocked(st, now)
 	}
 	return e.alertsLocked()
 }
 
-// evalRuleLocked folds one snapshot into one rule's state machine.
-func (e *AlertEngine) evalRuleLocked(st *ruleState, snap map[string]float64, now time.Duration) {
+// readLocked reads every rule's samples before any rule is evaluated,
+// as one Snapshot taken at the start of Eval would hold them. The keys
+// are resolved to their instruments again only when rules were added or
+// the registry grew since the last resolution: a series registered
+// after Add is seen at the next Eval.
+//
+//xvolt:hotpath every alert evaluation reads its rules' samples here; Registry.Snapshot is its oracle
+func (e *AlertEngine) readLocked() {
+	if grown := e.reg.growth(); e.stale || grown != e.resolvedAt {
+		for _, st := range e.order {
+			// No family is named "", so an empty Denom resolves absent.
+			st.metric, st.denom = e.reg.lookup(st.rule.Metric), e.reg.lookup(st.rule.Denom)
+		}
+		e.stale, e.resolvedAt = false, grown
+	}
+	for _, st := range e.order {
+		st.v, st.vok = st.metric.read()
+		st.d, st.dok = st.denom.read()
+	}
+}
+
+// evalRuleLocked folds one rule's samples into its state machine.
+func (e *AlertEngine) evalRuleLocked(st *ruleState, now time.Duration) {
 	r := st.rule
 	cond := false
 	switch r.Kind {
 	case RuleThreshold:
-		v, ok := snap[r.Metric]
+		v, ok := st.v, st.vok
 		if ok && r.Denom != "" {
-			d, dok := snap[r.Denom]
-			if !dok || d == 0 {
+			if !st.dok || st.d == 0 {
 				ok = false
 			} else {
-				v /= d
+				v /= st.d
 			}
 		}
 		if ok {
@@ -301,7 +335,7 @@ func (e *AlertEngine) evalRuleLocked(st *ruleState, snap map[string]float64, now
 		}
 
 	case RuleRate:
-		v, ok := snap[r.Metric]
+		v, ok := st.v, st.vok
 		if ok {
 			if st.seenSample && now > st.lastAt {
 				rate := (v - st.lastSample) / (now - st.lastAt).Seconds()
@@ -317,8 +351,7 @@ func (e *AlertEngine) evalRuleLocked(st *ruleState, snap map[string]float64, now
 		}
 
 	case RuleAbsence:
-		_, ok := snap[r.Metric]
-		cond = !ok
+		cond = !st.vok
 		st.value = 0
 		if cond {
 			st.value = 1
@@ -377,8 +410,8 @@ func (e *AlertEngine) Alerts() []Alert {
 }
 
 func (e *AlertEngine) alertsLocked() []Alert {
-	out := make([]Alert, 0, len(e.rules))
-	for _, st := range e.rules {
+	out := make([]Alert, 0, len(e.byName))
+	for _, st := range e.byName {
 		out = append(out, Alert{
 			Rule:      st.rule.Name,
 			Severity:  st.rule.Severity,
@@ -391,7 +424,6 @@ func (e *AlertEngine) alertsLocked() []Alert {
 			Help:      st.rule.Help,
 		})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Rule < out[b].Rule })
 	return out
 }
 

@@ -3,8 +3,9 @@
 // gauges and HDR latency histograms (exposed as Prometheus summaries),
 // each single or as a labeled family — plus span helpers for timing
 // regions into an HDR, a Prometheus-text-format exposition (WriteProm),
-// a Snapshot map for tests and alert rules (both rendered from one
-// sample walk), and the alert-rule engine that evaluates over it.
+// a Snapshot map of every sample (both rendered from one sample walk),
+// and the alert-rule engine, which reads only the samples its rules
+// name, with Snapshot as its oracle.
 //
 // The paper's framework lives or dies by what it can observe about its
 // own runs (§2.2.1 "Safe Data Collection"): every subsystem exports
@@ -135,6 +136,8 @@ type family struct {
 
 	single any // *Counter / *Gauge / *HDR when labels == nil
 
+	grown *atomic.Uint64 // the registry's count of added families and children
+
 	mu       sync.Mutex
 	children map[string]*child // joined label values -> child
 	sorted   []*child          // by joined label values; replaced, never mutated
@@ -175,6 +178,7 @@ func (f *family) with(values []string) any {
 	c := &child{key: key, labels: renderLabels(f.labels, values), inst: f.newInstrument()}
 	f.children[key] = c
 	f.sorted = insertSorted(f.sorted, c, func(o *child) bool { return o.key > key })
+	f.grown.Add(1)
 	return c.inst
 }
 
@@ -200,6 +204,11 @@ type Registry struct {
 	mu     sync.Mutex
 	fams   map[string]*family
 	sorted []*family // by name; replaced, never mutated
+
+	// grown counts the families and children ever added, each counted
+	// after it is visible: a key resolved at one count (lookup) still
+	// names the same sample while the count stays.
+	grown atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -245,6 +254,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, opts 
 	f := &family{
 		name: name, help: help, kind: kind, opts: opts,
 		labels:   append([]string(nil), labels...),
+		grown:    &r.grown,
 		children: map[string]*child{},
 	}
 	if len(labels) == 0 {
@@ -252,7 +262,17 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, opts 
 	}
 	r.fams[name] = f
 	r.sorted = insertSorted(r.sorted, f, func(o *family) bool { return o.name > name })
+	r.grown.Add(1)
 	return f
+}
+
+// growth returns how many families and children the registry has
+// added. Nil-safe (0: a nil registry never grows).
+func (r *Registry) growth() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.grown.Load()
 }
 
 func sameStrings(a, b []string) bool {

@@ -1,5 +1,6 @@
 // Prometheus text exposition (version 0.0.4) and the Snapshot map, both
-// rendered from one walk over each family's samples.
+// rendered from one walk over each family's samples, and the key lookup
+// that reads one Snapshot sample without rendering the rest.
 // The output is fully deterministic: families sort by name, children by
 // label values, so it can be golden-tested and diffed between scrapes.
 package obs
@@ -26,7 +27,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 // Snapshot flattens every sample into a map keyed by its rendered sample
 // name — `name` or `name{k="v"}`, with summaries expanded into their
 // quantile, _sum and _count entries — exactly the sample lines WriteProm
-// prints, for tests and alert rules. Nil-safe (nil).
+// prints. It is the oracle for lookup, which the alert engine reads
+// through. Nil-safe (nil).
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
@@ -38,6 +40,107 @@ func (r *Registry) Snapshot() map[string]float64 {
 		})
 	}
 	return out
+}
+
+// sampleRef is one Snapshot key resolved to the instrument behind it.
+// The zero value is an absent key.
+type sampleRef struct {
+	inst   any     // *Counter, *Gauge or *HDR; nil when absent
+	suffix string  // a summary's "_sum" or "_count"; "" otherwise
+	q      float64 // a summary's quantile, when suffix is ""
+}
+
+// lookup resolves a Snapshot key to its sample, or to the zero
+// sampleRef when Snapshot would hold no such key. The key is the
+// family's name, or a summary's name plus "_sum" or "_count", then the
+// rendered label set, if any. Where two families render one key (a
+// counter foo_sum beside a summary foo), Snapshot keeps the family
+// written last, the one with the longer name, so the exact name is
+// tried first. The sample stays the key's until the registry grows.
+// Nil-safe.
+func (r *Registry) lookup(key string) sampleRef {
+	if r == nil {
+		return sampleRef{}
+	}
+	name, labels := key, ""
+	if i := strings.IndexByte(key, '{'); i >= 0 {
+		name, labels = key[:i], key[i:] // metric names never hold '{'
+	}
+	if ref, ok := r.family(name).sample("", labels); ok {
+		return ref
+	}
+	for _, suffix := range [...]string{"_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok {
+			if ref, ok := r.family(base).sample(suffix, labels); ok {
+				return ref
+			}
+		}
+	}
+	return sampleRef{}
+}
+
+// family returns the family registered under name, or nil.
+func (r *Registry) family(name string) *family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fams[name]
+}
+
+// sample finds the family's sample that renders as its name, then
+// suffix, then labels. Nil-safe (not found).
+func (f *family) sample(suffix, labels string) (sampleRef, bool) {
+	if f == nil || (suffix != "" && f.kind != KindSummary) {
+		return sampleRef{}, false
+	}
+	match := func(rendered string, inst any) (sampleRef, bool) {
+		if f.kind == KindSummary && suffix == "" {
+			for _, q := range summaryQuantiles {
+				if withQuantile(rendered, q) == labels {
+					return sampleRef{inst: inst, q: q}, true
+				}
+			}
+			return sampleRef{}, false
+		}
+		if rendered != labels {
+			return sampleRef{}, false
+		}
+		return sampleRef{inst: inst, suffix: suffix}, true
+	}
+	if len(f.labels) == 0 {
+		return match("", f.single)
+	}
+	f.mu.Lock()
+	children := f.sorted
+	f.mu.Unlock()
+	for _, c := range children {
+		if ref, ok := match(c.labels, c.inst); ok {
+			return ref, true
+		}
+	}
+	return sampleRef{}, false
+}
+
+// read returns the sample's value as Snapshot renders it; ok is false
+// for an absent key. A summary sample copies its HDR, as Snapshot does.
+//
+//xvolt:hotpath every alert evaluation reads each rule's samples here
+func (s sampleRef) read() (v float64, ok bool) {
+	switch m := s.inst.(type) {
+	case *Counter:
+		return m.Value(), true
+	case *Gauge:
+		return m.Value(), true
+	case *HDR:
+		snap := m.Snapshot()
+		switch s.suffix {
+		case "_sum":
+			return snap.Sum, true
+		case "_count":
+			return float64(snap.Count), true
+		}
+		return snap.Quantile(s.q), true
+	}
+	return 0, false
 }
 
 // families returns the registered families in name order.

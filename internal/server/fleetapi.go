@@ -99,16 +99,15 @@ func notModified(w http.ResponseWriter, r *http.Request, tag string) bool {
 	return false
 }
 
-// writeBody writes a JSON body under its ETag; a nil body (a delta for
-// a client that is already current) answers 304.
+// writeBody writes a JSON body under its ETag and Content-Length; a nil
+// body (a delta for a client that is already current) answers 304.
 func writeBody(w http.ResponseWriter, tag string, body []byte) {
 	w.Header().Set("ETag", tag)
 	if body == nil {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_, _ = w.Write(body)
+	writeJSONBody(w, body)
 }
 
 // atGeneration calls read until the generation is the same before and

@@ -435,13 +435,22 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 // WriteJSON writes v as a JSON response in the canonical api/v1
-// encoding.
+// encoding, under its Content-Length.
 func WriteJSON(w http.ResponseWriter, v any) {
 	body, err := apiv1.Marshal(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	writeJSONBody(w, body)
+}
+
+// writeJSONBody writes an encoded JSON body. Every api/v1 body declares its
+// length, so net/http sends it whole rather than chunked and a client
+// reads it into one buffer of that size (apiv1.ReadBody).
+func writeJSONBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
 }
