@@ -54,7 +54,7 @@ func main() {
 	}
 }
 
-func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed int64, outPath, rawPath, modelName, ckptPath string, fast bool, traceOut, metricsAddr string, parallelism int) error {
+func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed int64, outPath, rawPath, modelName, ckptPath string, fast bool, traceOut, metricsAddr string, parallelism int) (err error) {
 	corner, err := silicon.ParseCorner(chipName)
 	if err != nil {
 		return err
@@ -85,12 +85,17 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 	tlog := trace.New(0)
 	var sink *trace.JSONLSink
 	if traceOut != "" {
-		var closeSink func()
-		sink, closeSink, err = openTraceSink(traceOut)
+		var closeSink func() error
+		// '-' streams to stderr, keeping stdout free for the results CSV.
+		sink, closeSink, err = trace.OpenJSONL(traceOut, os.Stderr)
 		if err != nil {
 			return err
 		}
-		defer closeSink()
+		defer func() {
+			if cerr := closeSink(); err == nil {
+				err = cerr
+			}
+		}()
 		tlog.SetSink(sink)
 	}
 	if metricsAddr != "" {
@@ -154,9 +159,6 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 	fmt.Fprintf(os.Stderr, "characterized %d campaigns (%d runs, %d watchdog recoveries)\n",
 		len(results), len(records), runner.Recoveries())
 	if sink != nil {
-		if err := sink.Err(); err != nil {
-			return err
-		}
 		fmt.Fprintf(os.Stderr, "streamed %d trace events\n", sink.Count())
 	}
 	return nil
@@ -175,25 +177,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 		werr = cerr
 	}
 	return werr
-}
-
-// openTraceSink opens the JSONL trace stream ('-' means stderr, keeping
-// stdout free for the results CSV). The returned closer surfaces close
-// errors on stderr: trace output is durable campaign data, and a failed
-// close means truncated JSONL.
-func openTraceSink(path string) (*trace.JSONLSink, func(), error) {
-	if path == "-" {
-		return trace.NewJSONLSink(os.Stderr), func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return trace.NewJSONLSink(f), func() {
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "xvolt-characterize: closing %s: %v\n", path, err)
-		}
-	}, nil
 }
 
 // execute runs the sweep, optionally resuming from and journaling to a

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,14 +76,17 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	// The -trace-out stream is valid JSONL, one object per emitted event,
 	// telling the campaign's whole story.
-	tf, err := os.Open(jsonl)
+	data, err := os.ReadFile(jsonl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := trace.ReadJSONL(tf)
-	tf.Close()
-	if err != nil {
-		t.Fatal(err)
+	var events []trace.Event
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		var e trace.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("trace-out line %q: %v", line, err)
+		}
+		events = append(events, e)
 	}
 	if len(events) == 0 {
 		t.Fatal("trace-out produced no events")

@@ -89,7 +89,7 @@ func (o options) fleetConfig() fleet.Config {
 	}
 }
 
-func run(ctx context.Context, opts options, out io.Writer) error {
+func run(ctx context.Context, opts options, out io.Writer) (err error) {
 	if opts.dump {
 		if opts.polls <= 0 {
 			opts.polls = 200
@@ -107,12 +107,16 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 	tracer := trace.NewTracer(0, 1)
 	m.SetTracer(tracer)
 	if opts.traceOut != "" {
-		w, closeOut, err := traceWriter(opts.traceOut)
-		if err != nil {
-			return err
+		sink, closeSink, oerr := trace.OpenJSONL(opts.traceOut, os.Stdout)
+		if oerr != nil {
+			return oerr
 		}
-		defer closeOut()
-		tracer.SetSink(trace.NewJSONLSink(w))
+		defer func() {
+			if cerr := closeSink(); err == nil {
+				err = cerr
+			}
+		}()
+		tracer.SetSink(sink)
 	}
 
 	engine := obs.NewAlertEngine(reg, m.Now)
@@ -157,19 +161,6 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 		err = cerr
 	}
 	return err
-}
-
-// traceWriter resolves -trace-out: "-" streams to stdout, anything else
-// creates/truncates the named file.
-func traceWriter(path string) (io.Writer, func(), error) {
-	if path == "-" {
-		return os.Stdout, func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { _ = f.Close() }, nil
 }
 
 // pollLoop drives the fleet in chunks, paced on the wall clock, until the
@@ -220,7 +211,7 @@ func pollLoop(ctx context.Context, m *fleet.Manager, engine *obs.AlertEngine, pu
 // two byte-comparable artifacts: the event store and the transition log.
 // Tracing and alerting are attached exactly as in daemon mode — the dump
 // is the proof that neither perturbs the poll outcomes.
-func dumpFleet(cfg fleet.Config, polls int, w io.Writer) error {
+func dumpFleet(cfg fleet.Config, polls int, w io.Writer) (err error) {
 	m, err := fleet.New(cfg)
 	if err != nil {
 		return err
@@ -234,7 +225,11 @@ func dumpFleet(cfg fleet.Config, polls int, w io.Writer) error {
 	}
 	m.Run(polls)
 	engine.Eval()
-	defer func() { _ = m.Close() }()
+	defer func() {
+		if cerr := m.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if _, err := fmt.Fprintf(w, "# fleet events (%d boards, %d polls, seed %d)\n",
 		cfg.Boards, polls, cfg.Seed); err != nil {
 		return err

@@ -90,9 +90,10 @@ func run(out, errw io.Writer, opt options, patterns []string) int {
 
 // report renders a result and returns the process exit code.
 func report(out, errw io.Writer, opt options, res *lint.Result) int {
-	// Unused pragmas are findings: a suppression that suppresses nothing
-	// is stale and hides the next real violation at that site.
-	active := append(res.Findings, res.UnusedPragmas...)
+	// Unused and unaudited pragmas are findings: a suppression that
+	// suppresses nothing is stale and hides the next real violation at
+	// that site, and one the audited set does not list was never reviewed.
+	active := append(append(res.Findings, res.UnusedPragmas...), res.Unaudited...)
 
 	enc := json.NewEncoder(out)
 	emit := func(f lint.Finding) {

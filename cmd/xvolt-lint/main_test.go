@@ -192,3 +192,19 @@ func TestLintSelf(t *testing.T) {
 		t.Fatalf("xvolt-lint on itself: exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
 	}
 }
+
+// TestReportUnauditedFails: a suppression the audited set does not list
+// fails the run like a finding, even with nothing else to report.
+func TestReportUnauditedFails(t *testing.T) {
+	res := &lint.Result{Unaudited: []lint.Finding{{
+		Pos: token.Position{Filename: "d.go", Line: 4, Column: 1}, Pkg: "xvolt/internal/fleet", Analyzer: "pragma",
+		Message: "suppression not in the audited set (internal/lint/audit.go): [unusedexport] func F has no reference outside tests",
+	}}}
+	var out, errw bytes.Buffer
+	if code := report(&out, &errw, options{}, res); code != 1 {
+		t.Fatalf("exit = %d, want 1", code)
+	}
+	if !strings.Contains(out.String(), "d.go:4: [pragma] suppression not in the audited set") {
+		t.Errorf("unaudited suppression not printed:\n%s", out.String())
+	}
+}

@@ -55,7 +55,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, addr, chipName, benchList, coreList string, runs int, seed int64, metricsAddr, debugAddr, traceOut string) error {
+func run(ctx context.Context, addr, chipName, benchList, coreList string, runs int, seed int64, metricsAddr, debugAddr, traceOut string) (err error) {
 	corner, err := silicon.ParseCorner(chipName)
 	if err != nil {
 		return err
@@ -66,11 +66,17 @@ func run(ctx context.Context, addr, chipName, benchList, coreList string, runs i
 	fw.SetMetrics(reg)
 	fw.SetTrace(trace.New(8192))
 	if traceOut != "" {
-		sink, closeSink, err := openTraceSink(traceOut)
-		if err != nil {
-			return err
+		// '-' streams to stderr, so whatever supervises the process can
+		// capture the durable log.
+		sink, closeSink, oerr := trace.OpenJSONL(traceOut, os.Stderr)
+		if oerr != nil {
+			return oerr
 		}
-		defer closeSink()
+		defer func() {
+			if cerr := closeSink(); err == nil {
+				err = cerr
+			}
+		}()
 		fw.Trace().SetSink(sink)
 	}
 	srv := server.New(fw)
@@ -127,27 +133,6 @@ func run(ctx context.Context, addr, chipName, benchList, coreList string, runs i
 
 	log.Printf("serving on %s (chip %s, %d benchmarks, cores %v)", addr, chipName, len(benchmarks), cores)
 	return server.ListenAndServe(ctx, addr, srv.Handler(), server.DefaultDrainTimeout)
-}
-
-// openTraceSink opens the JSONL trace stream ('-' means stderr, so the
-// durable log can be captured by whatever supervises the process).
-func openTraceSink(path string) (*trace.JSONLSink, func(), error) {
-	if path == "-" {
-		return trace.NewJSONLSink(os.Stderr), func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	sink := trace.NewJSONLSink(f)
-	return sink, func() {
-		if err := sink.Err(); err != nil {
-			log.Printf("trace sink: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Printf("closing trace sink %s: %v", path, err)
-		}
-	}, nil
 }
 
 func resolveBenchmarks(list string) ([]*workload.Spec, error) {

@@ -137,7 +137,7 @@ func TestExecuteResumable(t *testing.T) {
 		if len(resumed.Done) != 6 {
 			t.Fatalf("workers %d: resumed checkpoint has %d sweeps, want 6", workers, len(resumed.Done))
 		}
-		if got := l.CountKind(trace.CampaignStart); got != 4 {
+		if got := CountKind(l, trace.CampaignStart); got != 4 {
 			t.Errorf("workers %d: resume ran %d campaigns, want 4", workers, got)
 		}
 		if !reflect.DeepEqual(recs2[:len(recs1)], recs1) {
@@ -156,7 +156,7 @@ func TestExecuteResumable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := l.CountKind(trace.CampaignStart); n != 0 || !reflect.DeepEqual(recs3, want) {
+		if n := CountKind(l, trace.CampaignStart); n != 0 || !reflect.DeepEqual(recs3, want) {
 			t.Fatalf("workers %d: completed study re-ran %d campaigns (records equal: %v)", workers, n, reflect.DeepEqual(recs3, want))
 		}
 	}
@@ -216,7 +216,7 @@ func TestExecuteResumableAfterKill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := l.CountKind(trace.CampaignStart); n != campaigns-k {
+			if n := CountKind(l, trace.CampaignStart); n != campaigns-k {
 				t.Errorf("workers %d k %d: resume ran %d campaigns, want %d", workers, k, n, campaigns-k)
 			}
 			if !reflect.DeepEqual(got, want) {

@@ -354,10 +354,9 @@ func (f *Framework) oneRun(spec *workload.Spec, core int, cfg *Config, v units.M
 		rec.ByLocation = delta
 	}
 	if rec.SystemCrashed {
-		// EDAC counters are lost with the crash; the serial log is what
-		// survives. Attribute any CE the console captured: the machine
-		// model logs ECC noise pre-crash through the EDAC driver, which
-		// the reboot wipes — read it before recovery.
+		// EDAC counters are lost with the crash: the machine model
+		// reports ECC noise pre-crash through the EDAC driver, which the
+		// reboot wipes — read it before recovery.
 		delta := f.machine.EDAC().Snapshot().Sub(before)
 		rec.DeltaCE = delta.TotalCE()
 		rec.DeltaUE = delta.TotalUE()

@@ -50,21 +50,16 @@ func (c *Config) Grid() []Campaign {
 //   - every campaign draws from its own CampaignSeed-derived stream, and a
 //     sampled cell consumes that stream in exactly RunOnCore's draw order;
 //   - cells in the clean region — PMD rail at or above the
-//     protection-adjusted safe floor, with clean SoC/DRAM state — are
-//     synthesized without consuming any draws, because the sampled path
-//     would consume none either (silicon.EffectiveSafeVmin's contract);
+//     protection-adjusted safe floor — are synthesized without consuming
+//     any draws, because the sampled path would consume none either
+//     (silicon.EffectiveSafeVmin's contract);
 //   - the early-exit rule (StopAfterCrashSteps consecutive all-crash
 //     steps) is evaluated on the same per-step crash counts the
 //     sequential sweep sees.
 //
-// The engine's determinism domain: machine factories whose boards start
-// with clean LadderState (nominal SoC rail, refresh at or below the leak
-// threshold). Outside that domain board state is not partition-stable
-// across workers under any engine.
-//
 // A LadderRunner is safe for concurrent Execute calls; each call spins up
 // its own workers over pooled boards (recycled between calls rather than
-// re-fabricated — a Recycle is a power cycle, which lands on the same
+// re-fabricated — a Reset is a power cycle, which lands on the same
 // power-on state a fresh factory board boots into).
 type LadderRunner struct {
 	pool        *xgene.Pool
@@ -140,9 +135,6 @@ func (r *LadderRunner) SetMetrics(reg *obs.Registry) {
 // sequential engine's stream shape; with none attached the hot loop
 // pays nothing for tracing.
 func (r *LadderRunner) SetTrace(l *trace.Log) { r.log = l }
-
-// Trace returns the attached event log (nil if none).
-func (r *LadderRunner) Trace() *trace.Log { return r.log }
 
 // Recoveries reports the watchdog power cycles the sampled crashes would
 // have required — exactly one per system-crash record, which is what the
@@ -507,12 +499,11 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 		id:    campaignID{bs.Chip.Name, spec.Name, spec.Input, coreID, cfg.Frequency},
 		steps: make([]StepResult, 0, int((cfg.StartVoltage-cfg.StopVoltage)/units.VoltageStep)+1),
 	}
-	st := bs.State
 	cells := sc.cells[:0]
 	sc.replay.Begin(spec)
 	consecutiveAllCrash := 0
 	for v := cfg.StartVoltage; v >= cfg.StopVoltage; v -= units.VoltageStep {
-		if v >= cleanAbove && st.Clean(bs.Chip) {
+		if v >= cleanAbove {
 			// Clean region: the sampled path would return zero effects
 			// without consuming a single draw, so the step is tallied
 			// clean outright. A clean step resets the early-exit crash
@@ -524,13 +515,12 @@ func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *w
 		var tally Tally
 		staged := len(cells)
 		for run := 0; run < cfg.Runs; run++ {
-			cell := xgene.SampleCell(rng, bs, st, margins, v)
+			cell := xgene.SampleCell(rng, bs, margins, v)
 			c := runCell{counts: cell.Delta}
 			switch {
 			case cell.Effects.SC:
 				c.crashed = true
 				c.exitCode = -1
-				st.ResetAfterCrash()
 			case cell.Effects.AC:
 				c.exitCode = 134
 			case cell.Effects.SDC:

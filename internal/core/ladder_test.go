@@ -366,47 +366,6 @@ func TestCharacterizeWarmAllocs(t *testing.T) {
 	}
 }
 
-// Dirty board state (undervolted SoC rail, over-relaxed DRAM refresh) is
-// not partition-stable across campaigns under any engine — a crash resets
-// it mid-grid — so its contract is per-campaign: on a single-campaign
-// grid all engines agree, including the sampled SoC/refresh draw paths.
-func TestLadderDirtyStateSingleCampaign(t *testing.T) {
-	core.FlushCampaignCache()
-	factories := map[string]func() *xgene.Machine{
-		"soc-undervolt": func() *xgene.Machine {
-			m := ttFactory()
-			if err := m.SetSoCVoltage(850); err != nil {
-				t.Fatal(err)
-			}
-			return m
-		},
-		"relaxed-refresh": func() *xgene.Machine {
-			m := ttFactory()
-			if err := m.SetDRAMRefresh(3.0); err != nil {
-				t.Fatal(err)
-			}
-			return m
-		},
-	}
-	bwaves, err := workload.Lookup("bwaves/ref")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, factory := range factories {
-		cfg := core.DefaultConfig([]*workload.Spec{bwaves}, []int{2})
-		cfg.Runs = 3
-		seqRaw, err := core.New(factory()).Execute(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			if raw := ladderVariant(t, factory, cfg, workers); !reflect.DeepEqual(seqRaw, raw) {
-				t.Fatalf("%s workers %d: batch diverges from sequential", name, workers)
-			}
-		}
-	}
-}
-
 // Explicit campaign lists (Figure 9 shape), including a repeated cell,
 // must come back in list order, each cell's stream equal to a sequential
 // Framework.Execute of that cell alone.
@@ -500,7 +459,7 @@ func TestLadderTraceSchemaParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := seqLog.CountKind(trace.RunDone); got != len(seqRaw) {
+	if got := core.CountKind(seqLog, trace.RunDone); got != len(seqRaw) {
 		t.Fatalf("sequential run events = %d, want one per record (%d)", got, len(seqRaw))
 	}
 
@@ -509,7 +468,7 @@ func TestLadderTraceSchemaParity(t *testing.T) {
 	check := func(name string, l *trace.Log) {
 		t.Helper()
 		for _, k := range kinds {
-			if got, want := l.CountKind(k), seqLog.CountKind(k); got != want {
+			if got, want := core.CountKind(l, k), core.CountKind(seqLog, k); got != want {
 				t.Errorf("%s: %v events = %d, want %d", name, k, got, want)
 			}
 		}
@@ -529,7 +488,7 @@ func TestLadderTraceSchemaParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(pass, l)
-		if crash, rec := l.CountKind(trace.SystemCrash), l.CountKind(trace.Recovery); crash != rec || crash != lr.Recoveries() {
+		if crash, rec := core.CountKind(l, trace.SystemCrash), core.CountKind(l, trace.Recovery); crash != rec || crash != lr.Recoveries() {
 			t.Errorf("%s: crash=%d recovery=%d reported=%d, want all equal",
 				pass, crash, rec, lr.Recoveries())
 		}

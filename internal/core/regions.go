@@ -98,27 +98,6 @@ func (c *CampaignResult) CrashVoltage() (units.MilliVolts, bool) {
 	return 0, false
 }
 
-// RegionAt classifies a specific swept voltage. The boolean is false when
-// the voltage was not part of the sweep.
-func (c *CampaignResult) RegionAt(v units.MilliVolts) (Region, bool) {
-	for _, s := range c.Steps {
-		if s.Voltage == v {
-			return s.Region(), true
-		}
-	}
-	return Safe, false
-}
-
-// SeverityAt evaluates the severity at a swept voltage (0 if not swept).
-func (c *CampaignResult) SeverityAt(v units.MilliVolts, w Weights) float64 {
-	for _, s := range c.Steps {
-		if s.Voltage == v {
-			return s.Severity(w)
-		}
-	}
-	return 0
-}
-
 // UnsafeSteps returns the steps classified unsafe, in sweep order.
 func (c *CampaignResult) UnsafeSteps() []StepResult {
 	var out []StepResult
@@ -158,20 +137,4 @@ func (c *CampaignResult) FirstAbnormalEffects() (Observation, bool) {
 		}, true
 	}
 	return Observation{}, false
-}
-
-// Validate checks the structural invariants of a campaign result: strictly
-// descending on-grid voltages.
-func (c *CampaignResult) Validate() error {
-	prev := units.MilliVolts(1 << 30)
-	for i, s := range c.Steps {
-		if !s.Voltage.OnGrid() {
-			return fmt.Errorf("core: step %d voltage %v off grid", i, s.Voltage)
-		}
-		if s.Voltage >= prev {
-			return fmt.Errorf("core: step %d voltage %v not descending", i, s.Voltage)
-		}
-		prev = s.Voltage
-	}
-	return nil
 }

@@ -98,25 +98,6 @@ func TestCrashVoltage(t *testing.T) {
 	}
 }
 
-func TestRegionAt(t *testing.T) {
-	c := syntheticCampaign()
-	cases := []struct {
-		v    units.MilliVolts
-		want Region
-	}{
-		{980, Safe}, {910, Safe}, {905, Unsafe}, {890, Unsafe}, {885, Crash}, {875, Crash},
-	}
-	for _, tc := range cases {
-		got, ok := c.RegionAt(tc.v)
-		if !ok || got != tc.want {
-			t.Errorf("RegionAt(%v) = %v, %v; want %v", tc.v, got, ok, tc.want)
-		}
-	}
-	if _, ok := c.RegionAt(700); ok {
-		t.Error("RegionAt found unswept voltage")
-	}
-}
-
 func TestSeverityAt(t *testing.T) {
 	c := syntheticCampaign()
 	if got := c.SeverityAt(980, PaperWeights); got != 0 {

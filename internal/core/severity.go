@@ -58,26 +58,6 @@ func (e Effect) String() string {
 	}
 }
 
-// Description gives the Table 3 wording for reports.
-func (e Effect) Description() string {
-	switch e {
-	case NO:
-		return "The benchmark was successfully completed without any indications of failure."
-	case SDC:
-		return "The benchmark was successfully completed, but a mismatch between the program output and the correct output was observed."
-	case CE:
-		return "Errors were detected and corrected by the hardware (Linux EDAC driver)."
-	case UE:
-		return "Errors were detected, but not corrected by the hardware (Linux EDAC driver)."
-	case AC:
-		return "The application process was not terminated normally (non-zero exit value)."
-	case SC:
-		return "The system was unresponsive: not responding, or the timeout limit was reached."
-	default:
-		return "unknown effect"
-	}
-}
-
 // Weights parameterize the severity function (Table 4). Higher means a
 // more critical effect.
 type Weights struct {
@@ -87,24 +67,6 @@ type Weights struct {
 // PaperWeights are the Table 4 values used in all of the paper's
 // experiments (WNO is implicitly 0).
 var PaperWeights = Weights{SDC: 4, CE: 1, UE: 2, AC: 8, SC: 16}
-
-// Of returns the weight of an effect (0 for NO and unknown classes).
-func (w Weights) Of(e Effect) float64 {
-	switch e {
-	case SDC:
-		return w.SDC
-	case CE:
-		return w.CE
-	case UE:
-		return w.UE
-	case AC:
-		return w.AC
-	case SC:
-		return w.SC
-	default:
-		return 0
-	}
-}
 
 // Observation is what one run manifested, classified from observables. A
 // single run can manifest several effects at once (§3.4.1).
@@ -212,10 +174,4 @@ func (t Tally) Severity(w Weights) float64 {
 		w.UE*float64(t.UE)/n +
 		w.AC*float64(t.AC)/n +
 		w.SC*float64(t.SC)/n
-}
-
-// MaxSeverity is the largest value the severity function can take with the
-// given weights (every run manifesting every effect).
-func MaxSeverity(w Weights) float64 {
-	return w.SDC + w.CE + w.UE + w.AC + w.SC
 }

@@ -245,12 +245,3 @@ func MeasureSuite(specs []*workload.Spec, rng *rand.Rand) []Sample {
 	}
 	return out
 }
-
-// Subset extracts the given events from a sample, in order.
-func (s Sample) Subset(events []Event) []float64 {
-	out := make([]float64, len(events))
-	for i, e := range events {
-		out[i] = s[e]
-	}
-	return out
-}

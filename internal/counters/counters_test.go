@@ -132,17 +132,6 @@ func TestMeasureSuite(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	s := make(Sample, NumEvents)
-	for i := range s {
-		s[i] = float64(i)
-	}
-	sub := s.Subset([]Event{4, 0, 2})
-	if len(sub) != 3 || sub[0] != 4 || sub[1] != 0 || sub[2] != 2 {
-		t.Errorf("Subset = %v", sub)
-	}
-}
-
 // Counts scale with input size (bigger datasets run more instructions).
 func TestMeasureScalesWithSize(t *testing.T) {
 	big, _ := workload.Lookup("bwaves/ref")     // size 400

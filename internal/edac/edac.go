@@ -1,7 +1,6 @@
 // Package edac models the Linux EDAC (Error Detection And Correction)
 // reporting stack the paper's framework reads (§2.2, Table 3): corrected
-// and uncorrected error counters per protected structure, with a bounded
-// event log mirroring the kernel's message stream.
+// and uncorrected error counters per protected structure.
 //
 // The characterization harness snapshots the counters before and after
 // each run; a positive delta classifies the run as CE and/or UE.
@@ -81,31 +80,10 @@ func (c Counts) Sub(prev Counts) Counts {
 	return d
 }
 
-// Event is one logged error report.
-type Event struct {
-	Loc         Location
-	Uncorrected bool
-	Count       int
-	Core        int // reporting core, -1 if not core-attributable
-}
-
-// String renders the event like a kernel log line.
-func (e Event) String() string {
-	kind := "CE"
-	if e.Uncorrected {
-		kind = "UE"
-	}
-	return fmt.Sprintf("EDAC %s: %d %s error(s) (core %d)", e.Loc, e.Count, kind, e.Core)
-}
-
-// maxLog bounds the retained event log.
-const maxLog = 1024
-
 // Driver is the EDAC accounting state of one machine.
 type Driver struct {
 	mu     sync.Mutex
 	counts Counts
-	log    []Event
 }
 
 // New returns an empty driver.
@@ -132,10 +110,6 @@ func (d *Driver) report(loc Location, core, n int, ue bool) {
 	} else {
 		d.counts.CE[loc] += uint64(n)
 	}
-	d.log = append(d.log, Event{Loc: loc, Uncorrected: ue, Count: n, Core: core})
-	if len(d.log) > maxLog {
-		d.log = d.log[len(d.log)-maxLog:]
-	}
 }
 
 // Snapshot returns the current cumulative counters, like reading the sysfs
@@ -146,17 +120,9 @@ func (d *Driver) Snapshot() Counts {
 	return d.counts
 }
 
-// Log returns a copy of the retained event log.
-func (d *Driver) Log() []Event {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]Event(nil), d.log...)
-}
-
-// Reset clears counters and log (a fresh boot).
+// Reset clears the counters (a fresh boot).
 func (d *Driver) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.counts = Counts{}
-	d.log = nil
 }

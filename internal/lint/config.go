@@ -167,6 +167,7 @@ func Suite(cfg Config) []*Analyzer {
 		NewLockorder(),
 		NewGoroleak(),
 		NewHotalloc(cfg),
+		NewUnusedexport(),
 	}
 }
 

@@ -25,11 +25,15 @@ var errcloseMethods = map[string]bool{
 
 // errcloseFlushCritical are receiver.method pairs whose error is load-
 // bearing even when visibly discarded: the call is the moment buffered
-// bytes commit to the underlying writer.
+// bytes commit to the underlying writer, or, for the event journal, the
+// one place its sticky write error is reported.
 var errcloseFlushCritical = map[string]bool{
-	"bufio.Writer.Flush":         true,
-	"compress/gzip.Writer.Close": true,
-	"compress/gzip.Writer.Flush": true,
+	"bufio.Writer.Flush":                  true,
+	"compress/gzip.Writer.Close":          true,
+	"compress/gzip.Writer.Flush":          true,
+	"xvolt/internal/eventstore.Log.Close": true,
+	"xvolt/internal/fleet.Store.Close":    true,
+	"xvolt/internal/fleet.Manager.Close":  true,
 }
 
 // errcloseStdReceivers are standard-library receiver types whose
@@ -125,7 +129,7 @@ func checkFlushCritical(pass *Pass, n *ast.AssignStmt) {
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"error from %s discarded with _ =: a failed %s leaves buffered bytes unwritten — check it and surface the truncation",
+		"error from %s discarded with _ =: a failed %s means lost output (unwritten buffered bytes or a failed journal write) — check it and surface the failure",
 		key, sel.Sel.Name)
 }
 

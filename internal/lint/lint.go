@@ -143,6 +143,9 @@ type Result struct {
 	Suppressed []Finding
 	// UnusedPragmas lists well-formed pragmas that matched no finding.
 	UnusedPragmas []Finding
+	// Unaudited lists suppressions the repository's audited set
+	// (audit.go) does not name.
+	Unaudited []Finding
 	// Pragmas lists every well-formed lint-ignore pragma with its audit
 	// state (used or stale), for the -pragmas listing.
 	Pragmas []PragmaInfo
@@ -200,6 +203,7 @@ func Run(prog *Program, analyzers []*Analyzer) (*Result, error) {
 	for _, fs := range [][]Finding{res.Findings, res.Suppressed, res.UnusedPragmas} {
 		sortFindings(fs)
 	}
+	res.Unaudited = unaudited(res.Suppressed)
 	return res, nil
 }
 

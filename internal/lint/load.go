@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // Package is one type-checked module package.
@@ -49,6 +48,10 @@ type Program struct {
 	// package list, so fixture tests always see a covering graph.
 	graphVal  *graph
 	graphPkgs int
+
+	// Use-index memo (unusedexport.go), rebuilt on the same rule.
+	usesVal  *useIndex
+	usesPkgs int
 }
 
 // listedPkg mirrors the `go list -json` fields the loader consumes.
@@ -130,34 +133,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		}
 	}
 	return prog, nil
-}
-
-// LoadExtra parses and type-checks one additional package (e.g. a
-// testdata fixture directory) against the program's universe. Unlike
-// Load, *_test.go files in the directory are included, so analyzers'
-// test-file exemptions can be exercised. The package joins
-// prog.Packages so Run sees it.
-func (prog *Program) LoadExtra(path, dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no go files in %s", dir)
-	}
-	// Package name comes from the first file's clause during check.
-	pkg, err := prog.check(path, "", dir, files)
-	if err != nil {
-		return nil, err
-	}
-	prog.Packages = append(prog.Packages, pkg)
-	return pkg, nil
 }
 
 func absFiles(dir string, names []string) []string {

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,4 +78,32 @@ func TestLoadExtraErrors(t *testing.T) {
 	if len(prog.Packages) != 0 {
 		t.Errorf("failed loads joined prog.Packages: %d packages", len(prog.Packages))
 	}
+}
+
+// LoadExtra parses and type-checks one additional package (e.g. a
+// testdata fixture directory) against the program's universe. Unlike
+// Load, *_test.go files in the directory are included, so analyzers'
+// test-file exemptions can be exercised. The package joins
+// prog.Packages so Run sees it.
+func (prog *Program) LoadExtra(path, dir string) (*Package, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range ents {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			files = append(files, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no go files in %s", dir)
+	}
+	// Package name comes from the first file's clause during check.
+	pkg, err := prog.check(path, "", dir, files)
+	if err != nil {
+		return nil, err
+	}
+	prog.Packages = append(prog.Packages, pkg)
+	return pkg, nil
 }

@@ -34,17 +34,6 @@ type Cholesky struct {
 	n      int       // current factored dimension
 }
 
-// Size returns the dimension of the current factorization.
-func (c *Cholesky) Size() int { return c.n }
-
-// At returns factor element R[i,j] (zero below the diagonal).
-func (c *Cholesky) At(i, j int) float64 {
-	if j < i {
-		return 0
-	}
-	return c.data[i*c.stride+j]
-}
-
 // row returns the backing slice of factor row i, truncated to the
 // current dimension.
 func (c *Cholesky) row(i int) []float64 {
@@ -152,15 +141,6 @@ func (c *Cholesky) SolveInto(x, b []float64) error {
 		x[k] = s / rk[k]
 	}
 	return nil
-}
-
-// Solve solves G·x = b through the factorization into a fresh slice.
-func (c *Cholesky) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, c.n)
-	if err := c.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // Downdate removes row and column j from the factored matrix: after the

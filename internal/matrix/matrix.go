@@ -35,36 +35,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equally-long rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, ErrShape
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, ErrShape
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
@@ -102,114 +72,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := New(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	return append([]float64(nil), m.data[i*m.cols:(i+1)*m.cols]...)
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
-// SetCol assigns column j from xs.
-func (m *Matrix) SetCol(j int, xs []float64) error {
-	if len(xs) != m.rows {
-		return ErrShape
-	}
-	for i, x := range xs {
-		m.Set(i, j, x)
-	}
-	return nil
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, ErrShape
-	}
-	out := New(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mrow := m.RowView(i)
-		orow := out.RowView(i)
-		for k, a := range mrow {
-			if a == 0 {
-				continue
-			}
-			brow := b.RowView(k)
-			for j, v := range brow {
-				orow[j] += a * v
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m·x for a column vector x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.cols != len(x) {
-		return nil, ErrShape
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, ErrShape
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m − b.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, ErrShape
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
 }
 
 // String renders the matrix for debugging.
@@ -445,36 +307,4 @@ func SolveRidge(a *Matrix, b []float64, lambda float64) ([]float64, error) {
 	bb := make([]float64, a.rows+a.cols)
 	copy(bb, b)
 	return LeastSquares(aug, bb)
-}
-
-// Norm2 returns the Euclidean norm of x, via an overflow-safe scaled
-// two-pass sum instead of a Hypot call per element.
-func Norm2(x []float64) float64 {
-	amax := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > amax {
-			amax = a
-		}
-	}
-	if amax == 0 || math.IsInf(amax, 0) {
-		return amax
-	}
-	s := 0.0
-	for _, v := range x {
-		v /= amax
-		s += v * v
-	}
-	return amax * math.Sqrt(s)
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, ErrShape
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s, nil
 }

@@ -50,30 +50,9 @@ func TestBasicAccessors(t *testing.T) {
 	if m.At(2, 1) != 9 {
 		t.Errorf("Set failed")
 	}
-	r := m.Row(0)
-	if len(r) != 2 || r[0] != 1 || r[1] != 2 {
-		t.Errorf("Row(0) = %v", r)
-	}
-	r[0] = 100 // must be a copy
-	if m.At(0, 0) != 1 {
-		t.Error("Row returned a live reference")
-	}
 	c := m.Col(1)
 	if len(c) != 3 || c[0] != 2 || c[1] != 4 || c[2] != 9 {
 		t.Errorf("Col(1) = %v", c)
-	}
-}
-
-func TestSetCol(t *testing.T) {
-	m := New(3, 2)
-	if err := m.SetCol(0, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 2 {
-		t.Errorf("SetCol not applied")
-	}
-	if err := m.SetCol(1, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("SetCol short err = %v", err)
 	}
 }
 
@@ -128,35 +107,6 @@ func TestMulVec(t *testing.T) {
 	}
 	if _, err := a.MulVec([]float64{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("MulVec shape err = %v", err)
-	}
-}
-
-func TestAddSubScale(t *testing.T) {
-	a := mustFromRows(t, [][]float64{{1, 2}, {3, 4}})
-	b := mustFromRows(t, [][]float64{{4, 3}, {2, 1}})
-	s, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.At(0, 0) != 5 || s.At(1, 1) != 5 {
-		t.Errorf("Add wrong:\n%s", s)
-	}
-	d, err := a.Sub(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.At(0, 0) != -3 || d.At(1, 1) != 3 {
-		t.Errorf("Sub wrong:\n%s", d)
-	}
-	sc := a.Scale(2)
-	if sc.At(1, 0) != 6 {
-		t.Errorf("Scale wrong:\n%s", sc)
-	}
-	if _, err := a.Add(New(3, 2)); !errors.Is(err, ErrShape) {
-		t.Errorf("Add shape err = %v", err)
-	}
-	if _, err := a.Sub(New(2, 3)); !errors.Is(err, ErrShape) {
-		t.Errorf("Sub shape err = %v", err)
 	}
 }
 

@@ -1,8 +1,7 @@
-// Package mitigate implements §4.4 of the paper: turning an observed or
-// predicted severity profile into an operating decision, plus the recovery
-// machinery the paper names — checkpoint/rollback and safe re-execution —
-// and the SDC-tolerant application classes that may run below the safe
-// Vmin on purpose.
+// Package mitigate implements the recovery machinery §4.4 of the paper
+// names — checkpoint/rollback and safe re-execution — and the
+// SDC-tolerant application classes that may run below the safe Vmin on
+// purpose.
 package mitigate
 
 import (
@@ -10,81 +9,11 @@ import (
 	"fmt"
 	"math/rand"
 
-	"xvolt/internal/core"
 	"xvolt/internal/randsrc"
 	"xvolt/internal/units"
 	"xvolt/internal/workload"
 	"xvolt/internal/xgene"
 )
-
-// Action is the §4.4 mitigation decision for a voltage range.
-type Action int
-
-const (
-	// NoAction: the range is predicted safe; minimum savings, no
-	// provision needed.
-	NoAction Action = iota
-	// ECCMonitor: corrected errors appear first (the Itanium-like regime):
-	// ECC hardware serves as the undervolting proxy; large savings without
-	// extra mitigation, but going lower is risky.
-	ECCMonitor
-	// AvoidOrProtect: SDCs appear (alone or with ECC events): outputs are
-	// wrong with no or partial notification. Requires checkpoint/rollback,
-	// re-execution at safe settings, or an SDC-tolerant application.
-	AvoidOrProtect
-	// Unusable: application/system crashes are systematic; the range is
-	// beyond usable operation without hardware redesign.
-	Unusable
-)
-
-// String names the action.
-func (a Action) String() string {
-	switch a {
-	case NoAction:
-		return "no-action"
-	case ECCMonitor:
-		return "ecc-monitor"
-	case AvoidOrProtect:
-		return "avoid-or-protect"
-	case Unusable:
-		return "unusable"
-	default:
-		return fmt.Sprintf("action(%d)", int(a))
-	}
-}
-
-// Decide maps one voltage step's observation (measured or predicted) to
-// the §4.4 action. The primary discriminator is which effects are present,
-// exactly as the paper's prose walks the severity classes 0 / 1 / 4–7 /
-// 8–19.
-func Decide(o core.Observation) Action {
-	switch {
-	case o.SC || o.AC:
-		return Unusable
-	case o.SDC:
-		return AvoidOrProtect
-	case o.CE || o.UE:
-		return ECCMonitor
-	default:
-		return NoAction
-	}
-}
-
-// DecideSeverity maps a scalar severity value (e.g. a §4.3 prediction,
-// where individual effect bits are not available) to the action using the
-// paper's Table 4 anchor values.
-func DecideSeverity(severity float64) Action {
-	switch {
-	case severity <= 0:
-		return NoAction
-	case severity < 4:
-		return ECCMonitor
-	case severity < 8:
-		return AvoidOrProtect
-	default:
-		return Unusable
-	}
-}
 
 // TolerantClass enumerates the §4.4 application classes that can accept
 // SDCs (severity ≤ 4) for extra efficiency.
@@ -100,15 +29,6 @@ const (
 	// Detection covers security detectors (e.g. jammer attack detectors).
 	Detection
 )
-
-// MaxSeverity returns the severity budget of the class: tolerant classes
-// accept SDC-level severity (≤ 4), strict ones accept none.
-func (c TolerantClass) MaxSeverity() float64 {
-	if c == Strict {
-		return 0
-	}
-	return 4
-}
 
 // String names the class.
 func (c TolerantClass) String() string {

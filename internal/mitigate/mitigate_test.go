@@ -6,98 +6,14 @@ import (
 	"strings"
 	"testing"
 
-	"xvolt/internal/core"
 	"xvolt/internal/silicon"
 	"xvolt/internal/units"
 	"xvolt/internal/workload"
 	"xvolt/internal/xgene"
 )
 
-func TestActionStrings(t *testing.T) {
-	for a, want := range map[Action]string{
-		NoAction: "no-action", ECCMonitor: "ecc-monitor",
-		AvoidOrProtect: "avoid-or-protect", Unusable: "unusable",
-	} {
-		if a.String() != want {
-			t.Errorf("%d = %q, want %q", int(a), a.String(), want)
-		}
-	}
-	if !strings.HasPrefix(Action(9).String(), "action(") {
-		t.Error("unknown action name wrong")
-	}
-}
-
-func TestDecide(t *testing.T) {
-	cases := []struct {
-		o    core.Observation
-		want Action
-	}{
-		{core.Observation{}, NoAction},
-		{core.Observation{CE: true}, ECCMonitor},
-		{core.Observation{UE: true}, ECCMonitor},
-		{core.Observation{CE: true, UE: true}, ECCMonitor},
-		{core.Observation{SDC: true}, AvoidOrProtect},
-		{core.Observation{SDC: true, CE: true}, AvoidOrProtect},
-		{core.Observation{SDC: true, CE: true, UE: true}, AvoidOrProtect},
-		{core.Observation{AC: true}, Unusable},
-		{core.Observation{SC: true}, Unusable},
-		{core.Observation{SDC: true, SC: true}, Unusable},
-	}
-	for _, c := range cases {
-		if got := Decide(c.o); got != c.want {
-			t.Errorf("Decide(%v) = %v, want %v", c.o, got, c.want)
-		}
-	}
-}
-
-// §4.4's severity anchors: 0 → nothing, 1 → ECC band, 4–7 → SDC band,
-// 8–19 → unusable.
-func TestDecideSeverity(t *testing.T) {
-	cases := []struct {
-		s    float64
-		want Action
-	}{
-		{0, NoAction}, {-1, NoAction},
-		{1, ECCMonitor}, {3.9, ECCMonitor},
-		{4, AvoidOrProtect}, {5, AvoidOrProtect}, {7, AvoidOrProtect},
-		{8, Unusable}, {16, Unusable}, {19, Unusable},
-	}
-	for _, c := range cases {
-		if got := DecideSeverity(c.s); got != c.want {
-			t.Errorf("DecideSeverity(%v) = %v, want %v", c.s, got, c.want)
-		}
-	}
-}
-
-// Decisions agree between the observation and severity paths on the
-// paper's canonical single-effect tallies.
-func TestDecideConsistency(t *testing.T) {
-	for _, tc := range []struct {
-		o core.Observation
-	}{
-		{core.Observation{}},
-		{core.Observation{CE: true}},
-		{core.Observation{SDC: true}},
-		{core.Observation{SC: true}},
-	} {
-		var tl core.Tally
-		tl.Add(tc.o)
-		sevAction := DecideSeverity(tl.Severity(core.PaperWeights))
-		obsAction := Decide(tc.o)
-		if sevAction != obsAction {
-			t.Errorf("%v: severity path %v, observation path %v", tc.o, sevAction, obsAction)
-		}
-	}
-}
-
 func TestTolerantClasses(t *testing.T) {
-	if Strict.MaxSeverity() != 0 {
-		t.Error("strict class tolerates something")
-	}
 	for _, c := range []TolerantClass{Approximate, Media, Detection} {
-		if c.MaxSeverity() != 4 {
-			t.Errorf("%v budget = %v, want 4 (SDC level)", c, c.MaxSeverity())
-		}
 		if strings.HasPrefix(c.String(), "class(") {
 			t.Errorf("%d missing name", int(c))
 		}

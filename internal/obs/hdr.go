@@ -90,14 +90,6 @@ func NewHDR(opts HDROpts) *HDR {
 	return h
 }
 
-// Opts returns the histogram's (normalized) layout. Nil-safe.
-func (h *HDR) Opts() HDROpts {
-	if h == nil {
-		return HDROpts{}
-	}
-	return h.opts
-}
-
 // bucketIndex maps a value into the layout: bucket i covers
 // [Min·2^(i/sub), Min·2^((i+1)/sub)), with the first and last buckets
 // absorbing underflow and overflow.
@@ -157,6 +149,8 @@ func casFloatMax(bits *atomic.Uint64, v float64) {
 }
 
 // Count returns the number of observations. Nil-safe (0).
+//
+//xvolt:lint-ignore unusedexport frozen perfbench reads the fleet poll histogram's count through it (ROADMAP item 1)
 func (h *HDR) Count() uint64 {
 	if h == nil {
 		return 0
@@ -170,15 +164,6 @@ func (h *HDR) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// Quantile estimates one quantile from a fresh snapshot. Nil-safe (NaN
-// on nil or empty). For several quantiles take one Snapshot and query it.
-func (h *HDR) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	return h.Snapshot().Quantile(q)
 }
 
 // Snapshot captures a consistent-enough copy of the histogram for
@@ -220,9 +205,6 @@ type HDRSnapshot struct {
 	Min    float64 // +Inf when empty
 	Max    float64 // -Inf when empty
 }
-
-// Empty reports whether the snapshot holds no observations.
-func (s HDRSnapshot) Empty() bool { return s.Count == 0 }
 
 // Mean returns the exact sample mean (NaN when empty).
 func (s HDRSnapshot) Mean() float64 {

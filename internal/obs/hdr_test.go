@@ -66,7 +66,7 @@ func TestHDRCountSumMinMax(t *testing.T) {
 
 func TestHDREmptyQuantiles(t *testing.T) {
 	h := NewHDR(HDROpts{})
-	if q := h.Quantile(0.5); !math.IsNaN(q) {
+	if q := h.Snapshot().Quantile(0.5); !math.IsNaN(q) {
 		t.Errorf("empty quantile = %v, want NaN", q)
 	}
 	var s HDRSnapshot
@@ -78,7 +78,7 @@ func TestHDREmptyQuantiles(t *testing.T) {
 	}
 	var nilH *HDR
 	nilH.Observe(1) // must not panic
-	if nilH.Count() != 0 || !math.IsNaN(nilH.Quantile(0.5)) {
+	if nilH.Count() != 0 || !math.IsNaN(nilH.Snapshot().Quantile(0.5)) {
 		t.Error("nil HDR not inert")
 	}
 }

@@ -81,7 +81,7 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram not inert")
 	}
-	if s := h.Snapshot(); !s.Empty() || s.Counts != nil {
+	if s := h.Snapshot(); s.Count != 0 || s.Counts != nil {
 		t.Error("nil histogram snapshot not empty")
 	}
 	cv := r.CounterVec("cv_total", "h", "l")

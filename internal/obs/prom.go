@@ -29,6 +29,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 // quantile, _sum and _count entries — exactly the sample lines WriteProm
 // prints. It is the oracle for lookup, which the alert engine reads
 // through. Nil-safe (nil).
+//
+//xvolt:lint-ignore unusedexport the oracle FuzzAlertLookup checks the alert engine's key lookup against
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil

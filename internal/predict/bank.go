@@ -33,15 +33,9 @@ type BankEntry struct {
 	Model     *regress.Model `json:"model"`
 }
 
-// TrainBank fits a severity model for every core present in the
-// characterization results, using the paper's pipeline settings. It is
-// TrainBankN with the default worker count.
-func TrainBank(results []*core.CampaignResult, profiles Profiles, w core.Weights, pipe Pipeline) (*ModelBank, error) {
-	return TrainBankN(results, profiles, w, pipe, 0)
-}
-
-// TrainBankN is TrainBank on a bounded worker pool of the given size
-// (≤ 0 means GOMAXPROCS). Per-core fits are independent — every core's
+// TrainBankN fits a severity model for every core present in the
+// characterization results, using the paper's pipeline settings, on a
+// bounded worker pool of the given size (≤ 0 means GOMAXPROCS). Per-core fits are independent — every core's
 // pipeline run derives its RNG from pipe.Seed alone — so the bank is
 // identical at any worker count; entries land in per-core slots and
 // errors are reported in ascending core order, exactly like a

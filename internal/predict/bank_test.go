@@ -20,7 +20,7 @@ func trainedBank(t *testing.T) (*ModelBank, Profiles) {
 	t.Helper()
 	results := characterized(t)
 	p := profiles()
-	bank, err := TrainBank(results, p, core.PaperWeights, DefaultPipeline())
+	bank, err := TrainBankN(results, p, core.PaperWeights, DefaultPipeline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTrainBank(t *testing.T) {
 }
 
 func TestTrainBankEmpty(t *testing.T) {
-	if _, err := TrainBank(nil, profiles(), core.PaperWeights, DefaultPipeline()); err == nil {
+	if _, err := TrainBankN(nil, profiles(), core.PaperWeights, DefaultPipeline(), 0); err == nil {
 		t.Error("empty results accepted")
 	}
 }

@@ -123,7 +123,7 @@ func TestBuildSeverityDataset(t *testing.T) {
 		t.Errorf("last feature = %q", d.FeatureNames[counters.NumEvents])
 	}
 	for i, y := range d.Targets {
-		if y <= 0 || y > core.MaxSeverity(core.PaperWeights) {
+		if y <= 0 || y > (core.Tally{N: 1, SDC: 1, CE: 1, UE: 1, AC: 1, SC: 1}).Severity(core.PaperWeights) {
 			t.Errorf("sample %d severity %v out of range", i, y)
 		}
 	}

@@ -78,6 +78,8 @@ type CVOptions struct {
 // down to that many features runs inside every training fold (no
 // leakage). Results are identical to a sequential run for the same RNG
 // state.
+//
+//xvolt:lint-ignore unusedexport drives the DESIGN §4 robustness ablation; the gated BenchmarkAblationCrossValidation calls it
 func CrossValidate(d *Dataset, k int, selectFeatures int, rng *rand.Rand) (*CVResult, error) {
 	if err := validateCV(d, k); err != nil {
 		return nil, err
@@ -89,6 +91,8 @@ func CrossValidate(d *Dataset, k int, selectFeatures int, rng *rand.Rand) (*CVRe
 // CrossValidateOpts is repeated k-fold cross-validation on a bounded
 // worker pool: repeat r shuffles with a rand stream seeded by
 // FoldSeed(o.Seed, r), and all repeats×folds jobs share the pool.
+//
+//xvolt:lint-ignore unusedexport drives the DESIGN §4 robustness ablation; the gated BenchmarkCrossValidateParallel calls it
 func CrossValidateOpts(d *Dataset, o CVOptions) (*CVResult, error) {
 	if err := validateCV(d, o.Folds); err != nil {
 		return nil, err

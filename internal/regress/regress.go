@@ -242,32 +242,6 @@ func Fit(d *Dataset) (*Model, error) {
 	return m, nil
 }
 
-// Importance pairs a feature with its standardized coefficient — because
-// features are standardized at fit time, |Coef| is directly comparable
-// across features and ranks their contribution (the paper's §4.2: "our
-// model reports the impact of any architectural event that contributes to
-// prediction, classified by its importance").
-type Importance struct {
-	Index int
-	Name  string
-	Coef  float64
-}
-
-// Importances lists the model's features sorted by decreasing |Coef|.
-func (m *Model) Importances() []Importance {
-	out := make([]Importance, len(m.Coef))
-	for j, c := range m.Coef {
-		out[j] = Importance{Index: j, Coef: c}
-		if m.FeatureNames != nil {
-			out[j].Name = m.FeatureNames[j]
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		return math.Abs(out[a].Coef) > math.Abs(out[b].Coef)
-	})
-	return out
-}
-
 // Predict evaluates the model on one feature vector.
 func (m *Model) Predict(features []float64) (float64, error) {
 	if !m.fitted {

@@ -383,34 +383,3 @@ func TestSplitDeterministicWithSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestImportances(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	d := synthDataset(rng, 150, 4, 0.2)
-	d.FeatureNames = []string{"x0", "x1", "x2", "x3"}
-	m, err := Fit(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imps := m.Importances()
-	if len(imps) != 4 {
-		t.Fatalf("got %d importances", len(imps))
-	}
-	// y = 3 + 2·x0 − 1.5·x1 + noise: x0 must rank first, x1 second.
-	if imps[0].Index != 0 || imps[0].Name != "x0" {
-		t.Errorf("top importance = %+v, want x0", imps[0])
-	}
-	if imps[1].Index != 1 {
-		t.Errorf("second importance = %+v, want x1", imps[1])
-	}
-	// Sorted by decreasing magnitude.
-	for i := 1; i < len(imps); i++ {
-		if math.Abs(imps[i].Coef) > math.Abs(imps[i-1].Coef) {
-			t.Errorf("importances not sorted at %d", i)
-		}
-	}
-	// The sign of the contribution survives.
-	if imps[0].Coef <= 0 || imps[1].Coef >= 0 {
-		t.Errorf("signs wrong: %+v %+v", imps[0], imps[1])
-	}
-}

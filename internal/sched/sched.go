@@ -66,9 +66,6 @@ func NaiveAssign(tasks []*workload.Spec, vmin VminOf) (Placement, error) {
 		p.ByCore[i] = tk
 	}
 	p.Voltage = requiredVoltage(&p, vmin)
-	m := metrics()
-	m.assignments.With("naive").Inc()
-	m.railMV.Set(float64(p.Voltage))
 	return p, nil
 }
 
@@ -123,9 +120,6 @@ func Assign(tasks []*workload.Spec, vmin VminOf) (Placement, error) {
 		p.ByCore[core] = tasks[i]
 	}
 	p.Voltage = requiredVoltage(&p, vmin)
-	m := metrics()
-	m.assignments.With("optimal").Inc()
-	m.railMV.Set(float64(p.Voltage))
 	return p, nil
 }
 
@@ -169,9 +163,7 @@ func match(cost [][]units.MilliVolts, limit units.MilliVolts) []int {
 // power-saving difference between this placement and another at full
 // frequency (both run at their own required voltages).
 func (p Placement) SavingsOver(other Placement) float64 {
-	s := other.Voltage.RelativeSquared() - p.Voltage.RelativeSquared()
-	metrics().predictedSavings.Set(s)
-	return s
+	return other.Voltage.RelativeSquared() - p.Voltage.RelativeSquared()
 }
 
 // Governor picks rail voltages online from severity predictions.
@@ -221,8 +213,5 @@ func (g *Governor) ChooseVoltage(activeCores []int) (units.MilliVolts, error) {
 	}
 	choice += units.MilliVolts(g.MarginSteps) * units.VoltageStep
 	choice = units.ClampVoltage(choice, g.Floor, g.Ceiling)
-	m := metrics()
-	m.governorDecisions.Inc()
-	m.governorMV.Set(float64(choice))
 	return choice, nil
 }

@@ -194,7 +194,7 @@ func TestPlacementRunsCleanOnMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.GroundTru.Clean() {
+			if res.GroundTru != (silicon.RunEffects{}) {
 				t.Fatalf("round %d: %s on core %d at %v misbehaved: %+v",
 					round, spec.ID(), core, p.Voltage, res.GroundTru)
 			}

@@ -9,8 +9,9 @@
 //     to droops that lowers the voltage at which timing-path SDCs occur,
 //     at a small throughput cost while deployed.
 //
-// The third recommendation — finer-grained voltage domains — lives in
-// internal/xgene (Machine.EnablePerPMDRails).
+// The third recommendation — finer-grained voltage domains — is an
+// ablation in internal/experiments (DesignEnhancements), computed from
+// per-PMD Vmins.
 package silicon
 
 import (

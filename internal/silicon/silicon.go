@@ -41,9 +41,6 @@ const (
 	TSS
 )
 
-// Corners lists all modeled process corners in paper order.
-var Corners = []Corner{TTT, TFF, TSS}
-
 // String names the corner as in the paper.
 func (c Corner) String() string {
 	switch c {
@@ -127,7 +124,6 @@ type cornerSpec struct {
 	logicBase float64 // logic Vmin at zero stress (most robust core)
 	logicSpan float64 // additional logic Vmin at full stress
 	sramBase  float64 // SRAM array safe floor (most robust core)
-	socVmin   units.MilliVolts
 	vminHalf  units.MilliVolts
 	// coreOffset raises a core's logic Vmin above the most robust core.
 	coreOffset [NumCores]float64
@@ -146,7 +142,6 @@ var cornerSpecs = map[Corner]cornerSpec{
 		logicBase:  790,
 		logicSpan:  95,
 		sramBase:   800,
-		socVmin:    865,
 		vminHalf:   760,
 		coreOffset: [NumCores]float64{30, 35, 20, 15, 0, 5, 10, 10},
 		jitterMV:   1.5,
@@ -155,7 +150,6 @@ var cornerSpecs = map[Corner]cornerSpec{
 		logicBase:  815,
 		logicSpan:  70,
 		sramBase:   810,
-		socVmin:    860,
 		vminHalf:   755,
 		coreOffset: [NumCores]float64{22, 24, 10, 8, 0, 2, 8, 8},
 		jitterMV:   1.5,
@@ -164,7 +158,6 @@ var cornerSpecs = map[Corner]cornerSpec{
 		logicBase:  786,
 		logicSpan:  114,
 		sramBase:   805,
-		socVmin:    880,
 		vminHalf:   775,
 		coreOffset: [NumCores]float64{30, 30, 15, 15, 0, 5, 10, 10},
 		jitterMV:   1.5,
@@ -244,34 +237,6 @@ func (c *Chip) sramVmin(core int) float64 {
 	return c.spec.sramBase + c.spec.coreOffset[core]/2 + c.jitter[core]/2
 }
 
-// SoCSafeVmin is the PCP/SoC domain's safe floor: the L3, memory
-// controllers, central switch and I/O bridge keep operating correctly for
-// any SoC-rail voltage at or above it (§2.1 — the domain scales
-// independently of the PMDs, from its 950 mV nominal).
-func (c *Chip) SoCSafeVmin() units.MilliVolts { return c.spec.socVmin }
-
-// SampleSoC draws whether undervolting the PCP/SoC rail to v destabilizes
-// the uncore during one run: below the SoC floor the central switch and
-// DRAM path fail quickly, taking the whole system down.
-func (c *Chip) SampleSoC(rng *rand.Rand, v units.MilliVolts) RunEffects {
-	var e RunEffects
-	floor := c.spec.socVmin
-	if v >= floor {
-		return e
-	}
-	depth := float64(floor-v) / 20.0
-	if rng.Float64() < clamp01(1.3*depth) {
-		e.SC = true
-		return e
-	}
-	// Shallow SoC undervolt: L3/DRAM ECC activity without a crash.
-	if rng.Float64() < clamp01(2*depth) {
-		e.CE = true
-		e.CECount = 1 + rng.Intn(10)
-	}
-	return e
-}
-
 // Margins is the frozen electrical assessment of (chip, core, workload,
 // frequency-regime): the thresholds from which run outcomes are sampled.
 type Margins struct {
@@ -289,9 +254,6 @@ type Margins struct {
 	PipeShare float64
 	MemShare  float64
 }
-
-// UnsafeWidth is the width of the unsafe region in mV.
-func (m Margins) UnsafeWidth() units.MilliVolts { return m.SafeVmin - m.CrashVmax }
 
 // score combines the counter-visible stress with the workload idiosyncrasy.
 // Callers pass the idiosyncrasy explicitly (internal/workload owns it).
@@ -381,11 +343,6 @@ type RunEffects struct {
 	UECount int
 	// SDCBits is how many result bits the injector flipped (0 if !SDC).
 	SDCBits int
-}
-
-// Clean reports a fully normal run (paper class NO).
-func (e RunEffects) Clean() bool {
-	return !e.SDC && !e.CE && !e.UE && !e.AC && !e.SC
 }
 
 // Model selects the failure physics used when sampling runs.

@@ -24,7 +24,7 @@ func TestCornerString(t *testing.T) {
 }
 
 func TestParseCorner(t *testing.T) {
-	for _, c := range Corners {
+	for _, c := range []Corner{TTT, TFF, TSS} {
 		got, err := ParseCorner(c.String())
 		if err != nil || got != c {
 			t.Errorf("ParseCorner(%v) = %v, %v", c, got, err)
@@ -158,8 +158,8 @@ func TestHalfRegime(t *testing.T) {
 			if m.SafeVmin != 760 {
 				t.Errorf("core %d: half-speed SafeVmin = %v, want 760mV", core, m.SafeVmin)
 			}
-			if m.UnsafeWidth() != units.VoltageStep {
-				t.Errorf("core %d: half-speed unsafe width = %v, want one step", core, m.UnsafeWidth())
+			if w := m.SafeVmin - m.CrashVmax; w != units.VoltageStep {
+				t.Errorf("core %d: half-speed unsafe width = %v, want one step", core, w)
 			}
 		}
 	}
@@ -392,60 +392,5 @@ func TestSampleRunDepthSanity(t *testing.T) {
 	}
 	if clean > 4 {
 		t.Errorf("%d/200 clean runs 40mV below crash voltage", clean)
-	}
-}
-
-// The SoC domain: clean at/above its floor, ECC noise shallowly below,
-// certain crash deep below.
-func TestSampleSoC(t *testing.T) {
-	chip := NewChip(TTT, 1)
-	floor := chip.SoCSafeVmin()
-	if floor < 840 || floor > 900 {
-		t.Fatalf("SoC floor = %v, implausible", floor)
-	}
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 200; i++ {
-		if e := chip.SampleSoC(rng, floor); !e.Clean() {
-			t.Fatalf("effect at the SoC floor: %+v", e)
-		}
-		if e := chip.SampleSoC(rng, floor+20); !e.Clean() {
-			t.Fatalf("effect above the SoC floor: %+v", e)
-		}
-	}
-	crashes, ces := 0, 0
-	for i := 0; i < 300; i++ {
-		e := chip.SampleSoC(rng, floor-10)
-		if e.SC {
-			crashes++
-		}
-		if e.CE {
-			ces++
-		}
-	}
-	if crashes == 0 {
-		t.Error("no SoC crashes 10mV below the floor")
-	}
-	if ces == 0 {
-		t.Error("no SoC ECC noise 10mV below the floor")
-	}
-	deep := 0
-	for i := 0; i < 100; i++ {
-		if chip.SampleSoC(rng, floor-40).SC {
-			deep++
-		}
-	}
-	if deep < 95 {
-		t.Errorf("only %d/100 crashes 40mV below the SoC floor", deep)
-	}
-}
-
-// SoC floors follow the corner ordering: the slow part needs the most
-// uncore voltage, the fast part the least.
-func TestSoCFloorOrdering(t *testing.T) {
-	ttt := NewChip(TTT, 1).SoCSafeVmin()
-	tff := NewChip(TFF, 2).SoCSafeVmin()
-	tss := NewChip(TSS, 3).SoCSafeVmin()
-	if !(tff < ttt && ttt < tss) {
-		t.Errorf("SoC floors not ordered: TFF %v, TTT %v, TSS %v", tff, ttt, tss)
 	}
 }

@@ -9,7 +9,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by reductions over empty data sets.
@@ -39,16 +38,6 @@ func Variance(xs []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(xs))
-}
-
-// SampleVariance returns the unbiased sample variance (divide by n-1).
-// It returns 0 when fewer than two samples are given.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	return Variance(xs) * float64(n) / float64(n-1)
 }
 
 // StdDev returns the population standard deviation.
@@ -82,42 +71,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between order statistics. The input is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
 // RMSE returns the root-mean-square error between predictions and targets.
 // The slices must be the same non-zero length.
 func RMSE(pred, target []float64) (float64, error) {
@@ -133,21 +86,6 @@ func RMSE(pred, target []float64) (float64, error) {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(pred))), nil
-}
-
-// MAE returns the mean absolute error between predictions and targets.
-func MAE(pred, target []float64) (float64, error) {
-	if len(pred) != len(target) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for i := range pred {
-		s += math.Abs(pred[i] - target[i])
-	}
-	return s / float64(len(pred)), nil
 }
 
 // RSquared returns the coefficient of determination of predictions against
@@ -201,22 +139,6 @@ func Correlation(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// Standardize returns (xs − mean)/std together with the mean and std used.
-// When the data has zero variance the values are returned centered only and
-// std is reported as 1 so the transform stays invertible.
-func Standardize(xs []float64) (z []float64, mean, std float64) {
-	mean = Mean(xs)
-	std = StdDev(xs)
-	if std == 0 {
-		std = 1
-	}
-	z = make([]float64, len(xs))
-	for i, x := range xs {
-		z[i] = (x - mean) / std
-	}
-	return z, mean, std
-}
-
 // Histogram counts xs into nbins equal-width bins spanning [lo, hi].
 // Values outside the span are clamped into the edge bins.
 func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
@@ -240,36 +162,3 @@ func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
 	}
 	return bins, nil
 }
-
-// Welford accumulates running mean and variance without storing samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations folded in so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

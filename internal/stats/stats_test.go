@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -24,8 +23,6 @@ func TestVarianceStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	approx(t, "Variance", Variance(xs), 4, 1e-12)
 	approx(t, "StdDev", StdDev(xs), 2, 1e-12)
-	approx(t, "SampleVariance", SampleVariance(xs), 4*8.0/7.0, 1e-12)
-	approx(t, "SampleVariance single", SampleVariance([]float64{3}), 0, 0)
 	approx(t, "Variance empty", Variance(nil), 0, 0)
 }
 
@@ -39,57 +36,12 @@ func TestMinMaxSum(t *testing.T) {
 	if err != nil || mx != 5 {
 		t.Errorf("Max = %v, %v", mx, err)
 	}
-	approx(t, "Sum", Sum(xs), 12, 1e-12)
 	if _, err := Min(nil); err != ErrEmpty {
 		t.Errorf("Min(nil) err = %v", err)
 	}
 	if _, err := Max(nil); err != ErrEmpty {
 		t.Errorf("Max(nil) err = %v", err)
 	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	p, err := Percentile(xs, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "P50", p, 35, 1e-12)
-	p, _ = Percentile(xs, 0)
-	approx(t, "P0", p, 15, 1e-12)
-	p, _ = Percentile(xs, 100)
-	approx(t, "P100", p, 50, 1e-12)
-	p, _ = Percentile(xs, 25)
-	approx(t, "P25", p, 20, 1e-12)
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Errorf("Percentile(nil) err = %v", err)
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("Percentile(101) should fail")
-	}
-	if _, err := Percentile(xs, -1); err == nil {
-		t.Error("Percentile(-1) should fail")
-	}
-	p, _ = Percentile([]float64{9}, 73)
-	approx(t, "P single", p, 9, 0)
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Errorf("input mutated: %v", xs)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	m, err := Median([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "Median", m, 2.5, 1e-12)
 }
 
 func TestRMSE(t *testing.T) {
@@ -104,17 +56,6 @@ func TestRMSE(t *testing.T) {
 	}
 	if _, err := RMSE(nil, nil); err != ErrEmpty {
 		t.Errorf("RMSE(nil) err = %v", err)
-	}
-}
-
-func TestMAE(t *testing.T) {
-	m, err := MAE([]float64{1, -1}, []float64{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "MAE", m, 1, 1e-12)
-	if _, err := MAE([]float64{1}, []float64{}); err == nil {
-		t.Error("MAE mismatch should fail")
 	}
 }
 
@@ -160,24 +101,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestStandardize(t *testing.T) {
-	z, mean, std := Standardize([]float64{2, 4, 6})
-	approx(t, "mean", mean, 4, 1e-12)
-	if std <= 0 {
-		t.Fatalf("std = %v", std)
-	}
-	approx(t, "z mean", Mean(z), 0, 1e-12)
-	approx(t, "z std", StdDev(z), 1, 1e-12)
-
-	z, _, std = Standardize([]float64{3, 3, 3})
-	if std != 1 {
-		t.Errorf("flat std = %v, want 1", std)
-	}
-	for _, v := range z {
-		approx(t, "flat z", v, 0, 0)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h, err := Histogram([]float64{0.1, 0.2, 0.6, 0.9, -5, 12}, 0, 1, 2)
 	if err != nil {
@@ -191,42 +114,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if _, err := Histogram(nil, 1, 1, 3); err == nil {
 		t.Error("hi<=lo should fail")
-	}
-}
-
-func TestWelford(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != len(xs) {
-		t.Errorf("N = %d", w.N())
-	}
-	approx(t, "Welford mean", w.Mean(), Mean(xs), 1e-12)
-	approx(t, "Welford var", w.Variance(), Variance(xs), 1e-12)
-	approx(t, "Welford std", w.StdDev(), StdDev(xs), 1e-12)
-
-	var empty Welford
-	approx(t, "Welford empty var", empty.Variance(), 0, 0)
-}
-
-// Property: Welford matches the two-pass formulas on random data.
-func TestWelfordMatchesTwoPass(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-		}
-		var w Welford
-		for _, x := range xs {
-			w.Add(x)
-		}
-		if math.Abs(w.Mean()-Mean(xs)) > 1e-9 || math.Abs(w.Variance()-Variance(xs)) > 1e-6 {
-			t.Fatalf("Welford disagrees on %v", xs)
-		}
 	}
 }
 
@@ -247,52 +134,5 @@ func TestRSquaredProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: standardized data has mean ≈ 0 and std ≈ 1 (or 0 for flat data).
-func TestStandardizeProperty(t *testing.T) {
-	prop := func(raw []int8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
-		}
-		z, _, _ := Standardize(xs)
-		if math.Abs(Mean(z)) > 1e-9 {
-			return false
-		}
-		s := StdDev(z)
-		return math.Abs(s-1) < 1e-9 || s < 1e-9
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: percentiles are monotone in p and bounded by min/max.
-func TestPercentileProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(40)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 1000
-		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		prev := mn
-		for p := 0.0; p <= 100; p += 10 {
-			v, err := Percentile(xs, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v < prev-1e-9 || v < mn-1e-9 || v > mx+1e-9 {
-				t.Fatalf("percentile not monotone/bounded: p=%v v=%v prev=%v", p, v, prev)
-			}
-			prev = v
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 )
 
@@ -57,18 +58,28 @@ func (s *JSONLSink) Err() error {
 	return s.err
 }
 
-// ReadJSONL parses a JSONL stream back into events — the inverse of the
-// sink, used by tests and offline analysis of -trace-out files.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("trace: jsonl event %d: %w", len(out)+1, err)
-		}
-		out = append(out, e)
+// OpenJSONL opens a -trace-out destination as a JSONL sink: "-" streams
+// to std (the caller's standard stream), any other path creates or
+// truncates that file. The returned closer reports the sink's first
+// write error, or else the file's close error: a trace that stopped
+// short fails the command that wrote it. The write error is read before
+// the file closes, so an event a still-running producer emits during
+// shutdown is dropped, not reported.
+func OpenJSONL(path string, std io.Writer) (*JSONLSink, func() error, error) {
+	if path == "-" {
+		s := NewJSONLSink(std)
+		return s, s.Err, nil
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := NewJSONLSink(f)
+	return s, func() error {
+		werr := s.Err()
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
+		}
+		return werr
+	}, nil
 }

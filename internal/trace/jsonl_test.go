@@ -1,8 +1,14 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -53,7 +59,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != len(events) {
 		t.Errorf("wrote %d lines, want %d", lines, len(events))
 	}
-	back, err := ReadJSONL(&buf)
+	back, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +77,7 @@ func TestLogToJSONL(t *testing.T) {
 	l.Emit(Note, "n%d", 1)
 	l.Emit(RunDone, "run %s", "ok")
 	l.Emit(Note, "n3-overflows-buffer")
-	back, err := ReadJSONL(&buf)
+	back, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +87,8 @@ func TestLogToJSONL(t *testing.T) {
 	if back[1].Kind != RunDone || back[1].Msg != "run ok" || back[1].Seq != 2 {
 		t.Errorf("event 2 = %+v", back[1])
 	}
-	if l.Len() != 2 {
-		t.Errorf("buffer retained %d, want 2", l.Len())
+	if n := len(l.Events()); n != 2 {
+		t.Errorf("buffer retained %d, want 2", n)
 	}
 }
 
@@ -112,16 +118,6 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	}
 }
 
-func TestReadJSONLBadInput(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{\"seq\":1,\"kind\":\"note\",\"msg\":\"ok\"}\nnot json\n")); err == nil {
-		t.Error("garbage line parsed")
-	}
-	events, err := ReadJSONL(strings.NewReader(""))
-	if err != nil || len(events) != 0 {
-		t.Errorf("empty stream = %v, %v", events, err)
-	}
-}
-
 func TestJSONLSinkConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
@@ -136,11 +132,63 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	back, err := ReadJSONL(&buf)
+	back, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 200 || sink.Count() != 200 {
 		t.Errorf("concurrent writes = %d parsed / %d counted, want 200", len(back), sink.Count())
 	}
+}
+
+// readJSONL decodes a -trace-out stream back into events, one JSON object
+// a line.
+func readJSONL(r io.Reader) ([]Event, error) {
+	var out []Event
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			return out, fmt.Errorf("jsonl event %d: %w", len(out)+1, err)
+		}
+		out = append(out, e)
+	}
+	return out, sc.Err()
+}
+
+// TestOpenJSONLCloserReportsFailures: the -trace-out closer returns the
+// sink's sticky write error, or else the file's close error.
+func TestOpenJSONLCloserReportsFailures(t *testing.T) {
+	t.Run("write", func(t *testing.T) {
+		sink, closeSink, err := OpenJSONL("-", &failWriter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := New(0)
+		l.SetSink(sink)
+		l.Emit(Note, "lost")
+		if err := closeSink(); err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Fatalf("closer = %v, want the write error", err)
+		}
+	})
+	t.Run("close", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		sink, closeSink, err := OpenJSONL(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Write(Event{Seq: 1, Kind: Note, Msg: "kept"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := closeSink(); err != nil {
+			t.Fatalf("first close: %v", err)
+		}
+		if err := closeSink(); !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("closing twice = %v, want os.ErrClosed", err)
+		}
+		events, err := os.ReadFile(path)
+		if err != nil || !strings.Contains(string(events), `"msg":"kept"`) {
+			t.Fatalf("trace file = %q, %v", events, err)
+		}
+	})
 }

@@ -16,7 +16,6 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -151,12 +150,11 @@ type Sink interface {
 // Log is a bounded in-memory event log. The zero value is unusable; use
 // New. A nil *Log is safe: all methods are no-ops.
 type Log struct {
-	mu      sync.Mutex
-	seq     uint64
-	events  []Event
-	max     int
-	dropped uint64
-	sink    Sink
+	mu     sync.Mutex
+	seq    uint64
+	events []Event
+	max    int
+	sink   Sink
 
 	emitted *obs.CounterVec // by kind
 	dropm   *obs.Counter
@@ -213,7 +211,6 @@ func (l *Log) Emit(kind Kind, format string, args ...interface{}) {
 	l.emitted.With(kind.String()).Inc()
 	full := len(l.events) >= l.max
 	if full && l.sink == nil {
-		l.dropped++
 		l.dropm.Inc()
 		return
 	}
@@ -224,7 +221,6 @@ func (l *Log) Emit(kind Kind, format string, args ...interface{}) {
 		_ = l.sink.Write(e)
 	}
 	if full {
-		l.dropped++
 		l.dropm.Inc()
 		return
 	}
@@ -239,50 +235,4 @@ func (l *Log) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]Event(nil), l.events...)
-}
-
-// Len returns the retained event count. Nil-safe.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
-// Dropped reports how many events were dropped by the bound. Nil-safe.
-func (l *Log) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// CountKind tallies retained events of one kind. Nil-safe.
-func (l *Log) CountKind(k Kind) int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-// WriteText dumps the retained events, one per line. Nil-safe.
-func (l *Log) WriteText(w io.Writer) error {
-	for _, e := range l.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

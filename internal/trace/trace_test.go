@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -41,9 +40,6 @@ func TestEmitAndEvents(t *testing.T) {
 	if events[0].Msg != "hello 42" {
 		t.Errorf("msg = %q", events[0].Msg)
 	}
-	if l.Len() != 2 || l.Dropped() != 0 {
-		t.Errorf("Len/Dropped = %d/%d", l.Len(), l.Dropped())
-	}
 	if got := events[0].String(); !strings.Contains(got, "note") || !strings.Contains(got, "hello 42") {
 		t.Errorf("event string = %q", got)
 	}
@@ -54,11 +50,8 @@ func TestBounding(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		l.Emit(Note, "e%d", i)
 	}
-	if l.Len() != 5 {
-		t.Errorf("Len = %d, want 5", l.Len())
-	}
-	if l.Dropped() != 7 {
-		t.Errorf("Dropped = %d, want 7", l.Dropped())
+	if n := len(l.Events()); n != 5 {
+		t.Errorf("retained %d events, want 5", n)
 	}
 	// The buffer is a head capture: the first max events are retained,
 	// later ones are counted as dropped (a sink captures everything).
@@ -99,9 +92,6 @@ func TestDropSkipsFormatting(t *testing.T) {
 	if got := atomic.LoadInt32(&calls); got != 3 {
 		t.Errorf("format ran %d times, want 3 (one per retained event)", got)
 	}
-	if l.Dropped() != 7 {
-		t.Errorf("Dropped = %d, want 7", l.Dropped())
-	}
 	// With a sink attached the message IS needed, full buffer or not.
 	l.SetSink(&captureSink{})
 	l.Emit(Note, "%v", p)
@@ -141,8 +131,8 @@ func TestSinkStreamsEverything(t *testing.T) {
 	if sink.len() != 12 {
 		t.Errorf("sink saw %d events, want 12", sink.len())
 	}
-	if l.Len() != 5 || l.Dropped() != 7 {
-		t.Errorf("Len/Dropped = %d/%d, want 5/7", l.Len(), l.Dropped())
+	if n := len(l.Events()); n != 5 {
+		t.Errorf("retained %d events, want 5", n)
 	}
 	for i, e := range sink.events {
 		if e.Seq != uint64(i+1) || e.Msg != fmt.Sprintf("e%d", i) {
@@ -190,41 +180,11 @@ func TestDefaultBound(t *testing.T) {
 	}
 }
 
-func TestCountKind(t *testing.T) {
-	l := New(0)
-	l.Emit(RunDone, "a")
-	l.Emit(RunDone, "b")
-	l.Emit(SystemCrash, "c")
-	if l.CountKind(RunDone) != 2 || l.CountKind(SystemCrash) != 1 || l.CountKind(Note) != 0 {
-		t.Error("CountKind wrong")
-	}
-}
-
 func TestNilLogSafe(t *testing.T) {
 	var l *Log
 	l.Emit(Note, "ignored")
-	if l.Events() != nil || l.Len() != 0 || l.Dropped() != 0 || l.CountKind(Note) != 0 {
+	if l.Events() != nil {
 		t.Error("nil log not inert")
-	}
-	if err := l.WriteText(&bytes.Buffer{}); err != nil {
-		t.Errorf("nil WriteText err = %v", err)
-	}
-}
-
-func TestWriteText(t *testing.T) {
-	l := New(0)
-	l.Emit(Note, "first")
-	l.Emit(RunDone, "second")
-	var buf bytes.Buffer
-	if err := l.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "first") || !strings.Contains(out, "second") {
-		t.Errorf("dump = %q", out)
-	}
-	if lines := strings.Count(out, "\n"); lines != 2 {
-		t.Errorf("dump has %d lines", lines)
 	}
 }
 
@@ -242,7 +202,7 @@ func TestConcurrentEmit(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Len() != 800 {
-		t.Errorf("lost concurrent events: %d", l.Len())
+	if n := len(l.Events()); n != 800 {
+		t.Errorf("lost concurrent events: %d", n)
 	}
 }

@@ -279,9 +279,6 @@ type ActiveSpan struct {
 	s        Span
 }
 
-// Recorded reports whether the span survived sampling. Nil-safe.
-func (a *ActiveSpan) Recorded() bool { return a != nil && a.recorded }
-
 // SetAttr attaches a key/value attribute. Nil-safe.
 func (a *ActiveSpan) SetAttr(key, value string) {
 	if a == nil || !a.recorded || a.ended {

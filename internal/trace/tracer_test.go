@@ -74,7 +74,7 @@ func TestTracerSampling(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		ctx, root := tr.StartSpan(context.Background(), "req")
 		_, child := tr.StartSpan(ctx, "inner")
-		if child.Recorded() != root.Recorded() {
+		if child.recorded != root.recorded {
 			t.Errorf("iteration %d: child sampling diverged from root", i)
 		}
 		child.End()
@@ -132,7 +132,7 @@ func TestTracerSinkExport(t *testing.T) {
 	child.End()
 	root.End()
 
-	events, err := ReadJSONL(strings.NewReader(b.String()))
+	events, err := readJSONL(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestTracerNilSafe(t *testing.T) {
 	s.Eventf("e")
 	s.End()
 	s.End() // idempotent
-	if s.Recorded() {
+	if s != nil {
 		t.Error("nil tracer recorded a span")
 	}
 	if ctx != context.Background() {

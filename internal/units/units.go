@@ -78,12 +78,6 @@ func (v MilliVolts) SnapUp() MilliVolts {
 	return d + VoltageStep
 }
 
-// StepsBelowNominal returns how many 5 mV steps v sits below the nominal
-// PMD voltage. Negative results indicate overvolting.
-func (v MilliVolts) StepsBelowNominal() int {
-	return int(NominalPMD-v) / int(VoltageStep)
-}
-
 // GuardbandFraction is the relative voltage margin between nominal and v,
 // e.g. 980→880 mV gives 0.102.
 func (v MilliVolts) GuardbandFraction() float64 {
@@ -131,15 +125,6 @@ func RegimeOf(f MegaHertz) MarginRegime {
 		return RegimeFull
 	}
 	return RegimeHalf
-}
-
-// VoltageRange iterates the regulation grid from hi down to lo inclusive,
-// calling fn for each step. It is the canonical downward sweep used by
-// undervolting campaigns. Values are visited on the grid even if hi is not.
-func VoltageRange(hi, lo MilliVolts, fn func(MilliVolts)) {
-	for v := hi.SnapDown(); v >= lo; v -= VoltageStep {
-		fn(v)
-	}
 }
 
 // ClampVoltage bounds v into [lo, hi].

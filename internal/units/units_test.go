@@ -85,21 +85,6 @@ func TestSnapNegative(t *testing.T) {
 	}
 }
 
-func TestStepsBelowNominal(t *testing.T) {
-	if got := MilliVolts(980).StepsBelowNominal(); got != 0 {
-		t.Errorf("980 steps = %d", got)
-	}
-	if got := MilliVolts(975).StepsBelowNominal(); got != 1 {
-		t.Errorf("975 steps = %d", got)
-	}
-	if got := MilliVolts(880).StepsBelowNominal(); got != 20 {
-		t.Errorf("880 steps = %d", got)
-	}
-	if got := MilliVolts(985).StepsBelowNominal(); got != -1 {
-		t.Errorf("985 steps = %d", got)
-	}
-}
-
 func TestGuardbandFraction(t *testing.T) {
 	got := MilliVolts(880).GuardbandFraction()
 	want := 100.0 / 980.0
@@ -156,36 +141,6 @@ func TestRegimeOf(t *testing.T) {
 	}
 }
 
-func TestVoltageRange(t *testing.T) {
-	var seen []MilliVolts
-	VoltageRange(980, 965, func(v MilliVolts) { seen = append(seen, v) })
-	want := []MilliVolts{980, 975, 970, 965}
-	if len(seen) != len(want) {
-		t.Fatalf("VoltageRange visited %v, want %v", seen, want)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("VoltageRange visited %v, want %v", seen, want)
-		}
-	}
-}
-
-func TestVoltageRangeOffGridStart(t *testing.T) {
-	var seen []MilliVolts
-	VoltageRange(978, 970, func(v MilliVolts) { seen = append(seen, v) })
-	if len(seen) != 2 || seen[0] != 975 || seen[1] != 970 {
-		t.Fatalf("VoltageRange(978,970) visited %v", seen)
-	}
-}
-
-func TestVoltageRangeEmpty(t *testing.T) {
-	count := 0
-	VoltageRange(900, 950, func(MilliVolts) { count++ })
-	if count != 0 {
-		t.Errorf("empty range visited %d points", count)
-	}
-}
-
 func TestClampVoltage(t *testing.T) {
 	if got := ClampVoltage(1000, 700, 980); got != 980 {
 		t.Errorf("clamp high = %v", got)
@@ -216,29 +171,6 @@ func TestSnapUpProperties(t *testing.T) {
 		v := MilliVolts(raw)
 		u := v.SnapUp()
 		return u.OnGrid() && u >= v && u-v < VoltageStep
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the voltage sweep is strictly decreasing, on grid, bounded.
-func TestVoltageRangeProperties(t *testing.T) {
-	prop := func(a, b uint8) bool {
-		hi := MilliVolts(700) + MilliVolts(a)
-		lo := MilliVolts(700) + MilliVolts(b)
-		if lo > hi {
-			hi, lo = lo, hi
-		}
-		prev := MilliVolts(1 << 14)
-		ok := true
-		VoltageRange(hi, lo, func(v MilliVolts) {
-			if v >= prev || !v.OnGrid() || v > hi || v < lo {
-				ok = false
-			}
-			prev = v
-		})
-		return ok
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

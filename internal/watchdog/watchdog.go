@@ -7,10 +7,8 @@
 package watchdog
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"xvolt/internal/obs"
 )
@@ -65,7 +63,6 @@ type Watchdog struct {
 	haveBeat   bool
 	silent     int
 	recoveries int
-	events     []string
 
 	m wdMetrics
 }
@@ -140,10 +137,6 @@ func (w *Watchdog) Probe() Status {
 	w.recoveries++
 	w.silent = 0
 	w.haveBeat = false
-	w.events = append(w.events, fmt.Sprintf("recovery #%d: heartbeat silent for %d probes", w.recoveries, w.threshold))
-	if len(w.events) > 256 {
-		w.events = w.events[len(w.events)-256:]
-	}
 	return Recovered
 }
 
@@ -152,27 +145,4 @@ func (w *Watchdog) Recoveries() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.recoveries
-}
-
-// Events returns a copy of the recovery log.
-func (w *Watchdog) Events() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.events...)
-}
-
-// Run probes on the given interval until ctx is cancelled — the autonomous
-// mode in which the real Raspberry Pi operates. Campaign code that wants
-// deterministic single-threaded behavior calls Probe directly instead.
-func (w *Watchdog) Run(ctx context.Context, interval time.Duration) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			w.Probe()
-		}
-	}
 }

@@ -76,9 +76,6 @@ func (b *Bitflip) Reset(rng *rand.Rand, flips int) {
 	}
 }
 
-// Flips reports how many corruptions are scheduled.
-func (b *Bitflip) Flips() int { return b.flips }
-
 // step advances the hook-call counter and returns the scheduled bit + 1
 // for this call, or 0 when it is not a fault site.
 func (b *Bitflip) step() uint {

@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"xvolt/internal/silicon"
 )
 
 // Phase is one temporal section of a phased program.
@@ -48,61 +46,4 @@ func NewPhased(name string, phases []Phase) (*Phased, error) {
 		return nil, fmt.Errorf("workload: phase weights sum to %v, want 1", sum)
 	}
 	return &Phased{Name: name, Phases: phases}, nil
-}
-
-// Run executes every phase in order under one injector and folds the
-// phase outputs into a single checksum.
-func (p *Phased) Run(inj Injector) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, ph := range p.Phases {
-		h = fold(h, ph.Spec.Run(inj))
-	}
-	return h
-}
-
-// Golden returns the fault-free checksum.
-func (p *Phased) Golden() uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, ph := range p.Phases {
-		h = fold(h, ph.Spec.Golden())
-	}
-	return h
-}
-
-// BlendedProfile is the runtime-weighted average stress signature — what a
-// whole-program profiler (and therefore a whole-program governor) sees.
-func (p *Phased) BlendedProfile() silicon.StressProfile {
-	var out silicon.StressProfile
-	for _, ph := range p.Phases {
-		w := ph.Weight
-		out.Pipeline += w * ph.Spec.Profile.Pipeline
-		out.FPU += w * ph.Spec.Profile.FPU
-		out.Memory += w * ph.Spec.Profile.Memory
-		out.Branch += w * ph.Spec.Profile.Branch
-		out.ILP += w * ph.Spec.Profile.ILP
-	}
-	return out
-}
-
-// BlendedScore is the runtime-weighted total stress score. Note the safe
-// voltage of the *whole program* is set by its worst phase, not by this
-// average — the gap between the two is what per-phase governing harvests.
-func (p *Phased) BlendedScore() float64 {
-	s := 0.0
-	for _, ph := range p.Phases {
-		s += ph.Weight * ph.Spec.Score
-	}
-	return s
-}
-
-// WorstPhase returns the phase with the highest stress score (the one
-// that pins the whole-program voltage).
-func (p *Phased) WorstPhase() Phase {
-	worst := p.Phases[0]
-	for _, ph := range p.Phases[1:] {
-		if ph.Spec.Score > worst.Spec.Score {
-			worst = ph
-		}
-	}
-	return worst
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -42,57 +40,5 @@ func TestNewPhasedValidation(t *testing.T) {
 	}
 	if _, err := NewPhased("x", []Phase{{Spec: mcf, Weight: 1}}); err != nil {
 		t.Errorf("valid single phase rejected: %v", err)
-	}
-}
-
-func TestPhasedRunGolden(t *testing.T) {
-	p := twoPhase(t)
-	if p.Run(Nop{}) != p.Golden() {
-		t.Error("phased golden mismatch")
-	}
-	// A bitflip in any phase corrupts the program output.
-	seen := 0
-	for trial := 0; trial < 10; trial++ {
-		inj := NewBitflip(rand.New(rand.NewSource(int64(trial))), 1)
-		if p.Run(inj) != p.Golden() {
-			seen++
-		}
-	}
-	if seen < 8 {
-		t.Errorf("flips visible in only %d/10 phased runs", seen)
-	}
-}
-
-func TestBlendedProfile(t *testing.T) {
-	p := twoPhase(t)
-	mcf, _ := Lookup("mcf/ref")
-	bw, _ := Lookup("bwaves/ref")
-	blend := p.BlendedProfile()
-	wantMem := 0.4*mcf.Profile.Memory + 0.6*bw.Profile.Memory
-	if math.Abs(blend.Memory-wantMem) > 1e-12 {
-		t.Errorf("blended memory = %v, want %v", blend.Memory, wantMem)
-	}
-	// The blend sits between the extremes.
-	if blend.Pipeline <= mcf.Profile.Pipeline || blend.Pipeline >= bw.Profile.Pipeline {
-		t.Errorf("blended pipeline %v outside (%v, %v)",
-			blend.Pipeline, mcf.Profile.Pipeline, bw.Profile.Pipeline)
-	}
-}
-
-func TestBlendedScoreAndWorstPhase(t *testing.T) {
-	p := twoPhase(t)
-	mcf, _ := Lookup("mcf/ref")
-	bw, _ := Lookup("bwaves/ref")
-	want := 0.4*mcf.Score + 0.6*bw.Score
-	if math.Abs(p.BlendedScore()-want) > 1e-12 {
-		t.Errorf("blended score = %v, want %v", p.BlendedScore(), want)
-	}
-	if p.WorstPhase().Spec != bw {
-		t.Errorf("worst phase = %s, want bwaves", p.WorstPhase().Spec.Name)
-	}
-	// The governing gap: the worst phase's score strictly exceeds the
-	// blend, which is why whole-program governing over-provisions.
-	if p.WorstPhase().Spec.Score <= p.BlendedScore() {
-		t.Error("no governing gap between worst phase and blend")
 	}
 }

@@ -18,18 +18,6 @@ import (
 	"xvolt/internal/workload"
 )
 
-// DRAM-refresh leakage model of SampleCell: relaxing
-// the refresh interval beyond the threshold leaks cells into the ECC path
-// at slope·(mult−threshold) probability per run.
-const (
-	// RefreshLeakThreshold is the refresh-interval multiplier above which
-	// runs start drawing from the leakage model. At or below it the DRAM
-	// contributes nothing — and consumes no RNG — so ladder cells in that
-	// state are synthesizable.
-	RefreshLeakThreshold = 2.0
-	refreshLeakSlope     = 0.15
-)
-
 // marginKey identifies one memoized margin assessment. Specs are
 // interned package-level values in workload, so pointer identity is a
 // stable key.
@@ -62,32 +50,6 @@ func (m *Machine) Assess(core int, spec *workload.Spec, regime units.MarginRegim
 	return mg
 }
 
-// LadderState is the mutable board state a voltage ladder threads between
-// cells: the two knobs outside the PMD rail that influence run outcomes.
-// The PMD rail itself is the ladder's loop variable and needs no tracking.
-type LadderState struct {
-	SoC     units.MilliVolts
-	Refresh float64
-}
-
-// Clean reports whether the state contributes neither effects nor RNG
-// draws to a run: SoC rail at or above the die's domain floor and DRAM
-// refresh at or below the leakage threshold. Clean state is absorbing —
-// a crash reboot lands back inside it (ResetAfterCrash) — which is what
-// makes whole clean ladder regions synthesizable.
-func (st LadderState) Clean(chip *silicon.Chip) bool {
-	return st.SoC >= chip.SoCSafeVmin() && st.Refresh <= RefreshLeakThreshold
-}
-
-// ResetAfterCrash applies the watchdog power-cycle to the tracked state:
-// the reboot returns both knobs to nominal (powerOnLocked), and the
-// harness's re-programming afterwards touches only the PMD rail and
-// clocks.
-func (st *LadderState) ResetAfterCrash() {
-	st.SoC = units.NominalSoC
-	st.Refresh = 1.0
-}
-
 // BatchState is a read-only snapshot of everything that determines run
 // outcomes on a board, taken under the machine lock. A batch engine takes
 // one snapshot per campaign and samples the whole ladder from it without
@@ -96,19 +58,18 @@ type BatchState struct {
 	Chip  *silicon.Chip
 	Model silicon.Model
 	Prot  silicon.Protection
-	State LadderState
 }
 
 // BatchState snapshots the machine for ladder execution.
 func (m *Machine) BatchState() BatchState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return BatchState{
-		Chip:  m.chip,
-		Model: m.model,
-		Prot:  m.protection,
-		State: LadderState{SoC: m.socVoltage, Refresh: m.dramRefresh},
-	}
+	return m.batchStateLocked()
+}
+
+// batchStateLocked is BatchState under the held machine lock.
+func (m *Machine) batchStateLocked() BatchState {
+	return BatchState{Chip: m.chip, Model: m.model, Prot: m.protection}
 }
 
 // CellResult is one batch-sampled grid cell: the silicon-level effects
@@ -120,31 +81,13 @@ type CellResult struct {
 
 // SampleCell draws one run's fate: the one definition of a run's
 // draws, which RunOnCore makes against a snapshot of the live board and
-// the batch engine against a campaign's snapshot. st carries the
-// ladder's mutable rail state; after a cell with Effects.SC the caller
-// must apply st.ResetAfterCrash() (the watchdog reboot) before sampling
-// the next cell.
+// the batch engine against a campaign's snapshot. The SoC rail and DRAM
+// refresh sit at nominal on every board, where they contribute neither
+// effects nor draws.
 //
 //xvolt:hotpath per-cell sampling kernel; one call per (benchmark, core, voltage, run)
-func SampleCell(rng *rand.Rand, bs BatchState, st LadderState, margins silicon.Margins, v units.MilliVolts) CellResult {
+func SampleCell(rng *rand.Rand, bs BatchState, margins silicon.Margins, v units.MilliVolts) CellResult {
 	effects := silicon.SampleRunProtected(rng, margins, v, bs.Model, bs.Prot)
-	// The PCP/SoC domain contributes independently: an undervolted uncore
-	// can take the system down regardless of the PMD rail.
-	if soc := bs.Chip.SampleSoC(rng, st.SoC); !soc.Clean() {
-		effects.SC = effects.SC || soc.SC
-		if soc.CE {
-			effects.CE = true
-			effects.CECount += soc.CECount
-		}
-	}
-	// Over-relaxed DRAM refresh leaks cells into the ECC path.
-	if st.Refresh > RefreshLeakThreshold {
-		p := (st.Refresh - RefreshLeakThreshold) * refreshLeakSlope
-		if rng.Float64() < p {
-			effects.CE = true
-			effects.CECount += 1 + rng.Intn(5)
-		}
-	}
 	out := CellResult{Effects: effects}
 	if effects.CE {
 		out.Delta.CE[sampleLoc(rng)] += uint64(effects.CECount)
@@ -155,25 +98,12 @@ func SampleCell(rng *rand.Rand, bs BatchState, st LadderState, margins silicon.M
 	return out
 }
 
-// Recycle reboots the board to a fresh nominal state while preserving its
-// fabrication-time configuration (protection, per-PMD rails, DRAM
-// refresh) — the same knobs Clone carries to a new board, without the
-// allocations. The margin cache survives: it depends only on the
-// immutable die.
-func (m *Machine) Recycle() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	refresh := m.dramRefresh
-	m.powerOnLocked()
-	m.dramRefresh = refresh
-}
-
 // Pool recycles booted boards across campaign executions. Workers Get a
 // board, run any number of campaigns on it, and Put it back; a Get
-// prefers recycling an idle board (Recycle) over fabricating a new one
-// (the factory). The engine's determinism domain — factories producing
-// boards whose LadderState is Clean — is exactly the domain on which a
-// recycled board is indistinguishable from a fresh factory board.
+// prefers resetting an idle board (Reset) over fabricating a new one
+// (the factory). A reset board is indistinguishable from a fresh factory
+// board: both boot at nominal settings with the fabricated protection,
+// and the margin cache survives because it depends only on the die.
 type Pool struct {
 	factory func() *Machine
 	pool    sync.Pool
@@ -188,7 +118,7 @@ func NewPool(factory func() *Machine) *Pool {
 // fabrication otherwise.
 func (p *Pool) Get() *Machine {
 	if m, _ := p.pool.Get().(*Machine); m != nil {
-		m.Recycle()
+		m.Reset()
 		return m
 	}
 	return p.factory()

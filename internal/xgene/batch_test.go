@@ -11,73 +11,56 @@ import (
 // TestRunOnCoreDrawsLikeSampleCell pins the batch contract on a live
 // board: from equal seeds, RunOnCore and SampleCell plus the SDC replay
 // agree on the effects, the EDAC delta, the program output and the
-// rng's next draw, across PMD voltages and SoC/refresh states.
+// rng's next draw, across PMD voltages.
 func TestRunOnCoreDrawsLikeSampleCell(t *testing.T) {
 	spec := mustSpec(t, "bwaves/ref")
-	states := []struct {
-		name    string
-		soc     units.MilliVolts
-		refresh float64
-	}{
-		{"nominal", units.NominalSoC, 1},
-		{"soc-below-floor", 850, 1},
-		{"refresh-leaking", units.NominalSoC, 4},
-	}
 	var crashes, sdcs, ces int
-	for _, st := range states {
-		for _, v := range []units.MilliVolts{980, 910, 895, 880, 865} {
-			for seed := int64(0); seed < 40; seed++ {
-				m := testMachine()
-				if err := m.SetSoCVoltage(st.soc); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.SetDRAMRefresh(st.refresh); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.SetPMDVoltage(v); err != nil {
-					t.Fatal(err)
-				}
-				bs := m.BatchState()
-				margins := m.Assess(0, spec, units.RegimeOf(units.MaxFrequency))
+	for _, v := range []units.MilliVolts{980, 910, 895, 880, 865} {
+		for seed := int64(0); seed < 40; seed++ {
+			m := testMachine()
+			if err := m.SetPMDVoltage(v); err != nil {
+				t.Fatal(err)
+			}
+			bs := m.BatchState()
+			margins := m.Assess(0, spec, units.RegimeOf(units.MaxFrequency))
 
-				live, batch := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-				before := m.EDAC().Snapshot()
-				res, err := m.RunOnCore(0, spec, live)
-				if err != nil {
-					t.Fatal(err)
-				}
-				delta := m.EDAC().Snapshot().Sub(before)
+			live, batch := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			before := m.EDAC().Snapshot()
+			res, err := m.RunOnCore(0, spec, live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta := m.EDAC().Snapshot().Sub(before)
 
-				cell := SampleCell(batch, bs, bs.State, margins, v)
-				out := spec.Golden()
-				if e := cell.Effects; e.SDC && !e.SC && !e.AC {
-					var inj workload.Bitflip
-					inj.Reset(batch, e.SDCBits)
-					out = spec.Run(&inj)
-				}
+			cell := SampleCell(batch, bs, margins, v)
+			out := spec.Golden()
+			if e := cell.Effects; e.SDC && !e.SC && !e.AC {
+				var inj workload.Bitflip
+				inj.Reset(batch, e.SDCBits)
+				out = spec.Run(&inj)
+			}
 
-				where := st.name + " at " + v.String()
-				if res.GroundTru != cell.Effects {
-					t.Fatalf("%s seed %d: RunOnCore effects %+v, SampleCell %+v", where, seed, res.GroundTru, cell.Effects)
-				}
-				if delta != cell.Delta {
-					t.Fatalf("%s seed %d: EDAC delta %+v, SampleCell %+v", where, seed, delta, cell.Delta)
-				}
-				if res.SystemUp && res.ExitCode == 0 && res.Output != out {
-					t.Fatalf("%s seed %d: output %#x, replay %#x", where, seed, res.Output, out)
-				}
-				if a, b := live.Int63(), batch.Int63(); a != b {
-					t.Fatalf("%s seed %d: streams diverged after the run (%d vs %d)", where, seed, a, b)
-				}
-				if cell.Effects.SC {
-					crashes++
-				}
-				if cell.Effects.SDC && res.Output != spec.Golden() {
-					sdcs++
-				}
-				if cell.Effects.CE {
-					ces++
-				}
+			where := v.String()
+			if res.GroundTru != cell.Effects {
+				t.Fatalf("%s seed %d: RunOnCore effects %+v, SampleCell %+v", where, seed, res.GroundTru, cell.Effects)
+			}
+			if delta != cell.Delta {
+				t.Fatalf("%s seed %d: EDAC delta %+v, SampleCell %+v", where, seed, delta, cell.Delta)
+			}
+			if res.SystemUp && res.ExitCode == 0 && res.Output != out {
+				t.Fatalf("%s seed %d: output %#x, replay %#x", where, seed, res.Output, out)
+			}
+			if a, b := live.Int63(), batch.Int63(); a != b {
+				t.Fatalf("%s seed %d: streams diverged after the run (%d vs %d)", where, seed, a, b)
+			}
+			if cell.Effects.SC {
+				crashes++
+			}
+			if cell.Effects.SDC && res.Output != spec.Golden() {
+				sdcs++
+			}
+			if cell.Effects.CE {
+				ces++
 			}
 		}
 	}

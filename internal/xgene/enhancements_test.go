@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"xvolt/internal/silicon"
-	"xvolt/internal/units"
 )
 
 func TestProtectionDefaultStock(t *testing.T) {
 	m := testMachine()
-	if p := m.Protection(); p.ECC != silicon.SECDED || p.AdaptiveClocking {
+	if p := m.BatchState().Prot; p.ECC != silicon.SECDED || p.AdaptiveClocking {
 		t.Errorf("default protection = %+v, want stock", p)
 	}
 }
@@ -84,7 +83,7 @@ func TestAdaptiveClockingOnMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.GroundTru.Clean() {
+			if res.GroundTru != (silicon.RunEffects{}) {
 				n++
 			}
 		}
@@ -100,129 +99,13 @@ func TestAdaptiveClockingOnMachine(t *testing.T) {
 	}
 }
 
-func TestSoCUndervoltCrashesSystem(t *testing.T) {
-	m := testMachine()
-	spec := mustSpec(t, "mcf/ref")
-	rng := rand.New(rand.NewSource(13))
-	// SoC floor on TTT is 865 mV: go well below it while the PMD rail
-	// stays at a safe point.
-	if err := m.SetSoCVoltage(820); err != nil {
-		t.Fatal(err)
-	}
-	crashed := false
-	for i := 0; i < 60 && !crashed; i++ {
-		res, err := m.RunOnCore(4, spec, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crashed = !res.SystemUp
-	}
-	if !crashed {
-		t.Error("deep SoC undervolt never crashed the system")
-	}
-}
-
-func TestSoCSafeAboveFloor(t *testing.T) {
-	m := testMachine()
-	spec := mustSpec(t, "mcf/ref")
-	rng := rand.New(rand.NewSource(14))
-	floor := m.Chip().SoCSafeVmin()
-	if err := m.SetSoCVoltage(floor); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		res, err := m.RunOnCore(4, spec, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.GroundTru.Clean() {
-			t.Fatalf("run %d misbehaved at the SoC floor: %+v", i, res.GroundTru)
-		}
-	}
-}
-
-func TestDRAMRefresh(t *testing.T) {
-	m := testMachine()
-	if m.DRAMRefresh() != 1.0 {
-		t.Errorf("stock refresh = %v", m.DRAMRefresh())
-	}
-	if err := m.SetDRAMRefresh(0.4); err == nil {
-		t.Error("refresh 0.4x accepted")
-	}
-	if err := m.SetDRAMRefresh(5); err == nil {
-		t.Error("refresh 5x accepted")
-	}
-	if err := m.SetDRAMRefresh(1.5); err != nil {
-		t.Fatal(err)
-	}
-	if m.DRAMRefresh() != 1.5 {
-		t.Errorf("refresh = %v", m.DRAMRefresh())
-	}
-	// Via SLIMpro.
-	if _, err := m.SLIMpro().Call(Request{Op: OpSetDRAMRefresh, Multiplier: 2.0}); err != nil {
-		t.Fatal(err)
-	}
-	if m.DRAMRefresh() != 2.0 {
-		t.Errorf("refresh via SLIMpro = %v", m.DRAMRefresh())
-	}
-	if OpSetDRAMRefresh.String() != "SET_DRAM_REFRESH" {
-		t.Error("opcode name wrong")
-	}
-}
-
-// Over-relaxed refresh leaks cells into the ECC path even at nominal
-// voltage.
-func TestDRAMRefreshLeaksCEs(t *testing.T) {
-	m := testMachine()
-	if err := m.SetDRAMRefresh(3.5); err != nil {
-		t.Fatal(err)
-	}
-	spec := mustSpec(t, "mcf/ref")
-	rng := rand.New(rand.NewSource(15))
-	ce := 0
-	for i := 0; i < 200; i++ {
-		res, err := m.RunOnCore(0, spec, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.GroundTru.CE {
-			ce++
-		}
-	}
-	if ce < 10 {
-		t.Errorf("only %d/200 runs saw refresh-induced CEs", ce)
-	}
-	if m.EDAC().Snapshot().TotalCE() == 0 {
-		t.Error("refresh CEs never reached EDAC")
-	}
-	// Stock refresh at nominal: clean.
-	m2 := testMachine()
-	for i := 0; i < 100; i++ {
-		res, err := m2.RunOnCore(0, spec, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.GroundTru.Clean() {
-			t.Fatalf("stock refresh run misbehaved: %+v", res.GroundTru)
-		}
-	}
-}
-
-// Reset restores stock refresh but keeps the fabricated protection (it is
-// a hardware property, not a setting).
-func TestResetRestoresRefreshKeepsProtection(t *testing.T) {
+// Reset keeps the fabricated protection (it is a hardware property, not
+// a setting).
+func TestResetKeepsProtection(t *testing.T) {
 	m := testMachine()
 	m.SetProtection(silicon.Protection{ECC: silicon.DECTED})
-	if err := m.SetDRAMRefresh(2.5); err != nil {
-		t.Fatal(err)
-	}
 	m.Reset()
-	if m.DRAMRefresh() != 1.0 {
-		t.Errorf("refresh after reset = %v", m.DRAMRefresh())
-	}
-	if m.Protection().ECC != silicon.DECTED {
+	if m.BatchState().Prot.ECC != silicon.DECTED {
 		t.Error("protection lost across reset")
 	}
 }
-
-var _ = units.MilliVolts(0)

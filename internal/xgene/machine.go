@@ -34,37 +34,7 @@ var (
 const (
 	MinPMDVoltage units.MilliVolts = 600
 	MaxPMDVoltage units.MilliVolts = units.NominalPMD
-	MinSoCVoltage units.MilliVolts = 600
-	MaxSoCVoltage units.MilliVolts = units.NominalSoC
 )
-
-// railLines and clockLines intern the console lines of the two SLIMpro
-// writes a Vmin bisection makes on every run: one line per shared-rail
-// voltage on the 5 mV grid, and one per (PMD, clock). They are formatted
-// once, at package initialization, so such a write appends only a string
-// header. Every other console line is formatted when it is written.
-var (
-	railLines  = internRailLines()
-	clockLines = internClockLines()
-)
-
-func internRailLines() (out [(MaxPMDVoltage-MinPMDVoltage)/units.VoltageStep + 1]string) {
-	for i := range out {
-		v := MinPMDVoltage + units.MilliVolts(i)*units.VoltageStep
-		out[i] = fmt.Sprintf("slimpro: pmd rail -> %v", v)
-	}
-	return out
-}
-
-func internClockLines() (out [silicon.NumPMDs][(units.MaxFrequency-units.MinFrequency)/units.FrequencyStep + 1]string) {
-	for pmd := range out {
-		for i := range out[pmd] {
-			f := units.MinFrequency + units.MegaHertz(i)*units.FrequencyStep
-			out[pmd][i] = fmt.Sprintf("slimpro: pmd%d clock -> %v", pmd, f)
-		}
-	}
-	return out
-}
 
 // RunResult is what a benchmark run on a core yields, as observable by
 // system software: the exit status, the program output (checksum), and
@@ -89,23 +59,17 @@ type Machine struct {
 	powered      bool
 	responsive   bool
 	bootCount    int
+	heartbeat    uint64           // serial heartbeat; a live kernel advances it
 	pmdVoltage   units.MilliVolts // one rail for all PMDs
-	perPMDRails  bool             // §6 "finer-grained domains" ablation
-	pmdVoltages  [silicon.NumPMDs]units.MilliVolts
-	socVoltage   units.MilliVolts
 	pmdFrequency [silicon.NumPMDs]units.MegaHertz
 
-	tempTarget units.Celsius
 	fanPercent float64
 
-	protection  silicon.Protection
-	dramRefresh float64 // refresh-interval multiplier, 1.0 = stock
+	protection silicon.Protection
 
 	busy [silicon.NumCores]bool
 
-	edac    *edac.Driver
-	console *Console
-	params  Params
+	edac *edac.Driver
 
 	// marginCache memoizes chip.Assess per (core, spec, regime). The die
 	// is immutable after fabrication, so an assessment is a pure function
@@ -125,11 +89,9 @@ func New(chip *silicon.Chip) *Machine {
 // Itanium-like model supports the §3.4 cross-architecture comparison).
 func NewWithModel(chip *silicon.Chip, model silicon.Model) *Machine {
 	m := &Machine{
-		chip:    chip,
-		model:   model,
-		edac:    edac.New(),
-		console: newConsole(512),
-		params:  DefaultParams(),
+		chip:  chip,
+		model: model,
+		edac:  edac.New(),
 	}
 	m.powerOnLocked()
 	return m
@@ -141,54 +103,34 @@ func (m *Machine) powerOnLocked() {
 	m.responsive = true
 	m.bootCount++
 	m.pmdVoltage = units.NominalPMD
-	for i := range m.pmdVoltages {
-		m.pmdVoltages[i] = units.NominalPMD
-	}
-	m.socVoltage = units.NominalSoC
 	for i := range m.pmdFrequency {
 		m.pmdFrequency[i] = units.MaxFrequency
 	}
-	m.tempTarget = 43
 	m.fanPercent = 60
-	m.dramRefresh = 1.0
 	m.busy = [silicon.NumCores]bool{}
 	m.edac.Reset()
-	m.console.clear()
-	m.console.Printf("xgene2: boot #%d chip=%s model=%s", m.bootCount, m.chip.Name, m.model)
 }
 
 // Chip exposes the underlying die (for tests and reports).
 func (m *Machine) Chip() *silicon.Chip { return m.chip }
 
-// Model returns the failure model the machine samples runs from.
-func (m *Machine) Model() silicon.Model { return m.model }
-
 // Clone fabricates a fresh board around the same die, failure model and
-// configuration knobs (protection, per-PMD rails, DRAM refresh). The
-// clone boots independently at nominal settings with its own EDAC driver
-// and console — the parallel campaign engine hands each worker a clone so
-// no lock is contended on the simulated SLIMpro path. The die itself is
-// shared: a Chip is immutable after fabrication.
+// protection configuration. The clone boots independently at nominal
+// settings with its own EDAC driver and heartbeat — the parallel campaign
+// engine hands each worker a clone so no lock is contended on the
+// simulated SLIMpro path. The die itself is shared: a Chip is immutable
+// after fabrication.
 func (m *Machine) Clone() *Machine {
 	m.mu.Lock()
-	chip, model := m.chip, m.model
-	prot, rails, refresh := m.protection, m.perPMDRails, m.dramRefresh
+	chip, model, prot := m.chip, m.model, m.protection
 	m.mu.Unlock()
 	c := NewWithModel(chip, model)
 	c.protection = prot
-	c.perPMDRails = rails
-	c.dramRefresh = refresh
 	return c
 }
 
-// Params returns the board's Table 2 parameters.
-func (m *Machine) Params() Params { return m.params }
-
 // EDAC returns the board's error-reporting driver.
 func (m *Machine) EDAC() *edac.Driver { return m.edac }
-
-// Console returns the serial console.
-func (m *Machine) Console() *Console { return m.console }
 
 // BootCount reports how many times the board has powered on.
 func (m *Machine) BootCount() int {
@@ -236,12 +178,11 @@ func (m *Machine) Reset() {
 // hang signal.
 func (m *Machine) Heartbeat() uint64 {
 	m.mu.Lock()
-	alive := m.powered && m.responsive
-	m.mu.Unlock()
-	if alive {
-		m.console.beat()
+	defer m.mu.Unlock()
+	if m.powered && m.responsive {
+		m.heartbeat++
 	}
-	return m.console.Heartbeat()
+	return m.heartbeat
 }
 
 // --- voltage and frequency regulation (SLIMpro services, §2.1) ---
@@ -269,96 +210,19 @@ func (m *Machine) SetPMDVoltage(v units.MilliVolts) error {
 		return fmt.Errorf("%w: %v", ErrBadVoltage, v)
 	}
 	m.pmdVoltage = v
-	for i := range m.pmdVoltages {
-		m.pmdVoltages[i] = v
-	}
-	m.console.writeLine(railLines[(v-MinPMDVoltage)/units.VoltageStep])
 	return nil
 }
 
-// PMDVoltage returns the current shared-rail voltage. With per-PMD rails
-// enabled it returns the highest rail.
+// PMDVoltage returns the current shared-rail voltage.
 func (m *Machine) PMDVoltage() units.MilliVolts {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.perPMDRails {
-		return m.pmdVoltage
-	}
-	maxV := m.pmdVoltages[0]
-	for _, v := range m.pmdVoltages[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return maxV
+	return m.pmdVoltage
 }
 
-// EnablePerPMDRails turns on the hypothetical finer-grained voltage-domain
-// design of §6 ("Design Enhancements"): each PMD gets its own rail. This
-// does not exist on real X-Gene 2 silicon; it powers the ablation study.
-func (m *Machine) EnablePerPMDRails() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.perPMDRails = true
-	m.console.Printf("slimpro: per-PMD voltage rails enabled (what-if)")
-}
-
-// PerPMDRails reports whether the §6 ablation mode is active.
-func (m *Machine) PerPMDRails() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.perPMDRails
-}
-
-// SetPMDRail sets one PMD's rail in the §6 ablation mode.
-func (m *Machine) SetPMDRail(pmd int, v units.MilliVolts) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkAliveLocked(); err != nil {
-		return err
-	}
-	if !m.perPMDRails {
-		return errors.New("xgene: per-PMD rails not enabled")
-	}
-	if pmd < 0 || pmd >= silicon.NumPMDs {
-		return fmt.Errorf("xgene: no such PMD %d", pmd)
-	}
-	if v < MinPMDVoltage || v > MaxPMDVoltage || !v.OnGrid() {
-		return fmt.Errorf("%w: %v", ErrBadVoltage, v)
-	}
-	m.pmdVoltages[pmd] = v
-	m.console.Printf("slimpro: pmd%d rail -> %v", pmd, v)
-	return nil
-}
-
-// PMDRail returns one PMD's rail voltage.
-func (m *Machine) PMDRail(pmd int) units.MilliVolts {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pmdVoltages[pmd]
-}
-
-// SetSoCVoltage scales the PCP/SoC domain rail (independent of the PMDs).
-func (m *Machine) SetSoCVoltage(v units.MilliVolts) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkAliveLocked(); err != nil {
-		return err
-	}
-	if v < MinSoCVoltage || v > MaxSoCVoltage || !v.OnGrid() {
-		return fmt.Errorf("%w: %v", ErrBadVoltage, v)
-	}
-	m.socVoltage = v
-	m.console.Printf("slimpro: soc rail -> %v", v)
-	return nil
-}
-
-// SoCVoltage returns the PCP/SoC rail voltage.
-func (m *Machine) SoCVoltage() units.MilliVolts {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.socVoltage
-}
+// SoCVoltage returns the PCP/SoC rail voltage. The framework never moves
+// it from nominal.
+func (m *Machine) SoCVoltage() units.MilliVolts { return units.NominalSoC }
 
 // SetPMDFrequency sets one PMD's clock (300–2400 MHz, 300 MHz steps).
 func (m *Machine) SetPMDFrequency(pmd int, f units.MegaHertz) error {
@@ -374,7 +238,6 @@ func (m *Machine) SetPMDFrequency(pmd int, f units.MegaHertz) error {
 		return fmt.Errorf("%w: %v", ErrBadFrequency, f)
 	}
 	m.pmdFrequency[pmd] = f
-	m.console.writeLine(clockLines[pmd][(f-units.MinFrequency)/units.FrequencyStep])
 	return nil
 }
 
@@ -392,56 +255,9 @@ func (m *Machine) SetProtection(p silicon.Protection) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.protection = p
-	m.console.Printf("fab: protection ecc=%v adaptive-clocking=%v", p.ECC, p.AdaptiveClocking)
-}
-
-// Protection returns the active enhancement configuration.
-func (m *Machine) Protection() silicon.Protection {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.protection
-}
-
-// SetDRAMRefresh scales the DRAM refresh interval (SLIMpro can "change
-// DRAM refresh rate", §2.1). 1.0 is stock; larger values refresh less
-// often, saving a little power but leaking cells into the ECC path beyond
-// 2× (and rejected beyond 4×).
-func (m *Machine) SetDRAMRefresh(mult float64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkAliveLocked(); err != nil {
-		return err
-	}
-	if mult < 0.5 || mult > 4.0 {
-		return errors.New("xgene: refresh multiplier outside [0.5, 4]")
-	}
-	m.dramRefresh = mult
-	m.console.Printf("slimpro: dram refresh interval x%.2f", mult)
-	return nil
-}
-
-// DRAMRefresh returns the refresh-interval multiplier.
-func (m *Machine) DRAMRefresh() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dramRefresh
 }
 
 // --- thermal control (§3.1 pins the die at 43 °C via fan speed) ---
-
-// SetFan sets fan duty in percent (0–100).
-func (m *Machine) SetFan(percent float64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkAliveLocked(); err != nil {
-		return err
-	}
-	if percent < 0 || percent > 100 {
-		return errors.New("xgene: fan duty outside [0,100]")
-	}
-	m.fanPercent = percent
-	return nil
-}
 
 // Temperature models the die temperature: ambient plus a load/voltage term
 // minus fan cooling. The harness adjusts the fan until this reads the
@@ -527,13 +343,8 @@ func (m *Machine) runOnCore(core int, spec *workload.Spec, rng *rand.Rand, asses
 	m.busy[core] = true
 	pmd := silicon.PMDOf(core)
 	freq := m.pmdFrequency[pmd]
-	volt := m.pmdVoltages[pmd]
-	bs := BatchState{
-		Chip:  m.chip,
-		Model: m.model,
-		Prot:  m.protection,
-		State: LadderState{SoC: m.socVoltage, Refresh: m.dramRefresh},
-	}
+	volt := m.pmdVoltage
+	bs := m.batchStateLocked()
 	m.mu.Unlock()
 
 	var margins silicon.Margins
@@ -544,7 +355,7 @@ func (m *Machine) runOnCore(core int, spec *workload.Spec, rng *rand.Rand, asses
 	}
 	// The run's draws are SampleCell's: the batch engine's contract holds
 	// by construction.
-	cell := SampleCell(rng, bs, bs.State, margins, volt)
+	cell := SampleCell(rng, bs, margins, volt)
 	effects := cell.Effects
 	res := RunResult{SystemUp: true, GroundTru: effects}
 
@@ -566,12 +377,10 @@ func (m *Machine) runOnCore(core int, spec *workload.Spec, rng *rand.Rand, asses
 		m.responsive = false
 		m.busy[core] = false
 		m.mu.Unlock()
-		m.console.Printf("kernel: panic on core %d at %v/%v — system hang", core, volt, freq)
 		res.SystemUp = false
 		res.ExitCode = -1
 		return res, nil
 	case effects.AC:
-		m.console.Printf("run: %s on core %d killed (signal)", spec.ID(), core)
 		res.ExitCode = 134 // SIGABRT-style abnormal termination
 	case effects.SDC:
 		res.Output = spec.Run(workload.NewBitflip(rng, effects.SDCBits))
@@ -611,13 +420,13 @@ func (m *Machine) estimatePowerLocked() float64 {
 	}
 	const pmdMaxDynamic = 6.0 // W per PMD at 2.4 GHz / 980 mV
 	dynamic := 0.0
+	vRel := m.pmdVoltage.RelativeSquared()
 	for pmd := 0; pmd < silicon.NumPMDs; pmd++ {
 		fRel := m.pmdFrequency[pmd].GHz() / units.MaxFrequency.GHz()
-		vRel := m.pmdVoltages[pmd].RelativeSquared()
 		dynamic += pmdMaxDynamic * fRel * vRel
 	}
 	leak := 3.0 * m.chip.Corner().Leakage() * (m.pmdVoltage.Volts() / units.NominalPMD.Volts())
-	soc := 4.0 * m.socVoltage.RelativeSquared()
+	soc := 4.0 * units.NominalSoC.RelativeSquared()
 	return dynamic + leak + soc
 }
 

@@ -1,8 +1,8 @@
 // Package xgene models the AppliedMicro X-Gene 2 micro-server used in the
 // paper: eight ARMv8 cores in four PMDs sharing one scalable voltage rail,
-// per-PMD frequency control, a PCP/SoC power domain, the SLIMpro/PMpro
-// management processors, EDAC error reporting, a serial console with
-// heartbeat, and physical power/reset lines for an external watchdog.
+// per-PMD frequency control, a PCP/SoC power domain held at nominal, EDAC
+// error reporting, the serial heartbeat, and physical power/reset lines
+// for an external watchdog.
 //
 // The machine is the only surface the characterization framework touches —
 // exactly the services the real framework consumed via Linux and the
