@@ -78,8 +78,7 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 		return err
 	}
 
-	seedByCorner := map[silicon.Corner]int64{silicon.TTT: 1, silicon.TFF: 2, silicon.TSS: 3}
-	machine := xgene.NewWithModel(silicon.NewChip(corner, seedByCorner[corner]), model)
+	machine := xgene.NewWithModel(silicon.PaperChip(corner), model)
 
 	reg := obs.NewRegistry()
 	tlog := trace.New(0)
@@ -126,8 +125,8 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 		return runFast(fw, cfg, benchmarks, cores)
 	}
 
-	// Campaign engine: each worker drives a clone of the configured board.
-	runner := core.NewLadderRunner(machine.Clone)
+	// Campaign engine: every worker samples the configured board.
+	runner := core.NewLadderRunner(func() *xgene.Machine { return machine })
 	runner.SetParallelism(parallelism)
 	runner.SetMetrics(reg)
 	runner.SetTrace(tlog)

@@ -26,8 +26,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xvolt-selftest:", err)
 		os.Exit(1)
 	}
-	seedByCorner := map[silicon.Corner]int64{silicon.TTT: 1, silicon.TFF: 2, silicon.TSS: 3}
-	m := xgene.New(silicon.NewChip(corner, seedByCorner[corner]))
+	m := xgene.New(silicon.PaperChip(corner))
 	findings, err := selftest.Localize(m, *coreID, *runs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xvolt-selftest:", err)

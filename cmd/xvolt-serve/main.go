@@ -60,8 +60,7 @@ func run(ctx context.Context, addr, chipName, benchList, coreList string, runs i
 	if err != nil {
 		return err
 	}
-	seedByCorner := map[silicon.Corner]int64{silicon.TTT: 1, silicon.TFF: 2, silicon.TSS: 3}
-	fw := core.New(xgene.New(silicon.NewChip(corner, seedByCorner[corner])))
+	fw := core.New(xgene.New(silicon.PaperChip(corner)))
 	reg := obs.NewRegistry()
 	fw.SetMetrics(reg)
 	fw.SetTrace(trace.New(8192))

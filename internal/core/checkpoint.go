@@ -186,13 +186,10 @@ func (r *LadderRunner) ExecuteResumable(cfg Config, ckpt *Checkpoint) ([]RunReco
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if r.pool == nil {
+	if r.board == nil {
 		return nil, errors.New("core: runner has no machine factory")
 	}
-	// Campaign keys name the chip, which only a board knows.
-	wm := r.pool.Get()
-	chip := wm.Chip().Name
-	r.pool.Put(wm)
+	chip := r.board.Chip().Name // campaign keys name the chip
 
 	var pending []Campaign
 	var keys []string

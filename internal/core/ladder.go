@@ -39,13 +39,14 @@ func (c *Config) Grid() []Campaign {
 }
 
 // LadderRunner is the parallel campaign engine: it shards a
-// configuration's (benchmark, core) grid across a pool of workers, each
-// with a pooled board of its own. Instead of one fully locked machine
-// call per (benchmark, core, voltage, run) grid cell, each worker takes a
-// single state snapshot of its board per campaign and samples the whole
-// voltage ladder from it (xgene.SampleCell), tallying each step as it
-// goes into a compact sweep. Three properties make the output
-// byte-identical to the sequential Framework at any worker count:
+// configuration's (benchmark, core) grid across a pool of workers over
+// one board. Instead of one fully locked machine call per (benchmark,
+// core, voltage, run) grid cell, an Execute takes a single state
+// snapshot of the board (its die, failure model and protection) and
+// every worker samples whole voltage ladders from it (xgene.SampleCell),
+// tallying each step as it goes into a compact sweep; the workers share
+// the board's margin memo (Machine.Assess). Three properties make the
+// output byte-identical to the sequential Framework at any worker count:
 //
 //   - every campaign draws from its own CampaignSeed-derived stream, and a
 //     sampled cell consumes that stream in exactly RunOnCore's draw order;
@@ -58,11 +59,9 @@ func (c *Config) Grid() []Campaign {
 //     sequential sweep sees.
 //
 // A LadderRunner is safe for concurrent Execute calls; each call spins up
-// its own workers over pooled boards (recycled between calls rather than
-// re-fabricated — a Reset is a power cycle, which lands on the same
-// power-on state a fresh factory board boots into).
+// its own workers over the same board, which no sweep modifies.
 type LadderRunner struct {
-	pool        *xgene.Pool
+	board       *xgene.Machine
 	parallelism int
 
 	log     *trace.Log
@@ -83,15 +82,13 @@ type runnerMetrics struct {
 	latency *obs.HDRVec  // campaign wall time, by worker index
 }
 
-// NewLadderRunner builds the engine over a machine factory (use
-// xgene.Machine.Clone to replicate a configured prototype). Boards are
-// drawn from a pool and recycled across Execute calls rather than
-// refabricated per worker. A nil factory makes every Execute fail.
+// NewLadderRunner builds the engine over the board newMachine returns,
+// which it calls once. A nil factory makes every Execute fail.
 func NewLadderRunner(newMachine func() *xgene.Machine) *LadderRunner {
 	if newMachine == nil {
 		return &LadderRunner{}
 	}
-	return &LadderRunner{pool: xgene.NewPool(newMachine)}
+	return &LadderRunner{board: newMachine()}
 }
 
 // SetParallelism fixes the worker count. Zero or negative (the default)
@@ -235,7 +232,7 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx in
 	if len(grid) == 0 {
 		return nil, nil
 	}
-	if r.pool == nil {
+	if r.board == nil {
 		return nil, errors.New("core: runner has no machine factory")
 	}
 	if r.reg != nil && r.log != nil {
@@ -246,6 +243,7 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx in
 	defer r.metrics.workers.Add(-float64(workers))
 	r.metrics.queued.Add(float64(len(grid)))
 
+	bs := r.board.BatchState()
 	jobs := make(chan int)
 	out := make([]*sweep, len(grid))
 	acct := &gridAccounts{r: r, grid: grid, out: out, cfg: &cfg, done: done, slots: make([]finishedSlot, len(grid))}
@@ -254,9 +252,6 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx in
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			wm := r.pool.Get()
-			defer r.pool.Put(wm)
-			bs := wm.BatchState()
 			label := strconv.Itoa(worker)
 			sc := new(sweepScratch) // reused across the worker's campaigns
 			for idx := range jobs {
@@ -264,7 +259,7 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx in
 				camp := grid[idx]
 				r.metrics.busy.Inc()
 				span := obs.StartSpan(r.metrics.latency.With(label))
-				s, hit := r.oneCampaign(wm, bs, camp.Spec, camp.Core, &cfg, sc)
+				s, hit := r.oneCampaign(bs, camp.Spec, camp.Core, &cfg, sc)
 				out[idx] = s
 				span.End()
 				r.metrics.busy.Dec()
@@ -351,10 +346,10 @@ func (g *gridAccounts) finish(idx int, memo bool) {
 // sweep, a miss sweeps the ladder in the worker's scratch and stores the
 // result. Either way the returned sweep is read-only shared state; hit
 // reports a memo hit.
-func (r *LadderRunner) oneCampaign(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, sc *sweepScratch) (s *sweep, hit bool) {
+func (r *LadderRunner) oneCampaign(bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, sc *sweepScratch) (s *sweep, hit bool) {
 	key := newMemoKey(bs, spec, coreID, cfg)
 	if s, hit = lookupCampaign(key); !hit {
-		s = r.runLadder(wm, bs, spec, coreID, cfg, sc)
+		s = r.runLadder(bs, spec, coreID, cfg, sc)
 		storeCampaign(key, s)
 	}
 	return s, hit
@@ -482,16 +477,16 @@ func (s *sweep) appendRecords(dst []RunRecord) []RunRecord {
 }
 
 // runLadder sweeps one (benchmark, core) campaign downward against the
-// worker board's state snapshot, tallying each step as it goes. The
+// board's state snapshot, tallying each step as it goes. The
 // cells of a sampled step are staged in the scratch buffer; a step with
 // no effect drops them again. The sweep gets an exact-size copy of what
 // is left, and the grown buffer stays for the next campaign. Each SDC
 // cell is scored by the scratch replay, begun for this sweep.
 //
 //xvolt:hotpath inner sweep loop; allocation profile pinned by BENCH_baseline.json
-func (r *LadderRunner) runLadder(wm *xgene.Machine, bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, sc *sweepScratch) *sweep {
+func (r *LadderRunner) runLadder(bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, sc *sweepScratch) *sweep {
 	rng := randsrc.New(CampaignSeed(cfg.Seed, bs.Chip.Name, spec.Name, spec.Input, coreID))
-	margins := wm.Assess(coreID, spec, units.RegimeOf(cfg.Frequency))
+	margins := r.board.Assess(coreID, spec, units.RegimeOf(cfg.Frequency))
 	cleanAbove := silicon.EffectiveSafeVmin(margins, bs.Prot)
 	golden := spec.Golden()
 

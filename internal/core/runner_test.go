@@ -11,6 +11,7 @@ import (
 	"xvolt/internal/obs"
 	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
+	"xvolt/internal/units"
 	"xvolt/internal/workload"
 	"xvolt/internal/xgene"
 )
@@ -76,12 +77,20 @@ func TestRunnerSubGridStable(t *testing.T) {
 }
 
 // A LadderRunner must survive concurrent Execute calls (run under -race
-// in CI): each call gets private machines; shared state is only the
-// board pool, the campaign memo, metrics, trace and the recovery counter.
+// in CI): every worker of every call samples the runner's one board, and
+// shares its margin memo, the campaign memo, metrics, trace and the
+// recovery counter. The factory is called once, and no sweep moves the
+// board off its power-on operating point.
 func TestRunnerConcurrentExecutes(t *testing.T) {
 	core.FlushCampaignCache()
 	cfg := testConfig(t)
-	r := core.NewLadderRunner(ttFactory)
+	var board *xgene.Machine
+	made := 0
+	r := core.NewLadderRunner(func() *xgene.Machine {
+		made++
+		board = ttFactory()
+		return board
+	})
 	r.SetParallelism(3)
 	r.SetMetrics(obs.NewRegistry())
 	r.SetTrace(trace.New(64))
@@ -115,6 +124,12 @@ func TestRunnerConcurrentExecutes(t *testing.T) {
 	}
 	if got := r.Recoveries(); got != calls*crashes {
 		t.Errorf("recoveries = %d, want %d (one per crash record per call)", got, calls*crashes)
+	}
+	if made != 1 {
+		t.Errorf("factory called %d times, want once", made)
+	}
+	if board.PMDVoltage() != units.NominalPMD || board.BootCount() != 1 {
+		t.Errorf("board left at %v after %d boots, want nominal after one", board.PMDVoltage(), board.BootCount())
 	}
 }
 

@@ -56,9 +56,6 @@ type CoreResult struct {
 	HasVmin   bool
 	CrashVmax units.MilliVolts
 	HasCrash  bool
-	// UnsafeWidth is SafeVmin − highest crash step (0 when either side is
-	// missing).
-	UnsafeWidth units.MilliVolts
 }
 
 // Fig4Result is the full three-chip characterization of Fig. 4, plus the
@@ -101,9 +98,6 @@ func Figure4(opt Options) (*Fig4Result, error) {
 			}
 			if v, ok := c.CrashVoltage(); ok {
 				cr.CrashVmax, cr.HasCrash = v, true
-			}
-			if cr.HasVmin && cr.HasCrash {
-				cr.UnsafeWidth = cr.SafeVmin - cr.CrashVmax
 			}
 			arr[c.Core] = cr
 			byBench[c.Benchmark] = arr

@@ -45,7 +45,7 @@ func PhasedGoverning(coreID int) (*PhasedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := workload.NewPhased("setup+solve", []workload.Phase{
+	prog, err := workload.NewPhased([]workload.Phase{
 		{Spec: mcf, Weight: 0.4},
 		{Spec: bwaves, Weight: 0.6},
 	})

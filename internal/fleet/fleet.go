@@ -33,7 +33,6 @@ import (
 	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
 	"xvolt/internal/units"
-	"xvolt/internal/watchdog"
 	"xvolt/internal/workload"
 	"xvolt/internal/xgene"
 )
@@ -142,30 +141,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// board is one managed machine plus its health and guardband state. All
-// fields are touched only by the worker currently executing the board's
-// polls (polls of one board are strictly sequential); the Manager reads
-// nothing from it after startup — status snapshots travel inside poll
-// outcomes.
+// board is one managed board: its die and run stream, plus its health
+// and guardband state. All fields are touched only by the worker
+// currently executing the board's polls (polls of one board are strictly
+// sequential); the Manager reads nothing from it after startup — status
+// snapshots travel inside poll outcomes.
 type board struct {
 	id     string
 	index  int
 	corner silicon.Corner
 
-	machine *xgene.Machine
-	dog     *watchdog.Watchdog
-	spec    *workload.Spec
-	coreID  int
+	spec   *workload.Spec
+	coreID int
 
-	rng     *rand.Rand // run non-determinism stream
-	ivalRng *rand.Rand // poll-interval jitter stream
+	// die is the fabricated die with its failure model and protection,
+	// snapshotted at bring-up. With margins and the rail voltage it is
+	// all a run's draws depend on (xgene.SampleCell), so polls need no
+	// live machine.
+	die     xgene.BatchState
+	rng     *rand.Rand       // run non-determinism stream
+	ivalRng *rand.Rand       // poll-interval jitter stream
+	inj     workload.Bitflip // rescheduled from rng for every SDC run
 
-	// margins is the board's characterized margin assessment for its
-	// (core, workload) pair at full speed, cached once after
-	// characterization so the poll hot loop never re-derives it — polls
-	// always run the target core at MaxFrequency (applyOperatingPoint
-	// restores that after every reboot), so the cached regime is the
-	// regime every poll run executes under.
+	// margins is the die's margin assessment for the board's (core,
+	// workload) pair at full speed, the regime every poll runs under,
+	// taken once at bring-up so the poll hot loop never re-derives it.
 	margins silicon.Margins
 
 	floor  units.MilliVolts // characterized safe Vmin
@@ -177,6 +177,7 @@ type board struct {
 	// lifetime counters (also snapshotted into BoardStatus).
 	polls, runs         int
 	sdcs, ces, ues, acs int
+	boots, recoveries   int
 }
 
 // BoardStatus is a board's externally visible state, snapshotted at the
@@ -208,29 +209,12 @@ func (b *board) status(at time.Duration) BoardStatus {
 		CEs:        uint64(b.ces),
 		UEs:        uint64(b.ues),
 		ACs:        b.acs,
-		Boots:      b.machine.BootCount(),
-		Recoveries: b.dog.Recoveries(),
+		Boots:      b.boots,
+		Recoveries: b.recoveries,
 		Savings:    b.savings(),
 		LastPoll:   at,
 		Frequency:  int(units.MaxFrequency),
 	}
-}
-
-// applyOperatingPoint programs the board's reliable-cores setup (target
-// PMD at full speed, background PMDs slow) and the guardband-controlled
-// rail voltage. Errors are ignored by design: the machine is alive and
-// the values are on-grid, so these cannot fail; a concurrent crash is
-// recovered on the next poll.
-func (b *board) applyOperatingPoint() {
-	target := silicon.PMDOf(b.coreID)
-	for pmd := 0; pmd < silicon.NumPMDs; pmd++ {
-		f := units.MinFrequency
-		if pmd == target {
-			f = units.MaxFrequency
-		}
-		_ = b.machine.SetPMDFrequency(pmd, f)
-	}
-	_ = b.machine.SetPMDVoltage(b.voltage())
 }
 
 // nextInterval draws the board's next jittered poll interval from its
@@ -238,20 +222,6 @@ func (b *board) applyOperatingPoint() {
 func (b *board) nextInterval(cfg *Config) time.Duration {
 	jitter := 1 + cfg.JitterFrac*(2*b.ivalRng.Float64()-1)
 	return time.Duration(float64(cfg.BaseInterval) * jitter)
-}
-
-// recover drives the watchdog until the machine answers again.
-func (b *board) recover() (rebooted bool) {
-	for probes := 0; !b.machine.Responsive(); probes++ {
-		if b.dog.Probe() == watchdog.Recovered {
-			rebooted = true
-		}
-		if probes > 16 {
-			// The watchdog threshold guarantees recovery long before this.
-			panic("fleet: watchdog failed to recover board " + b.id)
-		}
-	}
-	return rebooted
 }
 
 // pollOutcome is everything one poll produced, staged for in-order commit.
@@ -265,10 +235,13 @@ type pollOutcome struct {
 	status     BoardStatus
 }
 
-// poll executes one health poll: RunsPerPoll benchmark runs at the
-// operating point, classification from observables only (output
-// comparison, EDAC deltas, liveness), watchdog recovery on crashes,
-// health-machine update, and guardband reaction.
+// poll executes one health poll: RunsPerPoll benchmark runs sampled from
+// the die at the operating point, classification from observables only
+// (output comparison, EDAC deltas, liveness), health-machine update, and
+// guardband reaction. A system crash hangs the board until the external
+// watchdog power-cycles it; the watchdog does so on its third probe with
+// exactly one power cycle, so a crash counts one boot and one recovery,
+// and the rebooted board is put back at its operating point.
 //
 //xvolt:hotpath fleet poll loop; every board crosses this each tick
 func (b *board) poll(due time.Duration, cfg *Config) pollOutcome {
@@ -280,25 +253,22 @@ func (b *board) poll(due time.Duration, cfg *Config) pollOutcome {
 
 	var tally core.Tally
 	var sig Signal
-	mv := int(b.voltage())
+	v := b.voltage()
+	mv := int(v)
 	for r := 0; r < cfg.RunsPerPoll; r++ {
-		before := b.machine.EDAC().Snapshot()
-		res, err := b.machine.RunOnCoreAssessed(b.coreID, b.spec, b.rng, b.margins)
+		cell := xgene.SampleCell(b.rng, b.die, b.margins, v)
 		var obsv core.Observation
-		switch {
-		case err != nil || !res.SystemUp:
-			// ErrUnresponsive or a crash during the run: the board is down.
+		if cell.Effects.SC {
 			obsv.SC = true
-		default:
-			delta := b.machine.EDAC().Snapshot().Sub(before)
-			obsv = core.Observation{
-				SDC: res.ExitCode == 0 && res.Output != b.spec.Golden(),
-				CE:  delta.TotalCE() > 0,
-				UE:  delta.TotalUE() > 0,
-				AC:  res.ExitCode != 0,
+		} else {
+			ce, ue := cell.Delta.TotalCE(), cell.Delta.TotalUE()
+			obsv = core.Observation{CE: ce > 0, UE: ue > 0, AC: cell.Effects.AC}
+			if !cell.Effects.AC && cell.Effects.SDC {
+				b.inj.Reset(b.rng, cell.Effects.SDCBits)
+				obsv.SDC = b.spec.Run(&b.inj) != b.spec.Golden()
 			}
-			sig.CE += delta.TotalCE()
-			sig.UE += delta.TotalUE()
+			sig.CE += ce
+			sig.UE += ue
 		}
 		tally.Add(obsv)
 		if obsv.SDC {
@@ -320,14 +290,12 @@ func (b *board) poll(due time.Duration, cfg *Config) pollOutcome {
 			stage(Event{Kind: AppCrash, MV: mv, Msg: "benchmark terminated abnormally"})
 		}
 		if obsv.SC {
-			if b.recover() {
-				sig.Rebooted = true
-				o.rebooted = true
-				stage(Event{Kind: BoardRebooted, MV: mv, Msg: "system hang, watchdog power cycle"})
-			}
-			// The reboot came up at nominal: re-program the operating point.
-			b.applyOperatingPoint()
-			stage(Event{Kind: UndervoltApplied, MV: int(b.voltage()), Msg: "operating point restored after reboot"})
+			b.boots++
+			b.recoveries++
+			sig.Rebooted = true
+			o.rebooted = true
+			stage(Event{Kind: BoardRebooted, MV: mv, Msg: "system hang, watchdog power cycle"})
+			stage(Event{Kind: UndervoltApplied, MV: mv, Msg: "operating point restored after reboot"})
 		}
 	}
 	b.polls++
@@ -346,14 +314,12 @@ func (b *board) poll(due time.Duration, cfg *Config) pollOutcome {
 			}
 			stage(Event{Kind: kind, MV: int(b.gb.marginMV()),
 				Msg: "margin " + signedSteps(delta) + " steps on " + to.String()})
-			b.applyOperatingPoint()
 			stage(Event{Kind: UndervoltApplied, MV: int(b.voltage()), Msg: "rail re-programmed"})
 		}
 	} else if b.health.state == Healthy {
 		if delta := b.gb.onHealthyPoll(cfg.Guardband); delta != 0 {
 			stage(Event{Kind: GuardbandNarrowed, MV: int(b.gb.marginMV()),
 				Msg: "margin " + signedSteps(delta) + " step after healthy streak"})
-			b.applyOperatingPoint()
 			stage(Event{Kind: UndervoltApplied, MV: int(b.voltage()), Msg: "rail re-programmed"})
 		}
 	}
@@ -476,7 +442,9 @@ func (m *Manager) Close() error { return m.store.Close() }
 
 // buildBoard fabricates board i's die from a seed derived off the master
 // seed, characterizes its safe floor by bisection (the fast §2.2
-// protocol), and programs the initial guardband operating point. It
+// protocol) on a live machine around the die, and sets the initial
+// guardband operating point. The machine stays with bring-up: the board
+// keeps the die snapshot, the margin assessment and the boot count. It
 // depends only on (cfg, i).
 func buildBoard(cfg *Config, suite []*workload.Spec, i int) (*board, error) {
 	b := &board{
@@ -487,19 +455,19 @@ func buildBoard(cfg *Config, suite []*workload.Spec, i int) (*board, error) {
 		coreID: i % silicon.NumCores,
 	}
 	fabSeed := core.CampaignSeed(cfg.Seed, b.id, "fabrication", b.corner.String(), b.index)
-	b.machine = xgene.New(silicon.NewChip(b.corner, fabSeed))
-	b.dog = watchdog.New(b.machine, 2)
+	m := xgene.New(silicon.NewChip(b.corner, fabSeed))
 	runSeed := core.CampaignSeed(cfg.Seed, b.id, b.spec.Name, b.spec.Input, b.coreID)
 	b.rng = randsrc.New(runSeed)
 	intervalSeed := core.CampaignSeed(cfg.Seed, b.id, "poll-interval", "", b.index)
 	b.ivalRng = randsrc.New(intervalSeed)
 
-	if err := characterize(cfg, b); err != nil {
+	if err := characterize(cfg, b, m); err != nil {
 		return nil, fmt.Errorf("fleet: %s: %w", b.id, err)
 	}
-	b.margins = b.machine.Assess(b.coreID, b.spec, units.RegimeOf(units.MaxFrequency))
+	b.die = m.BatchState()
+	b.margins = m.Assess(b.coreID, b.spec, units.RegimeOf(units.MaxFrequency))
+	b.boots = m.BootCount()
 	b.gb = newGuardband(cfg.Guardband, b.floor)
-	b.applyOperatingPoint()
 	b.nextDue = b.nextInterval(cfg)
 	return b, nil
 }
@@ -539,9 +507,9 @@ func (m *Manager) commitInitial() {
 func (m *Manager) Generation() uint64 { return m.gen.Load() }
 
 // characterize finds a board's safe floor with the fast bisection
-// protocol on its own derived seed.
-func characterize(cfg *Config, b *board) error {
-	fw := core.New(b.machine)
+// protocol on machine m, from its own derived seed.
+func characterize(cfg *Config, b *board, m *xgene.Machine) error {
+	fw := core.New(m)
 	ccfg := core.DefaultConfig([]*workload.Spec{b.spec}, []int{b.coreID})
 	characterizeSeed := core.CampaignSeed(cfg.Seed, b.id, "characterize", b.spec.ID(), b.coreID)
 	ccfg.Seed = characterizeSeed

@@ -25,7 +25,12 @@ var (
 	// evictGolden's small StoreCap forces retention eviction during the
 	// run; TestDurableStoreReplaysByteIdentical replays it from disk.
 	evictGolden = golden{"evict-seed7-polls600", Config{Boards: 6, Seed: 7, ConfirmRuns: 1, StoreCap: 32}, 600, 152}
-	goldens     = []golden{{"seed11-polls120", testConfig(11), 120, 0}, evictGolden}
+	// crashGolden pins the margin at the floor (NarrowAfter 1, no
+	// steps), so boards crash during polls: its events hold 4 watchdog
+	// reboots and three boards report recoveries.
+	crashGolden = golden{"crash-seed3-polls1200", Config{Boards: 24, Seed: 3, ConfirmRuns: 1, RunsPerPoll: 4,
+		StoreCap: 256, Guardband: GuardbandPolicy{NarrowAfter: 1}}, 1200, 1465}
+	goldens = []golden{{"seed11-polls120", testConfig(11), 120, 0}, evictGolden, crashGolden}
 )
 
 // readGolden returns one artifact of a golden.
@@ -75,6 +80,18 @@ func TestFleetMatchesGoldens(t *testing.T) {
 				t.Errorf("%s workers=%d: delta snapshot differs from golden", g.dir, workers)
 			}
 		}
+	}
+}
+
+// TestCrashGoldenReboots keeps the crash golden a crash golden: its
+// events must hold watchdog reboots during polls and its boards nonzero
+// recoveries, or the crash path goes unpinned.
+func TestCrashGoldenReboots(t *testing.T) {
+	if n := strings.Count(readGolden(t, crashGolden, "events.txt"), BoardRebooted.String()); n == 0 {
+		t.Error("crash golden holds no reboot event")
+	}
+	if !strings.Contains(readGolden(t, crashGolden, "boards.json"), `"watchdog_recoveries": 3,`) {
+		t.Error("crash golden has no board with recoveries")
 	}
 }
 

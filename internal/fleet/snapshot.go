@@ -51,7 +51,9 @@ type snapshotEncoder struct {
 	bodyGen uint64   // generation the stitched full document reflects
 	segs    [][]byte // per-board serialized segments
 	body    []byte   // stitched full document for bodyGen
-	encoded int      // segments re-marshaled at the last refresh
+	// encoded counts the segments re-marshaled at the last refresh.
+	//xvolt:lint-ignore unusedexport TestBoardsJSONDeltaReencodesOnlyDirty reads it to pin that a refresh re-marshals only dirty boards
+	encoded int
 
 	deltaSince, deltaGen uint64 // the (since, generation) delta holds
 	delta                []byte // last stitched delta document, or nil

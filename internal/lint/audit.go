@@ -17,15 +17,21 @@ var auditedSuppressions = map[string]bool{
 	// Frozen perfbench calls, sets or reads these until the next
 	// benchmark change deletes them (ROADMAP item 1).
 	"xvolt/internal/core/unusedexport: func FlushCampaignCache has no reference outside tests":   true,
-	"xvolt/internal/fleet/unusedexport: field Config.Shards has no reference outside tests":      true,
+	"xvolt/internal/fleet/unusedexport: field Config.Shards is never read outside tests":         true,
 	"xvolt/internal/fleet/unusedexport: method (*Manager).Boards has no reference outside tests": true,
 	"xvolt/internal/fleet/unusedexport: method (*Manager).Polled has no reference outside tests": true,
 	"xvolt/internal/obs/unusedexport: method (*HDR).Count has no reference outside tests":        true,
-	// The oracle of FuzzAlertLookup.
-	"xvolt/internal/obs/unusedexport: method (*Registry).Snapshot has no reference outside tests": true,
-	// The DESIGN §4 robustness ablation; gated benchmarks call them.
+	// Test oracles: FuzzAlertLookup's key lookup, the silicon ground
+	// truth the xgene and sched tests classify against, and the
+	// re-marshal count TestBoardsJSONDeltaReencodesOnlyDirty pins.
+	"xvolt/internal/obs/unusedexport: method (*Registry).Snapshot has no reference outside tests":  true,
+	"xvolt/internal/xgene/unusedexport: field RunResult.GroundTru is never read outside tests":     true,
+	"xvolt/internal/fleet/unusedexport: field snapshotEncoder.encoded is never read outside tests": true,
+	// The DESIGN §4 robustness ablation; gated benchmarks call them, and
+	// its tests check fold coverage with Evaluation.N.
 	"xvolt/internal/regress/unusedexport: func CrossValidate has no reference outside tests":     true,
 	"xvolt/internal/regress/unusedexport: func CrossValidateOpts has no reference outside tests": true,
+	"xvolt/internal/regress/unusedexport: field Evaluation.N is never read outside tests":        true,
 }
 
 // suppressionKey is a suppressed finding's entry in auditedSuppressions.

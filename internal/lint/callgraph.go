@@ -83,7 +83,6 @@ type callSite struct {
 // sourceUse is one direct use of a nondeterministic or ordered-output
 // source.
 type sourceUse struct {
-	pos  token.Pos
 	what string // e.g. "time.Now", "math/rand.Intn", "fmt.Fprintf"
 }
 
@@ -117,11 +116,10 @@ type lockOp struct {
 	callee *types.Func
 }
 
-// witness explains how a transitive fact is reached: at pos in the
-// owning function, either directly (via == nil, what names the source)
-// or through a call to via.
+// witness explains how a transitive fact is reached in the owning
+// function: either directly (via == nil, what names the source) or
+// through a call to via.
 type witness struct {
-	pos  token.Pos
 	via  *funcNode
 	what string
 }
@@ -251,20 +249,20 @@ func collectFacts(node *funcNode, info *types.Info) {
 			recv := callee.Type().(*types.Signature).Recv()
 			switch {
 			case pkgPath == "time" && recv == nil && detTimeFuncs[callee.Name()]:
-				node.wallClock = append(node.wallClock, sourceUse{n.Pos(), "time." + callee.Name()})
+				node.wallClock = append(node.wallClock, sourceUse{"time." + callee.Name()})
 			case detRandPkgs[pkgPath] && recv == nil && detGlobalRandFuncs[callee.Name()]:
-				node.globalRand = append(node.globalRand, sourceUse{n.Pos(), pkgPath + "." + callee.Name()})
+				node.globalRand = append(node.globalRand, sourceUse{pkgPath + "." + callee.Name()})
 			case pkgPath == "fmt" && recv == nil && strings.HasPrefix(callee.Name(), "Print"):
-				node.writeStdout = append(node.writeStdout, sourceUse{n.Pos(), "fmt." + callee.Name()})
+				node.writeStdout = append(node.writeStdout, sourceUse{"fmt." + callee.Name()})
 			case pkgPath == "fmt" && recv == nil && strings.HasPrefix(callee.Name(), "Fprint"):
 				if len(n.Args) > 0 && escapingRoot(info, node.decl.Body, n.Args[0]) {
-					node.writeConduit = append(node.writeConduit, sourceUse{n.Pos(), "fmt." + callee.Name()})
+					node.writeConduit = append(node.writeConduit, sourceUse{"fmt." + callee.Name()})
 				}
 			case recv != nil && maporderWriteMethods[callee.Name()]:
 				sig := callee.Type().(*types.Signature)
 				if !maporderBenignWriters[recvTypeName(sig)] {
 					if sel, isSel := n.Fun.(*ast.SelectorExpr); isSel && escapingRoot(info, node.decl.Body, sel.X) {
-						node.writeConduit = append(node.writeConduit, sourceUse{n.Pos(), recvTypeName(sig) + "." + callee.Name()})
+						node.writeConduit = append(node.writeConduit, sourceUse{recvTypeName(sig) + "." + callee.Name()})
 					}
 				}
 			}
@@ -526,22 +524,22 @@ func calleeFuncObj(info *types.Info, call *ast.CallExpr) *types.Func {
 func (g *graph) propagate() {
 	for _, n := range g.nodes {
 		if len(n.wallClock) > 0 {
-			n.reachesWall = &witness{pos: n.wallClock[0].pos, what: n.wallClock[0].what}
+			n.reachesWall = &witness{what: n.wallClock[0].what}
 		}
 		if len(n.globalRand) > 0 {
-			n.reachesRand = &witness{pos: n.globalRand[0].pos, what: n.globalRand[0].what}
+			n.reachesRand = &witness{what: n.globalRand[0].what}
 		}
 		if len(n.writeStdout) > 0 {
-			n.reachesStdout = &witness{pos: n.writeStdout[0].pos, what: n.writeStdout[0].what}
+			n.reachesStdout = &witness{what: n.writeStdout[0].what}
 		}
 		if len(n.writeConduit) > 0 {
-			n.reachesConduit = &witness{pos: n.writeConduit[0].pos, what: n.writeConduit[0].what}
+			n.reachesConduit = &witness{what: n.writeConduit[0].what}
 		}
 		n.acquires = map[string]*witness{}
 		for _, op := range n.lockOps {
 			if op.callee == nil && op.kind == opLock {
 				if _, seen := n.acquires[op.key]; !seen {
-					n.acquires[op.key] = &witness{pos: op.pos, what: op.key}
+					n.acquires[op.key] = &witness{what: op.key}
 					n.acquireOrder = append(n.acquireOrder, op.key)
 				}
 			}
@@ -556,27 +554,27 @@ func (g *graph) propagate() {
 					continue
 				}
 				if n.reachesWall == nil && callee.reachesWall != nil {
-					n.reachesWall = &witness{pos: call.pos, via: callee, what: callee.reachesWall.what}
+					n.reachesWall = &witness{via: callee, what: callee.reachesWall.what}
 					changed = true
 				}
 				if n.reachesRand == nil && callee.reachesRand != nil {
-					n.reachesRand = &witness{pos: call.pos, via: callee, what: callee.reachesRand.what}
+					n.reachesRand = &witness{via: callee, what: callee.reachesRand.what}
 					changed = true
 				}
 				if n.reachesStdout == nil && callee.reachesStdout != nil {
-					n.reachesStdout = &witness{pos: call.pos, via: callee, what: callee.reachesStdout.what}
+					n.reachesStdout = &witness{via: callee, what: callee.reachesStdout.what}
 					changed = true
 				}
 				// Conduit writes only become this function's writes when
 				// the call hands the callee somewhere escaping to write.
 				if call.conduit && n.reachesConduit == nil && callee.reachesConduit != nil {
-					n.reachesConduit = &witness{pos: call.pos, via: callee, what: callee.reachesConduit.what}
+					n.reachesConduit = &witness{via: callee, what: callee.reachesConduit.what}
 					changed = true
 				}
 				if !call.spawned {
 					for _, key := range callee.acquireOrder {
 						if _, seen := n.acquires[key]; !seen {
-							n.acquires[key] = &witness{pos: call.pos, via: callee, what: key}
+							n.acquires[key] = &witness{via: callee, what: key}
 							n.acquireOrder = append(n.acquireOrder, key)
 							changed = true
 						}

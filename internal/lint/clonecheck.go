@@ -1,8 +1,9 @@
-// clonecheck: types that hold a sync.Mutex or define a pointer-receiver
-// Clone method (xgene.Machine is both) have identity — a shallow value
+// clonecheck: types that hold a sync.Mutex (xgene.Machine does) or
+// define a pointer-receiver Clone method have identity — a shallow value
 // copy duplicates the lock state and forks the simulated board without
-// its construction invariants. Copies must go through .Clone(). This
-// generalizes vet's copylocks to the project's identity types.
+// its construction invariants. Share them through a pointer, or copy
+// through .Clone() where the type has one. This generalizes vet's
+// copylocks to the project's identity types.
 
 package lint
 
@@ -15,7 +16,6 @@ import (
 func NewClonecheck() *Analyzer {
 	a := &Analyzer{
 		Name: "clonecheck",
-		Doc:  "flag by-value copies of mutex-holding / Clone-bearing types",
 	}
 	a.Run = func(pass *Pass) error {
 		c := &clonecheck{pass: pass, cache: map[*types.Named]string{}}

@@ -24,7 +24,6 @@ func NewDetflow(cfg Config) *Analyzer {
 	}
 	a := &Analyzer{
 		Name: "detflow",
-		Doc:  "deterministic entry points must not transitively reach wall clocks or global rand",
 	}
 	a.Run = func(pass *Pass) error {
 		g := pass.Graph()

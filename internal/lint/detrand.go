@@ -54,7 +54,6 @@ func NewDetrand(cfg Config) *Analyzer {
 	}
 	a := &Analyzer{
 		Name: "detrand",
-		Doc:  "forbid wall clocks and global math/rand in deterministic packages",
 	}
 	a.Run = func(pass *Pass) error {
 		if !det[pass.Pkg.Path()] {

@@ -49,7 +49,6 @@ var errcloseStdReceivers = map[string]bool{
 func NewErrclose() *Analyzer {
 	a := &Analyzer{
 		Name: "errclose",
-		Doc:  "flag discarded errors from Close/Flush/Sync/Write on durable outputs",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, file := range pass.Files {

@@ -15,7 +15,6 @@ package lint
 func NewGoroleak() *Analyzer {
 	a := &Analyzer{
 		Name: "goroleak",
-		Doc:  "flag goroutine launches without a WaitGroup join or context cancellation path",
 	}
 	a.Run = func(pass *Pass) error {
 		g := pass.Graph()

@@ -33,7 +33,6 @@ func NewHotalloc(cfg Config) *Analyzer {
 	}
 	a := &Analyzer{
 		Name: "hotalloc",
-		Doc:  "enforce allocation discipline in //xvolt:hotpath functions",
 	}
 	a.Run = func(pass *Pass) error {
 		g := pass.Graph()

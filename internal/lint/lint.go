@@ -29,8 +29,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in findings and pragmas.
 	Name string
-	// Doc is a one-line description.
-	Doc string
 	// Run analyzes one package via the pass.
 	Run func(*Pass) error
 	// IncludeTests makes the analyzer visit *_test.go files too. The

@@ -378,15 +378,20 @@ func TestHotallocFixture(t *testing.T) {
 }
 
 // TestUnusedexportFixture: declarations with no non-test reference are
-// flagged — unused, test-only, self-recursive, an untagged unread field,
-// a method that only shares an interface method's name — while uses from another package, dynamic dispatch, String/MarshalJSON
-// and tagged fields keep theirs, and a pragma keeps one on purpose.
+// flagged — unused, test-only, self-recursive, a method that only shares
+// an interface method's name — and so are untagged fields no non-test
+// code reads: written by `=`, a tuple `=`, a composite-literal key or
+// an unkeyed literal, exported or not. Uses from another package,
+// dynamic dispatch, String/MarshalJSON, tagged fields, and fields read
+// by `op=`, `++`, `&`, a value use, a selector through them, `==` or a
+// map key keep theirs, and a pragma keeps one on purpose.
 func TestUnusedexportFixture(t *testing.T) {
 	fixture(t, "internal/unusedexport")
 	fixture(t, "unusedexportuse")
 	res := runOn(t, filepath.Join("testdata", "src", "internal", "unusedexport"), NewUnusedexport())
 	checkGolden(t, filepath.Join("internal", "unusedexport"), res.Findings)
-	for _, name := range []string{"UnusedExported", "unusedHelper", "OnlyTests", "Recurse", "Config.Unread", "Tile.Area"} {
+	for _, name := range []string{"UnusedExported", "unusedHelper", "OnlyTests", "Recurse", "Config.Unread", "Tile.Area",
+		"Counters.Assigned", "Counters.Tuple", "Counters.Keyed", "Inner.N", "Point.Y", "state.dead"} {
 		found := false
 		for _, f := range res.Findings {
 			found = found || f.Message == unusedMessage(strings.Fields(f.Message)[0], name)
@@ -395,8 +400,8 @@ func TestUnusedexportFixture(t *testing.T) {
 			t.Errorf("%s not flagged:\n%s", name, render(res.Findings))
 		}
 	}
-	if len(res.Findings) != 6 {
-		t.Errorf("want exactly the 6 flagged cases, got:\n%s", render(res.Findings))
+	if len(res.Findings) != 12 {
+		t.Errorf("want exactly the 12 flagged cases, got:\n%s", render(res.Findings))
 	}
 	if len(res.Suppressed) != 1 || !strings.Contains(res.Suppressed[0].Message, "func Kept ") {
 		t.Errorf("want the pragma-kept Kept suppressed, got:\n%s", render(res.Suppressed))

@@ -27,8 +27,6 @@ import (
 // Package is one type-checked module package.
 type Package struct {
 	Path  string
-	Name  string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -124,7 +122,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		if p.Standard || p.Module == nil || p.Name == "" {
 			continue
 		}
-		pkg, err := prog.check(p.ImportPath, p.Name, p.Dir, absFiles(p.Dir, p.GoFiles))
+		pkg, err := prog.check(p.ImportPath, absFiles(p.Dir, p.GoFiles))
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +142,7 @@ func absFiles(dir string, names []string) []string {
 }
 
 // check parses files and type-checks them as package path.
-func (prog *Program) check(path, name, dir string, files []string) (*Package, error) {
+func (prog *Program) check(path string, files []string) (*Package, error) {
 	var asts []*ast.File
 	for _, f := range files {
 		af, err := parser.ParseFile(prog.Fset, f, nil, parser.ParseComments)
@@ -152,9 +150,6 @@ func (prog *Program) check(path, name, dir string, files []string) (*Package, er
 			return nil, fmt.Errorf("lint: parse %s: %w", f, err)
 		}
 		asts = append(asts, af)
-	}
-	if name == "" && len(asts) > 0 {
-		name = asts[0].Name.Name
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -169,7 +164,7 @@ func (prog *Program) check(path, name, dir string, files []string) (*Package, er
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Name: name, Dir: dir, Files: asts, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Files: asts, Types: tpkg, Info: info}
 	prog.byPath[path] = pkg
 	return pkg, nil
 }

@@ -100,7 +100,7 @@ func (prog *Program) LoadExtra(path, dir string) (*Package, error) {
 		return nil, fmt.Errorf("lint: no go files in %s", dir)
 	}
 	// Package name comes from the first file's clause during check.
-	pkg, err := prog.check(path, "", dir, files)
+	pkg, err := prog.check(path, files)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,6 @@ package lint
 func NewLockorder() *Analyzer {
 	a := &Analyzer{
 		Name: "lockorder",
-		Doc:  "flag inconsistent pairwise mutex acquisition order (potential deadlock)",
 	}
 	a.Run = func(pass *Pass) error {
 		g := pass.Graph()

@@ -40,7 +40,6 @@ var maporderBenignWriters = map[string]bool{}
 func NewMaporder(cfg Config) *Analyzer {
 	a := &Analyzer{
 		Name: "maporder",
-		Doc:  "flag map iteration that feeds ordered output without sorting keys",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, file := range pass.Files {

@@ -32,7 +32,6 @@ func NewSeedflow(cfg Config) *Analyzer {
 	roots := newPkgSet(cfg.SeedSinks)
 	a := &Analyzer{
 		Name: "seedflow",
-		Doc:  "stream seeds must derive from core.CampaignSeed",
 	}
 	a.Run = func(pass *Pass) error {
 		if !scope[pass.Pkg.Path()] {

@@ -56,6 +56,53 @@ func (l Level) String() string { return "level-" + strconv.Itoa(int(l)) }
 // MarshalJSON implements json.Marshaler.
 func (l Level) MarshalJSON() ([]byte, error) { return []byte(strconv.Quote(l.String())), nil }
 
+// Counters is written and read by the second package, one form a field:
+// a field only written is flagged, a field read in any form is not.
+type Counters struct {
+	Assigned int // written by `=`
+	Tuple    int // written by a tuple `=`
+	Keyed    int // written by a composite-literal key
+	OpAssign int // read by `+=`
+	Inc      int // read by `++`
+	Addr     int // read by `&`
+	Value    int // read as a value
+	Inner    Inner
+}
+
+// Inner is reached through Counters.Inner: the selector reads Inner,
+// and `c.Inner.N = 1` writes N.
+type Inner struct{ N int }
+
+// Point is built by an unkeyed literal, which writes every field; only
+// X is read.
+type Point struct{ X, Y int }
+
+// Pair is compared with ==, which reads every field, Depth.D too,
+// though Deep is also read by a selector first.
+type Pair struct {
+	A, B int
+	Deep Depth
+}
+
+// Depth is nested in Pair.
+type Depth struct{ D int }
+
+// Key is a map key: the map hashes and compares every field.
+type Key struct{ K int }
+
+// state is local to this package: live is read, dead only written.
+type state struct {
+	live int
+	dead int
+}
+
+// Step writes both of state's fields and reads live.
+func Step() int {
+	s := state{dead: 1}
+	s.live = 2
+	return s.live + Point{1, 2}.X
+}
+
 // Wire is a tagged struct: encoding/json reads its fields.
 type Wire struct {
 	Name  string `json:"name"`

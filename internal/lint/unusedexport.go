@@ -1,11 +1,18 @@
 // unusedexport: a declaration in an internal package that no non-test
 // code refers to is dead weight — it is compiled, documented and kept
 // correct for nobody. The analyzer reports every package-level func,
-// method, type, const and var, and every exported struct field, in a
-// package whose import path has an `internal` element, that no non-test
-// file of the load refers to outside its own declaration. Unexported
-// declarations count too, so a helper that only a deleted function used
-// shows up on the next run.
+// method, type, const and var, in a package whose import path has an
+// `internal` element, that no non-test file of the load refers to
+// outside its own declaration, and every field of a package-level struct
+// type there that no non-test file reads. Unexported declarations count
+// too, so a helper that only a deleted function used shows up on the
+// next run.
+//
+// A field is written, not read, where it is the whole left side of an
+// `=` or the key of a composite literal; every other reference reads it:
+// `op=`, `++`, `&x.f`, a selector through it, and any use as a value.
+// So state that is set and never consulted is reported like a function
+// nobody calls.
 //
 // References are type-based: go/types' Uses and Selections over the
 // shared load, so a call from cmd/ or examples/ keeps a declaration and
@@ -28,7 +35,6 @@ import (
 func NewUnusedexport() *Analyzer {
 	a := &Analyzer{
 		Name: "unusedexport",
-		Doc:  "flag declarations in internal packages that no non-test code refers to",
 	}
 	a.Run = func(pass *Pass) error {
 		if !internalPath(pass.Pkg.Path()) {
@@ -71,7 +77,7 @@ func NewUnusedexport() *Analyzer {
 							}
 							for _, f := range st.Fields.List {
 								for _, id := range fieldIdents(f) {
-									if obj := pass.Info.Defs[id]; obj != nil && obj.Exported() && !idx.used[obj] {
+									if obj := pass.Info.Defs[id]; obj != nil && !idx.used[obj] && id.Name != "_" {
 										report(id, "field", s.Name.Name+"."+id.Name)
 									}
 								}
@@ -99,6 +105,9 @@ func NewUnusedexport() *Analyzer {
 // unusedMessage is the finding text for one declaration; the repo-clean
 // audit keys each kept declaration by it.
 func unusedMessage(kind, name string) string {
+	if kind == "field" {
+		return kind + " " + name + " is never read outside tests"
+	}
 	return kind + " " + name + " has no reference outside tests"
 }
 
@@ -156,8 +165,9 @@ func fieldIdents(f *ast.Field) []*ast.Ident {
 }
 
 // useIndex is the program-wide reference set unusedexport reads: every
-// object a non-test file refers to outside its own declaration, and
-// every interface method set in the load or its imports, by method name.
+// object a non-test file refers to outside its own declaration (for a
+// field: reads it), and every interface method set in the load or its
+// imports, by method name.
 type useIndex struct {
 	used   map[types.Object]bool
 	ifaces map[string][]*types.Interface
@@ -240,11 +250,12 @@ func (p *Pass) buildUses() *useIndex {
 					}
 				}
 			}
+			writes := fieldWrites(info, file)
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
 					obj := origin(info.Uses[n])
-					if obj == nil {
+					if obj == nil || writes[n] {
 						break
 					}
 					if d := own[obj]; d != nil && d.Pos() <= n.Pos() && n.Pos() < d.End() {
@@ -267,18 +278,15 @@ func (p *Pass) buildUses() *useIndex {
 							t = f.Type()
 						}
 					}
-				case *ast.CompositeLit:
-					// An unkeyed struct literal sets every field.
-					if len(n.Elts) == 0 {
-						break
+				case *ast.BinaryExpr:
+					// Comparing struct values reads every field.
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAllFields(idx.used, info.TypeOf(n.X))
 					}
-					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
-						break
-					}
-					if st, ok := derefUnder(info.TypeOf(n)).(*types.Struct); ok {
-						for i := 0; i < st.NumFields(); i++ {
-							idx.used[st.Field(i).Origin()] = true
-						}
+				case *ast.MapType:
+					// A map hashes and compares every field of its key.
+					if t, ok := info.TypeOf(n).(*types.Map); ok {
+						readAllFields(idx.used, t.Key())
 					}
 				case *ast.InterfaceType:
 					if it, ok := info.TypeOf(n).(*types.Interface); ok {
@@ -290,6 +298,60 @@ func (p *Pass) buildUses() *useIndex {
 		}
 	}
 	return idx
+}
+
+// readAllFields marks every field of struct type t read, through nested
+// struct and array fields: what comparing two values of t reads. Go has
+// no recursive value types, so the walk ends.
+func readAllFields(used map[types.Object]bool, t types.Type) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		readAllFields(used, u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			used[f.Origin()] = true
+			readAllFields(used, f.Type())
+		}
+	}
+}
+
+// fieldWrites returns the identifiers in file that write a field
+// without reading it: the selector of a field that is a whole left-hand
+// operand of `=`, and the keys of struct composite literals.
+func fieldWrites(info *types.Info, file *ast.File) map[*ast.Ident]bool {
+	w := map[*ast.Ident]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.ASSIGN {
+				break
+			}
+			for _, lhs := range n.Lhs {
+				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+					if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+						w[sel.Sel] = true
+					}
+				}
+			}
+		case *ast.CompositeLit:
+			if _, ok := derefUnder(info.TypeOf(n)).(*types.Struct); !ok {
+				break
+			}
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						w[id] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return w
 }
 
 // implements reports whether method fn implements a method of some

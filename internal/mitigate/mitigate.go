@@ -63,8 +63,6 @@ type Executor struct {
 
 // Outcome summarizes a protected execution.
 type Outcome struct {
-	// Output is the final (validated or tolerated) program output.
-	Output uint64
 	// Correct reports whether the final output matches the golden one.
 	Correct bool
 	// Retries is how many rollbacks were needed.
@@ -104,7 +102,6 @@ func (e *Executor) Run(spec *workload.Spec, coreID int, class TolerantClass) (Ou
 		}
 		ok := res.ExitCode == 0
 		if ok {
-			out.Output = res.Output
 			out.Correct = res.Output == golden
 		}
 		// Tolerant classes accept wrong-but-present output (SDC ≤ 4).

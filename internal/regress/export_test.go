@@ -1,11 +1,14 @@
 package regress
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // RFEReference is the O(n·w³) reference implementation of RFE: the QR
-// elimination loop (rfeQR, RFE's own path below gramMinFeatures) at any
-// width, one full re-fit per elimination. Tests and benchmarks pin the
-// Gram-matrix fast path against it; it is exported here so the external
+// elimination loop, which re-selects, re-standardizes and re-fits the
+// shrinking dataset each step. Tests and benchmarks pin RFE's
+// Gram-matrix path against it; it is exported here so the external
 // equivalence test can reach it.
 func RFEReference(d *Dataset, keep int) (*RFEResult, error) {
 	if err := d.Validate(); err != nil {
@@ -15,5 +18,28 @@ func RFEReference(d *Dataset, keep int) (*RFEResult, error) {
 	if keep < 1 || keep > w {
 		return nil, fmt.Errorf("%w: keep=%d of %d", ErrBadKeep, keep, w)
 	}
-	return rfeQR(d, keep)
+	current := make([]int, w)
+	for j := range current {
+		current[j] = j
+	}
+	var eliminated []int // in elimination order
+	for len(current) > keep {
+		sub, err := d.Select(current)
+		if err != nil {
+			return nil, err
+		}
+		model, err := Fit(sub)
+		if err != nil {
+			return nil, err
+		}
+		worst, worstAbs := 0, math.Inf(1)
+		for j, c := range model.Coef {
+			if a := math.Abs(c); a < worstAbs {
+				worst, worstAbs = j, a
+			}
+		}
+		eliminated = append(eliminated, current[worst])
+		current = append(current[:worst], current[worst+1:]...)
+	}
+	return finishRFE(d, current, eliminated)
 }

@@ -37,17 +37,11 @@ import (
 // minimum-norm fit, shared by the QR and Gram paths.
 const ridgeLambda = 1e-6
 
-// gramMinFeatures is the width at which RFE switches to the Gram-matrix
-// fast path; below it the QR reference estimator is just as fast and
-// stays the better-conditioned choice.
-const gramMinFeatures = 8
-
 // gramSystem holds the standardized normal equations of one dataset:
 // the upper triangle of G = XᵀX (row/column 0 is the intercept), the
 // right-hand side c = Xᵀy, and the standardization parameters shared by
 // every sub-fit.
 type gramSystem struct {
-	n, w        int
 	g           *matrix.Matrix // (w+1)×(w+1); upper triangle only
 	c           []float64      // Xᵀy, length w+1
 	means, stds []float64
@@ -59,8 +53,6 @@ type gramSystem struct {
 func newGramSystem(d *Dataset) *gramSystem {
 	n, w := d.Len(), d.NumFeatures()
 	gs := &gramSystem{
-		n:     n,
-		w:     w,
 		g:     matrix.New(w+1, w+1),
 		c:     make([]float64, w+1),
 		means: make([]float64, w),

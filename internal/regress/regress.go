@@ -275,7 +275,9 @@ type Evaluation struct {
 	R2        float64 // coefficient of determination
 	RMSE      float64 // root mean squared error
 	NaiveRMSE float64 // RMSE of predicting the training-set mean
-	N         int     // number of evaluated samples
+	// N is the number of evaluated samples.
+	//xvolt:lint-ignore unusedexport the cross-validation tests check with it that the test folds cover every sample once
+	N int
 }
 
 // Evaluate scores the model on a test set. naiveMean is the mean of the
@@ -323,11 +325,10 @@ type RFEResult struct {
 // estimator on the current feature set, drop the feature with the smallest
 // absolute standardized coefficient, repeat until keep features remain.
 //
-// Wide problems run on the Gram-matrix fast path (one normal-equations
-// accumulation, Cholesky sub-solves per step); narrow ones on the QR
-// reference loop, which the tests also drive at every width. Both paths
-// produce the same Kept sets and rankings — the equivalence suite pins
-// them against each other on the paper's severity dataset.
+// It runs on the Gram-matrix path (one normal-equations accumulation,
+// Cholesky sub-solves per step). The tests pin its Kept sets and
+// rankings against the QR reference loop, one full re-fit per step, on
+// the paper's severity dataset.
 func RFE(d *Dataset, keep int) (*RFEResult, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -336,46 +337,12 @@ func RFE(d *Dataset, keep int) (*RFEResult, error) {
 	if keep < 1 || keep > w {
 		return nil, fmt.Errorf("%w: keep=%d of %d", ErrBadKeep, keep, w)
 	}
-	if w >= gramMinFeatures {
-		return rfeGram(d, keep)
-	}
-	return rfeQR(d, keep)
-}
-
-// rfeQR is the reference elimination loop: re-select, re-standardize and
-// re-fit the shrinking dataset each step. The caller has validated d and
-// keep.
-func rfeQR(d *Dataset, keep int) (*RFEResult, error) {
-	w := d.NumFeatures()
-	current := make([]int, w)
-	for j := range current {
-		current[j] = j
-	}
-	var eliminated []int // in elimination order
-	for len(current) > keep {
-		sub, err := d.Select(current)
-		if err != nil {
-			return nil, err
-		}
-		model, err := Fit(sub)
-		if err != nil {
-			return nil, err
-		}
-		worst, worstAbs := 0, math.Inf(1)
-		for j, c := range model.Coef {
-			if a := math.Abs(c); a < worstAbs {
-				worst, worstAbs = j, a
-			}
-		}
-		eliminated = append(eliminated, current[worst])
-		current = append(current[:worst], current[worst+1:]...)
-	}
-	return finishRFE(d, current, eliminated)
+	return rfeGram(d, keep)
 }
 
 // finishRFE ranks the survivors with a final reference fit and assembles
-// the result — shared tail of both elimination paths, so their rankings
-// come from the identical estimator.
+// the result — shared by RFE and the tests' QR reference loop, so their
+// rankings come from the identical estimator.
 func finishRFE(d *Dataset, current, eliminated []int) (*RFEResult, error) {
 	sub, err := d.Select(current)
 	if err != nil {

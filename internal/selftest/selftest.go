@@ -135,15 +135,15 @@ type Finding struct {
 }
 
 // Localize runs the three component tests through the characterization
-// campaign engine on one core and reports the findings. The engine's
-// workers sweep clones of m; m itself is left untouched. The expected
+// campaign engine on one core of board m and reports the findings. The
+// engine samples m's die and never changes m's operating point. The expected
 // X-Gene picture: ALU/FPU tests fail high with SDCs first; the cache test
 // keeps working far lower and fails through the ECC path.
 func Localize(m *xgene.Machine, coreID int, runs int) ([]Finding, error) {
 	cfg := core.DefaultConfig(Tests(), []int{coreID})
 	cfg.Runs = runs
 	cfg.StopVoltage = 760 // the cache test survives far below the SPEC floor
-	results, err := core.NewLadderRunner(m.Clone).Characterize(cfg)
+	results, err := core.NewLadderRunner(func() *xgene.Machine { return m }).Characterize(cfg)
 	if err != nil {
 		return nil, err
 	}

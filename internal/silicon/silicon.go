@@ -190,7 +190,7 @@ type Chip struct {
 
 // NewChip fabricates a die at the given corner. The seed freezes the die's
 // static process variation; the three parts studied in the paper are
-// NewChip(TTT, 1), NewChip(TFF, 2), NewChip(TSS, 3) (see PaperChips).
+// NewChip(TTT, 1), NewChip(TFF, 2), NewChip(TSS, 3) (see PaperChip).
 func NewChip(corner Corner, seed int64) *Chip {
 	spec, ok := cornerSpecs[corner]
 	if !ok {
@@ -204,9 +204,13 @@ func NewChip(corner Corner, seed int64) *Chip {
 	return c
 }
 
+// PaperChip fabricates the paper's part at corner: the die with
+// fabrication seed 1, 2 or 3 for TTT, TFF or TSS.
+func PaperChip(corner Corner) *Chip { return NewChip(corner, int64(corner)+1) }
+
 // PaperChips fabricates the three parts characterized in the paper.
 func PaperChips() []*Chip {
-	return []*Chip{NewChip(TTT, 1), NewChip(TFF, 2), NewChip(TSS, 3)}
+	return []*Chip{PaperChip(TTT), PaperChip(TFF), PaperChip(TSS)}
 }
 
 // Corner returns the chip's process corner.

@@ -22,13 +22,12 @@ type Phase struct {
 
 // Phased is a program that moves through phases in order.
 type Phased struct {
-	Name   string
 	Phases []Phase
 }
 
 // NewPhased builds a phased program. Weights must be positive and sum to
 // 1 within 1e-6.
-func NewPhased(name string, phases []Phase) (*Phased, error) {
+func NewPhased(phases []Phase) (*Phased, error) {
 	if len(phases) == 0 {
 		return nil, errors.New("workload: phased program needs phases")
 	}
@@ -45,5 +44,5 @@ func NewPhased(name string, phases []Phase) (*Phased, error) {
 	if math.Abs(sum-1) > 1e-6 {
 		return nil, fmt.Errorf("workload: phase weights sum to %v, want 1", sum)
 	}
-	return &Phased{Name: name, Phases: phases}, nil
+	return &Phased{Phases: phases}, nil
 }

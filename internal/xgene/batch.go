@@ -10,7 +10,6 @@ package xgene
 
 import (
 	"math/rand"
-	"sync"
 
 	"xvolt/internal/edac"
 	"xvolt/internal/silicon"
@@ -51,9 +50,9 @@ func (m *Machine) Assess(core int, spec *workload.Spec, regime units.MarginRegim
 }
 
 // BatchState is a read-only snapshot of everything that determines run
-// outcomes on a board, taken under the machine lock. A batch engine takes
-// one snapshot per campaign and samples the whole ladder from it without
-// touching the board again.
+// outcomes on a board, taken under the machine lock. The batch engine
+// takes one snapshot per Execute, and a fleet board one at bring-up, and
+// samples every run from it without touching the board again.
 type BatchState struct {
 	Chip  *silicon.Chip
 	Model silicon.Model
@@ -80,10 +79,10 @@ type CellResult struct {
 }
 
 // SampleCell draws one run's fate: the one definition of a run's
-// draws, which RunOnCore makes against a snapshot of the live board and
-// the batch engine against a campaign's snapshot. The SoC rail and DRAM
-// refresh sit at nominal on every board, where they contribute neither
-// effects nor draws.
+// draws, which RunOnCore makes against a snapshot of the live board, and
+// the batch engine and the fleet poller against their own snapshots.
+// The SoC rail and DRAM refresh sit at nominal on every board, where
+// they contribute neither effects nor draws.
 //
 //xvolt:hotpath per-cell sampling kernel; one call per (benchmark, core, voltage, run)
 func SampleCell(rng *rand.Rand, bs BatchState, margins silicon.Margins, v units.MilliVolts) CellResult {
@@ -96,37 +95,4 @@ func SampleCell(rng *rand.Rand, bs BatchState, margins silicon.Margins, v units.
 		out.Delta.UE[sampleLoc(rng)] += uint64(effects.UECount)
 	}
 	return out
-}
-
-// Pool recycles booted boards across campaign executions. Workers Get a
-// board, run any number of campaigns on it, and Put it back; a Get
-// prefers resetting an idle board (Reset) over fabricating a new one
-// (the factory). A reset board is indistinguishable from a fresh factory
-// board: both boot at nominal settings with the fabricated protection,
-// and the margin cache survives because it depends only on the die.
-type Pool struct {
-	factory func() *Machine
-	pool    sync.Pool
-}
-
-// NewPool builds a board pool over a machine factory.
-func NewPool(factory func() *Machine) *Pool {
-	return &Pool{factory: factory}
-}
-
-// Get returns a booted board: a recycled one when available, a fresh
-// fabrication otherwise.
-func (p *Pool) Get() *Machine {
-	if m, _ := p.pool.Get().(*Machine); m != nil {
-		m.Reset()
-		return m
-	}
-	return p.factory()
-}
-
-// Put returns a board to the pool.
-func (p *Pool) Put(m *Machine) {
-	if m != nil {
-		p.pool.Put(m)
-	}
 }

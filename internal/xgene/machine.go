@@ -43,9 +43,10 @@ const (
 // (it uses output comparison, EDAC deltas and liveness instead), but
 // tests use them as an oracle.
 type RunResult struct {
-	Output    uint64
-	ExitCode  int
-	SystemUp  bool
+	Output   uint64
+	ExitCode int
+	SystemUp bool
+	//xvolt:lint-ignore unusedexport the tests' oracle for classification from observables; the harness must not read it
 	GroundTru silicon.RunEffects
 }
 
@@ -113,21 +114,6 @@ func (m *Machine) powerOnLocked() {
 
 // Chip exposes the underlying die (for tests and reports).
 func (m *Machine) Chip() *silicon.Chip { return m.chip }
-
-// Clone fabricates a fresh board around the same die, failure model and
-// protection configuration. The clone boots independently at nominal
-// settings with its own EDAC driver and heartbeat — the parallel campaign
-// engine hands each worker a clone so no lock is contended on the
-// simulated SLIMpro path. The die itself is shared: a Chip is immutable
-// after fabrication.
-func (m *Machine) Clone() *Machine {
-	m.mu.Lock()
-	chip, model, prot := m.chip, m.model, m.protection
-	m.mu.Unlock()
-	c := NewWithModel(chip, model)
-	c.protection = prot
-	return c
-}
 
 // EDAC returns the board's error-reporting driver.
 func (m *Machine) EDAC() *edac.Driver { return m.edac }
@@ -314,19 +300,6 @@ func (m *Machine) StabilizeTemperature(target units.Celsius) bool {
 //
 // rng supplies this run's non-determinism (voltage droop phase etc.).
 func (m *Machine) RunOnCore(core int, spec *workload.Spec, rng *rand.Rand) (RunResult, error) {
-	return m.runOnCore(core, spec, rng, nil)
-}
-
-// RunOnCoreAssessed is RunOnCore with the margin assessment supplied by the
-// caller — the batch-engine hook. Fleet boards and ladder sweeps assess a
-// (core, spec) pair once and replay the cached result across thousands of
-// runs; outcomes are identical to RunOnCore as long as margins matches the
-// board's current operating regime.
-func (m *Machine) RunOnCoreAssessed(core int, spec *workload.Spec, rng *rand.Rand, margins silicon.Margins) (RunResult, error) {
-	return m.runOnCore(core, spec, rng, &margins)
-}
-
-func (m *Machine) runOnCore(core int, spec *workload.Spec, rng *rand.Rand, assessed *silicon.Margins) (RunResult, error) {
 	m.mu.Lock()
 	if err := m.checkAliveLocked(); err != nil {
 		m.mu.Unlock()
@@ -347,12 +320,7 @@ func (m *Machine) runOnCore(core int, spec *workload.Spec, rng *rand.Rand, asses
 	bs := m.batchStateLocked()
 	m.mu.Unlock()
 
-	var margins silicon.Margins
-	if assessed != nil {
-		margins = *assessed
-	} else {
-		margins = m.Assess(core, spec, units.RegimeOf(freq))
-	}
+	margins := m.Assess(core, spec, units.RegimeOf(freq))
 	// The run's draws are SampleCell's: the batch engine's contract holds
 	// by construction.
 	cell := SampleCell(rng, bs, margins, volt)

@@ -406,39 +406,3 @@ func TestConcurrentRunsOnDistinctCores(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Clone must replicate the fabrication-time identity (die, failure model,
-// §6 enhancement knobs) onto a fresh private board — the campaign engine
-// hands one clone to each worker — while runtime state starts from a
-// clean boot and stays independent.
-func TestCloneReplicatesConfiguration(t *testing.T) {
-	proto := NewWithModel(silicon.NewChip(silicon.TFF, 3), silicon.Itanium)
-	proto.SetProtection(silicon.Protection{ECC: silicon.DECTED, AdaptiveClocking: true})
-
-	c := proto.Clone()
-	if c == proto {
-		t.Fatal("clone is the prototype")
-	}
-	if c.Chip() != proto.Chip() {
-		t.Error("clone has a different die (chips are immutable and shared)")
-	}
-	bs := c.BatchState()
-	if bs.Model != silicon.Itanium {
-		t.Errorf("clone model = %v", bs.Model)
-	}
-	if p := bs.Prot; p.ECC != silicon.DECTED || !p.AdaptiveClocking {
-		t.Errorf("clone protection = %+v", p)
-	}
-	if c.BootCount() != 1 {
-		t.Errorf("clone boot count = %d, want a fresh boot", c.BootCount())
-	}
-
-	// Runtime state must be independent: driving the clone's rail leaves
-	// the prototype at nominal.
-	if err := c.SetPMDVoltage(c.PMDVoltage() - 50); err != nil {
-		t.Fatal(err)
-	}
-	if proto.PMDVoltage() != units.NominalPMD {
-		t.Errorf("prototype rail moved to %v after clone write", proto.PMDVoltage())
-	}
-}

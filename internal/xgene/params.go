@@ -9,7 +9,11 @@
 // SLIMpro I²C instrumentation interface (§2.1–2.2).
 package xgene
 
-import "xvolt/internal/units"
+import (
+	"strconv"
+
+	"xvolt/internal/units"
+)
 
 // Params captures Table 2 of the paper: the architectural and
 // microarchitectural parameters of the X-Gene 2.
@@ -48,13 +52,13 @@ func (p Params) Rows() [][2]string {
 	return [][2]string{
 		{"ISA", p.ISA},
 		{"Pipeline", p.Pipeline},
-		{"CPU", "8 cores"},
-		{"Core clock", "2.4 GHz"},
+		{"CPU", strconv.Itoa(p.Cores) + " cores"},
+		{"Core clock", strconv.FormatFloat(p.CoreClockMax.GHz(), 'f', 1, 64) + " GHz"},
 		{"L1 Instr. cache", p.L1I},
 		{"L1 Data cache", p.L1D},
 		{"L2 cache", p.L2},
 		{"L3 cache", p.L3},
 		{"Technology", p.Technology},
-		{"Max TDP", "35 W"},
+		{"Max TDP", strconv.FormatFloat(p.MaxTDPWatts, 'f', -1, 64) + " W"},
 	}
 }
