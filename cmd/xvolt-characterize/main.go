@@ -118,18 +118,16 @@ func run(chipName, benchList, coreList string, freq, runs, start, stop int, seed
 	cfg.StopVoltage = units.MilliVolts(stop)
 	cfg.Seed = seed
 
-	if fast {
-		fw := core.New(machine)
-		fw.SetMetrics(reg)
-		fw.SetTrace(tlog)
-		return runFast(fw, cfg, benchmarks, cores)
-	}
-
-	// Campaign engine: every worker samples the configured board.
+	// Campaign engine: every worker samples the configured board. -fast
+	// bisects on the same board one run at a time, so it sets no worker
+	// pool and registers no pool metrics.
 	runner := core.NewLadderRunner(func() *xgene.Machine { return machine })
+	runner.SetTrace(tlog)
+	if fast {
+		return runFast(runner, cfg, benchmarks, cores)
+	}
 	runner.SetParallelism(parallelism)
 	runner.SetMetrics(reg)
-	runner.SetTrace(tlog)
 	records, err := execute(runner, cfg, ckptPath)
 	if err != nil {
 		return err
@@ -240,11 +238,11 @@ func rewriteCheckpoint(path string, ckpt *core.Checkpoint) (*os.File, error) {
 }
 
 // runFast bisects each (benchmark, core) Vmin and prints the table.
-func runFast(fw *core.Framework, cfg core.Config, benchmarks []*workload.Spec, cores []int) error {
+func runFast(runner *core.LadderRunner, cfg core.Config, benchmarks []*workload.Spec, cores []int) error {
 	fmt.Printf("%-22s %-5s %-8s %s\n", "benchmark", "core", "vmin", "runs")
 	for _, spec := range benchmarks {
 		for _, c := range cores {
-			res, err := fw.FindVminFast(spec, c, cfg, cfg.Runs)
+			res, err := runner.FindVminFast(spec, c, cfg, cfg.Runs)
 			if err != nil {
 				return err
 			}

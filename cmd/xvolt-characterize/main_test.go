@@ -122,7 +122,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Errorf("resumed study's CSV differs from the uninterrupted run's (%v)", err)
 	}
 
-	// Fast mode bisects on the sequential Framework and writes no CSV.
+	// Fast mode bisects on the die and writes no CSV.
 	if err := run("TFF", "mcf", "4", 2400, 3, 980, 800, 1, "-", "", "xgene", "", true, "", "", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -187,4 +187,59 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 			t.Errorf("%s CSV differs from the sequential Framework's", v.name)
 		}
 	}
+}
+
+// -fast's table and -trace-out stream, captured while it still bisected
+// on the sequential Framework's live machine, pin the die bisection byte
+// for byte: every floor and run count, and every event, recovery
+// numbers included.
+func TestFastMatchesGoldens(t *testing.T) {
+	cases := []struct {
+		name, chip, model, benchmarks, cores string
+		runs                                 int
+	}{
+		{"fast-tss", "TSS", "xgene", "all", "0,3,4", 3},           // 16 recoveries
+		{"fast-ttt-itanium", "TTT", "itanium", "suite", "0,4", 2}, // 38 recoveries
+	}
+	for _, tc := range cases {
+		jsonl := filepath.Join(t.TempDir(), "trace.jsonl")
+		table := captureStdout(t, func() error {
+			return run(tc.chip, tc.benchmarks, tc.cores, 2400, tc.runs, 980, 800, 1, "-", "", tc.model, "", true, jsonl, "", 0)
+		})
+		events, err := os.ReadFile(jsonl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ext, got := range map[string][]byte{".txt": table, ".jsonl": events} {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s%s differs from the golden", tc.name, ext)
+			}
+		}
+	}
+}
+
+// captureStdout returns what f writes to os.Stdout.
+func captureStdout(t *testing.T, f func() error) []byte {
+	t.Helper()
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	stdout := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -30,12 +30,11 @@ func main() {
 
 func characterizeChip(chip *silicon.Chip) error {
 	fmt.Printf("=== chip %s (leakage %.2fx) ===\n", chip.Name, chip.Corner().Leakage())
-	machine := xgene.New(chip)
-	framework := core.New(machine)
+	runner := core.NewLadderRunner(func() *xgene.Machine { return xgene.New(chip) })
 
 	cfg := core.DefaultConfig(workload.PrimarySuite(), []int{0, 1, 2, 3, 4, 5, 6, 7})
 	cfg.Runs = 5 // half the paper's repetitions to keep the demo snappy
-	results, err := framework.Characterize(cfg)
+	results, err := runner.Characterize(cfg)
 	if err != nil {
 		return err
 	}
@@ -78,6 +77,6 @@ func characterizeChip(chip *silicon.Chip) error {
 	}
 	fmt.Printf("  guardband: %v–%v, guaranteed savings %.1f%%\n", summary.BestVmin, summary.WorstVmin, summary.MinSavings*100)
 	fmt.Printf("  wrote %s (%d campaigns, %d recoveries)\n\n",
-		path, len(results), framework.Watchdog().Recoveries())
+		path, len(results), runner.Recoveries())
 	return nil
 }

@@ -24,13 +24,13 @@ import (
 
 func main() {
 	machine := xgene.New(silicon.NewChip(silicon.TTT, 1))
-	framework := core.New(machine)
+	runner := core.NewLadderRunner(func() *xgene.Machine { return machine })
 
 	// Phase 1: offline characterization of the training suite on core 0.
 	train := workload.PredictionSuite()[:24]
 	cfg := core.DefaultConfig(train, []int{0})
 	cfg.Runs = 6
-	results, err := framework.Characterize(cfg)
+	results, err := runner.Characterize(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

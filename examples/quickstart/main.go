@@ -16,9 +16,11 @@ import (
 )
 
 func main() {
-	// A nominal-corner ("TTT") die on a freshly booted board.
-	machine := xgene.New(silicon.NewChip(silicon.TTT, 1))
-	framework := core.New(machine)
+	// The campaign engine over a freshly booted board with a
+	// nominal-corner ("TTT") die.
+	runner := core.NewLadderRunner(func() *xgene.Machine {
+		return xgene.New(silicon.NewChip(silicon.TTT, 1))
+	})
 
 	// Characterize bwaves on the chip's most robust core (core 4) with the
 	// paper's protocol: 2.4 GHz under test, 300 MHz elsewhere, 10 runs per
@@ -29,7 +31,7 @@ func main() {
 	}
 	cfg := core.DefaultConfig([]*workload.Spec{bwaves}, []int{4})
 
-	results, err := framework.Characterize(cfg)
+	results, err := runner.Characterize(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func main() {
 	fmt.Printf("  safe Vmin:      %v (guardband %.1f%%, energy saving %.1f%%)\n",
 		vmin, vmin.GuardbandFraction()*100, (1-vmin.RelativeSquared())*100)
 	fmt.Printf("  crash region:   below %v\n", crash)
-	fmt.Printf("  watchdog power-cycled the board %d times\n", framework.Watchdog().Recoveries())
+	fmt.Printf("  watchdog power-cycled the board %d times\n", runner.Recoveries())
 
 	fmt.Println("\n  voltage  region  severity")
 	for _, step := range c.Steps {

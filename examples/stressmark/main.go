@@ -30,9 +30,9 @@ func main() {
 
 	// Materialize and characterize it like any benchmark.
 	spec := stressmark.BuildSpec("stressmark", res.Profile, 300)
-	fw := core.New(xgene.New(chip))
+	runner := core.NewLadderRunner(func() *xgene.Machine { return xgene.New(chip) })
 	cfg := core.DefaultConfig([]*workload.Spec{spec}, []int{coreID})
-	results, err := fw.Characterize(cfg)
+	results, err := runner.Characterize(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,9 +44,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fw2 := core.New(xgene.New(chip))
 	cfg2 := core.DefaultConfig([]*workload.Spec{bw}, []int{coreID})
-	results2, err := fw2.Characterize(cfg2)
+	results2, err := runner.Characterize(cfg2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -158,11 +158,12 @@ func classify(crashed bool, exitCode int, mismatch bool, ce, ue uint64) Observat
 }
 
 // Framework drives one machine through characterization campaigns, one
-// locked machine call per run. Production sweeps run on the batch
-// LadderRunner instead; Framework keeps three roles: the sequential
-// oracle the engine's equivalence tests compare against, the bisection
-// search behind FindVminFast (fleet bring-up, xvolt-characterize -fast),
-// and xvolt-serve's campaign, which serves the live machine and watchdog.
+// locked machine call per run, and recovers every crash through its
+// watchdog. Production sweeps and bisections run on the die instead
+// (LadderRunner, FindVminOnDie); Framework keeps two roles: the
+// sequential oracle the engine's and the die bisection's equivalence
+// tests compare against, and xvolt-serve's campaign, which serves the
+// live machine and watchdog.
 type Framework struct {
 	machine *xgene.Machine
 	dog     *watchdog.Watchdog
@@ -244,13 +245,13 @@ func (f *Framework) restoreNominal() {
 	f.metrics.railMV.Set(float64(units.NominalPMD))
 }
 
-// campaignRand builds the RNG stream of one (benchmark, core) campaign:
-// the seed is derived from the campaign's identity (CampaignSeed), not
-// from a position in a shared stream, so outcomes are identical whether
-// the campaign runs sequentially, in a LadderRunner worker, in
-// isolation, or after a checkpoint resume.
-func (f *Framework) campaignRand(spec *workload.Spec, core int, cfg *Config) *rand.Rand {
-	return randsrc.New(CampaignSeed(cfg.Seed, f.machine.Chip().Name, spec.Name, spec.Input, core))
+// campaignRand builds the RNG stream of one (benchmark, core) campaign
+// on a chip: the seed is derived from the campaign's identity
+// (CampaignSeed), not from a position in a shared stream, so outcomes
+// are identical whether the campaign runs sequentially, in a
+// LadderRunner worker, in isolation, or after a checkpoint resume.
+func campaignRand(chip string, spec *workload.Spec, core int, cfg *Config) *rand.Rand {
+	return randsrc.New(CampaignSeed(cfg.Seed, chip, spec.Name, spec.Input, core))
 }
 
 // Execute runs the execution phase for the whole configuration and returns
@@ -267,7 +268,7 @@ func (f *Framework) Execute(cfg Config) ([]RunRecord, error) {
 	var out []RunRecord
 	for _, spec := range cfg.Benchmarks {
 		for _, core := range cfg.Cores {
-			f.rng = f.campaignRand(spec, core, &cfg)
+			f.rng = campaignRand(f.machine.Chip().Name, spec, core, &cfg)
 			recs, err := f.runCampaign(spec, core, &cfg)
 			if err != nil {
 				return nil, err

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
@@ -10,7 +11,6 @@ import (
 
 	"xvolt/internal/edac"
 	"xvolt/internal/obs"
-	"xvolt/internal/randsrc"
 	"xvolt/internal/silicon"
 	"xvolt/internal/trace"
 	"xvolt/internal/units"
@@ -81,6 +81,10 @@ type runnerMetrics struct {
 	done    *obs.Counter // campaigns completed by the engine
 	latency *obs.HDRVec  // campaign wall time, by worker index
 }
+
+// errNoBoard fails every sweep and bisection of a runner built without
+// a machine factory.
+var errNoBoard = errors.New("core: runner has no machine factory")
 
 // NewLadderRunner builds the engine over the board newMachine returns,
 // which it calls once. A nil factory makes every Execute fail.
@@ -233,7 +237,7 @@ func (r *LadderRunner) executeGrid(cfg Config, grid []Campaign, done func(idx in
 		return nil, nil
 	}
 	if r.board == nil {
-		return nil, errors.New("core: runner has no machine factory")
+		return nil, errNoBoard
 	}
 	if r.reg != nil && r.log != nil {
 		r.log.SetMetrics(r.reg)
@@ -360,9 +364,39 @@ func (r *LadderRunner) oneCampaign(bs xgene.BatchState, spec *workload.Spec, cor
 // the replay afresh, so a fold-only program is recorded again by every
 // sweep that scores an SDC cell.
 type sweepScratch struct {
-	cells  []runCell        // the sweep's staged run cells
-	replay workload.Replay  // scores the sweep's SDC cells
-	inj    workload.Bitflip // rescheduled for every SDC cell
+	cells []runCell // the sweep's staged run cells
+	cellRule
+}
+
+// cellRule turns sampled runs into run cells for one campaign: the
+// replay that scores its SDC runs, begun for the campaign's program,
+// and the injector rescheduled for every SDC run.
+type cellRule struct {
+	replay workload.Replay
+	inj    workload.Bitflip
+}
+
+// sample is the one per-run cell rule of the sweeps and the die
+// bisection: it draws a run at v from the die snapshot
+// (xgene.SampleCell) and resolves it to a system crash, an application
+// crash, or an SDC whose output the replay scores under the run's fault
+// schedule and compares with golden.
+//
+//xvolt:hotpath one call per sampled (benchmark, core, voltage, run) cell
+func (cr *cellRule) sample(rng *rand.Rand, bs xgene.BatchState, margins silicon.Margins, v units.MilliVolts, golden uint64) runCell {
+	cell := xgene.SampleCell(rng, bs, margins, v)
+	c := runCell{counts: cell.Delta}
+	switch {
+	case cell.Effects.SC:
+		c.crashed = true
+		c.exitCode = -1
+	case cell.Effects.AC:
+		c.exitCode = 134
+	case cell.Effects.SDC:
+		cr.inj.Reset(rng, cell.Effects.SDCBits)
+		c.mismatch = cr.replay.Score(&cr.inj) != golden
+	}
+	return c
 }
 
 // accountCampaign is the one place a campaign's crashes are counted as
@@ -485,7 +519,7 @@ func (s *sweep) appendRecords(dst []RunRecord) []RunRecord {
 //
 //xvolt:hotpath inner sweep loop; allocation profile pinned by BENCH_baseline.json
 func (r *LadderRunner) runLadder(bs xgene.BatchState, spec *workload.Spec, coreID int, cfg *Config, sc *sweepScratch) *sweep {
-	rng := randsrc.New(CampaignSeed(cfg.Seed, bs.Chip.Name, spec.Name, spec.Input, coreID))
+	rng := campaignRand(bs.Chip.Name, spec, coreID, cfg)
 	margins := r.board.Assess(coreID, spec, units.RegimeOf(cfg.Frequency))
 	cleanAbove := silicon.EffectiveSafeVmin(margins, bs.Prot)
 	golden := spec.Golden()
@@ -510,18 +544,7 @@ func (r *LadderRunner) runLadder(bs xgene.BatchState, spec *workload.Spec, coreI
 		var tally Tally
 		staged := len(cells)
 		for run := 0; run < cfg.Runs; run++ {
-			cell := xgene.SampleCell(rng, bs, margins, v)
-			c := runCell{counts: cell.Delta}
-			switch {
-			case cell.Effects.SC:
-				c.crashed = true
-				c.exitCode = -1
-			case cell.Effects.AC:
-				c.exitCode = 134
-			case cell.Effects.SDC:
-				sc.inj.Reset(rng, cell.Effects.SDCBits)
-				c.mismatch = sc.replay.Score(&sc.inj) != golden
-			}
+			c := sc.sample(rng, bs, margins, v, golden)
 			tally.Add(c.observation())
 			cells = append(cells, c)
 		}

@@ -154,18 +154,19 @@ type board struct {
 	spec   *workload.Spec
 	coreID int
 
-	// die is the fabricated die with its failure model and protection,
-	// snapshotted at bring-up. With margins and the rail voltage it is
-	// all a run's draws depend on (xgene.SampleCell), so polls need no
-	// live machine.
+	// die is the fabricated die as xgene.New would boot it
+	// (xgene.NewBatchState). With margins and the rail voltage it is all
+	// a run's draws depend on (xgene.SampleCell), so neither bring-up nor
+	// a poll needs a live machine.
 	die     xgene.BatchState
 	rng     *rand.Rand       // run non-determinism stream
 	ivalRng *rand.Rand       // poll-interval jitter stream
 	inj     workload.Bitflip // rescheduled from rng for every SDC run
 
 	// margins is the die's margin assessment for the board's (core,
-	// workload) pair at full speed, the regime every poll runs under,
-	// taken once at bring-up so the poll hot loop never re-derives it.
+	// workload) pair in the regime of the bisection's frequency (full
+	// speed), which bring-up and every poll run under, taken once so the
+	// poll hot loop never re-derives it.
 	margins silicon.Margins
 
 	floor  units.MilliVolts // characterized safe Vmin
@@ -441,11 +442,10 @@ func (m *Manager) initState(cfg Config) error {
 func (m *Manager) Close() error { return m.store.Close() }
 
 // buildBoard fabricates board i's die from a seed derived off the master
-// seed, characterizes its safe floor by bisection (the fast §2.2
-// protocol) on a live machine around the die, and sets the initial
-// guardband operating point. The machine stays with bring-up: the board
-// keeps the die snapshot, the margin assessment and the boot count. It
-// depends only on (cfg, i).
+// seed, assesses its margins for the board's (core, workload) pair once,
+// characterizes its safe floor by bisection on the die (the fast §2.2
+// protocol; each crash on the way down cost one boot), and sets the
+// initial guardband operating point. It depends only on (cfg, i).
 func buildBoard(cfg *Config, suite []*workload.Spec, i int) (*board, error) {
 	b := &board{
 		id:     boardID(i),
@@ -455,18 +455,22 @@ func buildBoard(cfg *Config, suite []*workload.Spec, i int) (*board, error) {
 		coreID: i % silicon.NumCores,
 	}
 	fabSeed := core.CampaignSeed(cfg.Seed, b.id, "fabrication", b.corner.String(), b.index)
-	m := xgene.New(silicon.NewChip(b.corner, fabSeed))
+	chip := silicon.NewChip(b.corner, fabSeed)
+	b.die = xgene.NewBatchState(chip)
 	runSeed := core.CampaignSeed(cfg.Seed, b.id, b.spec.Name, b.spec.Input, b.coreID)
 	b.rng = randsrc.New(runSeed)
 	intervalSeed := core.CampaignSeed(cfg.Seed, b.id, "poll-interval", "", b.index)
 	b.ivalRng = randsrc.New(intervalSeed)
 
-	if err := characterize(cfg, b, m); err != nil {
+	ccfg := core.DefaultConfig([]*workload.Spec{b.spec}, []int{b.coreID})
+	ccfg.Seed = core.CampaignSeed(cfg.Seed, b.id, "characterize", b.spec.ID(), b.coreID)
+	b.margins = chip.Assess(b.coreID, b.spec.Profile, b.spec.Idio(), units.RegimeOf(ccfg.Frequency))
+	res, err := core.FindVminOnDie(b.die, b.margins, b.spec, b.coreID, ccfg, cfg.ConfirmRuns)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: %s: %w", b.id, err)
 	}
-	b.die = m.BatchState()
-	b.margins = m.Assess(b.coreID, b.spec, units.RegimeOf(units.MaxFrequency))
-	b.boots = m.BootCount()
+	b.floor = res.SafeVmin
+	b.boots = 1 + res.Crashes
 	b.gb = newGuardband(cfg.Guardband, b.floor)
 	b.nextDue = b.nextInterval(cfg)
 	return b, nil
@@ -505,21 +509,6 @@ func (m *Manager) commitInitial() {
 // when a Run commit changes the observable snapshots, so readers may
 // serve cached serializations while it is unchanged.
 func (m *Manager) Generation() uint64 { return m.gen.Load() }
-
-// characterize finds a board's safe floor with the fast bisection
-// protocol on machine m, from its own derived seed.
-func characterize(cfg *Config, b *board, m *xgene.Machine) error {
-	fw := core.New(m)
-	ccfg := core.DefaultConfig([]*workload.Spec{b.spec}, []int{b.coreID})
-	characterizeSeed := core.CampaignSeed(cfg.Seed, b.id, "characterize", b.spec.ID(), b.coreID)
-	ccfg.Seed = characterizeSeed
-	res, err := fw.FindVminFast(b.spec, b.coreID, ccfg, cfg.ConfirmRuns)
-	if err != nil {
-		return err
-	}
-	b.floor = res.SafeVmin
-	return nil
-}
 
 // commitLocked folds one poll outcome into the store, transition log,
 // status table and counters, advancing the virtual clock to the poll's

@@ -91,13 +91,11 @@ func (s State) String() string {
 	}
 }
 
-// HealthPolicy parameterizes the state machine's thresholds.
+// HealthPolicy parameterizes the state machine's thresholds. Degrading
+// takes none: a poll with any error signal short of the unhealthy
+// thresholds (a CE, an SDC, an application crash) degrades a healthy or
+// recovering board.
 type HealthPolicy struct {
-	// DegradeCE is the per-poll corrected-error delta that degrades a
-	// healthy board (CE alone is the mildest Table 3 signal).
-	DegradeCE uint64
-	// DegradeSeverity degrades on the poll's severity-function value.
-	DegradeSeverity float64
 	// UnhealthyUE marks the board unhealthy on this many uncorrected
 	// errors in one poll.
 	UnhealthyUE uint64
@@ -112,8 +110,6 @@ type HealthPolicy struct {
 // scale (Table 4 weights: a single SDC run out of two scores 2.0).
 func DefaultHealthPolicy() HealthPolicy {
 	return HealthPolicy{
-		DegradeCE:         1,
-		DegradeSeverity:   0.5,
 		UnhealthyUE:       1,
 		UnhealthySeverity: 6,
 		CleanPolls:        3,

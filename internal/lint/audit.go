@@ -27,6 +27,9 @@ var auditedSuppressions = map[string]bool{
 	"xvolt/internal/obs/unusedexport: method (*Registry).Snapshot has no reference outside tests":  true,
 	"xvolt/internal/xgene/unusedexport: field RunResult.GroundTru is never read outside tests":     true,
 	"xvolt/internal/fleet/unusedexport: field snapshotEncoder.encoded is never read outside tests": true,
+	// The live-machine bisection the die bisection is pinned against;
+	// frozen perfbench's bring-up probe calls it too.
+	"xvolt/internal/core/unusedexport: method (*Framework).FindVminFast has no reference outside tests": true,
 	// The DESIGN §4 robustness ablation; gated benchmarks call them, and
 	// its tests check fold coverage with Evaluation.N.
 	"xvolt/internal/regress/unusedexport: func CrossValidate has no reference outside tests":     true,

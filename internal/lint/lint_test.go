@@ -381,10 +381,12 @@ func TestHotallocFixture(t *testing.T) {
 // flagged — unused, test-only, self-recursive, a method that only shares
 // an interface method's name — and so are untagged fields no non-test
 // code reads: written by `=`, a tuple `=`, a composite-literal key or
-// an unkeyed literal, exported or not. Uses from another package,
-// dynamic dispatch, String/MarshalJSON, tagged fields, and fields read
-// by `op=`, `++`, `&`, a value use, a selector through them, `==` or a
-// map key keep theirs, and a pragma keeps one on purpose.
+// an unkeyed literal, exported or not, and an enum whose only non-test
+// references are its own String method and constants, with all three.
+// Uses from another package, dynamic dispatch, String/MarshalJSON on a
+// type used elsewhere, tagged fields, and fields read by `op=`, `++`,
+// `&`, a value use, a selector through them, `==` or a map key keep
+// theirs, and a pragma keeps one on purpose.
 func TestUnusedexportFixture(t *testing.T) {
 	fixture(t, "internal/unusedexport")
 	fixture(t, "unusedexportuse")
@@ -400,8 +402,17 @@ func TestUnusedexportFixture(t *testing.T) {
 			t.Errorf("%s not flagged:\n%s", name, render(res.Findings))
 		}
 	}
-	if len(res.Findings) != 12 {
-		t.Errorf("want exactly the 12 flagged cases, got:\n%s", render(res.Findings))
+	for _, m := range []struct{ kind, name string }{{"type", "Action"}, {"const", "Retry"}, {"const", "Abort"}, {"method", "Action.String"}} {
+		found := false
+		for _, f := range res.Findings {
+			found = found || f.Message == deadGroupMessage(m.kind, m.name, "Action")
+		}
+		if !found {
+			t.Errorf("%s %s not flagged with its group:\n%s", m.kind, m.name, render(res.Findings))
+		}
+	}
+	if len(res.Findings) != 16 {
+		t.Errorf("want exactly the 16 flagged cases, got:\n%s", render(res.Findings))
 	}
 	if len(res.Suppressed) != 1 || !strings.Contains(res.Suppressed[0].Message, "func Kept ") {
 		t.Errorf("want the pragma-kept Kept suppressed, got:\n%s", render(res.Suppressed))

@@ -109,6 +109,55 @@ type Wire struct {
 	Extra int    `json:"extra"`
 }
 
+// Action is an enum kept alive only by its own String method and
+// constants: no non-test code outside them refers to it, so the type,
+// both constants and the method are reported though String implements
+// fmt.Stringer.
+type Action int
+
+// The actions.
+const (
+	Retry Action = iota
+	Abort
+)
+
+// String names the action.
+func (a Action) String() string {
+	switch a {
+	case Retry:
+		return "retry"
+	case Abort:
+		return "abort"
+	}
+	return "action(" + strconv.Itoa(int(a)) + ")"
+}
+
+// Mode has Action's shape, but Pick, a non-test function outside its
+// group, uses it, so nothing of it is reported.
+type Mode int
+
+// The modes.
+const (
+	Fast Mode = iota
+	Safe
+)
+
+// String names the mode.
+func (m Mode) String() string {
+	if m == Safe {
+		return "safe"
+	}
+	return "fast"
+}
+
+// Pick chooses a mode; the second package calls it.
+func Pick(safe bool) Mode {
+	if safe {
+		return Safe
+	}
+	return Fast
+}
+
 // Kept is referenced by nothing but kept on purpose.
 //
 //xvolt:lint-ignore unusedexport the fixture's pragma-kept declaration

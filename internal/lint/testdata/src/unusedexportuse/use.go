@@ -2,7 +2,11 @@
 // declarations.
 package unusedexportuse
 
-import "fixture/internal/unusedexport"
+import (
+	"fmt"
+
+	"fixture/internal/unusedexport"
+)
 
 // Use builds and reads the fixture's types.
 func Use() (float64, unusedexport.Level, unusedexport.Wire, unusedexport.Tile) {
@@ -10,6 +14,9 @@ func Use() (float64, unusedexport.Level, unusedexport.Wire, unusedexport.Tile) {
 	var sh unusedexport.Shape = unusedexport.Square{Side: float64(c.Used)}
 	return sh.Area(), unusedexport.Level(c.Used), unusedexport.Wire{}, unusedexport.Tile{}
 }
+
+// Mode prints a mode through its String method.
+func Mode() string { return fmt.Sprint(unusedexport.Pick(true)) }
 
 // Fields writes and reads the fixture's structs, one form a field.
 func Fields() (int, bool, int) {

@@ -14,13 +14,20 @@
 // So state that is set and never consulted is reported like a function
 // nobody calls.
 //
+// A named type, its methods and its constants form one group: a type
+// that no non-test code outside its group refers to is reported with
+// its whole group, since a value of it can reach nothing else. So an
+// enum whose only references are its own String method and constants
+// is dead, though the method implements fmt.Stringer.
+//
 // References are type-based: go/types' Uses and Selections over the
 // shared load, so a call from cmd/ or examples/ keeps a declaration and
-// a same-named method elsewhere does not. Never reported: init, main,
-// blank declarations, a method that implements a method of an interface
-// type in the load or its imports (reached by dynamic dispatch), and the
-// fields of a struct that carries tags (encoding/json reads them).
-// Public packages (api/v1, client/v1) are outside the scope.
+// a same-named method elsewhere does not. Never reported, outside a
+// dead group: init, main, blank declarations, a method that implements
+// a method of an interface type in the load or its imports (reached by
+// dynamic dispatch), and the fields of a struct that carries tags
+// (encoding/json reads them). Public packages (api/v1, client/v1) are
+// outside the scope.
 
 package lint
 
@@ -41,8 +48,14 @@ func NewUnusedexport() *Analyzer {
 			return nil
 		}
 		idx := pass.uses()
-		report := func(id *ast.Ident, kind, name string) {
-			pass.Reportf(id.Pos(), "%s", unusedMessage(kind, name))
+		// check reports a declaration as a member of a dead type group,
+		// or else as unused when unused holds.
+		check := func(id *ast.Ident, kind, name string, obj types.Object, unused bool) {
+			if g := typeGroup(obj); g != nil && g.Pkg() == pass.Pkg && !idx.outside[g] {
+				pass.Reportf(id.Pos(), "%s", deadGroupMessage(kind, name, g.Name()))
+			} else if unused {
+				pass.Reportf(id.Pos(), "%s", unusedMessage(kind, name))
+			}
 		}
 		for _, file := range pass.Files {
 			if pass.IsTestFile(file.Pos()) {
@@ -52,24 +65,20 @@ func NewUnusedexport() *Analyzer {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					fn, ok := pass.Info.Defs[d.Name].(*types.Func)
-					if !ok || idx.used[fn] || d.Name.Name == "_" {
+					if !ok || d.Name.Name == "_" {
 						continue
 					}
 					if d.Recv == nil {
-						if d.Name.Name != "init" && d.Name.Name != "main" {
-							report(d.Name, "func", d.Name.Name)
-						}
-						continue
-					}
-					if !idx.implements(fn) {
-						report(d.Name, "method", methodName(fn))
+						check(d.Name, "func", d.Name.Name, fn, !idx.used[fn] && d.Name.Name != "init" && d.Name.Name != "main")
+					} else {
+						check(d.Name, "method", methodName(fn), fn, !idx.used[fn] && !idx.implements(fn))
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
-							if obj := pass.Info.Defs[s.Name]; obj != nil && !idx.used[obj] && s.Name.Name != "_" {
-								report(s.Name, "type", s.Name.Name)
+							if obj := pass.Info.Defs[s.Name]; obj != nil && s.Name.Name != "_" {
+								check(s.Name, "type", s.Name.Name, obj, !idx.used[obj])
 							}
 							st, ok := s.Type.(*ast.StructType)
 							if !ok || hasTags(st) {
@@ -78,7 +87,7 @@ func NewUnusedexport() *Analyzer {
 							for _, f := range st.Fields.List {
 								for _, id := range fieldIdents(f) {
 									if obj := pass.Info.Defs[id]; obj != nil && !idx.used[obj] && id.Name != "_" {
-										report(id, "field", s.Name.Name+"."+id.Name)
+										check(id, "field", s.Name.Name+"."+id.Name, obj, true)
 									}
 								}
 							}
@@ -88,8 +97,8 @@ func NewUnusedexport() *Analyzer {
 								kind = "const"
 							}
 							for _, id := range s.Names {
-								if obj := pass.Info.Defs[id]; obj != nil && !idx.used[obj] && id.Name != "_" {
-									report(id, kind, id.Name)
+								if obj := pass.Info.Defs[id]; obj != nil && id.Name != "_" {
+									check(id, kind, id.Name, obj, !idx.used[obj])
 								}
 							}
 						}
@@ -109,6 +118,16 @@ func unusedMessage(kind, name string) string {
 		return kind + " " + name + " is never read outside tests"
 	}
 	return kind + " " + name + " has no reference outside tests"
+}
+
+// deadGroupMessage is the finding text for a member of type typ's dead
+// group.
+func deadGroupMessage(kind, name, typ string) string {
+	const dead = " is referenced only by its own methods and constants outside tests"
+	if kind == "type" {
+		return kind + " " + name + dead
+	}
+	return kind + " " + name + ": type " + typ + dead
 }
 
 // internalPath reports whether an import path has an `internal` element.
@@ -166,11 +185,49 @@ func fieldIdents(f *ast.Field) []*ast.Ident {
 
 // useIndex is the program-wide reference set unusedexport reads: every
 // object a non-test file refers to outside its own declaration (for a
-// field: reads it), and every interface method set in the load or its
-// imports, by method name.
+// field: reads it), every type group a non-test file refers to outside
+// the group's declarations, and every interface method set in the load
+// or its imports, by method name.
 type useIndex struct {
-	used   map[types.Object]bool
-	ifaces map[string][]*types.Interface
+	used    map[types.Object]bool
+	outside map[*types.TypeName]bool
+	ifaces  map[string][]*types.Interface
+}
+
+// typeGroup is the package-level named type whose group obj belongs to
+// — the type itself, one of its methods, or a constant of it declared
+// in its package — or nil. Generic types and aliases form no group.
+func typeGroup(obj types.Object) *types.TypeName {
+	var t types.Type
+	switch o := obj.(type) {
+	case *types.TypeName:
+		if o.IsAlias() {
+			return nil
+		}
+		t = o.Type()
+	case *types.Func:
+		recv := o.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return nil
+		}
+		t = recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+	case *types.Const:
+		t = o.Type()
+	default:
+		return nil
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.TypeParams().Len() > 0 {
+		return nil
+	}
+	tn := n.Obj()
+	if tn.Pkg() == nil || tn.Pkg() != obj.Pkg() || tn.Parent() != tn.Pkg().Scope() {
+		return nil
+	}
+	return tn
 }
 
 // uses returns the program's use index, building it on first use and
@@ -185,7 +242,7 @@ func (p *Pass) uses() *useIndex {
 }
 
 func (p *Pass) buildUses() *useIndex {
-	idx := &useIndex{used: map[types.Object]bool{}, ifaces: map[string][]*types.Interface{}}
+	idx := &useIndex{used: map[types.Object]bool{}, outside: map[*types.TypeName]bool{}, ifaces: map[string][]*types.Interface{}}
 	seenIface := map[*types.Interface]bool{}
 	addIface := func(it *types.Interface) {
 		if seenIface[it] || !it.IsMethodSet() {
@@ -251,7 +308,8 @@ func (p *Pass) buildUses() *useIndex {
 				}
 			}
 			writes := fieldWrites(info, file)
-			ast.Inspect(file, func(n ast.Node) bool {
+			var group *types.TypeName // the group of the declaration being walked
+			visit := func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
 					obj := origin(info.Uses[n])
@@ -262,6 +320,9 @@ func (p *Pass) buildUses() *useIndex {
 						break
 					}
 					idx.used[obj] = true
+					if g := typeGroup(obj); g != nil && g != group {
+						idx.outside[g] = true
+					}
 				case *ast.SelectorExpr:
 					// x.f through an embedded field uses every field on
 					// the path, not only the one named.
@@ -294,7 +355,25 @@ func (p *Pass) buildUses() *useIndex {
 					}
 				}
 				return true
-			})
+			}
+			for _, d := range file.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					group = typeGroup(info.Defs[d.Name])
+					ast.Inspect(d, visit)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						group = nil
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							group = typeGroup(info.Defs[s.Name])
+						case *ast.ValueSpec:
+							group = typeGroup(info.Defs[s.Names[0]])
+						}
+						ast.Inspect(spec, visit)
+					}
+				}
+			}
 		}
 	}
 	return idx

@@ -51,12 +51,19 @@ func (m *Machine) Assess(core int, spec *workload.Spec, regime units.MarginRegim
 
 // BatchState is a read-only snapshot of everything that determines run
 // outcomes on a board, taken under the machine lock. The batch engine
-// takes one snapshot per Execute, and a fleet board one at bring-up, and
-// samples every run from it without touching the board again.
+// takes one snapshot per Execute and samples every run from it without
+// touching the board again; a fleet board, which never has a machine,
+// takes NewBatchState of its fabricated die.
 type BatchState struct {
 	Chip  *silicon.Chip
 	Model silicon.Model
 	Prot  silicon.Protection
+}
+
+// NewBatchState is the snapshot of the board New(chip) boots (the X-Gene
+// failure model, no protection enhancement), without the machine.
+func NewBatchState(chip *silicon.Chip) BatchState {
+	return BatchState{Chip: chip, Model: silicon.XGene}
 }
 
 // BatchState snapshots the machine for ladder execution.

@@ -4,9 +4,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"xvolt/internal/silicon"
 	"xvolt/internal/units"
 	"xvolt/internal/workload"
 )
+
+// A board that never boots a machine samples the die New would have
+// booted.
+func TestNewBatchStateMatchesNew(t *testing.T) {
+	chip := silicon.NewChip(silicon.TSS, 3)
+	if got, want := NewBatchState(chip), New(chip).BatchState(); got != want {
+		t.Fatalf("NewBatchState %+v, New(chip).BatchState() %+v", got, want)
+	}
+}
 
 // TestRunOnCoreDrawsLikeSampleCell pins the batch contract on a live
 // board: from equal seeds, RunOnCore and SampleCell plus the SDC replay
